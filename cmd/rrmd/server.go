@@ -562,16 +562,10 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate before mutate: a snapshot copies the whole value matrix
 	// under the store lock, and malformed requests must not pay (or make
-	// everyone else wait on) that. Dimension is immutable across versions,
-	// so checking against the current one is exact. Finiteness needs no
-	// check: encoding/json cannot decode NaN/Inf (or out-of-range numbers)
-	// into a float64.
-	dim := nd.Current().Dim()
-	for i, row := range req.Rows {
-		if len(row) != dim {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("row %d has %d attributes, want %d", i, len(row), dim))
-			return
-		}
+	// everyone else wait on) that.
+	if err := validateRows(req.Rows, nd.Current().Dim()); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	// The append hits the WAL (per the fsync policy) before the new version
 	// becomes visible; an error means nothing was published.
@@ -584,6 +578,23 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mutateDur.ObserveSince(start)
 	writeOK(w, http.StatusOK, mutateResponse{datasetInfo: info(name, next), Appended: len(req.Rows)})
+}
+
+// validateRows checks rows offered for append: each must have the
+// dataset's dimension (immutable across versions, so checking against the
+// current one is exact) and only finite values. encoding/json cannot decode
+// NaN or ±Inf into a float64, but finiteness is checked where rows enter
+// rather than left to the decoder.
+func validateRows(rows [][]float64, dim int) error {
+	for i, row := range rows {
+		if len(row) != dim {
+			return fmt.Errorf("row %d has %d attributes, want %d", i, len(row), dim)
+		}
+		if err := dataset.CheckFinite(i, row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // handleDeleteRows removes rows by id from a dataset, publishing a new

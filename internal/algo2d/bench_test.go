@@ -22,6 +22,16 @@ func BenchmarkTwoDRRM(b *testing.B) {
 			})
 		}
 	}
+	// The benchmark workloads' 2D solve: SimIsland 10k at r = 10.
+	island := dataset.SimIsland(xrand.New(1), 10000)
+	b.Run("island/n=10000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := TwoDRRM(island, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkTwoDRRRBaseline(b *testing.B) {

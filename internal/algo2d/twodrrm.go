@@ -74,40 +74,57 @@ func Lines(ds *dataset.Dataset) []geom.Line {
 	return lines
 }
 
-// runDP executes the 2DRRM dynamic program over segment [c0, c1] with the
-// given candidate tuple ids and chain budget r. It returns, for every budget
-// h in 1..r, the best achievable maximum rank and the corresponding chain
-// (bestRank[h], bestChain[h]; index 0 unused).
-func runDP(ctx context.Context, lines []geom.Line, cand []int, c0, c1 float64, r int) (bestRank []int, bestChain []*chainNode, err error) {
-	s := len(cand)
+// sweepPlan is the budget-independent half of the 2DRRM dynamic program
+// over one segment [c0, c1]: the candidates' start ranks and the ordered
+// crossing events. Built once, it serves every budget r.
+type sweepPlan struct {
+	cand    []int
+	isCand  []bool
+	candPos []int // line index -> position in cand
+	start   []int // start[p] = rank of cand[p] at c0
+	events  []sweep.Event
+}
+
+// planDP prepares the DP sweep over [c0, c1] for the given candidate tuple
+// ids. Tuple ranks count every line; only candidates' ranks are ever read.
+func planDP(lines []geom.Line, cand []int, c0, c1 float64) *sweepPlan {
+	pl := &sweepPlan{
+		cand:    cand,
+		isCand:  make([]bool, len(lines)),
+		candPos: make([]int, len(lines)),
+		start:   sweep.RanksAt(lines, cand, c0),
+	}
+	for p, c := range cand {
+		pl.isCand[c] = true
+		pl.candPos[c] = p
+	}
+	pl.events = sweep.BuildEvents(lines, pl.isCand, c0, c1)
+	return pl
+}
+
+// run executes the dynamic program with chain budget r. It returns, for
+// every budget h in 1..min(r, s), the best achievable maximum rank and the
+// corresponding chain (bestRank[h], bestChain[h]; index 0 unused).
+func (pl *sweepPlan) run(ctx context.Context, r int) (bestRank []int, bestChain []*chainNode, err error) {
+	s := len(pl.cand)
 	if r > s {
 		r = s
 	}
-	isCand := make([]bool, len(lines))
-	candPos := make([]int, len(lines)) // line index -> position in cand
-	for p, c := range cand {
-		isCand[c] = true
-		candPos[c] = p
-	}
-
-	ranks := sweep.InitialRanks(lines, c0)
+	isCand, candPos := pl.isCand, pl.candPos
 
 	// M[p][h] for candidate position p, budget h in 1..r.
 	m := make([][]cell, s)
-	for p, c := range cand {
+	for p, c := range pl.cand {
 		row := make([]cell, r+1)
 		node := &chainNode{line: c}
 		for h := 1; h <= r; h++ {
-			row[h] = cell{rank: ranks[c], chain: node}
+			row[h] = cell{rank: pl.start[p], chain: node}
 		}
 		m[p] = row
 	}
 
-	events := sweep.BuildEvents(lines, isCand, c0, c1)
-	cur := make([]int, len(lines))
-	copy(cur, ranks)
-
-	for ei, e := range events {
+	cur := append([]int(nil), pl.start...) // cur[p] = current rank of cand[p]
+	for ei, e := range pl.events {
 		if ei%8192 == 0 {
 			if err := ctxutil.Cancelled(ctx); err != nil {
 				return nil, nil, err
@@ -115,9 +132,9 @@ func runDP(ctx context.Context, lines []geom.Line, cand []int, c0, c1 float64, r
 		}
 		up, down := int(e.Up), int(e.Down)
 		if isCand[up] {
-			cur[up]++
 			p := candPos[up]
-			newRank := cur[up]
+			cur[p]++
+			newRank := cur[p]
 			if isCand[down] {
 				q := candPos[down]
 				// Descending h: the extension at h reads m[p][h-1] before
@@ -143,7 +160,7 @@ func runDP(ctx context.Context, lines []geom.Line, cand []int, c0, c1 float64, r
 			}
 		}
 		if isCand[down] {
-			cur[down]--
+			cur[candPos[down]]--
 		}
 	}
 
@@ -222,8 +239,7 @@ func TwoDRRMRestrictedCtx(ctx context.Context, ds *dataset.Dataset, r int, space
 	if len(cand) == 0 {
 		return Result{}, fmt.Errorf("algo2d: no candidate tuples (empty U-skyline)")
 	}
-	lines := Lines(ds)
-	bestRank, bestChain, err := runDP(ctx, lines, cand, c0, c1, r)
+	bestRank, bestChain, err := planDP(Lines(ds), cand, c0, c1).run(ctx, r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -254,12 +270,12 @@ func TwoDRRRExactCtx(ctx context.Context, ds *dataset.Dataset, k int) (res Resul
 		return Result{}, false, fmt.Errorf("algo2d: rank threshold %d, need >= 1", k)
 	}
 	cand := skyline.Compute(ds)
-	lines := Lines(ds)
+	plan := planDP(Lines(ds), cand, 0, 1)
 	for r := 4; ; r *= 2 {
 		if r > len(cand) {
 			r = len(cand)
 		}
-		bestRank, bestChain, err := runDP(ctx, lines, cand, 0, 1, r)
+		bestRank, bestChain, err := plan.run(ctx, r)
 		if err != nil {
 			return Result{}, false, err
 		}

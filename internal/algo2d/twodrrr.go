@@ -34,7 +34,10 @@ func ExactRankRegret(ds *dataset.Dataset, ids []int, c0, c1 float64) (int, error
 		}
 		isMember[id] = true
 	}
-	cur := sweep.InitialRanks(lines, c0)
+	cur := make([]int, len(lines)) // only members' entries are read
+	for p, rank := range sweep.RanksAt(lines, ids, c0) {
+		cur[ids[p]] = rank
+	}
 	minRank := func() int {
 		m := math.MaxInt
 		for _, id := range ids {
@@ -239,12 +242,12 @@ func TwoDRRRExactRestrictedCtx(ctx context.Context, ds *dataset.Dataset, k int, 
 	if len(cand) == 0 {
 		return Result{}, false, fmt.Errorf("algo2d: no candidate tuples (empty U-skyline)")
 	}
-	lines := Lines(ds)
+	plan := planDP(Lines(ds), cand, c0, c1)
 	for r := 4; ; r *= 2 {
 		if r > len(cand) {
 			r = len(cand)
 		}
-		bestRank, bestChain, err := runDP(ctx, lines, cand, c0, c1, r)
+		bestRank, bestChain, err := plan.run(ctx, r)
 		if err != nil {
 			return Result{}, false, err
 		}

@@ -53,6 +53,8 @@ func TestParseSpaceMalformed(t *testing.T) {
 		{"ball too many coordinates", "ball:0.1,0.5,0.5,0.5", 2},
 		{"ball non-numeric fields", "ball:0.1,a,b", 2},
 		{"ball empty", "ball:", 2},
+		{"ball NaN radius", "ball:NaN,0.5,0.5,0.5", 3},
+		{"ball infinite center", "ball:0.1,Inf,0.5", 2},
 		{"unknown kind", "sphere:1", 2},
 		{"empty", "", 2},
 		{"bare word", "weak", 2},

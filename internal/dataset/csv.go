@@ -8,8 +8,9 @@ import (
 )
 
 // ReadCSV parses a dataset from CSV. If header is true the first record is
-// taken as attribute names. Every field must parse as a float64 and all rows
-// must have the same width.
+// taken as attribute names. Every field must parse as a finite float64 (NaN
+// and ±Inf fail with a *NonFiniteError) and all rows must have the same
+// width.
 func ReadCSV(r io.Reader, header bool) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -47,6 +48,9 @@ func ReadCSV(r io.Reader, header bool) (*Dataset, error) {
 				return nil, fmt.Errorf("dataset: csv line %d field %d: %w", line, j+1, err)
 			}
 			row[j] = v
+		}
+		if err := CheckFinite(ds.N(), row); err != nil {
+			return nil, err
 		}
 		ds.Append(row)
 	}

@@ -67,8 +67,31 @@ func New(d int) *Dataset {
 	return &Dataset{d: d, attrs: make([]string, d), lineage: lineageSeq.Add(1)}
 }
 
+// NonFiniteError reports a NaN or ±Inf attribute value offered to a
+// dataset: ranks, dominance and dual-line crossings are undefined over them.
+type NonFiniteError struct {
+	Row, Col int // 0-based data row and attribute
+	Value    float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("dataset: row %d attribute %d is %v, want a finite value", e.Row, e.Col, e.Value)
+}
+
+// CheckFinite returns a *NonFiniteError for the first NaN or ±Inf in row,
+// which is reported as data row i; nil if every value is finite.
+func CheckFinite(i int, row []float64) error {
+	for j, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return &NonFiniteError{Row: i, Col: j, Value: v}
+		}
+	}
+	return nil
+}
+
 // FromRows builds a dataset from a slice of rows, copying the values.
-// All rows must have the same non-zero length.
+// All rows must have the same non-zero length and only finite values (a
+// non-finite one fails with a *NonFiniteError).
 func FromRows(rows [][]float64) (*Dataset, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("dataset: FromRows needs at least one row")
@@ -81,6 +104,9 @@ func FromRows(rows [][]float64) (*Dataset, error) {
 	for i, r := range rows {
 		if len(r) != d {
 			return nil, fmt.Errorf("dataset: row %d has %d attributes, want %d", i, len(r), d)
+		}
+		if err := CheckFinite(i, r); err != nil {
+			return nil, err
 		}
 		ds.Append(r)
 	}

@@ -190,7 +190,8 @@ type Polytope struct {
 	B []float64
 }
 
-// NewPolytope validates dimensions and returns the polytope space.
+// NewPolytope validates dimensions and finiteness and returns the polytope
+// space.
 func NewPolytope(d int, a [][]float64, b []float64) (*Polytope, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("funcspace: %d constraint rows, %d bounds", len(a), len(b))
@@ -198,6 +199,9 @@ func NewPolytope(d int, a [][]float64, b []float64) (*Polytope, error) {
 	for i, row := range a {
 		if len(row) != d {
 			return nil, fmt.Errorf("funcspace: constraint %d has %d coefficients, want %d", i, len(row), d)
+		}
+		if !finite(row...) || !finite(b[i]) {
+			return nil, fmt.Errorf("funcspace: constraint %d has a non-finite coefficient or bound", i)
 		}
 	}
 	return &Polytope{D: d, A: a, B: b}, nil
@@ -273,9 +277,12 @@ type Ball struct {
 	Radius float64
 }
 
-// NewBall validates that the ball lies in the orthant (so every member is a
-// legal utility vector) and returns the space.
+// NewBall validates that the ball is finite and lies in the orthant (so
+// every member is a legal utility vector) and returns the space.
 func NewBall(center geom.Vector, radius float64) (*Ball, error) {
+	if !finite(radius) || !finite(center...) {
+		return nil, fmt.Errorf("funcspace: ball center %v and radius %v must be finite", center, radius)
+	}
 	if radius <= 0 {
 		return nil, fmt.Errorf("funcspace: ball radius must be positive, got %v", radius)
 	}
@@ -410,4 +417,14 @@ func Render2D(s Space) (c0, c1 float64, err error) {
 		c1 = bisect(seed, 1)
 	}
 	return c0, c1, nil
+}
+
+// finite reports whether no value is NaN or ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

@@ -6,6 +6,8 @@
 package skyline
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/rankregret/rankregret/internal/dataset"
@@ -37,33 +39,55 @@ func Compute(ds *dataset.Dataset) []int {
 	return computeHD(ds)
 }
 
-// compute2D: sort by attribute 0 descending (ties: attribute 1 descending),
-// then a single scan keeping tuples whose attribute 1 strictly exceeds the
-// running maximum. O(n log n).
+// compute2D: drop every tuple Pareto-dominated by the maximum-sum tuple
+// (exact: anything such a tuple dominates, the pivot dominates too, and the
+// pivot's duplicates survive), sort the survivors by attribute 0 descending
+// (ties: attribute 1 descending, then index), then a single scan keeping
+// tuples whose attribute 1 strictly exceeds the running maximum.
+// O(n + m log m) for m survivors.
 func compute2D(ds *dataset.Dataset) []int {
 	n := ds.N()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	if n == 0 {
+		return nil
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		v0a, v0b := ds.Value(ia, 0), ds.Value(ib, 0)
-		if v0a != v0b {
-			return v0a > v0b
+	pivot := 0
+	for i := 1; i < n; i++ {
+		if ds.Value(i, 0)+ds.Value(i, 1) > ds.Value(pivot, 0)+ds.Value(pivot, 1) {
+			pivot = i
 		}
-		v1a, v1b := ds.Value(ia, 1), ds.Value(ib, 1)
-		if v1a != v1b {
-			return v1a > v1b
+	}
+	type rec struct {
+		v0, v1 float64
+		id     int
+	}
+	pr := ds.Row(pivot)
+	m := 0
+	for i := 0; i < n; i++ {
+		if !dominates(pr, ds.Row(i)) {
+			m++
 		}
-		return ia < ib
+	}
+	recs := make([]rec, 0, m)
+	for i := 0; i < n; i++ {
+		if row := ds.Row(i); !dominates(pr, row) {
+			recs = append(recs, rec{row[0], row[1], i})
+		}
+	}
+	slices.SortFunc(recs, func(a, b rec) int {
+		if c := cmp.Compare(b.v0, a.v0); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.v1, a.v1); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
 	})
 	var out []int
 	best1 := -1.0
 	prev0, prev1 := -1.0, -1.0
 	first := true
-	for _, i := range idx {
-		v0, v1 := ds.Value(i, 0), ds.Value(i, 1)
+	for _, r := range recs {
+		i, v0, v1 := r.id, r.v0, r.v1
 		if !first && v0 == prev0 && v1 == prev1 {
 			// Exact duplicate of a skyline tuple: neither dominates the
 			// other, so keep it too (only if the previous one was kept).
@@ -82,7 +106,7 @@ func compute2D(ds *dataset.Dataset) []int {
 		prev0, prev1 = v0, v1
 		first = false
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 

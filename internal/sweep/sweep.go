@@ -6,8 +6,10 @@
 // Two implementations are provided:
 //
 //   - BuildEvents enumerates only crossings involving candidate (skyline)
-//     lines — the events that can affect the DP matrix — in O(s·n) space,
-//     which is what the production 2DRRM solver uses.
+//     lines — the events that can affect the DP matrix — in O(s·n) time and
+//     space, and orders them with a linear-time radix sort. RanksAt gives
+//     the candidates' start ranks in O(s·n) without sorting all n lines.
+//     Together they are what the production 2DRRM solver uses.
 //   - NeighborSweep is the paper's literal Algorithm 1 event loop (sorted
 //     list L plus a deduplicating min-heap H of neighbor intersections,
 //     lines 4-13). It visits *every* crossing in x order and exists to
@@ -16,7 +18,10 @@
 package sweep
 
 import (
+	"cmp"
 	"container/heap"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/rankregret/rankregret/internal/geom"
@@ -63,15 +68,54 @@ func InitialRanks(lines []geom.Line, c0 float64) []int {
 	return rank
 }
 
+// RanksAt returns, for each line id in ids, its rank at x = c0 under the
+// x -> c0+ tie-break: 1 + the number of lines above it in lineAbove's strict
+// total order. That is exactly InitialRanks(lines, c0)[id], in O(len(ids)·n)
+// work and without sorting all n lines.
+func RanksAt(lines []geom.Line, ids []int, c0 float64) []int {
+	ranks := make([]int, len(ids))
+	for p, i := range ids {
+		vi, si := lines[i].Eval(c0), lines[i].Slope
+		rank := 1
+		for j, l := range lines {
+			if vj := l.Eval(c0); vj > vi || vj == vi && (l.Slope > si || l.Slope == si && j < i) {
+				rank++
+			}
+		}
+		ranks[p] = rank
+	}
+	return ranks
+}
+
 // BuildEvents returns every crossing between a candidate line and any other
-// line with x in (c0, c1], sorted by x ascending (ties by line indices).
-// A crossing between two candidates appears exactly once. Crossings between
-// two non-candidate lines are omitted: they cannot change any candidate's
-// rank, which is the refinement that turns the paper's O(n^2) sweep into
-// O(s·n) without changing the DP outcome.
+// line with x in (c0, c1], ordered by (X, Up, Down) ascending. A crossing
+// between two candidates appears exactly once. Crossings between two
+// non-candidate lines are omitted: they cannot change any candidate's rank,
+// which is the refinement that turns the paper's O(n^2) sweep into O(s·n)
+// without changing the DP outcome.
 func BuildEvents(lines []geom.Line, isCand []bool, c0, c1 float64) []Event {
-	var events []Event
 	n := len(lines)
+	// Size the list by counting the pairs whose order differs at c0 and c1:
+	// the in-window crossings, up to rounding at the window's ends (append
+	// absorbs a miss). The s·n pair bound would allocate several times
+	// that, and the allocation rate paces the garbage collector.
+	m := 0
+	for i := 0; i < n; i++ {
+		if !isCand[i] {
+			continue
+		}
+		a0, a1 := lines[i].Eval(c0), lines[i].Eval(c1)
+		for j := 0; j < n; j++ {
+			if j == i || isCand[j] && j < i {
+				continue
+			}
+			d0, d1 := a0-lines[j].Eval(c0), a1-lines[j].Eval(c1)
+			if d0 != 0 && (d1 == 0 || d0 > 0 != (d1 > 0)) {
+				m++
+			}
+		}
+	}
+	events := make([]Event, 0, m)
 	for i := 0; i < n; i++ {
 		if !isCand[i] {
 			continue
@@ -84,7 +128,8 @@ func BuildEvents(lines []geom.Line, isCand []bool, c0, c1 float64) []Event {
 				continue // pair already handled from j's side
 			}
 			x, ok := geom.IntersectX(lines[i], lines[j])
-			if !ok || x <= c0 || x > c1 {
+			// Written so a NaN crossing fails the window test.
+			if !ok || !(x > c0 && x <= c1) {
 				continue
 			}
 			var e Event
@@ -96,16 +141,73 @@ func BuildEvents(lines []geom.Line, isCand []bool, c0, c1 float64) []Event {
 			events = append(events, e)
 		}
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].X != events[b].X {
-			return events[a].X < events[b].X
-		}
-		if events[a].Up != events[b].Up {
-			return events[a].Up < events[b].Up
-		}
-		return events[a].Down < events[b].Down
-	})
+	sortEvents(events)
 	return events
+}
+
+// floatKey maps x to a uint64 whose unsigned order is x's numeric order
+// (-0 just below +0): flip every bit of a negative, the sign bit of the rest.
+func floatKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (-(b >> 63) | 1<<63)
+}
+
+// sortEvents orders NaN-free events by (X, Up, Down): a stable LSD radix
+// sort on floatKey(X), one byte per pass, skipping bytes that every key
+// shares, then each run of equal X (±0 included) sorted by (Up, Down).
+// Because (X, Up, Down) is a strict total order on distinct pairs, the
+// result is the one any correct comparison sort gives.
+func sortEvents(events []Event) {
+	n := len(events)
+	if n < 2 {
+		return
+	}
+	var counts [8][256]int
+	for _, e := range events {
+		k := floatKey(e.X)
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	first := floatKey(events[0].X)
+	src, dst := events, make([]Event, n)
+	for d := range counts {
+		shift := 8 * d
+		c := &counts[d]
+		if c[byte(first>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for b, cnt := range c {
+			c[b] = sum
+			sum += cnt
+		}
+		for _, e := range src {
+			b := byte(floatKey(e.X) >> shift)
+			dst[c[b]] = e
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &events[0] {
+		copy(events, src) // an odd number of passes ended in the scratch buffer
+	}
+
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && events[j].X == events[i].X {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(events[i:j], comparePairs)
+		}
+		i = j
+	}
+}
+
+// comparePairs orders two events at the same X by (Up, Down).
+func comparePairs(a, b Event) int {
+	return cmp.Or(cmp.Compare(a.Up, b.Up), cmp.Compare(a.Down, b.Down))
 }
 
 // pairKey encodes an unordered line pair for the heap's deduplication set.
@@ -160,7 +262,7 @@ func NeighborSweep(lines []geom.Line, c0, c1 float64, visit func(x float64, up, 
 	tryPush := func(i, j int) {
 		// i directly above j in L; they cross later iff slope(i) < slope(j).
 		x, ok := geom.IntersectX(lines[i], lines[j])
-		if !ok || x <= c0 || x > c1 {
+		if !ok || !(x > c0 && x <= c1) {
 			return
 		}
 		if lines[i].Slope >= lines[j].Slope {

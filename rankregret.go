@@ -13,8 +13,11 @@
 //
 // The package exposes two solvers from the paper:
 //
-//   - TwoDRRM: an exact O(n^2 log n) dynamic program over convex chains in
-//     dual space, for d = 2 (RRM is in P for two attributes).
+//   - TwoDRRM: an exact dynamic program over convex chains in dual space,
+//     for d = 2 (RRM is in P for two attributes). With s skyline
+//     candidates it enumerates the O(s·n) candidate crossings, orders them
+//     with a linear-time radix sort, counts start ranks in O(s·n), and runs
+//     the DP in O(r·s·n).
 //   - HDRRM: for any d, a double-approximation algorithm that discretizes
 //     the utility sphere into samples plus a polar grid and solves a
 //     sequence of greedy set covers (ASMS).
