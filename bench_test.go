@@ -2,7 +2,7 @@
 // (Section VI). Each BenchmarkFigNN target runs one representative point of
 // the corresponding figure per iteration, so `go test -bench=.` touches the
 // whole evaluation; `cmd/rrmbench -fig <id>` regenerates a figure's full
-// series, and EXPERIMENTS.md records paper-vs-measured for each.
+// series.
 package rankregret_test
 
 import (
@@ -182,8 +182,8 @@ func BenchmarkFig28(b *testing.B) {
 }
 
 // BenchmarkAblation — HDRRM with one ingredient removed at a time (beyond
-// the paper; see EXPERIMENTS.md "Ablations"). Regenerate the quality
-// columns with `cmd/rrmbench -fig ablation`.
+// the paper). Regenerate the quality columns with `cmd/rrmbench -fig
+// ablation`.
 func BenchmarkAblation(b *testing.B) {
 	ds := rankregret.GenerateAnticorrelated(1, 2000, 4)
 	for _, v := range []rankregret.HDRRMVariant{

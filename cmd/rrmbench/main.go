@@ -1,7 +1,12 @@
 // Command rrmbench regenerates the tables and figures of the paper's
 // evaluation (Section VI). Each figure is identified by its paper number;
 // -list shows them all. The default "ci" scale uses laptop-friendly sizes;
-// -scale paper uses the paper's axis ranges (expect long runtimes).
+// -scale paper uses the paper's axis ranges (expect long runtimes). Every
+// solve is a cold call of the engine registry's solver, and the algo column
+// carries its registry name (2drrm, 2drrr, hdrrm, mdrrrr, mdrc, mdrms, and
+// hdrrm:no-basis / no-grid / no-samples for the ablations). Engine
+// performance (caches, daemon, per-layer ladder) is measured by
+// cmd/rrmladder instead.
 //
 // Examples:
 //
@@ -18,7 +23,6 @@ import (
 	"runtime/pprof"
 
 	"github.com/rankregret/rankregret/internal/bench"
-	"github.com/rankregret/rankregret/internal/cliutil"
 )
 
 func main() {
@@ -35,7 +39,6 @@ func run() error {
 		scale      = flag.String("scale", "ci", "ci (laptop sizes) or paper (paper's axis ranges)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		format     = flag.String("format", "table", "output format: table or csv")
-		engineJSON = flag.String("engine-json", "", "run the engine benchmark (solve latency + cache throughput) and write JSON to this path (- = stdout)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	)
@@ -76,14 +79,6 @@ func run() error {
 		sc = bench.PaperScale
 	default:
 		return fmt.Errorf("unknown scale %q (want ci or paper)", *scale)
-	}
-
-	if *engineJSON != "" {
-		res, err := bench.EngineBench(sc, *seed)
-		if err != nil {
-			return err
-		}
-		return cliutil.WriteJSONFile(*engineJSON, res)
 	}
 
 	if *list {

@@ -74,7 +74,7 @@ func run(args []string) error {
 		negate    = fs.String("negate", "", "comma-separated 0-based columns where smaller is better (applies to all -load files)")
 		normalize = fs.Bool("normalize", true, "min-max normalize attributes to [0,1]")
 		timeout   = fs.Duration("timeout", 60*time.Second, "per-request solve timeout ceiling")
-		maxUpload = fs.Int64("max-upload", 64<<20, "maximum POST /v1/datasets body size in bytes")
+		maxUpload = fs.Int64("max-upload", 64<<20, "maximum request body size in bytes (CSV uploads and JSON requests)")
 		cacheSize = fs.Int("cache", 0, "solution cache capacity (0 = default, negative = disabled)")
 		workers   = fs.Int("workers", 0, "job scheduler worker count (0 = GOMAXPROCS)")
 		queueCap  = fs.Int("queue", 0, "job scheduler queue capacity (0 = default 256); a full queue rejects with 429 + Retry-After")

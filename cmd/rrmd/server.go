@@ -38,7 +38,8 @@ type Server struct {
 	store      *store.Store
 	maxTimeout time.Duration
 
-	// MaxUploadBytes bounds the size of a POST /v1/datasets body.
+	// MaxUploadBytes bounds the size of every request body: a POST
+	// /v1/datasets CSV upload and each JSON request.
 	MaxUploadBytes int64
 
 	// SolveParallelism is the default worker-goroutine bound for the
@@ -386,6 +387,23 @@ func writeErrReason(w http.ResponseWriter, status int, err error, reason string)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error(), "reason": reason})
 }
 
+// decodeJSON decodes r's JSON body into dst, reading at most
+// s.MaxUploadBytes of it. On failure it answers 413 for an oversize body and
+// 400 for any other decode error, and returns false.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxUploadBytes)).Decode(dst)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
 func writeOK(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -552,8 +570,7 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Rows [][]float64 `json:"rows"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxUploadBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -615,8 +632,7 @@ func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		IDs []int `json:"ids"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxUploadBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
@@ -806,8 +822,7 @@ func (s *Server) writeOverload(w http.ResponseWriter, err error) bool {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	er, status, err := s.engineRequest(req)
@@ -957,8 +972,7 @@ const maxBatchSize = 256
 
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -1092,8 +1106,7 @@ func wireStatus(st engine.JobStatus) jobStatusResponse {
 //	POST /v1/jobs {"dataset":"cars","r":5}  ->  202 {"id":"job-000001",...}
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	er, status, err := scheduledRequest(s, req)
@@ -1220,8 +1233,7 @@ type evaluateRequest struct {
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req evaluateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {

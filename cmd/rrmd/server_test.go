@@ -273,6 +273,58 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestJSONBodyLimits sends every JSON endpoint an oversize body and a
+// malformed one: the first must be cut off at MaxUploadBytes with 413, the
+// second rejected with 400, and neither may reach the handler's logic.
+func TestJSONBodyLimits(t *testing.T) {
+	srv, ts := newTestServer(t)
+	srv.MaxUploadBytes = 512
+	// Valid JSON up to the cap, so only the size can fail the decode.
+	oversize := `{"pad":"` + strings.Repeat("a", 4096) + `"}`
+	endpoints := []struct{ method, path string }{
+		{http.MethodPost, "/v1/datasets/island/rows"},
+		{http.MethodDelete, "/v1/datasets/island/rows"},
+		{http.MethodPost, "/v1/solve"},
+		{http.MethodPost, "/v1/solve/batch"},
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodPost, "/v1/evaluate"},
+	}
+	bodies := []struct {
+		name   string
+		body   string
+		status int
+	}{
+		{"oversize", oversize, http.StatusRequestEntityTooLarge},
+		{"malformed", `{"dataset": "island", "r": `, http.StatusBadRequest},
+	}
+	for _, ep := range endpoints {
+		for _, b := range bodies {
+			t.Run(ep.method+" "+ep.path+"/"+b.name, func(t *testing.T) {
+				req, err := http.NewRequest(ep.method, ts.URL+ep.path, strings.NewReader(b.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Content-Type", "application/json")
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var out bytes.Buffer
+				out.ReadFrom(resp.Body)
+				if resp.StatusCode != b.status {
+					t.Errorf("status %d, want %d (%s)", resp.StatusCode, b.status, out.Bytes())
+				}
+			})
+		}
+	}
+	// No rejected append or delete reached the store.
+	nd, _ := srv.entry("island")
+	if n := nd.Current().N(); n != 400 {
+		t.Errorf("island has %d rows after rejected mutations, want 400", n)
+	}
+}
+
 // canonicalResult reduces any solve-shaped JSON (a /v1/solve response, a
 // batch item, or a job result) to the marshaled stable solveResult subset,
 // so results from different endpoints can be compared byte-for-byte.

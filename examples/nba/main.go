@@ -13,8 +13,8 @@ import (
 
 func main() {
 	// Simulated stand-in for the paper's 21 961-row, 5-attribute NBA
-	// dataset (see DESIGN.md Section 5 for why the simulation preserves
-	// the experiment's behavior).
+	// dataset: it keeps the original's correlation structure, which is
+	// what drives skyline size and so the experiment's behavior.
 	nba := rankregret.SimNBA(2024, 0)
 	fmt.Printf("database: %d player/seasons x %d stats %v\n", nba.N(), nba.Dim(), nba.Attrs())
 

@@ -15,7 +15,7 @@ import (
 // sweep.NeighborSweep), and the DP matrix M updated at each crossing
 // according to the three cases of Section IV.B.
 //
-// The production solver TwoDRRM computes the identical matrix from the
+// The production solver TwoDRRMCtx computes the identical matrix from the
 // skyline-involving crossings only (crossings between two non-skyline lines
 // are the paper's case 3, a no-op, and a non-skyline/skyline crossing where
 // the skyline line is the upper one is case 2, also a no-op); this function

@@ -52,7 +52,7 @@ func TestAlgorithm1MatchesOptimizedDP(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			opt, err := TwoDRRM(ds, r)
+			opt, err := TwoDRRMCtx(t.Context(), ds, r)
 			if err != nil {
 				return false
 			}
@@ -80,7 +80,7 @@ func TestAlgorithm1LargerInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := TwoDRRM(ds, 5)
+	opt, err := TwoDRRMCtx(t.Context(), ds, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

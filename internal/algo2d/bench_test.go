@@ -15,7 +15,7 @@ func BenchmarkTwoDRRM(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", wl, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := TwoDRRM(ds, 5); err != nil {
+					if _, err := TwoDRRMCtx(b.Context(), ds, 5); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -27,7 +27,7 @@ func BenchmarkTwoDRRM(b *testing.B) {
 	b.Run("island/n=10000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := TwoDRRM(island, 10); err != nil {
+			if _, err := TwoDRRMCtx(b.Context(), island, 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -40,7 +40,7 @@ func BenchmarkTwoDRRRBaseline(b *testing.B) {
 		b.Run(wl, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := TwoDRRRBaselineForRRM(ds, 5); err != nil {
+				if _, err := TwoDRRRBaselineForRRMCtx(b.Context(), ds, 5); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -50,7 +50,7 @@ func BenchmarkTwoDRRRBaseline(b *testing.B) {
 
 func BenchmarkExactRankRegret(b *testing.B) {
 	ds := dataset.Anticorrelated(xrand.New(1), 5000, 2)
-	res, err := TwoDRRM(ds, 5)
+	res, err := TwoDRRMCtx(b.Context(), ds, 5)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,13 +21,13 @@ func TestQuickShiftInvariance(t *testing.T) {
 	f := func(seed int64, n int, s1, s2 uint8, rr uint8) bool {
 		ds := quick2D(seed, n)
 		r := int(rr)%5 + 1
-		base, err := TwoDRRM(ds, r)
+		base, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			return false
 		}
 		shifted := ds.Clone()
 		shifted.Shift([]float64{float64(s1) / 16, float64(s2) / 16})
-		got, err := TwoDRRM(shifted, r)
+		got, err := TwoDRRMCtx(t.Context(), shifted, r)
 		if err != nil {
 			return false
 		}
@@ -44,7 +44,7 @@ func TestQuickMonotoneInBudget(t *testing.T) {
 		ds := quick2D(seed, n)
 		prev := ds.N() + 1
 		for r := 1; r <= 4; r++ {
-			res, err := TwoDRRM(ds, r)
+			res, err := TwoDRRMCtx(t.Context(), ds, r)
 			if err != nil {
 				return false
 			}
@@ -66,11 +66,11 @@ func TestQuickPrimalDualExact(t *testing.T) {
 	f := func(seed int64, n int, rr uint8) bool {
 		ds := quick2D(seed, n)
 		r := int(rr)%4 + 1
-		primal, err := TwoDRRM(ds, r)
+		primal, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			return false
 		}
-		dual, ok, err := TwoDRRRExact(ds, primal.RankRegret)
+		dual, ok, err := TwoDRRRExactCtx(t.Context(), ds, primal.RankRegret)
 		if err != nil || !ok {
 			return false
 		}
@@ -87,7 +87,7 @@ func TestQuickReportedRegretMatchesEvaluation(t *testing.T) {
 	f := func(seed int64, n int, rr uint8) bool {
 		ds := quick2D(seed, n)
 		r := int(rr)%5 + 1
-		res, err := TwoDRRM(ds, r)
+		res, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			return false
 		}
@@ -108,11 +108,11 @@ func TestQuickBaselineNeverBeatsExact(t *testing.T) {
 	f := func(seed int64, n int, rr uint8) bool {
 		ds := quick2D(seed, n)
 		r := int(rr)%5 + 1
-		exact, err := TwoDRRM(ds, r)
+		exact, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			return false
 		}
-		base, err := TwoDRRRBaselineForRRM(ds, r)
+		base, err := TwoDRRRBaselineForRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			return false
 		}

@@ -196,28 +196,18 @@ func uniqueSorted(ids []int) []int {
 	return out
 }
 
-// TwoDRRM solves RRM exactly in 2D (Theorem 4): it returns a set of at most
-// r tuples minimizing the maximum rank over all linear utility functions,
-// along with that exact optimal rank-regret.
-func TwoDRRM(ds *dataset.Dataset, r int) (Result, error) {
-	return TwoDRRMRestrictedCtx(nil, ds, r, funcspace.NewFull(2))
-}
-
-// TwoDRRMCtx is TwoDRRM with cooperative cancellation in the DP sweep.
+// TwoDRRMCtx solves RRM exactly in 2D (Theorem 4): it returns a set of at
+// most r tuples minimizing the maximum rank over all linear utility
+// functions, along with that exact optimal rank-regret. It is
+// TwoDRRMRestrictedCtx over the full space.
 func TwoDRRMCtx(ctx context.Context, ds *dataset.Dataset, r int) (Result, error) {
 	return TwoDRRMRestrictedCtx(ctx, ds, r, funcspace.NewFull(2))
 }
 
-// TwoDRRMRestricted solves RRRM exactly in 2D: the same dynamic program run
-// over the rendered segment of the restricted space (Section IV.C), with
-// U-skyline candidates.
-func TwoDRRMRestricted(ds *dataset.Dataset, r int, space funcspace.Space) (Result, error) {
-	return TwoDRRMRestrictedCtx(nil, ds, r, space)
-}
-
-// TwoDRRMRestrictedCtx is TwoDRRMRestricted with cooperative cancellation
-// in the DP sweep: every few thousand crossing events the sweep checks ctx
-// and aborts with ctx.Err().
+// TwoDRRMRestrictedCtx solves RRRM exactly in 2D: the same dynamic program
+// run over the rendered segment of the restricted space (Section IV.C), with
+// U-skyline candidates. Every few thousand crossing events the sweep checks
+// ctx and aborts with ctx.Err().
 func TwoDRRMRestrictedCtx(ctx context.Context, ds *dataset.Dataset, r int, space funcspace.Space) (Result, error) {
 	if ds.Dim() != 2 {
 		return Result{}, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())
@@ -251,42 +241,9 @@ func TwoDRRMRestrictedCtx(ctx context.Context, ds *dataset.Dataset, r int, space
 	return Result{IDs: uniqueSorted(chain), RankRegret: bestRank[h]}, nil
 }
 
-// TwoDRRRExact solves the dual RRR problem exactly: the minimum-size set
-// with rank-regret at most k over the full space. It grows the chain budget
-// geometrically and reads the DP row to find the smallest budget achieving
-// rank <= k. ok is false if even the full candidate set cannot achieve k
-// (k < the dataset's intrinsic minimum).
-func TwoDRRRExact(ds *dataset.Dataset, k int) (res Result, ok bool, err error) {
-	return TwoDRRRExactCtx(nil, ds, k)
-}
-
-// TwoDRRRExactCtx is TwoDRRRExact with cooperative cancellation in the DP
-// sweep.
+// TwoDRRRExactCtx solves the dual RRR problem exactly: the minimum-size set
+// with rank-regret at most k over the full space. It is
+// TwoDRRRExactRestrictedCtx over the full space.
 func TwoDRRRExactCtx(ctx context.Context, ds *dataset.Dataset, k int) (res Result, ok bool, err error) {
-	if ds.Dim() != 2 {
-		return Result{}, false, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())
-	}
-	if k < 1 {
-		return Result{}, false, fmt.Errorf("algo2d: rank threshold %d, need >= 1", k)
-	}
-	cand := skyline.Compute(ds)
-	plan := planDP(Lines(ds), cand, 0, 1)
-	for r := 4; ; r *= 2 {
-		if r > len(cand) {
-			r = len(cand)
-		}
-		bestRank, bestChain, err := plan.run(ctx, r)
-		if err != nil {
-			return Result{}, false, err
-		}
-		for h := 1; h < len(bestRank); h++ {
-			if bestRank[h] <= k {
-				chain := bestChain[h].collect()
-				return Result{IDs: uniqueSorted(chain), RankRegret: bestRank[h]}, true, nil
-			}
-		}
-		if r == len(cand) {
-			return Result{}, false, nil
-		}
-	}
+	return TwoDRRRExactRestrictedCtx(ctx, ds, k, funcspace.NewFull(2))
 }

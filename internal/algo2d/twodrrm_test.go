@@ -49,7 +49,7 @@ func bruteRRM(t *testing.T, ds *dataset.Dataset, cand []int, r int, c0, c1 float
 func TestTableIR1(t *testing.T) {
 	// The paper states the RRM solution for r=1 on Table I is {t3}.
 	ds := tableI()
-	res, err := TwoDRRM(ds, 1)
+	res, err := TwoDRRMCtx(t.Context(), ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTableIR1(t *testing.T) {
 
 func TestTableIR2(t *testing.T) {
 	ds := tableI()
-	res, err := TwoDRRM(ds, 2)
+	res, err := TwoDRRMCtx(t.Context(), ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTwoDRRMMatchesBruteRandom(t *testing.T) {
 			ds = dataset.Correlated(rng, 25+trial, 2)
 		}
 		r := 1 + trial%3
-		res, err := TwoDRRM(ds, r)
+		res, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestTwoDRRMMatchesBruteRandom(t *testing.T) {
 func TestTwoDRRMOutputsAreSkyline(t *testing.T) {
 	rng := xrand.New(2)
 	ds := dataset.Anticorrelated(rng, 200, 2)
-	res, err := TwoDRRM(ds, 4)
+	res, err := TwoDRRMCtx(t.Context(), ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +146,13 @@ func TestTwoDRRMShiftInvariance(t *testing.T) {
 	rng := xrand.New(3)
 	for trial := 0; trial < 10; trial++ {
 		ds := dataset.Independent(rng, 60, 2)
-		res1, err := TwoDRRM(ds, 3)
+		res1, err := TwoDRRMCtx(t.Context(), ds, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		shifted := ds.Clone()
 		shifted.Shift([]float64{rng.Float64() * 10, rng.Float64() * 5})
-		res2, err := TwoDRRM(shifted, 3)
+		res2, err := TwoDRRMCtx(t.Context(), shifted, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestTwoDRRMMonotoneInR(t *testing.T) {
 	ds := dataset.Anticorrelated(rng, 150, 2)
 	prev := math.MaxInt
 	for r := 1; r <= 6; r++ {
-		res, err := TwoDRRM(ds, r)
+		res, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestTwoDRRMLowerBoundTheorem2(t *testing.T) {
 	n := 200
 	ds := dataset.QuarterCircle(n, 2)
 	for _, r := range []int{1, 2, 4} {
-		res, err := TwoDRRM(ds, r)
+		res, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestTwoDRRMWholeSkylineBudget(t *testing.T) {
 	rng := xrand.New(5)
 	ds := dataset.Independent(rng, 50, 2)
 	sky := skyline.Compute(ds)
-	res, err := TwoDRRM(ds, len(sky)+5)
+	res, err := TwoDRRMCtx(t.Context(), ds, len(sky)+5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,18 +220,18 @@ func TestTwoDRRMWholeSkylineBudget(t *testing.T) {
 
 func TestTwoDRRMErrors(t *testing.T) {
 	ds := tableI()
-	if _, err := TwoDRRM(ds, 0); err == nil {
+	if _, err := TwoDRRMCtx(t.Context(), ds, 0); err == nil {
 		t.Error("r=0 accepted")
 	}
 	d3 := dataset.MustFromRows([][]float64{{1, 2, 3}})
-	if _, err := TwoDRRM(d3, 1); err == nil {
+	if _, err := TwoDRRMCtx(t.Context(), d3, 1); err == nil {
 		t.Error("3D dataset accepted by the 2D solver")
 	}
 }
 
 func TestTwoDRRMSingleTuple(t *testing.T) {
 	ds := dataset.MustFromRows([][]float64{{0.4, 0.6}})
-	res, err := TwoDRRM(ds, 1)
+	res, err := TwoDRRMCtx(t.Context(), ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestTwoDRRMRestrictedCone(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds := dataset.Anticorrelated(rng, 40, 2)
 		r := 1 + trial%2
-		res, err := TwoDRRMRestricted(ds, r, cone)
+		res, err := TwoDRRMRestrictedCtx(t.Context(), ds, r, cone)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestTwoDRRMRestrictedCone(t *testing.T) {
 		if res.RankRegret != want {
 			t.Fatalf("trial %d: restricted regret %d, brute %d", trial, res.RankRegret, want)
 		}
-		full, err := TwoDRRM(ds, r)
+		full, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestTwoDRRMRestrictedBall(t *testing.T) {
 	}
 	rng := xrand.New(7)
 	ds := dataset.Independent(rng, 80, 2)
-	res, err := TwoDRRMRestricted(ds, 2, ball)
+	res, err := TwoDRRMRestrictedCtx(t.Context(), ds, 2, ball)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestTwoDRRRExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := floor + 2
-		res, ok, err := TwoDRRRExact(ds, k)
+		res, ok, err := TwoDRRRExactCtx(t.Context(), ds, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestTwoDRRRExact(t *testing.T) {
 		}
 		// Unachievable threshold: below the intrinsic floor.
 		if floor > 1 {
-			_, ok, err := TwoDRRRExact(ds, floor-1)
+			_, ok, err := TwoDRRRExactCtx(t.Context(), ds, floor-1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +352,7 @@ func TestPaperSectionIVExample(t *testing.T) {
 		{0.4, 0.95},  // t2
 		{0.57, 0.75}, // t3
 	})
-	res, err := TwoDRRM(ds, 2)
+	res, err := TwoDRRMCtx(t.Context(), ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

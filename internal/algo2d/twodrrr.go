@@ -63,17 +63,12 @@ func ExactRankRegret(ds *dataset.Dataset, ids []int, c0, c1 float64) (int, error
 	return worst, nil
 }
 
-// TwoDRRRBaseline is the approximation algorithm of Asudeh et al. for the
+// TwoDRRRBaselineCtx is the approximation algorithm of Asudeh et al. for the
 // RRR problem in 2D: given threshold k it returns a set of size at most r_k
 // (the optimal size for threshold k) whose rank-regret is at most 2k.
 // Greedy interval cover: from the current position pick, among the tuples
 // ranked <= k there, the one that stays ranked <= 2k the furthest.
-func TwoDRRRBaseline(ds *dataset.Dataset, k int) (Result, error) {
-	return TwoDRRRBaselineCtx(nil, ds, k)
-}
-
-// TwoDRRRBaselineCtx is TwoDRRRBaseline with cooperative cancellation in
-// the greedy interval-cover loop.
+// It checks ctx in the greedy interval-cover loop.
 func TwoDRRRBaselineCtx(ctx context.Context, ds *dataset.Dataset, k int) (Result, error) {
 	if ds.Dim() != 2 {
 		return Result{}, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())
@@ -161,16 +156,11 @@ func TwoDRRRBaselineCtx(ctx context.Context, ds *dataset.Dataset, k int) (Result
 	return Result{IDs: chosen, RankRegret: rr}, nil
 }
 
-// TwoDRRRBaselineForRRM adapts the 2DRRR baseline to the RRM problem by the
+// TwoDRRRBaselineForRRMCtx adapts the 2DRRR baseline to the RRM problem by the
 // improved binary search of Section V.B.2: double k until the output fits
 // in r tuples, then binary search (k/2, k]. The returned rank-regret is the
 // exact regret of the chosen set (at most 2k by the baseline's guarantee).
-func TwoDRRRBaselineForRRM(ds *dataset.Dataset, r int) (Result, error) {
-	return TwoDRRRBaselineForRRMCtx(nil, ds, r)
-}
-
-// TwoDRRRBaselineForRRMCtx is TwoDRRRBaselineForRRM with cooperative
-// cancellation checked in every binary-search round.
+// Cancellation is checked in every binary-search round.
 func TwoDRRRBaselineForRRMCtx(ctx context.Context, ds *dataset.Dataset, r int) (Result, error) {
 	if r < 1 {
 		return Result{}, fmt.Errorf("algo2d: output size %d, need >= 1", r)
@@ -214,16 +204,12 @@ func TwoDRRRBaselineForRRMCtx(ctx context.Context, ds *dataset.Dataset, r int) (
 	return fit, nil
 }
 
-// TwoDRRRExactRestricted solves the dual RRR problem exactly under a
-// restricted utility space (the RRRM analogue of TwoDRRRExact): the
-// minimum-size set whose rank-regret over the rendered segment of the space
-// is at most k. ok is false when even the full U-skyline cannot achieve k.
-func TwoDRRRExactRestricted(ds *dataset.Dataset, k int, space funcspace.Space) (res Result, ok bool, err error) {
-	return TwoDRRRExactRestrictedCtx(nil, ds, k, space)
-}
-
-// TwoDRRRExactRestrictedCtx is TwoDRRRExactRestricted with cooperative
-// cancellation in the DP sweep.
+// TwoDRRRExactRestrictedCtx solves the dual RRR problem exactly under a
+// restricted utility space: the minimum-size set whose rank-regret over the
+// rendered segment of the space is at most k. It grows the chain budget
+// geometrically and reads the DP row to find the smallest budget achieving
+// rank <= k. ok is false when even the full U-skyline cannot achieve k (k <
+// the dataset's intrinsic minimum). The DP sweep checks ctx.
 func TwoDRRRExactRestrictedCtx(ctx context.Context, ds *dataset.Dataset, k int, space funcspace.Space) (res Result, ok bool, err error) {
 	if ds.Dim() != 2 {
 		return Result{}, false, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())

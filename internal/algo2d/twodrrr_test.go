@@ -92,7 +92,7 @@ func TestTwoDRRRBaselineGuarantees(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds := dataset.Anticorrelated(rng, 60, 2)
 		k := 2 + trial%4
-		res, err := TwoDRRRBaseline(ds, k)
+		res, err := TwoDRRRBaselineCtx(t.Context(), ds, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestTwoDRRRBaselineGuarantees(t *testing.T) {
 			t.Fatalf("trial %d: baseline regret %d > 2k = %d", trial, res.RankRegret, 2*k)
 		}
 		// Guarantee 2: size at most r_k (the optimal size for threshold k).
-		exact, ok, err := TwoDRRRExact(ds, k)
+		exact, ok, err := TwoDRRRExactCtx(t.Context(), ds, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +114,11 @@ func TestTwoDRRRBaselineGuarantees(t *testing.T) {
 
 func TestTwoDRRRBaselineErrors(t *testing.T) {
 	ds := tableI()
-	if _, err := TwoDRRRBaseline(ds, 0); err == nil {
+	if _, err := TwoDRRRBaselineCtx(t.Context(), ds, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 	d3 := dataset.MustFromRows([][]float64{{1, 2, 3}})
-	if _, err := TwoDRRRBaseline(d3, 1); err == nil {
+	if _, err := TwoDRRRBaselineCtx(t.Context(), d3, 1); err == nil {
 		t.Error("3D dataset accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestTwoDRRRBaselineForRRM(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		ds := dataset.Anticorrelated(rng, 80, 2)
 		r := 2 + trial%3
-		res, err := TwoDRRRBaselineForRRM(ds, r)
+		res, err := TwoDRRRBaselineForRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestTwoDRRRBaselineForRRM(t *testing.T) {
 			t.Fatalf("trial %d: size %d > r=%d", trial, len(res.IDs), r)
 		}
 		// The approximation can't beat the exact optimum.
-		opt, err := TwoDRRM(ds, r)
+		opt, err := TwoDRRMCtx(t.Context(), ds, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestBaselineCoversTopTuplesEverywhere(t *testing.T) {
 	// member is ranked <= 2.
 	rng := xrand.New(4)
 	ds := dataset.Independent(rng, 50, 2)
-	res, err := TwoDRRRBaseline(ds, 1)
+	res, err := TwoDRRRBaselineCtx(t.Context(), ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestTwoDRRRExactRestricted(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 3
-	res, ok, err := TwoDRRRExactRestricted(ds, k, cone)
+	res, ok, err := TwoDRRRExactRestrictedCtx(t.Context(), ds, k, cone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTwoDRRRExactRestricted(t *testing.T) {
 	}
 	// Minimality: the restricted RRM optimum at size |S|-1 must exceed k.
 	if len(res.IDs) > 1 {
-		smaller, err := TwoDRRMRestricted(ds, len(res.IDs)-1, cone)
+		smaller, err := TwoDRRMRestrictedCtx(t.Context(), ds, len(res.IDs)-1, cone)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestTwoDRRRExactRestricted(t *testing.T) {
 		}
 	}
 	// The restricted answer never needs more tuples than the full-space one.
-	full, okFull, err := TwoDRRRExact(ds, k)
+	full, okFull, err := TwoDRRRExactCtx(t.Context(), ds, k)
 	if err != nil || !okFull {
 		t.Fatalf("full-space RRR failed: %v", err)
 	}
@@ -225,11 +225,11 @@ func TestTwoDRRRExactRestrictedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := TwoDRRRExactRestricted(ds, 0, cone); err == nil {
+	if _, _, err := TwoDRRRExactRestrictedCtx(t.Context(), ds, 0, cone); err == nil {
 		t.Error("k=0 should fail")
 	}
 	d3 := dataset.Independent(xrand.New(1), 50, 3)
-	if _, _, err := TwoDRRRExactRestricted(d3, 2, cone); err == nil {
+	if _, _, err := TwoDRRRExactRestrictedCtx(t.Context(), d3, 2, cone); err == nil {
 		t.Error("d=3 should fail")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Variant switches off individual ingredients of HDRRM for ablation
 // studies. The zero value is the full algorithm. Each field removes one
-// design choice DESIGN.md calls out:
+// design choice:
 //
 //   - NoBasis drops the forced inclusion of the boundary tuples B. The
 //     output may use all r slots for coverage, but Theorem 7's worst-case
@@ -44,14 +44,8 @@ func (v Variant) Name() string {
 	}
 }
 
-// HDRRMVariant runs HDRRM with the given ingredients removed. It is meant
-// for ablation benchmarks; library users should call HDRRM.
-func HDRRMVariant(ds *dataset.Dataset, r int, opts Options, v Variant) (Result, error) {
-	return HDRRMVariantCtx(nil, ds, r, opts, v)
-}
-
-// HDRRMVariantCtx is HDRRMVariant with cooperative cancellation (see
-// HDRRMCtx).
+// HDRRMVariantCtx runs HDRRM with the given ingredients removed; the zero
+// Variant is the full algorithm (see HDRRMCtx, including cancellation).
 func HDRRMVariantCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, v Variant) (Result, error) {
 	n, d := ds.N(), ds.Dim()
 	if n == 0 {
@@ -63,21 +57,15 @@ func HDRRMVariantCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Optio
 	if v.NoGrid && v.NoSamples {
 		return Result{}, fmt.Errorf("algohd: ablation removed both Da and Db; nothing left to cover")
 	}
-	gamma := opts.Gamma
-	if gamma < 1 {
-		gamma = 6
-	}
-	space := opts.space(d)
-	rng := xrand.New(opts.Seed)
 	m := opts.sampleSize(n, d, r)
 	if v.NoSamples {
 		m = 0
 	}
-	effGamma := gamma
+	gamma := opts.EffectiveGamma()
 	if v.NoGrid {
-		effGamma = 1 // the minimal grid: axis directions only...
+		gamma = 1 // the minimal grid: axis directions only...
 	}
-	vs, err := BuildVecSetSampledCtx(ctx, ds, space, effGamma, m, rng, opts.Sampler)
+	vs, err := BuildVecSetSampledCtx(ctx, ds, opts.space(d), gamma, m, xrand.New(opts.Seed), opts.Sampler)
 	if err != nil {
 		return Result{}, err
 	}

@@ -30,11 +30,11 @@ func TestHDRRMVariantFullMatchesHDRRM(t *testing.T) {
 	ds := dataset.Independent(xrand.New(3), 800, 3)
 	opts := DefaultOptions()
 	opts.MaxM = 1500
-	full, err := HDRRM(ds, 8, opts)
+	full, err := HDRRMCtx(t.Context(), ds, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, err := HDRRMVariant(ds, 8, opts, Variant{})
+	variant, err := HDRRMVariantCtx(t.Context(), ds, 8, opts, Variant{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestHDRRMVariantFullMatchesHDRRM(t *testing.T) {
 func TestHDRRMVariantValidation(t *testing.T) {
 	ds := dataset.Independent(xrand.New(3), 100, 3)
 	opts := DefaultOptions()
-	if _, err := HDRRMVariant(ds, 8, opts, Variant{NoGrid: true, NoSamples: true}); err == nil {
+	if _, err := HDRRMVariantCtx(t.Context(), ds, 8, opts, Variant{NoGrid: true, NoSamples: true}); err == nil {
 		t.Error("removing both Da and Db should fail")
 	}
-	if _, err := HDRRMVariant(ds, 0, opts, Variant{}); err == nil {
+	if _, err := HDRRMVariantCtx(t.Context(), ds, 0, opts, Variant{}); err == nil {
 		t.Error("r=0 should fail")
 	}
 	empty := dataset.New(3)
-	if _, err := HDRRMVariant(empty, 5, opts, Variant{}); err == nil {
+	if _, err := HDRRMVariantCtx(t.Context(), empty, 5, opts, Variant{}); err == nil {
 		t.Error("empty dataset should fail")
 	}
 }
@@ -76,7 +76,7 @@ func TestAblationShapesOnAnticorrelated(t *testing.T) {
 	space := funcspace.NewFull(3)
 	regretOf := func(v Variant) int {
 		t.Helper()
-		res, err := HDRRMVariant(ds, r, opts, v)
+		res, err := HDRRMVariantCtx(t.Context(), ds, r, opts, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestHDRRRReturnsThresholdSet(t *testing.T) {
 	ds := dataset.Independent(xrand.New(21), 600, 3)
 	opts := DefaultOptions()
 	opts.MaxM = 1200
-	res, err := HDRRR(ds, 20, opts)
+	res, err := HDRRRCtx(t.Context(), ds, 20, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,12 @@ func TestHDRRRReturnsThresholdSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got > 3*20 {
-		t.Errorf("HDRRR(k=20) estimated rank-regret %d", got)
+		t.Errorf("HDRRRCtx(t.Context(), k=20) estimated rank-regret %d", got)
 	}
-	if _, err := HDRRR(ds, 0, opts); err == nil {
+	if _, err := HDRRRCtx(t.Context(), ds, 0, opts); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := HDRRR(ds, 1000, opts); err == nil {
+	if _, err := HDRRRCtx(t.Context(), ds, 1000, opts); err == nil {
 		t.Error("k>n should fail")
 	}
 }

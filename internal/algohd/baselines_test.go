@@ -13,7 +13,7 @@ import (
 func TestMDRRRrBasic(t *testing.T) {
 	rng := xrand.New(1)
 	ds := dataset.Anticorrelated(rng, 300, 4)
-	res, err := MDRRRr(ds, 10, testOpts())
+	res, err := MDRRRrCtx(t.Context(), ds, 10, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestMDRRRrBasic(t *testing.T) {
 	}
 	// The hitting set must hit the top-K set of every sampled direction it
 	// was built from; spot check with the same seed's vector set.
-	vs, err := BuildVecSet(ds, nil, 1, testOpts().M, xrand.New(testOpts().Seed))
+	vs, err := BuildVecSetCtx(t.Context(), ds, nil, 1, testOpts().M, xrand.New(testOpts().Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMDRRRrBasic(t *testing.T) {
 	}
 	for v := 0; v < vs.Len(); v++ {
 		hit := false
-		for _, tid := range vs.Top(v, res.K) {
+		for _, tid := range topOf(t, vs, v, res.K) {
 			if inRes[tid] {
 				hit = true
 				break
@@ -56,14 +56,14 @@ func TestMDRRRrRestricted(t *testing.T) {
 	}
 	opts := testOpts()
 	opts.Space = cone
-	res, err := MDRRRr(ds, 8, opts)
+	res, err := MDRRRrCtx(t.Context(), ds, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.IDs) > 8 {
 		t.Errorf("size %d > 8", len(res.IDs))
 	}
-	full, err := MDRRRr(ds, 8, testOpts())
+	full, err := MDRRRrCtx(t.Context(), ds, 8, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMDRRRrRestricted(t *testing.T) {
 func TestMDRRRSmallScaleOnly(t *testing.T) {
 	rng := xrand.New(3)
 	small := dataset.Independent(rng, 100, 3)
-	res, err := MDRRR(small, 6, testOpts(), 0)
+	res, err := MDRRRCtx(t.Context(), small, 6, testOpts(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestMDRRRSmallScaleOnly(t *testing.T) {
 		t.Errorf("size %d > 6", len(res.IDs))
 	}
 	big := dataset.Independent(rng, 1000, 3)
-	if _, err := MDRRR(big, 6, testOpts(), 0); err == nil {
+	if _, err := MDRRRCtx(t.Context(), big, 6, testOpts(), 0); err == nil {
 		t.Error("MDRRR must refuse n > 500 by default")
 	}
-	if _, err := MDRRR(big, 6, testOpts(), 2000); err != nil {
+	if _, err := MDRRRCtx(t.Context(), big, 6, testOpts(), 2000); err != nil {
 		t.Errorf("explicit maxN should allow larger n: %v", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestMDRCBasic(t *testing.T) {
 	rng := xrand.New(4)
 	for _, d := range []int{2, 3, 4} {
 		ds := dataset.Independent(rng, 400, d)
-		res, err := MDRC(ds, 10)
+		res, err := MDRCCtx(t.Context(), ds, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,18 +105,18 @@ func TestMDRCBasic(t *testing.T) {
 	}
 	// Deterministic.
 	ds := dataset.Anticorrelated(rng, 300, 3)
-	a, err := MDRC(ds, 8)
+	a, err := MDRCCtx(t.Context(), ds, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MDRC(ds, 8)
+	b, err := MDRCCtx(t.Context(), ds, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.IDs, b.IDs) {
 		t.Error("MDRC not deterministic")
 	}
-	if _, err := MDRC(ds, 0); err == nil {
+	if _, err := MDRCCtx(t.Context(), ds, 0); err == nil {
 		t.Error("r=0 accepted")
 	}
 }
@@ -126,11 +126,11 @@ func TestMDRCQualityDegradesOnAnticorrelated(t *testing.T) {
 	// worse than HDRRM's on anti-correlated data.
 	rng := xrand.New(5)
 	ds := dataset.Anticorrelated(rng, 1500, 4)
-	mdrc, err := MDRC(ds, 10)
+	mdrc, err := MDRCCtx(t.Context(), ds, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd, err := HDRRM(ds, 10, testOpts())
+	hd, err := HDRRMCtx(t.Context(), ds, 10, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestMDRCQualityDegradesOnAnticorrelated(t *testing.T) {
 func TestMDRMSBasic(t *testing.T) {
 	rng := xrand.New(6)
 	ds := dataset.Anticorrelated(rng, 400, 3)
-	res, err := MDRMS(ds, 8, testOpts())
+	res, err := MDRMSCtx(t.Context(), ds, 8, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMDRMSBasic(t *testing.T) {
 		t.Errorf("size %d out of (0, 8]", len(res.IDs))
 	}
 	// Output should be skyline tuples only.
-	if _, err := MDRMS(ds, 0, testOpts()); err == nil {
+	if _, err := MDRMSCtx(t.Context(), ds, 0, testOpts()); err == nil {
 		t.Error("r=0 accepted")
 	}
 }
@@ -162,7 +162,7 @@ func TestMDRMSOptimizesRegretRatio(t *testing.T) {
 	// same-size subset, measured over sampled directions.
 	rng := xrand.New(7)
 	ds := dataset.Anticorrelated(rng, 400, 3)
-	res, err := MDRMS(ds, 6, testOpts())
+	res, err := MDRMSCtx(t.Context(), ds, 6, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestMDRMSOptimizesRegretRatio(t *testing.T) {
 func TestRMSGreedy(t *testing.T) {
 	rng := xrand.New(8)
 	ds := dataset.Anticorrelated(rng, 300, 3)
-	res, err := RMSGreedy(ds, 6, testOpts())
+	res, err := RMSGreedyCtx(t.Context(), ds, 6, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +209,14 @@ func TestRMSGreedy(t *testing.T) {
 		t.Errorf("size %d out of (0, 6]", len(res.IDs))
 	}
 	// Greedy must improve monotonically with budget.
-	small, err := RMSGreedy(ds, 2, testOpts())
+	small, err := RMSGreedyCtx(t.Context(), ds, 2, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(small.IDs) > 2 {
 		t.Errorf("budget 2 returned %d tuples", len(small.IDs))
 	}
-	if _, err := RMSGreedy(ds, 0, testOpts()); err == nil {
+	if _, err := RMSGreedyCtx(t.Context(), ds, 0, testOpts()); err == nil {
 		t.Error("r=0 accepted")
 	}
 }
@@ -226,7 +226,7 @@ func TestHDSolversOn5Attributes(t *testing.T) {
 	rng := xrand.New(9)
 	ds := dataset.SimNBA(rng, 800)
 	opts := testOpts()
-	hd, err := HDRRM(ds, 10, opts)
+	hd, err := HDRRMCtx(t.Context(), ds, 10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +237,13 @@ func TestHDSolversOn5Attributes(t *testing.T) {
 	if hd.K > 16 {
 		t.Errorf("HDRRM K=%d on correlated NBA-like data; expected small", hd.K)
 	}
-	if _, err := MDRRRr(ds, 10, opts); err != nil {
+	if _, err := MDRRRrCtx(t.Context(), ds, 10, opts); err != nil {
 		t.Errorf("MDRRRr failed on d=5: %v", err)
 	}
-	if _, err := MDRC(ds, 10); err != nil {
+	if _, err := MDRCCtx(t.Context(), ds, 10); err != nil {
 		t.Errorf("MDRC failed on d=5: %v", err)
 	}
-	if _, err := MDRMS(ds, 10, opts); err != nil {
+	if _, err := MDRMSCtx(t.Context(), ds, 10, opts); err != nil {
 		t.Errorf("MDRMS failed on d=5: %v", err)
 	}
 }
@@ -253,7 +253,7 @@ func TestHDSolversOn5Attributes(t *testing.T) {
 func TestMDRRRExact2DGuarantee(t *testing.T) {
 	ds := dataset.Anticorrelated(xrand.New(3), 200, 2)
 	const r = 5
-	res, err := MDRRR(ds, r, DefaultOptions(), 0)
+	res, err := MDRRRCtx(t.Context(), ds, r, DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestMDRRRExact2DGuarantee(t *testing.T) {
 		t.Errorf("exact rank-regret %d exceeds the reported guarantee %d", got, res.K)
 	}
 	// The exact DP optimum is a lower bound for any feasible set.
-	opt, err := algo2d.TwoDRRM(ds, r)
+	opt, err := algo2d.TwoDRRMCtx(t.Context(), ds, r)
 	if err != nil {
 		t.Fatal(err)
 	}

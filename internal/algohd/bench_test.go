@@ -21,7 +21,7 @@ func BenchmarkHDRRM(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", wl, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := HDRRM(ds, 10, benchOpts()); err != nil {
+					if _, err := HDRRMCtx(b.Context(), ds, 10, benchOpts()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -32,16 +32,16 @@ func BenchmarkHDRRM(b *testing.B) {
 
 func BenchmarkASMSOnce(b *testing.B) {
 	ds := dataset.Anticorrelated(xrand.New(1), 5000, 4)
-	vs, err := BuildVecSet(ds, nil, 6, 4000, xrand.New(2))
+	vs, err := BuildVecSetCtx(b.Context(), ds, nil, 6, 4000, xrand.New(2))
 	if err != nil {
 		b.Fatal(err)
 	}
 	basis := uniqueInts(ds.Basis())
-	vs.EnsureTopK(64)
+	ensureTopK(b, vs, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ASMS(ds, 64, basis, vs)
+		asms(b, ds, 64, basis, vs)
 	}
 }
 
@@ -50,7 +50,7 @@ func BenchmarkBuildVecSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildVecSet(ds, nil, 6, 4000, xrand.New(2)); err != nil {
+		if _, err := BuildVecSetCtx(b.Context(), ds, nil, 6, 4000, xrand.New(2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,12 +62,12 @@ func BenchmarkEnsureTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		vs, err := BuildVecSet(ds, nil, 6, 2000, xrand.New(2))
+		vs, err := BuildVecSetCtx(b.Context(), ds, nil, 6, 2000, xrand.New(2))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		vs.EnsureTopK(128)
+		ensureTopK(b, vs, 128)
 	}
 }
 
@@ -76,7 +76,7 @@ func BenchmarkBaselines(b *testing.B) {
 	b.Run("MDRC", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := MDRC(ds, 10); err != nil {
+			if _, err := MDRCCtx(b.Context(), ds, 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -84,7 +84,7 @@ func BenchmarkBaselines(b *testing.B) {
 	b.Run("MDRRRr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := MDRRRr(ds, 10, benchOpts()); err != nil {
+			if _, err := MDRRRrCtx(b.Context(), ds, 10, benchOpts()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -94,7 +94,7 @@ func BenchmarkBaselines(b *testing.B) {
 		o.M = 512 // MDRMS is slow; keep the bench affordable
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := MDRMS(ds, 10, o); err != nil {
+			if _, err := MDRMSCtx(b.Context(), ds, 10, o); err != nil {
 				b.Fatal(err)
 			}
 		}

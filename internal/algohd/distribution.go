@@ -82,16 +82,11 @@ func MixturePreference(weights []float64, samplers []Sampler) (Sampler, error) {
 	}, nil
 }
 
-// BuildVecSetSampled is BuildVecSet with a custom Da distribution (nil
+// BuildVecSetSampledCtx is BuildVecSetCtx with a custom Da distribution (nil
 // sampler = the space's own uniform sampling). Sampled directions outside
 // the space are rejected and redrawn, so the restricted-space contract of
-// Section V.C holds for any distribution.
-func BuildVecSetSampled(ds *dataset.Dataset, space funcspace.Space, gamma, m int, rng *xrand.Rand, sample Sampler) (*VecSet, error) {
-	return BuildVecSetSampledCtx(nil, ds, space, gamma, m, rng, sample)
-}
-
-// BuildVecSetSampledCtx is BuildVecSetSampled with cooperative cancellation
-// in the rejection-sampling loop.
+// Section V.C holds for any distribution. The rejection-sampling loop
+// checks ctx.
 func BuildVecSetSampledCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space, gamma, m int, rng *xrand.Rand, sample Sampler) (*VecSet, error) {
 	if sample == nil {
 		return BuildVecSetCtx(ctx, ds, space, gamma, m, rng)

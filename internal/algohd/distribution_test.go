@@ -95,7 +95,7 @@ func TestBuildVecSetSampledRejection(t *testing.T) {
 	}
 	// A sampler concentrated inside the cone: accepted directly.
 	inside, _ := GaussianPreference(geom.Vector{1, 0.2}, 0.01)
-	vs, err := BuildVecSetSampled(ds, cone, 4, 50, xrand.New(2), inside)
+	vs, err := BuildVecSetSampledCtx(t.Context(), ds, cone, 4, 50, xrand.New(2), inside)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestBuildVecSetSampledRejection(t *testing.T) {
 	}
 	// A sampler concentrated outside the cone: every draw is rejected.
 	outside, _ := GaussianPreference(geom.Vector{0.01, 1}, 0.001)
-	if _, err := BuildVecSetSampled(ds, cone, 4, 10, xrand.New(3), outside); err == nil {
+	if _, err := BuildVecSetSampledCtx(t.Context(), ds, cone, 4, 10, xrand.New(3), outside); err == nil {
 		t.Error("sampler entirely outside the space should fail after max rejects")
 	}
 }
@@ -123,7 +123,7 @@ func TestHDRRMWithPreferenceDistribution(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxM = 2000
 	opts.Sampler = s
-	res, err := HDRRM(ds, 8, opts)
+	res, err := HDRRMCtx(t.Context(), ds, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestHDRRMWithPreferenceDistribution(t *testing.T) {
 	}
 	uniform := DefaultOptions()
 	uniform.MaxM = 2000
-	ures, err := HDRRM(ds, 8, uniform)
+	ures, err := HDRRMCtx(t.Context(), ds, 8, uniform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,8 @@ type Options struct {
 	// M overrides the sample count for Da (0 = use the Theorem 10 formula).
 	M int
 	// MaxM caps the Theorem 10 formula (0 = uncapped). The repository
-	// default keeps laptop runs tractable; see DESIGN.md.
+	// default keeps laptop runs tractable, since the formula grows like
+	// 1/Delta².
 	MaxM int
 	// Seed drives all randomness.
 	Seed int64
@@ -113,23 +114,12 @@ func uniqueInts(ids []int) []int {
 	return out
 }
 
-// ASMS is the paper's Algorithm 2: the approximate solver for the MS
+// ASMSCtx is the paper's Algorithm 2: the approximate solver for the MS
 // problem. Given the threshold k it returns a superset Q of the basis B
 // whose rank-regret with respect to the discrete vector set D is at most k,
-// with |Q| <= (1 + ln|D|)·r* + d (Theorem 9).
-func ASMS(ds *dataset.Dataset, k int, basis []int, vs *VecSet) []int {
-	q, err := ASMSCtx(nil, ds, k, basis, vs)
-	if err != nil {
-		// Unreachable: a nil ctx never cancels and cancellation is the only
-		// error ASMSCtx can produce.
-		panic(err)
-	}
-	return q
-}
-
-// ASMSCtx is ASMS with cooperative cancellation: the top-K build, the
-// coverage scan, and the greedy set-cover rounds all check ctx and abort
-// with ctx.Err().
+// with |Q| <= (1 + ln|D|)·r* + d (Theorem 9). The top-K build, the coverage
+// scan, and the greedy set-cover rounds all check ctx and abort with
+// ctx.Err().
 func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *VecSet) ([]int, error) {
 	n := ds.N()
 	if k > n {
@@ -201,34 +191,17 @@ func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *V
 	return uniqueInts(q), nil
 }
 
-// HDRRM is the paper's Algorithm 3: it returns a set of at most r tuples
+// HDRRMCtx is the paper's Algorithm 3: it returns a set of at most r tuples
 // whose rank-regret w.r.t. the discretized function space D is the smallest
 // threshold ASMS can fit into the budget — a double approximation of the RRM
 // optimum (Theorem 10). With Options.Space set it solves RRRM instead
 // (Section V.C): Da is sampled from U and Db keeps only directions whose ray
-// meets U.
-func HDRRM(ds *dataset.Dataset, r int, opts Options) (Result, error) {
-	return HDRRMCtx(nil, ds, r, opts)
-}
-
-// HDRRMCtx is HDRRM with cooperative cancellation plumbed through the
-// vector-set build, the per-vector top-K lists, and the ASMS set-cover
-// rounds. It returns ctx.Err() as soon as a hot loop observes cancellation.
+// meets U. Cancellation is plumbed through the vector-set build, the
+// per-vector top-K lists, and the ASMS set-cover rounds; it returns ctx.Err()
+// as soon as a hot loop observes it. It is HDRRMVariantCtx with the zero
+// (full) Variant.
 func HDRRMCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Result, error) {
-	n, d := ds.N(), ds.Dim()
-	if n == 0 {
-		return Result{}, fmt.Errorf("algohd: empty dataset")
-	}
-	if r < 1 {
-		return Result{}, fmt.Errorf("algohd: output size %d, need >= 1", r)
-	}
-	rng := xrand.New(opts.Seed)
-	m := opts.sampleSize(n, d, r)
-	vs, err := BuildVecSetSampledCtx(ctx, ds, opts.space(d), opts.EffectiveGamma(), m, rng, opts.Sampler)
-	if err != nil {
-		return Result{}, err
-	}
-	return HDRRMWithVecSetCtx(ctx, ds, r, opts, vs)
+	return HDRRMVariantCtx(ctx, ds, r, opts, Variant{})
 }
 
 // HDRRMWithVecSetCtx runs the search phase of Algorithm 3 — forced basis
@@ -238,22 +211,7 @@ func HDRRMCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Re
 // built (or acquired from a SharedVecSet) with the solve's space, effective
 // gamma, seed, and exactly SampleSize(n, d, r) sampled directions.
 func HDRRMWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, vs *VecSet) (Result, error) {
-	if ds.N() == 0 {
-		return Result{}, fmt.Errorf("algohd: empty dataset")
-	}
-	if r < 1 {
-		return Result{}, fmt.Errorf("algohd: output size %d, need >= 1", r)
-	}
-	vs.SetParallelism(opts.Parallelism)
-	basis := uniqueInts(ds.Basis())
-	if len(basis) > r {
-		return Result{}, fmt.Errorf("algohd: budget r=%d smaller than basis size %d (need r >= d)", r, len(basis))
-	}
-	ids, bestK, err := searchSmallestK(ctx, ds, r, basis, vs)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{IDs: ids, K: bestK, VecCount: vs.Len()}, nil
+	return HDRRMVariantWithVecSetCtx(ctx, ds, r, opts, Variant{}, vs)
 }
 
 // searchSmallestK is the improved binary search of Section V.B.2: double k
@@ -302,15 +260,11 @@ func searchSmallestK(ctx context.Context, ds *dataset.Dataset, r int, basis []in
 	return fit, bestK, nil
 }
 
-// HDRRR solves the dual rank-regret representative problem in HD: given a
-// threshold k, it runs a single ASMS call and returns the (1 + ln|D|)-size-
+// HDRRRCtx solves the dual rank-regret representative problem in HD: given
+// a threshold k, it runs a single ASMS call and returns the (1 + ln|D|)-size-
 // approximate minimum superset of the basis with rank-regret at most k for
-// the discretized space D (Theorem 9). Result.K echoes k.
-func HDRRR(ds *dataset.Dataset, k int, opts Options) (Result, error) {
-	return HDRRRCtx(nil, ds, k, opts)
-}
-
-// HDRRRCtx is HDRRR with cooperative cancellation (see HDRRMCtx).
+// the discretized space D (Theorem 9). Result.K echoes k. Cancellation works
+// as in HDRRMCtx.
 func HDRRRCtx(ctx context.Context, ds *dataset.Dataset, k int, opts Options) (Result, error) {
 	n, d := ds.N(), ds.Dim()
 	if n == 0 {

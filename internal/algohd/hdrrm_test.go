@@ -11,6 +11,35 @@ import (
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
+// topOf returns the best-first top-k ids under vs.Vecs[v], k clamped to n.
+func topOf(tb testing.TB, vs *VecSet, v, k int) []int {
+	tb.Helper()
+	k = min(k, vs.ds.N())
+	tops, err := vs.TopsCtx(tb.Context(), k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tops[v][:k]
+}
+
+// ensureTopK is EnsureTopKCtx under the test's context.
+func ensureTopK(tb testing.TB, vs *VecSet, k int) {
+	tb.Helper()
+	if err := vs.EnsureTopKCtx(tb.Context(), k); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// asms is ASMSCtx under the test's context.
+func asms(tb testing.TB, ds *dataset.Dataset, k int, basis []int, vs *VecSet) []int {
+	tb.Helper()
+	q, err := ASMSCtx(tb.Context(), ds, k, basis, vs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return q
+}
+
 func testOpts() Options {
 	return Options{Gamma: 4, M: 400, Seed: 7}
 }
@@ -36,7 +65,7 @@ func sampledRegret(ds *dataset.Dataset, ids []int, space funcspace.Space, sample
 func TestBuildVecSet(t *testing.T) {
 	rng := xrand.New(1)
 	ds := dataset.Independent(rng, 100, 3)
-	vs, err := BuildVecSet(ds, nil, 4, 50, xrand.New(2))
+	vs, err := BuildVecSetCtx(t.Context(), ds, nil, 4, 50, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +80,7 @@ func TestBuildVecSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vsr, err := BuildVecSet(ds, cone, 4, 50, xrand.New(2))
+	vsr, err := BuildVecSetCtx(t.Context(), ds, cone, 4, 50, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +92,7 @@ func TestBuildVecSet(t *testing.T) {
 			t.Fatalf("restricted vector %v outside the cone", u)
 		}
 	}
-	if _, err := BuildVecSet(ds, nil, 0, 10, rng); err == nil {
+	if _, err := BuildVecSetCtx(t.Context(), ds, nil, 0, 10, rng); err == nil {
 		t.Error("gamma=0 accepted")
 	}
 }
@@ -71,12 +100,12 @@ func TestBuildVecSet(t *testing.T) {
 func TestVecSetTopLazyGrowth(t *testing.T) {
 	rng := xrand.New(3)
 	ds := dataset.Independent(rng, 60, 3)
-	vs, err := BuildVecSet(ds, nil, 3, 20, xrand.New(4))
+	vs, err := BuildVecSetCtx(t.Context(), ds, nil, 3, 20, xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	top3 := append([]int(nil), vs.Top(0, 3)...)
-	top10 := vs.Top(0, 10)
+	top3 := append([]int(nil), topOf(t, vs, 0, 3)...)
+	top10 := topOf(t, vs, 0, 10)
 	if !reflect.DeepEqual(top3, top10[:3]) {
 		t.Errorf("prefix property violated: %v vs %v", top3, top10[:3])
 	}
@@ -86,7 +115,7 @@ func TestVecSetTopLazyGrowth(t *testing.T) {
 		t.Errorf("Top = %v, want %v", top10, want)
 	}
 	// k beyond n clamps.
-	full := vs.Top(5, 1000)
+	full := topOf(t, vs, 5, 1000)
 	if len(full) != ds.N() {
 		t.Errorf("clamped top has %d entries, want %d", len(full), ds.N())
 	}
@@ -98,13 +127,13 @@ func TestASMSGuarantee(t *testing.T) {
 	rng := xrand.New(5)
 	for _, d := range []int{2, 3, 4} {
 		ds := dataset.Anticorrelated(rng, 200, d)
-		vs, err := BuildVecSet(ds, nil, 4, 300, xrand.New(6))
+		vs, err := BuildVecSetCtx(t.Context(), ds, nil, 4, 300, xrand.New(6))
 		if err != nil {
 			t.Fatal(err)
 		}
 		basis := uniqueInts(ds.Basis())
 		for _, k := range []int{1, 3, 10} {
-			q := ASMS(ds, k, basis, vs)
+			q := asms(t, ds, k, basis, vs)
 			inQ := map[int]bool{}
 			for _, id := range q {
 				inQ[id] = true
@@ -116,7 +145,7 @@ func TestASMSGuarantee(t *testing.T) {
 			}
 			for v := 0; v < vs.Len(); v++ {
 				hit := false
-				for _, tid := range vs.Top(v, k) {
+				for _, tid := range topOf(t, vs, v, k) {
 					if inQ[tid] {
 						hit = true
 						break
@@ -133,18 +162,18 @@ func TestASMSGuarantee(t *testing.T) {
 func TestASMSShrinksWithK(t *testing.T) {
 	rng := xrand.New(7)
 	ds := dataset.Anticorrelated(rng, 300, 3)
-	vs, err := BuildVecSet(ds, nil, 4, 300, xrand.New(8))
+	vs, err := BuildVecSetCtx(t.Context(), ds, nil, 4, 300, xrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	basis := uniqueInts(ds.Basis())
-	s1 := len(ASMS(ds, 1, basis, vs))
-	s20 := len(ASMS(ds, 20, basis, vs))
+	s1 := len(asms(t, ds, 1, basis, vs))
+	s20 := len(asms(t, ds, 20, basis, vs))
 	if s20 > s1 {
 		t.Errorf("ASMS size grew with k: k=1 gives %d, k=20 gives %d", s1, s20)
 	}
 	// At k = n everything is covered by the basis.
-	q := ASMS(ds, ds.N(), basis, vs)
+	q := asms(t, ds, ds.N(), basis, vs)
 	if !reflect.DeepEqual(q, basis) {
 		t.Errorf("k=n should return exactly the basis, got %v", q)
 	}
@@ -153,7 +182,7 @@ func TestASMSShrinksWithK(t *testing.T) {
 func TestHDRRMBasic(t *testing.T) {
 	rng := xrand.New(9)
 	ds := dataset.Anticorrelated(rng, 400, 4)
-	res, err := HDRRM(ds, 10, testOpts())
+	res, err := HDRRMCtx(t.Context(), ds, 10, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +215,13 @@ func TestHDRRMShiftInvariance(t *testing.T) {
 	rng := xrand.New(10)
 	ds := dataset.Independent(rng, 300, 3)
 	opts := testOpts()
-	res1, err := HDRRM(ds, 8, opts)
+	res1, err := HDRRMCtx(t.Context(), ds, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shifted := ds.Clone()
 	shifted.Shift([]float64{3, 0.5, 10})
-	res2, err := HDRRM(shifted, 8, opts)
+	res2, err := HDRRMCtx(t.Context(), shifted, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +241,7 @@ func TestHDRRMNearOptimalIn2D(t *testing.T) {
 	ds := dataset.Anticorrelated(rng, 200, 2)
 	opts := testOpts()
 	opts.M = 800
-	res, err := HDRRM(ds, 6, opts)
+	res, err := HDRRMCtx(t.Context(), ds, 6, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +260,10 @@ func TestHDRRMNearOptimalIn2D(t *testing.T) {
 func TestHDRRMBudgetTooSmall(t *testing.T) {
 	rng := xrand.New(12)
 	ds := dataset.Independent(rng, 100, 4)
-	if _, err := HDRRM(ds, 2, testOpts()); err == nil {
+	if _, err := HDRRMCtx(t.Context(), ds, 2, testOpts()); err == nil {
 		t.Error("r < basis size must error")
 	}
-	if _, err := HDRRM(ds, 0, testOpts()); err == nil {
+	if _, err := HDRRMCtx(t.Context(), ds, 0, testOpts()); err == nil {
 		t.Error("r=0 must error")
 	}
 }
@@ -248,14 +277,14 @@ func TestHDRRMRestricted(t *testing.T) {
 	}
 	opts := testOpts()
 	opts.Space = cone
-	res, err := HDRRM(ds, 10, opts)
+	res, err := HDRRMCtx(t.Context(), ds, 10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.IDs) > 10 {
 		t.Fatalf("size %d > 10", len(res.IDs))
 	}
-	full, err := HDRRM(ds, 10, testOpts())
+	full, err := HDRRMCtx(t.Context(), ds, 10, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +328,7 @@ func TestHDRRMTheorem6RatK(t *testing.T) {
 	ds := dataset.Anticorrelated(xrand.New(13), 1500, 3)
 	opts := DefaultOptions()
 	opts.MaxM = 3000
-	res, err := HDRRM(ds, 8, opts)
+	res, err := HDRRMCtx(t.Context(), ds, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +357,7 @@ func TestHDRRMTheorem7UtilityFloor(t *testing.T) {
 	ds := dataset.Independent(xrand.New(17), 1000, 3)
 	opts := DefaultOptions()
 	opts.MaxM = 2000
-	res, err := HDRRM(ds, 8, opts)
+	res, err := HDRRMCtx(t.Context(), ds, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

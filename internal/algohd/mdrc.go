@@ -11,7 +11,7 @@ import (
 	"github.com/rankregret/rankregret/internal/topk"
 )
 
-// MDRC is the space-partitioning heuristic of Asudeh et al.: partition the
+// MDRCCtx is the space-partitioning heuristic of Asudeh et al.: partition the
 // (d-1)-dimensional angle space into g^(d-1) equal cells, take the top-1
 // tuple at each cell's center ray, and return the deduplicated union. The
 // cell count is grown until the next refinement would exceed the budget r.
@@ -21,11 +21,8 @@ import (
 // MDRC has no restricted-space variant (the paper notes it is "not
 // applicable for RRRM"): the fixed rectangular partition of the full angle
 // space is baked into the method.
-func MDRC(ds *dataset.Dataset, r int) (Result, error) {
-	return MDRCCtx(nil, ds, r)
-}
-
-// MDRCCtx is MDRC with cooperative cancellation in the cell enumeration.
+//
+// It checks ctx in the cell enumeration.
 func MDRCCtx(ctx context.Context, ds *dataset.Dataset, r int) (Result, error) {
 	n, d := ds.N(), ds.Dim()
 	if n == 0 {

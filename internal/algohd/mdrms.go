@@ -13,7 +13,7 @@ import (
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
-// MDRMS reimplements the function-space-discretization RMS algorithm of
+// MDRMSCtx reimplements the function-space-discretization RMS algorithm of
 // Asudeh et al. (SIGMOD 2017), the regret-ratio competitor in the paper's
 // HD experiments: over the discretized direction set, tuple t "covers"
 // direction u when w(u,t) >= (1-eps)·w(u,D); a greedy set cover picks the
@@ -23,12 +23,9 @@ import (
 // It minimizes the regret-*ratio*; the paper's point (and our experiments')
 // is that this can leave the rank-regret orders of magnitude worse than
 // HDRRM on clustered utility distributions.
-func MDRMS(ds *dataset.Dataset, r int, opts Options) (Result, error) {
-	return MDRMSCtx(nil, ds, r, opts)
-}
-
-// MDRMSCtx is MDRMS with cooperative cancellation in the direction
-// precompute, the set-cover rounds, and the eps binary search.
+//
+// It checks ctx in the direction precompute, the set-cover rounds, and the
+// eps binary search.
 func MDRMSCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Result, error) {
 	n, d := ds.N(), ds.Dim()
 	if n == 0 {
@@ -137,17 +134,12 @@ func MDRMSCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Re
 	return Result{IDs: fit, K: 0, VecCount: nv}, nil
 }
 
-// RMSGreedy is the classic greedy heuristic for regret minimizing sets in
+// RMSGreedyCtx is the classic greedy heuristic for regret minimizing sets in
 // the spirit of Nanongkai et al.'s RDP-Greedy: starting from the best tuple
 // for the "average" direction, repeatedly add the candidate that most
 // reduces the maximum regret-ratio over the discretized direction set.
 // Included as an extension for regret-ratio comparisons and ablations.
-func RMSGreedy(ds *dataset.Dataset, r int, opts Options) (Result, error) {
-	return RMSGreedyCtx(nil, ds, r, opts)
-}
-
-// RMSGreedyCtx is RMSGreedy with cooperative cancellation in the greedy
-// selection rounds.
+// It checks ctx in the greedy selection rounds.
 func RMSGreedyCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Result, error) {
 	n, d := ds.N(), ds.Dim()
 	if n == 0 {

@@ -9,7 +9,6 @@ import (
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/setcover"
-	"github.com/rankregret/rankregret/internal/topk"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
@@ -87,19 +86,15 @@ func hittingSet(ctx context.Context, ksets [][]int) ([]int, error) {
 	return uniqueInts(out), nil
 }
 
-// MDRRRr is the randomized baseline of Asudeh et al.: discover k-sets by
+// MDRRRrCtx is the randomized baseline of Asudeh et al.: discover k-sets by
 // sampling utility vectors, then choose a minimal hitting set — a tuple in
 // every discovered top-k set guarantees rank <= k for the sampled functions,
 // but (as the paper stresses) there is no guarantee for the full space.
 // Adapted to RRM with the improved doubling binary search on k. Options.M
 // controls the number of sampled directions (the paper's |W|-driven budget);
 // Options.Space restricts the sampling for RRRM.
-func MDRRRr(ds *dataset.Dataset, r int, opts Options) (Result, error) {
-	return MDRRRrCtx(nil, ds, r, opts)
-}
-
-// MDRRRrCtx is MDRRRr with cooperative cancellation in the sampling,
-// k-set discovery, and hitting-set loops.
+//
+// It checks ctx in the sampling, k-set discovery, and hitting-set loops.
 func MDRRRrCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Result, error) {
 	n, d := ds.N(), ds.Dim()
 	if n == 0 {
@@ -166,7 +161,7 @@ func MDRRRrCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (R
 	return Result{IDs: fit, K: bestK, VecCount: vs.Len()}, nil
 }
 
-// MDRRR is the deterministic k-set variant. The authors' original
+// MDRRRCtx is the deterministic k-set variant. The authors' original
 // enumerates k-sets with computational-geometry machinery and "does not
 // scale beyond a few hundred tuples"; this reimplementation preserves that
 // contract: in 2D the sweep enumerates k-sets exactly (algo2d.KSets2D), so
@@ -174,11 +169,7 @@ func MDRRRrCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (R
 // dense deterministic polar grid stands in for the geometric enumeration.
 // It refuses datasets beyond maxN tuples to honor its role as a small-scale
 // reference (pass 0 for the default 500).
-func MDRRR(ds *dataset.Dataset, r int, opts Options, maxN int) (Result, error) {
-	return MDRRRCtx(nil, ds, r, opts, maxN)
-}
-
-// MDRRRCtx is MDRRR with cooperative cancellation (see MDRRRrCtx).
+// Cancellation works as in MDRRRrCtx.
 func MDRRRCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, maxN int) (Result, error) {
 	if maxN <= 0 {
 		maxN = 500
@@ -252,11 +243,6 @@ func MDRRRCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, max
 		}
 	}
 	return Result{IDs: fit, K: bestK, VecCount: vs.Len()}, nil
-}
-
-// TopKAt is a small helper used by tests: the top-k ids under u.
-func TopKAt(ds *dataset.Dataset, u []float64, k int) []int {
-	return topk.TopK(ds, u, k, nil)
 }
 
 // mdrrrExact2D runs MDRRR with the exact 2D k-set enumeration: the hitting

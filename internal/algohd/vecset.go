@@ -29,7 +29,7 @@ import (
 // discretization with parameter gamma (filtered to the restricted space for
 // RRRM); Da is a set of m sampled directions.
 //
-// A VecSet is either standalone (built by BuildVecSet and owning a private
+// A VecSet is either standalone (built by BuildVecSetCtx and owning a private
 // top-K cache) or a view handed out by SharedVecSet.Acquire, in which case
 // the top-K cache is shared with every other view of the same underlying
 // vector list. Per-vector top lists depend only on the dataset and that one
@@ -301,14 +301,6 @@ func (vs *VecSet) cache() *topsCache {
 	return vs.tc
 }
 
-// BuildVecSet constructs D for the given space: the polar grid Db
-// (directions whose ray meets the space) plus m sampled directions Da.
-// m may be 0 (grid only). The paper's Theorem 10 sample size is available
-// via SampleSizeTheorem10.
-func BuildVecSet(ds *dataset.Dataset, space funcspace.Space, gamma, m int, rng *xrand.Rand) (*VecSet, error) {
-	return BuildVecSetCtx(nil, ds, space, gamma, m, rng)
-}
-
 // buildGrid validates the build parameters and returns the polar-grid
 // directions Db filtered to the space. It does not consume rng, so the
 // sample stream that follows is identical no matter when the grid is built.
@@ -369,8 +361,11 @@ func drawSamples(ctx context.Context, space funcspace.Space, count int, rng *xra
 	return vecs, nil
 }
 
-// BuildVecSetCtx is BuildVecSet with cooperative cancellation: the sampling
-// loop checks ctx periodically and aborts with ctx.Err().
+// BuildVecSetCtx constructs D for the given space: the polar grid Db
+// (directions whose ray meets the space) plus m sampled directions Da.
+// m may be 0 (grid only). The paper's Theorem 10 sample size is available
+// via SampleSizeTheorem10. The sampling loop checks ctx periodically and
+// aborts with ctx.Err().
 func BuildVecSetCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space, gamma, m int, rng *xrand.Rand) (*VecSet, error) {
 	vecs, space, err := buildGrid(ds, space, gamma)
 	if err != nil {
@@ -435,21 +430,12 @@ func (vs *VecSet) SetParallelism(p int) {
 	vs.cache().par.Store(int32(p))
 }
 
-// EnsureTopK extends the cached per-vector top lists to at least k entries
-// (clamped to n). Lists are built in parallel across vectors. Amortized over
-// a binary search the total work is O(|D| · n · d + |D| · k log k). A nil
-// context cannot be cancelled and cancellation is the only error the build
-// can produce, so a failure here is a programming error and panics instead
-// of being silently dropped.
-func (vs *VecSet) EnsureTopK(k int) {
-	if err := vs.EnsureTopKCtx(nil, k); err != nil {
-		panic(fmt.Sprintf("algohd: EnsureTopK failed without a cancellable context: %v", err))
-	}
-}
-
-// EnsureTopKCtx is EnsureTopK with cooperative cancellation: each worker
-// checks ctx between vectors and the partially-built lists are discarded on
-// cancellation, leaving the cache in its previous consistent state.
+// EnsureTopKCtx extends the cached per-vector top lists to at least k
+// entries (clamped to n). Lists are built in parallel across vectors.
+// Amortized over a binary search the total work is O(|D| · n · d + |D| · k
+// log k). Each worker checks ctx between vectors and the partially-built
+// lists are discarded on cancellation, leaving the cache in its previous
+// consistent state.
 func (vs *VecSet) EnsureTopKCtx(ctx context.Context, k int) error {
 	return vs.cache().ensure(ctx, k)
 }
@@ -464,19 +450,6 @@ func (vs *VecSet) TopsCtx(ctx context.Context, k int) ([][]int, error) {
 		k = vs.ds.N()
 	}
 	return vs.cache().snapshot(ctx, k)
-}
-
-// Top returns the top-k tuple ids for vector v (best first). It extends the
-// cache if needed.
-func (vs *VecSet) Top(v, k int) []int {
-	if k > vs.ds.N() {
-		k = vs.ds.N()
-	}
-	tops, err := vs.cache().snapshot(nil, k)
-	if err != nil {
-		panic(fmt.Sprintf("algohd: Top failed without a cancellable context: %v", err))
-	}
-	return tops[v][:k]
 }
 
 // Len returns the number of vectors in D.

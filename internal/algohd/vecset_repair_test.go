@@ -60,10 +60,10 @@ func deleteUnpopular(idx ...int) mutateFn {
 // membership count over the committed depth-k lists, then re-sorted by
 // descending id so scenario deletions in slice order never shift later
 // targets.
-func leastPopular(vs *VecSet, n, k, count int) []int {
+func leastPopular(tb testing.TB, vs *VecSet, n, k, count int) []int {
 	occ := make([]int, n)
 	for v := 0; v < vs.Len(); v++ {
-		for _, id := range vs.Top(v, k) {
+		for _, id := range topOf(tb, vs, v, k) {
 			occ[id]++
 		}
 	}
@@ -90,7 +90,7 @@ func requireIdenticalTops(t *testing.T, got, want *VecSet, k int) {
 		t.Fatalf("vector counts differ: %d vs %d", got.Len(), want.Len())
 	}
 	for v := 0; v < got.Len(); v++ {
-		g, w := got.Top(v, k), want.Top(v, k)
+		g, w := topOf(t, got, v, k), topOf(t, want, v, k)
 		if !slices.Equal(g, w) {
 			t.Fatalf("vector %d: repaired top-%d %v != cold %v", v, k, g, w)
 		}
@@ -131,8 +131,8 @@ func TestRepairedTopsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Commit lists on the source so there is something to repair.
-			oldView.EnsureTopK(k)
-			unpopular := leastPopular(oldView, n, k, 8)
+			ensureTopK(t, oldView, k)
+			unpopular := leastPopular(t, oldView, n, k, 8)
 
 			cur := base
 			rng := xrand.New(31)
@@ -155,11 +155,11 @@ func TestRepairedTopsBitIdentical(t *testing.T) {
 				t.Fatalf("outcome = %v, want repaired", outcome)
 			}
 
-			cold, err := BuildVecSet(cur, nil, gamma, m, xrand.New(42))
+			cold, err := BuildVecSetCtx(t.Context(), cur, nil, gamma, m, xrand.New(42))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold.EnsureTopK(k)
+			ensureTopK(t, cold, k)
 			requireIdenticalTops(t, repView, cold, k)
 
 			// Deepening and extending the repaired set must also agree with a
@@ -170,20 +170,20 @@ func TestRepairedTopsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold2, err := BuildVecSet(cur, nil, gamma, m2, xrand.New(42))
+			cold2, err := BuildVecSetCtx(t.Context(), cur, nil, gamma, m2, xrand.New(42))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold2.EnsureTopK(k2)
+			ensureTopK(t, cold2, k2)
 			requireIdenticalTops(t, repView2, cold2, k2)
 
 			// The source set is untouched: its lists still describe the old
 			// dataset (version pinning relies on this).
-			coldOld, err := BuildVecSet(base, nil, gamma, m, xrand.New(42))
+			coldOld, err := BuildVecSetCtx(t.Context(), base, nil, gamma, m, xrand.New(42))
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldOld.EnsureTopK(k)
+			ensureTopK(t, coldOld, k)
 			requireIdenticalTops(t, oldView, coldOld, k)
 		})
 	}
@@ -227,7 +227,7 @@ func TestRepairDeclines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oldView.EnsureTopK(k)
+			ensureTopK(t, oldView, k)
 
 			cur := base.Snapshot()
 			tc.mutate(t, xrand.New(1), cur, nil)
@@ -243,11 +243,11 @@ func TestRepairDeclines(t *testing.T) {
 			if outcome != VecSetBuilt {
 				t.Fatalf("outcome = %v, want cold-build fallback", outcome)
 			}
-			cold, err := BuildVecSet(cur, nil, gamma, m, xrand.New(7))
+			cold, err := BuildVecSetCtx(t.Context(), cur, nil, gamma, m, xrand.New(7))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold.EnsureTopK(k)
+			ensureTopK(t, cold, k)
 			requireIdenticalTops(t, repView, cold, k)
 		})
 	}
@@ -269,7 +269,7 @@ func TestRepairChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view0.EnsureTopK(k)
+	ensureTopK(t, view0, k)
 
 	rng := xrand.New(8)
 	v1 := v0.Snapshot()
@@ -289,11 +289,11 @@ func TestRepairChain(t *testing.T) {
 	if outcome != VecSetRepaired {
 		t.Fatalf("chain outcome = %v, want repaired", outcome)
 	}
-	cold, err := BuildVecSet(v2, nil, gamma, m, xrand.New(11))
+	cold, err := BuildVecSetCtx(t.Context(), v2, nil, gamma, m, xrand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold.EnsureTopK(k)
+	ensureTopK(t, cold, k)
 	requireIdenticalTops(t, view2, cold, k)
 }
 
@@ -319,7 +319,7 @@ func TestRepairRestrictedSpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldView.EnsureTopK(k)
+		ensureTopK(t, oldView, k)
 
 		cur := base.Snapshot()
 		if forceDecline {
@@ -348,11 +348,11 @@ func TestRepairRestrictedSpace(t *testing.T) {
 		if !forceDecline && outcome != VecSetRepaired {
 			t.Fatalf("append outcome = %v, want repaired", outcome)
 		}
-		cold, err := BuildVecSet(cur, space, gamma, m, xrand.New(5))
+		cold, err := BuildVecSetCtx(t.Context(), cur, space, gamma, m, xrand.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold.EnsureTopK(k)
+		ensureTopK(t, cold, k)
 		requireIdenticalTops(t, view, cold, k)
 	}
 }
@@ -382,7 +382,7 @@ func TestRepairParallelismIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		oldView.SetParallelism(par)
-		oldView.EnsureTopK(k)
+		ensureTopK(t, oldView, k)
 		rep := NewRepairedVecSet(old, cur, deltas)
 		view, outcome, err := rep.Acquire(ctx, m)
 		if err != nil {

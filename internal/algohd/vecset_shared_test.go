@@ -31,7 +31,7 @@ func TestSharedVecSetPrefixEquivalence(t *testing.T) {
 	}
 	fresh := func(m int) *VecSet {
 		t.Helper()
-		vs, err := BuildVecSet(ds, nil, gamma, m, xrand.New(seed))
+		vs, err := BuildVecSetCtx(t.Context(), ds, nil, gamma, m, xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestSharedVecSetPrefixEquivalence(t *testing.T) {
 		}
 		// Per-vector top lists agree regardless of shared-cache history.
 		for _, v := range []int{0, got.Len() / 2, got.Len() - 1} {
-			if !reflect.DeepEqual(got.Top(v, 7), want.Top(v, 7)) {
+			if !reflect.DeepEqual(topOf(t, got, v, 7), topOf(t, want, v, 7)) {
 				t.Fatalf("m=%d: Top(%d, 7) differs from a fresh build", step.m, v)
 			}
 		}
@@ -75,7 +75,7 @@ func TestHDRRMWithSharedVecSet(t *testing.T) {
 	shared := NewSharedVecSet(ds, nil, opts.EffectiveGamma(), opts.Seed, nil)
 	prevK := ds.N() + 1
 	for r := 4; r <= 9; r++ {
-		want, err := HDRRM(ds, r, opts)
+		want, err := HDRRMCtx(t.Context(), ds, r, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestHDRRRWithSharedVecSet(t *testing.T) {
 	opts := testOpts()
 	shared := NewSharedVecSet(ds, nil, opts.EffectiveGamma(), opts.Seed, nil)
 	for _, k := range []int{3, 8, 15} {
-		want, err := HDRRR(ds, k, opts)
+		want, err := HDRRRCtx(t.Context(), ds, k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestHDRRRWithSharedVecSet(t *testing.T) {
 // and agree with an undisturbed set.
 func TestEnsureTopKCancellation(t *testing.T) {
 	ds := dataset.Independent(xrand.New(2), 200, 3)
-	vs, err := BuildVecSet(ds, nil, 4, 100, xrand.New(4))
+	vs, err := BuildVecSetCtx(t.Context(), ds, nil, 4, 100, xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestEnsureTopKCancellation(t *testing.T) {
 	}
 	// The failed build must not have committed anything: a fresh set built
 	// the same way answers identically.
-	ref, err := BuildVecSet(ds, nil, 4, 100, xrand.New(4))
+	ref, err := BuildVecSetCtx(t.Context(), ds, nil, 4, 100, xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestEnsureTopKCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []int{0, 50, vs.Len() - 1} {
-		if !reflect.DeepEqual(vs.Top(v, 10), ref.Top(v, 10)) {
+		if !reflect.DeepEqual(topOf(t, vs, v, 10), topOf(t, ref, v, 10)) {
 			t.Errorf("Top(%d, 10) after cancelled build differs from undisturbed set", v)
 		}
 	}
@@ -180,7 +180,7 @@ func TestSharedVecSetCancelledExtensionResyncs(t *testing.T) {
 	if outcome != VecSetExtended {
 		t.Errorf("acquire after cancelled extension outcome = %v, want an extension", outcome)
 	}
-	want, err := BuildVecSet(ds, nil, gamma, 600, xrand.New(seed))
+	want, err := BuildVecSetCtx(t.Context(), ds, nil, gamma, 600, xrand.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,11 @@
 // "paper" (the paper's axis ranges; expect long runtimes — the original
 // experiments ran in C++ on a 128 GB machine). The reproduction target is
 // the curves' *shape*: who wins, by what factor, and where the crossovers
-// fall. EXPERIMENTS.md records paper-vs-measured for every figure.
+// fall.
 package bench
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -21,9 +22,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"github.com/rankregret/rankregret/internal/algo2d"
-	"github.com/rankregret/rankregret/internal/algohd"
 	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/engine"
 	"github.com/rankregret/rankregret/internal/eval"
 	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/xrand"
@@ -39,12 +39,15 @@ type Point struct {
 	C        int     // weak-ranking constraint count (restricted figures; 0 = full space)
 }
 
-// FigureSpec describes one paper figure.
+// FigureSpec describes one paper figure. Algos are engine solvers: the
+// registry's (engine.Lookup) and the HDRRM ablation variants
+// (engine.VariantSolver), so a figure measures the call path the daemon
+// serves.
 type FigureSpec struct {
 	ID     string
 	Title  string
 	Points []Point
-	Algos  []string
+	Algos  []engine.Solver
 }
 
 // Row is one measurement.
@@ -53,11 +56,11 @@ type Row struct {
 	Workload   string
 	N, D, R    int
 	Delta      float64
-	Algo       string
+	Algo       string // the solver's registry name
 	Millis     float64
 	Size       int
 	RankRegret int
-	K          int // HDRRM/MDRRRr internal bound (0 when n/a)
+	K          int // the solver's Solution.RankRegret: exact in 2D, HDRRM/MDRRRr's internal bound in HD (0 when n/a)
 	Err        string
 }
 
@@ -102,103 +105,43 @@ func space(p Point, d int) (funcspace.Space, error) {
 	return funcspace.WeakRanking(d, p.C)
 }
 
-// runAlgo dispatches an algorithm by name and returns the chosen ids and the
-// solver's internal bound K (0 if n/a).
-func runAlgo(name string, ds *dataset.Dataset, p Point, sc Scale, seed int64) (ids []int, k int, err error) {
-	sp, err := space(p, ds.Dim())
-	if err != nil {
-		return nil, 0, err
-	}
-	opts := algohd.DefaultOptions()
-	opts.Seed = seed
-	opts.MaxM = sc.MaxM
+// sampleBudgets fixes the sample count of the baselines whose budget is not
+// HDRRM's Theorem 10 size. MDRRRr's is the RRR paper's fixed k-set
+// discovery budget: the number of k-sets |W| grows super-linearly with n
+// while the sampling budget does not, which is where MDRRRr's output quality
+// falls behind HDRRM's (the paper's Figures 13-15 and 25).
+var sampleBudgets = map[string]int{
+	engine.AlgoMDRRRr:    1024,
+	engine.AlgoMDRMS:     2048,
+	engine.AlgoRMSGreedy: 1024,
+}
+
+// options returns the engine options solver name runs with at point p.
+func options(name string, p Point, sp funcspace.Space, sc Scale, seed int64) engine.Options {
+	maxM := sc.MaxM
 	if p.Delta > 0 {
-		opts.Delta = p.Delta
 		// The delta sweep (Figures 22-24) exists to show m = Theta(1/delta^2)
 		// trading time for rank-regret; a tight cap would flatten the sweep,
-		// so give these points more headroom (paper scale is uncapped).
-		opts.MaxM = 4 * sc.MaxM
+		// so give these points more headroom.
+		maxM = 4 * sc.MaxM
 	}
-	opts.Space = sp
-	switch name {
-	case "2DRRM":
-		var res algo2d.Result
-		if sp != nil {
-			res, err = algo2d.TwoDRRMRestricted(ds, p.R, sp)
-		} else {
-			res, err = algo2d.TwoDRRM(ds, p.R)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.IDs, res.RankRegret, nil
-	case "2DRRR":
-		res, err := algo2d.TwoDRRRBaselineForRRM(ds, p.R)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.IDs, res.RankRegret, nil
-	case "HDRRM":
-		res, err := algohd.HDRRM(ds, p.R, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.IDs, res.K, nil
-	case "HDRRM:no-basis", "HDRRM:no-grid", "HDRRM:no-samples":
-		v := algohd.Variant{
-			NoBasis:   name == "HDRRM:no-basis",
-			NoGrid:    name == "HDRRM:no-grid",
-			NoSamples: name == "HDRRM:no-samples",
-		}
-		res, err := algohd.HDRRMVariant(ds, p.R, opts, v)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.IDs, res.K, nil
-	case "MDRRRr":
-		o := opts
-		// Fixed k-set discovery budget, as in the RRR paper: the number
-		// of k-sets |W| grows super-linearly with n while the sampling
-		// budget does not, which is where MDRRRr's output quality falls
-		// behind HDRRM's Theorem 10 sample size (the paper's Figures
-		// 13-15 and 25).
-		o.M = 1024
-		res, err := algohd.MDRRRr(ds, p.R, o)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.IDs, res.K, nil
-	case "MDRC":
-		res, err := algohd.MDRC(ds, p.R)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.IDs, 0, nil
-	case "MDRMS":
-		o := opts
-		o.M = 2048
-		res, err := algohd.MDRMS(ds, p.R, o)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.IDs, 0, nil
-	case "RMSGreedy":
-		o := opts
-		o.M = 1024
-		res, err := algohd.RMSGreedy(ds, p.R, o)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.IDs, 0, nil
-	default:
-		return nil, 0, fmt.Errorf("bench: unknown algorithm %q", name)
+	if maxM == 0 {
+		maxM = -1 // paper scale: Theorem 10 uncapped
+	}
+	return engine.Options{
+		Seed:       seed,
+		Space:      sp,
+		Delta:      p.Delta,
+		MaxSamples: maxM,
+		Samples:    sampleBudgets[name],
 	}
 }
 
 // Run executes a figure spec at the given scale and returns one row per
-// (point, algorithm). Failures (e.g. MDRRRr refusing a scale) are recorded
-// in the row's Err instead of aborting the figure, mirroring the paper's
-// "does not scale beyond" annotations.
+// (point, algorithm). Each solve calls the registry solver directly — no
+// engine, no cache — so every timing is a cold solve. Failures (e.g. MDRRRr
+// refusing a scale) are recorded in the row's Err instead of aborting the
+// figure, mirroring the paper's "does not scale beyond" annotations.
 func Run(spec FigureSpec, sc Scale, seed int64) []Row {
 	var rows []Row
 	for pi, p := range spec.Points {
@@ -209,33 +152,34 @@ func Run(spec FigureSpec, sc Scale, seed int64) []Row {
 			continue
 		}
 		d := ds.Dim()
-		sp, _ := space(p, d)
-		for _, algo := range spec.Algos {
-			row := Row{Figure: spec.ID, Workload: p.Workload, N: ds.N(), D: d, R: p.R, Delta: p.Delta, Algo: algo}
+		sp, spErr := space(p, d)
+		for _, s := range spec.Algos {
+			row := Row{Figure: spec.ID, Workload: p.Workload, N: ds.N(), D: d, R: p.R, Delta: p.Delta, Algo: s.Name()}
+			if spErr != nil {
+				row.Err = spErr.Error()
+				rows = append(rows, row)
+				continue
+			}
 			start := time.Now()
-			ids, k, err := runAlgo(algo, ds, p, sc, seed)
+			sol, err := s.Solve(context.TODO(), ds, p.R, options(s.Name(), p, sp, sc, seed))
 			row.Millis = float64(time.Since(start).Microseconds()) / 1000
 			if err != nil {
 				row.Err = err.Error()
 				rows = append(rows, row)
 				continue
 			}
-			row.Size = len(ids)
-			row.K = k
+			row.Size = len(sol.IDs)
+			row.K = sol.RankRegret
+			var rr int
 			if d == 2 {
-				rr, err := eval.RankRegret2DExact(ds, ids, sp)
-				if err != nil {
-					row.Err = err.Error()
-				} else {
-					row.RankRegret = rr
-				}
+				rr, err = eval.RankRegret2DExact(ds, sol.IDs, sp)
 			} else {
-				rr, err := eval.RankRegret(ds, ids, sp, sc.EvalSamples, seed+777)
-				if err != nil {
-					row.Err = err.Error()
-				} else {
-					row.RankRegret = rr
-				}
+				rr, err = eval.RankRegret(ds, sol.IDs, sp, sc.EvalSamples, seed+777)
+			}
+			if err != nil {
+				row.Err = err.Error()
+			} else {
+				row.RankRegret = rr
 			}
 			rows = append(rows, row)
 		}

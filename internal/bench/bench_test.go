@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"github.com/rankregret/rankregret/internal/algohd"
+	"github.com/rankregret/rankregret/internal/engine"
 )
 
 func TestMakeDatasetWorkloads(t *testing.T) {
@@ -103,7 +106,7 @@ func TestRunTinyFigure(t *testing.T) {
 			{Workload: "indep", N: 60, D: 2, R: 3},
 			{Workload: "anti", N: 60, D: 3, R: 4},
 		},
-		Algos: []string{"2DRRM", "HDRRM", "MDRC"},
+		Algos: registered(engine.AlgoTwoDRRM, engine.AlgoHDRRM, engine.AlgoMDRC),
 	}
 	sc := Scale{Name: "test", MaxM: 200, EvalSamples: 500}
 	rows := Run(spec, sc, 1)
@@ -111,7 +114,7 @@ func TestRunTinyFigure(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(spec.Points)*len(spec.Algos))
 	}
 	for _, row := range rows {
-		if row.Algo == "2DRRM" && row.D == 3 {
+		if row.Algo == engine.AlgoTwoDRRM && row.D == 3 {
 			if row.Err == "" {
 				t.Errorf("2DRRM on d=3 should error, got rank-regret %d", row.RankRegret)
 			}
@@ -138,7 +141,10 @@ func TestRunAblationAlgos(t *testing.T) {
 		ID:     "abl",
 		Title:  "tiny ablation",
 		Points: []Point{{Workload: "indep", N: 80, D: 3, R: 6}},
-		Algos:  []string{"HDRRM", "HDRRM:no-basis", "HDRRM:no-grid", "HDRRM:no-samples"},
+		Algos: append(registered(engine.AlgoHDRRM),
+			engine.VariantSolver(algohd.Variant{NoBasis: true}),
+			engine.VariantSolver(algohd.Variant{NoGrid: true}),
+			engine.VariantSolver(algohd.Variant{NoSamples: true})),
 	}
 	rows := Run(spec, Scale{Name: "test", MaxM: 200, EvalSamples: 500}, 1)
 	for _, row := range rows {
@@ -153,7 +159,7 @@ func TestRunRestrictedPoint(t *testing.T) {
 		ID:     "rrrm",
 		Title:  "tiny RRRM",
 		Points: []Point{{Workload: "anti", N: 80, D: 3, R: 6, C: 1}},
-		Algos:  []string{"HDRRM", "MDRRRr"},
+		Algos:  registered(engine.AlgoHDRRM, engine.AlgoMDRRRr),
 	}
 	rows := Run(spec, Scale{Name: "test", MaxM: 200, EvalSamples: 500}, 1)
 	for _, row := range rows {
@@ -179,19 +185,6 @@ func TestWriteTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestUnknownAlgoInRun(t *testing.T) {
-	spec := FigureSpec{
-		ID:     "bad",
-		Title:  "bad algo",
-		Points: []Point{{Workload: "indep", N: 50, D: 2, R: 3}},
-		Algos:  []string{"NOPE"},
-	}
-	rows := Run(spec, Scale{Name: "test", MaxM: 100, EvalSamples: 100}, 1)
-	if len(rows) != 1 || rows[0].Err == "" {
-		t.Errorf("unknown algorithm should produce an error row, got %+v", rows)
 	}
 }
 

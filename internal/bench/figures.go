@@ -1,5 +1,10 @@
 package bench
 
+import (
+	"github.com/rankregret/rankregret/internal/algohd"
+	"github.com/rankregret/rankregret/internal/engine"
+)
+
 // Figures returns every figure spec of the paper's evaluation at the given
 // scale. Paper-scale axis ranges follow Section VI exactly; ci-scale keeps
 // the same workloads, algorithms and defaults but shrinks n so the whole
@@ -37,12 +42,12 @@ func Figures(sc Scale) map[string]FigureSpec {
 		nsWeather = []int{40000, 80000, 120000, 160000}
 	}
 
-	twoDAlgos := []string{"2DRRM", "2DRRR"}
-	hdAlgos := []string{"HDRRM", "MDRRRr", "MDRC", "MDRMS"}
+	twoDAlgos := registered(engine.AlgoTwoDRRM, engine.AlgoTwoDRRR)
+	hdAlgos := registered(engine.AlgoHDRRM, engine.AlgoMDRRRr, engine.AlgoMDRC, engine.AlgoMDRMS)
 
 	figs := map[string]FigureSpec{}
 
-	add := func(id, title string, algos []string, points []Point) {
+	add := func(id, title string, algos []engine.Solver, points []Point) {
 		figs[id] = FigureSpec{ID: id, Title: title, Points: points, Algos: algos}
 	}
 
@@ -109,7 +114,7 @@ func Figures(sc Scale) map[string]FigureSpec {
 		for _, delta := range []float64{0.01, 0.02, 0.03, 0.05, 0.1} {
 			pts = append(pts, Point{Workload: w, N: nHDDefault, D: 4, R: 10, Delta: delta})
 		}
-		add(fmt09(22+i), "HD, impact of delta on "+w+" dataset", []string{"HDRRM"}, pts)
+		add(fmt09(22+i), "HD, impact of delta on "+w+" dataset", registered(engine.AlgoHDRRM), pts)
 	}
 
 	// --- RRRM experiments (Section VI.B.5): weak rankings with c = 2 ---
@@ -118,14 +123,14 @@ func Figures(sc Scale) map[string]FigureSpec {
 		pts = append(pts, Point{Workload: "anti", N: n, D: 4, R: 10, C: 2})
 	}
 	add("fig25", "HD, RRRM, varied dataset size on anti-correlated dataset",
-		[]string{"HDRRM", "MDRRRr"}, pts)
+		registered(engine.AlgoHDRRM, engine.AlgoMDRRRr), pts)
 
 	pts = nil
 	for d := 3; d <= 6; d++ {
 		pts = append(pts, Point{Workload: "anti", N: nHDDefault, D: d, R: 10, C: 2})
 	}
 	add("fig26", "HD, RRRM, varied dimension on anti-correlated dataset",
-		[]string{"HDRRM", "MDRRRr"}, pts)
+		registered(engine.AlgoHDRRM, engine.AlgoMDRRRr), pts)
 
 	// --- HD real datasets ---
 	pts = nil
@@ -142,17 +147,34 @@ func Figures(sc Scale) map[string]FigureSpec {
 
 	// --- Table I (the running example, for completeness) ---
 	add("table1", "Table I example: RRM on the 7-tuple dataset",
-		[]string{"2DRRM"}, []Point{{Workload: "table1", N: 7, D: 2, R: 1}})
+		registered(engine.AlgoTwoDRRM), []Point{{Workload: "table1", N: 7, D: 2, R: 1}})
 
-	// --- Ablations (beyond the paper; DESIGN.md Section 4) ---
+	// --- Ablations (beyond the paper) ---
 	pts = nil
 	for _, w := range []string{"indep", "anti"} {
 		pts = append(pts, Point{Workload: w, N: nHDDefault, D: 4, R: 10})
 	}
 	add("ablation", "HDRRM ablations: drop the basis, the polar grid, or the samples",
-		[]string{"HDRRM", "HDRRM:no-basis", "HDRRM:no-grid", "HDRRM:no-samples"}, pts)
+		append(registered(engine.AlgoHDRRM),
+			engine.VariantSolver(algohd.Variant{NoBasis: true}),
+			engine.VariantSolver(algohd.Variant{NoGrid: true}),
+			engine.VariantSolver(algohd.Variant{NoSamples: true})), pts)
 
 	return figs
+}
+
+// registered returns the registry solvers for names. The names are engine
+// constants, so a miss is a programming error.
+func registered(names ...string) []engine.Solver {
+	out := make([]engine.Solver, len(names))
+	for i, name := range names {
+		s, ok := engine.Lookup(name)
+		if !ok {
+			panic("bench: unregistered algorithm " + name)
+		}
+		out[i] = s
+	}
+	return out
 }
 
 func fmt09(i int) string {

@@ -5,7 +5,6 @@
 package cliutil
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -96,26 +95,4 @@ func LoadCSVFile(path string, header bool, negate []int, normalize bool) (*datas
 		src = f
 	}
 	return LoadCSV(src, header, negate, normalize)
-}
-
-// WriteJSONFile writes v as indented JSON to path ("-" = stdout). A failed
-// flush on close is reported, so callers never mistake a truncated file for
-// success.
-func WriteJSONFile(path string, v any) (err error) {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, cerr := os.Create(path)
-		if cerr != nil {
-			return cerr
-		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

@@ -12,7 +12,7 @@ import (
 // rows on 4 attributes). This file provides seeded simulators matching each
 // dataset's cardinality, dimensionality and — most importantly for the
 // experiments — correlation structure, which is what drives skyline size and
-// therefore output rank-regret. DESIGN.md documents the substitution.
+// therefore output rank-regret.
 
 // IslandN, NBAN and WeatherN are the cardinalities reported in the paper.
 const (

@@ -12,7 +12,7 @@ type Stats struct {
 
 // AttrStats returns per-attribute summary statistics. It is primarily used
 // to validate the workload generators (the simulated real datasets must
-// reproduce the originals' value ranges and spreads; DESIGN.md Section 5).
+// reproduce the originals' value ranges and spreads).
 func (ds *Dataset) AttrStats() []Stats {
 	d := ds.Dim()
 	n := ds.N()

@@ -84,7 +84,8 @@ func TestCorrelationMatrixSymmetric(t *testing.T) {
 
 // TestWorkloadCorrelationSigns pins the property the paper's evaluation
 // relies on: the three synthetic generators and the three simulated real
-// datasets have the right correlation structure (DESIGN.md Section 5).
+// datasets have the right correlation structure, which is what drives
+// skyline size and so output rank-regret.
 func TestWorkloadCorrelationSigns(t *testing.T) {
 	rng := func() *xrand.Rand { return xrand.New(99) }
 	cases := []struct {

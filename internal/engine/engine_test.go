@@ -41,41 +41,41 @@ func TestRegistry(t *testing.T) {
 // goldenSolve reproduces the pre-engine rankregret.Solve dispatch by
 // calling the internal algorithm entry points directly, so the golden tests
 // below assert the registry path is byte-identical to the old switch.
-func goldenSolve(ds *dataset.Dataset, r int, algo string, opts Options) (*Solution, error) {
+func goldenSolve(ctx context.Context, ds *dataset.Dataset, r int, algo string, opts Options) (*Solution, error) {
 	ho := opts.hd()
 	switch algo {
 	case "2drrm":
 		var res algo2d.Result
 		var err error
 		if opts.Space != nil {
-			res, err = algo2d.TwoDRRMRestricted(ds, r, opts.Space)
+			res, err = algo2d.TwoDRRMRestrictedCtx(ctx, ds, r, opts.Space)
 		} else {
-			res, err = algo2d.TwoDRRM(ds, r)
+			res, err = algo2d.TwoDRRMCtx(ctx, ds, r)
 		}
 		if err != nil {
 			return nil, err
 		}
 		return &Solution{IDs: res.IDs, RankRegret: res.RankRegret, Exact: true, Algorithm: algo}, nil
 	case "2drrr":
-		res, err := algo2d.TwoDRRRBaselineForRRM(ds, r)
+		res, err := algo2d.TwoDRRRBaselineForRRMCtx(ctx, ds, r)
 		if err != nil {
 			return nil, err
 		}
 		return &Solution{IDs: res.IDs, RankRegret: res.RankRegret, Exact: true, Algorithm: algo}, nil
 	case "hdrrm":
-		res, err := algohd.HDRRM(ds, r, ho)
+		res, err := algohd.HDRRMCtx(ctx, ds, r, ho)
 		if err != nil {
 			return nil, err
 		}
 		return &Solution{IDs: res.IDs, RankRegret: res.K, Algorithm: algo}, nil
 	case "mdrrrr":
-		res, err := algohd.MDRRRr(ds, r, ho)
+		res, err := algohd.MDRRRrCtx(ctx, ds, r, ho)
 		if err != nil {
 			return nil, err
 		}
 		return &Solution{IDs: res.IDs, RankRegret: res.K, Algorithm: algo}, nil
 	case "mdrms":
-		res, err := algohd.MDRMS(ds, r, ho)
+		res, err := algohd.MDRMSCtx(ctx, ds, r, ho)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +112,7 @@ func TestGoldenDispatch(t *testing.T) {
 	// identical to the golden result.
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := goldenSolve(tc.ds, tc.r, tc.algo, tc.opts)
+			want, err := goldenSolve(t.Context(), tc.ds, tc.r, tc.algo, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestSolveRRRGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok, err := algo2d.TwoDRRRExact(island, 3)
+	res, ok, err := algo2d.TwoDRRRExactCtx(t.Context(), island, 3)
 	if err != nil || !ok {
 		t.Fatalf("golden dual: %v ok=%v", err, ok)
 	}
@@ -153,7 +153,7 @@ func TestSolveRRRGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resHD, err := algohd.HDRRR(nba, 40, Options{Seed: 1, MaxSamples: 1500}.hd())
+	resHD, err := algohd.HDRRRCtx(t.Context(), nba, 40, Options{Seed: 1, MaxSamples: 1500}.hd())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestVariantSolver(t *testing.T) {
 	nba := dataset.SimNBA(xrand.New(7), 400)
 	opts := Options{Seed: 1, MaxSamples: 1000}
 	v := algohd.Variant{NoBasis: true}
-	want, err := algohd.HDRRMVariant(nba, 6, opts.hd(), v)
+	want, err := algohd.HDRRMVariantCtx(t.Context(), nba, 6, opts.hd(), v)
 	if err != nil {
 		t.Fatal(err)
 	}

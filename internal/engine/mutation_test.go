@@ -370,7 +370,9 @@ func TestRepairSpeedupCIWeather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view.EnsureTopK(k)
+	if err := view.EnsureTopKCtx(ctx, k); err != nil {
+		t.Fatal(err)
+	}
 
 	v1 := base.Snapshot()
 	appendRandomRows(v1, xrand.New(4), 16)
@@ -417,8 +419,16 @@ func TestRepairSpeedupCIWeather(t *testing.T) {
 		cold = c
 	}
 
+	repTops, err := repView.TopsCtx(ctx, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldTops, err := cold.TopsCtx(ctx, k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range []int{0, 1, repView.Len() / 2, repView.Len() - 1} {
-		if !reflect.DeepEqual(repView.Top(v, k), cold.Top(v, k)) {
+		if !reflect.DeepEqual(repTops[v][:k], coldTops[v][:k]) {
 			t.Fatalf("vector %d: repaired and cold lists differ", v)
 		}
 	}

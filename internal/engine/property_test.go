@@ -120,7 +120,7 @@ func TestSolverProperties(t *testing.T) {
 					// verify every direction is covered within K.
 					ho := opts.hd()
 					m := ho.SampleSize(ds.N(), ds.Dim(), r)
-					vs, err := algohd.BuildVecSet(ds, nil, ho.EffectiveGamma(), m, xrand.New(ho.Seed))
+					vs, err := algohd.BuildVecSetCtx(t.Context(), ds, nil, ho.EffectiveGamma(), m, xrand.New(ho.Seed))
 					if err != nil {
 						t.Fatal(err)
 					}

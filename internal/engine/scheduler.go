@@ -569,31 +569,34 @@ func (s *Scheduler) enqueue(j *job) {
 	s.reapIfClosed(j)
 }
 
-// admit takes an admission token without blocking and enqueues, failing fast
-// with ErrQueueFull when the queue is at capacity.
-func (s *Scheduler) admit(req Request, ephemeral bool, tr *obs.Trace) (*job, error) {
-	j, err := s.newJob(req, ephemeral, tr)
-	if err != nil {
-		return nil, err
-	}
+// admit takes an admission token for j without blocking and enqueues it,
+// failing fast with ErrQueueFull (and backing j out) when the queue is at
+// capacity.
+func (s *Scheduler) admit(j *job) error {
 	select {
 	case <-s.space:
 		s.enqueue(j)
-		return j, nil
+		return nil
 	default:
 		s.unregister(j, true)
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 }
 
 // Submit enqueues an asynchronous solve and returns its queued status
 // immediately. It fails fast with ErrQueueFull instead of blocking.
 func (s *Scheduler) Submit(req Request) (JobStatus, error) {
-	j, err := s.admit(req, false, nil)
+	j, err := s.newJob(req, false, nil)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	return j.status(), nil
+	// Snapshot before enqueueing: once queued, a worker may finish the job
+	// (a cache hit takes microseconds) before Submit could read it.
+	st := j.status()
+	if err := s.admit(j); err != nil {
+		return JobStatus{}, err
+	}
+	return st, nil
 }
 
 // Do admits req and waits for its result: the synchronous serving path.
@@ -602,8 +605,11 @@ func (s *Scheduler) Submit(req Request) (JobStatus, error) {
 // it is ephemeral: it never appears in Jobs() or consumes retention slots.
 // When ctx ends first the job is cancelled and ctx's error is returned.
 func (s *Scheduler) Do(ctx context.Context, req Request) (*Solution, error) {
-	j, err := s.admit(req, true, obs.TraceFrom(ctx))
+	j, err := s.newJob(req, true, obs.TraceFrom(ctx))
 	if err != nil {
+		return nil, err
+	}
+	if err := s.admit(j); err != nil {
 		return nil, err
 	}
 	select {
@@ -639,7 +645,7 @@ func (s *Scheduler) reapIfClosed(j *job) {
 }
 
 // submitWait enqueues like Submit but blocks for queue space until ctx is
-// done; Batch uses it so a large batch streams through a small queue.
+// done; BatchPartial uses it so a large batch streams through a small queue.
 func (s *Scheduler) submitWait(ctx context.Context, req Request) (*job, error) {
 	j, err := s.newJob(req, false, nil)
 	if err != nil {
@@ -746,46 +752,14 @@ func rejectedStatus(req Request, err error) JobStatus {
 	return st
 }
 
-// Batch fans a list of requests through the worker pool and waits for all
-// of them, returning one final status per request in order. Individual
-// solver failures are reported in their item's status, not as a call error;
-// the error return fires only when ctx expires or the scheduler closes, in
-// which case every outstanding job of the batch is cancelled.
-func (s *Scheduler) Batch(ctx context.Context, reqs []Request) ([]JobStatus, error) {
-	jobs := make([]*job, 0, len(reqs))
-	cancelRest := func() {
-		for _, j := range jobs {
-			j.cancel()
-		}
-	}
-	for _, req := range reqs {
-		j, err := s.submitWait(ctx, req)
-		if err != nil {
-			cancelRest()
-			return nil, err
-		}
-		jobs = append(jobs, j)
-	}
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-			cancelRest()
-			return nil, ctx.Err()
-		}
-		out[i] = j.status()
-	}
-	return out, nil
-}
-
-// BatchPartial is Batch with per-item accept/reject semantics: it always
-// returns one status per request, never a wholesale error. Items the
-// scheduler could not admit before ctx expired (or because it is draining)
-// come back in state "rejected"; items admitted but unfinished when ctx
-// expires are cancelled and report their cancellation. Completed items keep
-// their results either way — a batch that ran out of budget still returns
-// everything it finished.
+// BatchPartial fans a list of requests through the worker pool and waits
+// for all of them, returning one final status per request in order, never a
+// wholesale error. Individual solver failures are reported in their item's
+// status. Items the scheduler could not admit before ctx expired (or because
+// it is draining) come back in state "rejected"; items admitted but
+// unfinished when ctx expires are cancelled and report their cancellation.
+// Completed items keep their results either way — a batch that ran out of
+// budget still returns everything it finished.
 func (s *Scheduler) BatchPartial(ctx context.Context, reqs []Request) []JobStatus {
 	out := make([]JobStatus, len(reqs))
 	jobs := make([]*job, len(reqs))

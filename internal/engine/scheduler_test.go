@@ -110,10 +110,7 @@ func TestSchedulerBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	statuses, err := s.Batch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	statuses := s.BatchPartial(context.Background(), reqs)
 	for i, st := range statuses {
 		if st.State != JobDone {
 			t.Fatalf("job %d state %s: %s", i, st.State, st.Error)
@@ -253,8 +250,8 @@ func TestSchedulerClose(t *testing.T) {
 	}
 }
 
-// TestBatchContextCancel checks that an expiring batch context aborts the
-// call and cancels its outstanding jobs.
+// TestBatchContextCancel checks that an expiring batch context returns the
+// call and cancels its outstanding jobs, the running and the queued one.
 func TestBatchContextCancel(t *testing.T) {
 	s, b := newBlockingScheduler(t, 1, 8)
 	testBlock.cur.Store(&b)
@@ -262,17 +259,18 @@ func TestBatchContextCancel(t *testing.T) {
 	ds := dataset.Independent(xrand.New(1), 50, 3)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
+	done := make(chan []JobStatus, 1)
 	go func() {
-		_, err := s.Batch(ctx, []Request{blockReq(ds, b, 3), blockReq(ds, b, 4)})
-		done <- err
+		done <- s.BatchPartial(ctx, []Request{blockReq(ds, b, 3), blockReq(ds, b, 4)})
 	}()
 	<-b.started
 	cancel()
 	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("batch err = %v, want context.Canceled", err)
+	case statuses := <-done:
+		for i, st := range statuses {
+			if st.State != JobFailed || st.Error != context.Canceled.Error() {
+				t.Fatalf("item %d: state %s error %q, want failed with context.Canceled", i, st.State, st.Error)
+			}
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("batch did not return after ctx cancellation")

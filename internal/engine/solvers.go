@@ -9,6 +9,7 @@ import (
 	"github.com/rankregret/rankregret/internal/algohd"
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/skyline"
 )
 
@@ -48,13 +49,7 @@ func (twoDRRMSolver) Solve(ctx context.Context, ds *dataset.Dataset, r int, opts
 	if ds.Dim() != 2 {
 		return nil, ErrDimension
 	}
-	var res algo2d.Result
-	var err error
-	if opts.Space != nil {
-		res, err = algo2d.TwoDRRMRestrictedCtx(ctx, ds, r, opts.Space)
-	} else {
-		res, err = algo2d.TwoDRRMCtx(ctx, ds, r)
-	}
+	res, err := algo2d.TwoDRRMRestrictedCtx(ctx, ds, r, space2D(opts.Space))
 	if err != nil {
 		return nil, err
 	}
@@ -65,14 +60,7 @@ func (twoDRRMSolver) SolveRRR(ctx context.Context, ds *dataset.Dataset, k int, o
 	if ds.Dim() != 2 {
 		return nil, ErrDimension
 	}
-	var res algo2d.Result
-	var ok bool
-	var err error
-	if opts.Space != nil {
-		res, ok, err = algo2d.TwoDRRRExactRestrictedCtx(ctx, ds, k, opts.Space)
-	} else {
-		res, ok, err = algo2d.TwoDRRRExactCtx(ctx, ds, k)
-	}
+	res, ok, err := algo2d.TwoDRRRExactRestrictedCtx(ctx, ds, k, space2D(opts.Space))
 	if err != nil {
 		return nil, err
 	}
@@ -80,6 +68,14 @@ func (twoDRRMSolver) SolveRRR(ctx context.Context, ds *dataset.Dataset, k int, o
 		return nil, fmt.Errorf("engine: no subset achieves rank-regret %d", k)
 	}
 	return &Solution{IDs: res.IDs, RankRegret: res.RankRegret, Exact: true, Algorithm: AlgoTwoDRRM}, nil
+}
+
+// space2D defaults a nil space to the full 2D orthant (plain RRM).
+func space2D(sp funcspace.Space) funcspace.Space {
+	if sp == nil {
+		return funcspace.NewFull(2)
+	}
+	return sp
 }
 
 // sharedVecSet acquires the solve's vector set from the VecSet cache tier
@@ -93,31 +89,14 @@ func sharedVecSet(ctx context.Context, ds *dataset.Dataset, opts Options, m int)
 	return opts.VecSets.Acquire(ctx, ds, opts, m)
 }
 
-// hdrrmSolver is the paper's HDRRM (Algorithm 3) and, as a DualSolver, a
-// single ASMS pass at threshold k (Theorem 9). Both modes draw their vector
-// set from the engine's VecSet cache tier when available, so solves that
-// differ only in r or k share the expensive discretization.
-type hdrrmSolver struct{}
+// hdrrmSolver is the paper's HDRRM (Algorithm 3) — the full variant, whose
+// Solve it embeds — and, as a DualSolver, a single ASMS pass at threshold k
+// (Theorem 9). Both modes draw their vector set from the engine's VecSet
+// cache tier when available, so solves that differ only in r or k share the
+// expensive discretization.
+type hdrrmSolver struct{ variantSolver }
 
 func (hdrrmSolver) Name() string { return AlgoHDRRM }
-
-func (hdrrmSolver) Solve(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (*Solution, error) {
-	ho := opts.hd()
-	vs, err := sharedVecSet(ctx, ds, opts, ho.SampleSize(ds.N(), ds.Dim(), r))
-	if err != nil {
-		return nil, err
-	}
-	var res algohd.Result
-	if vs != nil {
-		res, err = algohd.HDRRMWithVecSetCtx(ctx, ds, r, ho, vs)
-	} else {
-		res, err = algohd.HDRRMCtx(ctx, ds, r, ho)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{IDs: res.IDs, RankRegret: res.K, Algorithm: AlgoHDRRM}, nil
-}
 
 func (hdrrmSolver) SolveRRR(ctx context.Context, ds *dataset.Dataset, k int, opts Options) (*Solution, error) {
 	ho := opts.hd()

@@ -67,11 +67,7 @@ func TestVecSetCacheConcurrentStress(t *testing.T) {
 			for i, r := range rs {
 				reqs[i] = Request{Dataset: ds, Mode: ModeRRM, RK: r, Algorithm: "hdrrm", Opts: opts}
 			}
-			statuses, err := sched.Batch(context.Background(), reqs)
-			if err != nil {
-				errc <- err
-				return
-			}
+			statuses := sched.BatchPartial(context.Background(), reqs)
 			for i, st := range statuses {
 				if st.State != JobDone {
 					errc <- fmt.Errorf("batch job %s state %s: %s", st.ID, st.State, st.Error)

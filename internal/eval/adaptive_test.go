@@ -46,7 +46,7 @@ func TestRankRegretAdaptiveFindsExact2DMax(t *testing.T) {
 	// estimation with a modest budget should reach it (the uniform
 	// estimator frequently undershoots by a rank or two at this budget).
 	ds := dataset.Anticorrelated(xrand.New(7), 1500, 2)
-	res, err := algo2d.TwoDRRM(ds, 4)
+	res, err := algo2d.TwoDRRMCtx(t.Context(), ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

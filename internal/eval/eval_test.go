@@ -37,7 +37,7 @@ func TestRankRegretSetContainingTopEverywhere(t *testing.T) {
 	// The full skyline achieves regret 1 in 2D.
 	rng := xrand.New(2)
 	ds := dataset.Independent(rng, 80, 2)
-	res, err := algo2d.TwoDRRM(ds, 80)
+	res, err := algo2d.TwoDRRMCtx(t.Context(), ds, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRatK(t *testing.T) {
 	rng := xrand.New(6)
 	ds := dataset.Independent(rng, 100, 2)
 	// The whole skyline has Rat_1 = 1.
-	res, err := algo2d.TwoDRRM(ds, 100)
+	res, err := algo2d.TwoDRRMCtx(t.Context(), ds, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRatK(t *testing.T) {
 
 func TestRatKCurve(t *testing.T) {
 	ds := dataset.Anticorrelated(xrand.New(3), 300, 2)
-	res, err := algo2d.TwoDRRM(ds, 4)
+	res, err := algo2d.TwoDRRMCtx(t.Context(), ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

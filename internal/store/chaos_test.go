@@ -42,17 +42,17 @@ func TestDegradeServeHeal(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(faultfs.Disk, 1)
 	st := openTest(t, dir, Options{Sync: SyncAlways, SnapshotEvery: -1, FS: inj, HealBackoff: 2 * time.Millisecond})
-	if err := st.Register("a", makeDS(t, 3, 6, 0.2), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 3, 6, 0.2), 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendRows("a", [][]float64{{0.1, 0.2, 0.3}}, 4); err != nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.1, 0.2, 0.3}}, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := digest(st)
 
 	// One fsync fails — a transient device hiccup — then the disk is fine.
 	inj.Arm(faultfs.Rule{Op: faultfs.OpSync, Path: segPrefix, Count: 1, Err: syscall.ENOSPC})
-	if _, err := st.AppendRows("a", [][]float64{{0.4, 0.5, 0.6}}, 4); err == nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.4, 0.5, 0.6}}, 4); err == nil {
 		t.Fatal("append through a failing fsync was acked")
 	}
 
@@ -63,7 +63,7 @@ func TestDegradeServeHeal(t *testing.T) {
 	if got := digest(st); got != want {
 		t.Fatalf("degraded store changed observable state:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if _, err := st.AppendRows("a", [][]float64{{0.7, 0.8, 0.9}}, 4); !errors.Is(err, ErrDegraded) {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.7, 0.8, 0.9}}, 4); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("degraded mutation error = %v, want ErrDegraded", err)
 	}
 
@@ -77,7 +77,7 @@ func TestDegradeServeHeal(t *testing.T) {
 
 	// Healed: mutations commit again, and everything acked — before the
 	// fault and after the heal — survives a crash.
-	if _, err := st.AppendRows("a", [][]float64{{1.0, 1.1, 1.2}}, 4); err != nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{1.0, 1.1, 1.2}}, 4); err != nil {
 		t.Fatalf("mutation after heal: %v", err)
 	}
 	want = digest(st)
@@ -103,11 +103,11 @@ func TestSnapshotENOSPCDegradesAndHeals(t *testing.T) {
 	// healer's first re-sync attempt); the third lands.
 	inj.Arm(faultfs.Rule{Op: faultfs.OpWrite, Path: snapPrefix, Count: 2, Err: syscall.ENOSPC})
 	st := openTest(t, dir, Options{Sync: SyncNever, SnapshotEvery: 3, FS: inj, HealBackoff: 2 * time.Millisecond})
-	if err := st.Register("a", makeDS(t, 2, 5, 0.3), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 5, 0.3), 4); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := st.AppendRows("a", [][]float64{{0.1 * float64(i), 0.2}}, 4); err != nil {
+		if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.1 * float64(i), 0.2}}, 4); err != nil {
 			// The threshold snapshot runs in the background; a mutation racing
 			// the degrade may already see ErrDegraded. Both are in-contract.
 			if !errors.Is(err, ErrDegraded) {
@@ -163,15 +163,15 @@ func TestTornWriteHeals(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(faultfs.Disk, 1)
 	st := openTest(t, dir, Options{Sync: SyncNever, SnapshotEvery: -1, FS: inj, HealBackoff: 2 * time.Millisecond})
-	if err := st.Register("a", makeDS(t, 2, 4, 0.4), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.4), 4); err != nil {
 		t.Fatal(err)
 	}
 	inj.Arm(faultfs.Rule{Op: faultfs.OpWrite, Path: segPrefix, Count: 1, Short: 5, Err: syscall.EIO})
-	if _, err := st.AppendRows("a", [][]float64{{0.1, 0.2}}, 4); err == nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.1, 0.2}}, 4); err == nil {
 		t.Fatal("torn append was acked")
 	}
 	waitHealthy(t, st)
-	if _, err := st.AppendRows("a", [][]float64{{0.3, 0.4}}, 4); err != nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.3, 0.4}}, 4); err != nil {
 		t.Fatalf("append after heal: %v", err)
 	}
 	want := digest(st)
@@ -186,7 +186,7 @@ func TestTornWriteHeals(t *testing.T) {
 func TestSweepStaleSnapshotTmp(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncNever})
-	if err := st.Register("a", makeDS(t, 2, 4, 0.5), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.5), 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

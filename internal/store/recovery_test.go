@@ -32,7 +32,7 @@ func TestRestartUnderLoad(t *testing.T) {
 
 	for w := 0; w < workers; w++ {
 		name := fmt.Sprintf("ds%d", w)
-		if err := st.Register(name, makeDS(t, 2, 6, float64(w)/10), 4); err != nil {
+		if err := st.RegisterCtx(t.Context(), name, makeDS(t, 2, 6, float64(w)/10), 4); err != nil {
 			t.Fatal(err)
 		}
 		if vv, ok := st.Get(name); ok {
@@ -49,9 +49,9 @@ func TestRestartUnderLoad(t *testing.T) {
 			for i := 0; i < stepsPerWorker; i++ {
 				var err error
 				if i%5 == 4 {
-					_, err = st.DeleteRows(name, []int{i % 3}, 4)
+					_, err = st.DeleteRowsCtx(t.Context(), name, []int{i % 3}, 4)
 				} else {
-					_, err = st.AppendRows(name, [][]float64{{float64(i) / stepsPerWorker, float64(w) / workers}}, 4)
+					_, err = st.AppendRowsCtx(t.Context(), name, [][]float64{{float64(i) / stepsPerWorker, float64(w) / workers}}, 4)
 				}
 				if err != nil {
 					t.Errorf("worker %d step %d: %v", w, i, err)

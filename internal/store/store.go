@@ -1005,17 +1005,12 @@ func (st *Store) RecoveredNames() []string {
 // Recovery reports what Open reconstructed.
 func (st *Store) Recovery() RecoveryInfo { return st.recovery }
 
-// Register durably (re)binds name to ds, dropping any previous history
+// RegisterCtx durably (re)binds name to ds, dropping any previous history
 // under that name. The caller must not mutate ds afterwards except through
-// the store.
-func (st *Store) Register(name string, ds *dataset.Dataset, retain int) error {
-	return st.RegisterCtx(context.Background(), name, ds, retain)
-}
-
-// RegisterCtx is Register with a request context: when ctx carries a trace,
-// the store stage (and its WAL append/fsync and snapshot cut inside) are
-// recorded as spans. The context does not cancel the mutation — durability
-// operations run to completion once started.
+// the store. When ctx carries a trace, the store stage (and its WAL
+// append/fsync and snapshot cut inside) are recorded as spans. The context
+// does not cancel the mutation — durability operations run to completion
+// once started.
 func (st *Store) RegisterCtx(ctx context.Context, name string, ds *dataset.Dataset, retain int) error {
 	defer obs.StartSpan(ctx, "store")()
 	if name == "" {
@@ -1046,12 +1041,8 @@ func (st *Store) RegisterCtx(ctx context.Context, name string, ds *dataset.Datas
 	return nil
 }
 
-// Drop durably removes name and its whole version history.
-func (st *Store) Drop(name string) error {
-	return st.DropCtx(context.Background(), name)
-}
-
-// DropCtx is Drop with a request context for trace spans (see RegisterCtx).
+// DropCtx durably removes name and its whole version history. ctx carries
+// trace spans only (see RegisterCtx).
 func (st *Store) DropCtx(ctx context.Context, name string) error {
 	defer obs.StartSpan(ctx, "store")()
 	payload, err := st.encodeEvent(Event{Kind: EventDrop, Name: name})
@@ -1120,15 +1111,10 @@ func (st *Store) mutate(ctx context.Context, name string, build func(cur *datase
 	return next, nil
 }
 
-// AppendRows durably appends rows to name's current version and publishes
-// the successor, returning it. The WAL record is written (and, under
-// SyncAlways, synced) before the new version becomes visible.
-func (st *Store) AppendRows(name string, rows [][]float64, retain int) (*dataset.Dataset, error) {
-	return st.AppendRowsCtx(context.Background(), name, rows, retain)
-}
-
-// AppendRowsCtx is AppendRows with a request context for trace spans (see
-// RegisterCtx).
+// AppendRowsCtx durably appends rows to name's current version and
+// publishes the successor, returning it. The WAL record is written (and,
+// under SyncAlways, synced) before the new version becomes visible. ctx
+// carries trace spans only (see RegisterCtx).
 func (st *Store) AppendRowsCtx(ctx context.Context, name string, rows [][]float64, retain int) (*dataset.Dataset, error) {
 	return st.mutate(ctx, name, func(cur *dataset.Dataset) (*dataset.Dataset, error) {
 		// Validation happens in the builder, so the WAL never holds an
@@ -1137,13 +1123,8 @@ func (st *Store) AppendRowsCtx(ctx context.Context, name string, rows [][]float6
 	}, Event{Kind: EventAppend, Name: name, Rows: rows}, retain)
 }
 
-// DeleteRows durably removes rows by id from name's current version and
-// publishes the successor, returning it.
-func (st *Store) DeleteRows(name string, ids []int, retain int) (*dataset.Dataset, error) {
-	return st.DeleteRowsCtx(context.Background(), name, ids, retain)
-}
-
-// DeleteRowsCtx is DeleteRows with a request context for trace spans (see
+// DeleteRowsCtx durably removes rows by id from name's current version and
+// publishes the successor, returning it. ctx carries trace spans only (see
 // RegisterCtx).
 func (st *Store) DeleteRowsCtx(ctx context.Context, name string, ids []int, retain int) (*dataset.Dataset, error) {
 	return st.mutate(ctx, name, func(cur *dataset.Dataset) (*dataset.Dataset, error) {

@@ -65,27 +65,27 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 // mutateSome drives a deterministic mixed workload against st.
 func mutateSome(t *testing.T, st *Store, retain int) {
 	t.Helper()
-	if err := st.Register("alpha", makeDS(t, 3, 8, 0.1), retain); err != nil {
+	if err := st.RegisterCtx(t.Context(), "alpha", makeDS(t, 3, 8, 0.1), retain); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Register("beta", makeDS(t, 2, 5, 0.7), retain); err != nil {
+	if err := st.RegisterCtx(t.Context(), "beta", makeDS(t, 2, 5, 0.7), retain); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := st.AppendRows("alpha", [][]float64{{0.1 * float64(i), 0.2, 0.3}}, retain); err != nil {
+		if _, err := st.AppendRowsCtx(t.Context(), "alpha", [][]float64{{0.1 * float64(i), 0.2, 0.3}}, retain); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.DeleteRows("alpha", []int{0, 2}, retain); err != nil {
+	if _, err := st.DeleteRowsCtx(t.Context(), "alpha", []int{0, 2}, retain); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendRows("beta", [][]float64{{0.5, 0.5}, {0.25, 0.75}}, retain); err != nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "beta", [][]float64{{0.5, 0.5}, {0.25, 0.75}}, retain); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Register("gamma", makeDS(t, 2, 4, 0.3), retain); err != nil {
+	if err := st.RegisterCtx(t.Context(), "gamma", makeDS(t, 2, 4, 0.3), retain); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Drop("gamma"); err != nil {
+	if err := st.DropCtx(t.Context(), "gamma"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,10 +135,10 @@ func TestRecoverWithoutCloseReplaysWAL(t *testing.T) {
 func TestRecoveredDeltaLogContinues(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncNever})
-	if err := st.Register("a", makeDS(t, 2, 6, 0.2), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 6, 0.2), 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendRows("a", [][]float64{{0.9, 0.1}}, 4); err != nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.9, 0.1}}, 4); err != nil {
 		t.Fatal(err)
 	}
 	vv, _ := st.Get("a")
@@ -164,7 +164,7 @@ func TestRecoveredDeltaLogContinues(t *testing.T) {
 	if !ok || len(deltas) != 1 || deltas[0].Kind != dataset.DeltaAppend {
 		t.Fatalf("recovered delta window broken: %+v ok=%v", deltas, ok)
 	}
-	next, err := back.AppendRows("a", [][]float64{{0.4, 0.6}}, 4)
+	next, err := back.AppendRowsCtx(t.Context(), "a", [][]float64{{0.4, 0.6}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestRecoveredDeltaLogContinues(t *testing.T) {
 func TestRetainWindowRecovered(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncNever, Retain: 3})
-	if err := st.Register("a", makeDS(t, 2, 4, 0.5), 3); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.5), 3); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		if _, err := st.AppendRows("a", [][]float64{{float64(i) / 7, 0.5}}, 3); err != nil {
+		if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{float64(i) / 7, 0.5}}, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,11 +199,11 @@ func TestRetainWindowRecovered(t *testing.T) {
 func TestSnapshotEveryBoundsReplayAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncNever, SnapshotEvery: 5, SegmentBytes: 512})
-	if err := st.Register("a", makeDS(t, 2, 4, 0.5), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.5), 4); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 23; i++ {
-		if _, err := st.AppendRows("a", [][]float64{{float64(i) / 23, 0.5}}, 4); err != nil {
+		if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{float64(i) / 23, 0.5}}, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,25 +305,25 @@ func TestMutationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Register("a", makeDS(t, 2, 2, 0.5), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 2, 0.5), 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendRows("nosuch", [][]float64{{1, 2}}, 4); !errors.Is(err, ErrUnknownDataset) {
+	if _, err := st.AppendRowsCtx(t.Context(), "nosuch", [][]float64{{1, 2}}, 4); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("append to unknown: %v", err)
 	}
-	if _, err := st.DeleteRows("a", []int{0, 1}, 4); !errors.Is(err, ErrWouldEmpty) {
+	if _, err := st.DeleteRowsCtx(t.Context(), "a", []int{0, 1}, 4); !errors.Is(err, ErrWouldEmpty) {
 		t.Errorf("delete-all: %v", err)
 	}
-	if _, err := st.AppendRows("a", [][]float64{{1}}, 4); err == nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{1}}, 4); err == nil {
 		t.Error("ragged append accepted")
 	}
-	if _, err := st.DeleteRows("a", []int{5}, 4); err == nil {
+	if _, err := st.DeleteRowsCtx(t.Context(), "a", []int{5}, 4); err == nil {
 		t.Error("out-of-range delete accepted")
 	}
-	if err := st.Drop("nosuch"); !errors.Is(err, ErrUnknownDataset) {
+	if err := st.DropCtx(t.Context(), "nosuch"); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("drop unknown: %v", err)
 	}
-	if err := st.Register("", makeDS(t, 2, 2, 0.5), 4); err == nil {
+	if err := st.RegisterCtx(t.Context(), "", makeDS(t, 2, 2, 0.5), 4); err == nil {
 		t.Error("empty name accepted")
 	}
 	vv, _ := st.Get("a")
@@ -335,7 +335,7 @@ func TestMutationErrors(t *testing.T) {
 func TestClosedStoreRejectsMutations(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncNever})
-	if err := st.Register("a", makeDS(t, 2, 2, 0.5), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 2, 0.5), 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -344,10 +344,10 @@ func TestClosedStoreRejectsMutations(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if _, err := st.AppendRows("a", [][]float64{{1, 2}}, 4); !errors.Is(err, ErrClosed) {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{1, 2}}, 4); !errors.Is(err, ErrClosed) {
 		t.Errorf("append after close: %v", err)
 	}
-	if err := st.Register("b", makeDS(t, 2, 2, 0.5), 4); !errors.Is(err, ErrClosed) {
+	if err := st.RegisterCtx(t.Context(), "b", makeDS(t, 2, 2, 0.5), 4); !errors.Is(err, ErrClosed) {
 		t.Errorf("register after close: %v", err)
 	}
 }
@@ -355,7 +355,7 @@ func TestClosedStoreRejectsMutations(t *testing.T) {
 func TestSyncIntervalPolicy(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncInterval, SyncInterval: 5 * time.Millisecond})
-	if err := st.Register("a", makeDS(t, 2, 3, 0.5), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 3, 0.5), 4); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -398,13 +398,13 @@ func TestParseSyncPolicy(t *testing.T) {
 func TestRegisterReplaces(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncNever})
-	if err := st.Register("a", makeDS(t, 2, 3, 0.1), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 3, 0.1), 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendRows("a", [][]float64{{0.5, 0.5}}, 4); err != nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.5, 0.5}}, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Register("a", makeDS(t, 3, 2, 0.9), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 3, 2, 0.9), 4); err != nil {
 		t.Fatal(err)
 	}
 	want := digest(st)

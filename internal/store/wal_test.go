@@ -73,14 +73,15 @@ func buildCorpus(t *testing.T) (segPath string, boundaries []int64, digests []st
 		}
 		record()
 	}
-	apply(func() error { return st.Register("a", makeDS(t, 2, 5, 0.1), 4) })
-	apply(func() error { _, err := st.AppendRows("a", [][]float64{{0.3, 0.7}}, 4); return err })
-	apply(func() error { _, err := st.AppendRows("a", [][]float64{{0.9, 0.1}, {0.2, 0.8}}, 4); return err })
-	apply(func() error { return st.Register("b", makeDS(t, 3, 4, 0.6), 4) })
-	apply(func() error { _, err := st.DeleteRows("a", []int{1, 3}, 4); return err })
-	apply(func() error { _, err := st.AppendRows("b", [][]float64{{0.1, 0.2, 0.3}}, 4); return err })
-	apply(func() error { return st.Drop("b") })
-	apply(func() error { _, err := st.DeleteRows("a", []int{0}, 4); return err })
+	ctx := t.Context()
+	apply(func() error { return st.RegisterCtx(ctx, "a", makeDS(t, 2, 5, 0.1), 4) })
+	apply(func() error { _, err := st.AppendRowsCtx(ctx, "a", [][]float64{{0.3, 0.7}}, 4); return err })
+	apply(func() error { _, err := st.AppendRowsCtx(ctx, "a", [][]float64{{0.9, 0.1}, {0.2, 0.8}}, 4); return err })
+	apply(func() error { return st.RegisterCtx(ctx, "b", makeDS(t, 3, 4, 0.6), 4) })
+	apply(func() error { _, err := st.DeleteRowsCtx(ctx, "a", []int{1, 3}, 4); return err })
+	apply(func() error { _, err := st.AppendRowsCtx(ctx, "b", [][]float64{{0.1, 0.2, 0.3}}, 4); return err })
+	apply(func() error { return st.DropCtx(ctx, "b") })
+	apply(func() error { _, err := st.DeleteRowsCtx(ctx, "a", []int{0}, 4); return err })
 	// No Close: the segment must stay exactly as the workload left it.
 	return segPath, boundaries, digests
 }
@@ -192,22 +193,22 @@ func TestWALWedgesAfterWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(faultfs.Disk, 1)
 	st := openTest(t, dir, Options{Sync: SyncAlways, SnapshotEvery: -1, FS: inj, HealBackoff: 2 * time.Millisecond})
-	if err := st.Register("a", makeDS(t, 2, 4, 0.5), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.5), 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendRows("a", [][]float64{{0.1, 0.2}}, 4); err != nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.1, 0.2}}, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := digest(st)
 	// The disk goes away and stays away: every WAL write fails from here on,
 	// including the heal loop's attempts to open a fresh segment.
 	inj.Arm(faultfs.Rule{Op: faultfs.OpWrite, Path: segPrefix, Err: syscall.EIO})
-	if _, err := st.AppendRows("a", [][]float64{{0.3, 0.4}}, 4); err == nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.3, 0.4}}, 4); err == nil {
 		t.Fatal("append with a broken WAL succeeded")
 	}
 	// Wedged and degraded: later mutations must keep failing rather than
 	// append after whatever the failed write left behind.
-	if _, err := st.AppendRows("a", [][]float64{{0.5, 0.6}}, 4); err == nil ||
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.5, 0.6}}, 4); err == nil ||
 		!errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "refusing further writes") {
 		t.Fatalf("writer not wedged after failure: %v", err)
 	}
@@ -238,12 +239,12 @@ func TestSegmentGapStopsReplay(t *testing.T) {
 	// segment i exactly.
 	st := openTest(t, dir, Options{Sync: SyncNever, SnapshotEvery: -1, SegmentBytes: 1})
 	var digests []string
-	if err := st.Register("a", makeDS(t, 2, 4, 0.5), 8); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.5), 8); err != nil {
 		t.Fatal(err)
 	}
 	digests = append(digests, digest(st))
 	for i := 0; i < 4; i++ {
-		if _, err := st.AppendRows("a", [][]float64{{float64(i) / 4, 0.5}}, 8); err != nil {
+		if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{float64(i) / 4, 0.5}}, 8); err != nil {
 			t.Fatal(err)
 		}
 		digests = append(digests, digest(st))
@@ -270,7 +271,7 @@ func TestSegmentGapStopsReplay(t *testing.T) {
 func TestAcksDurableAcrossSecondRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncAlways, SnapshotEvery: -1})
-	if err := st.Register("a", makeDS(t, 2, 4, 0.5), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.5), 4); err != nil {
 		t.Fatal(err)
 	}
 	// Crash #1 tears the live segment's tail.
@@ -288,7 +289,7 @@ func TestAcksDurableAcrossSecondRestart(t *testing.T) {
 	if !mid.Recovery().TornTail {
 		t.Fatalf("expected torn recovery: %+v", mid.Recovery())
 	}
-	if _, err := mid.AppendRows("a", [][]float64{{0.9, 0.1}}, 4); err != nil {
+	if _, err := mid.AppendRowsCtx(t.Context(), "a", [][]float64{{0.9, 0.1}}, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := digest(mid)
@@ -307,10 +308,10 @@ func TestAcksDurableAcrossSecondRestart(t *testing.T) {
 func TestReplayHaltsAtUnappliableRecord(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{Sync: SyncNever, SnapshotEvery: -1, SegmentBytes: 1 << 30})
-	if err := st.Register("a", makeDS(t, 2, 4, 0.5), 4); err != nil {
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.5), 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendRows("a", [][]float64{{0.1, 0.2}}, 4); err != nil {
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.1, 0.2}}, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := digest(st)

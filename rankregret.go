@@ -205,7 +205,9 @@ func MixturePreference(weights []float64, samplers []Sampler) (Sampler, error) {
 // HDRRMVariant selects an HDRRM ablation for SolveVariant: the zero value
 // is the full algorithm, and each field removes one ingredient (the forced
 // basis, the polar grid Db, or the sampled directions Da). Ablations give
-// up parts of Theorem 10's guarantee; see EXPERIMENTS.md.
+// up parts of Theorem 10's guarantee: the basis carries Theorem 7's
+// worst-case bound, the grid its deterministic closeness, and the samples
+// Theorem 6's distributional bound.
 type HDRRMVariant = algohd.Variant
 
 // SolveVariant runs an HDRRM ablation (see HDRRMVariant). Library users
@@ -473,8 +475,9 @@ func RatKCurve(ds *Dataset, ids []int, space Space, ks []int, samples int, seed 
 	return eval.RatKCurve(ds, ids, space, ks, samples, seed)
 }
 
-// Workload generators (Borzsony-style synthetic data plus the simulated
-// real datasets; see DESIGN.md Section 5 for the substitution rationale).
+// Workload generators (Borzsony-style synthetic data plus simulated stand-ins
+// for the paper's real datasets, which are not shipped here; each matches
+// its original's size, dimension and correlation structure).
 
 // GenerateIndependent returns n tuples with d independently uniform
 // attributes.
