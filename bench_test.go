@@ -33,7 +33,7 @@ func benchPoint(b *testing.B, p bench.Point, algo rankregret.Algorithm) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rankregret.Solve(ds, p.R, opts); err != nil {
+		if _, err := rankregret.Solve(b.Context(), ds, p.R, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func BenchmarkAblation(b *testing.B) {
 	} {
 		b.Run(v.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rankregret.SolveVariant(ds, 10, &rankregret.Options{MaxSamples: bench.CIScale.MaxM}, v); err != nil {
+				if _, err := rankregret.SolveVariant(b.Context(), ds, 10, &rankregret.Options{MaxSamples: bench.CIScale.MaxM}, v); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -81,9 +81,9 @@ func run() error {
 
 	var sol *rankregret.Solution
 	if *r > 0 {
-		sol, err = rankregret.SolveContext(ctx, ds, *r, opts)
+		sol, err = rankregret.Solve(ctx, ds, *r, opts)
 	} else {
-		sol, err = rankregret.SolveRRRContext(ctx, ds, *k, opts)
+		sol, err = rankregret.SolveRRR(ctx, ds, *k, opts)
 	}
 	if err != nil {
 		return err

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/engine"
 	"github.com/rankregret/rankregret/internal/faultfs"
 	"github.com/rankregret/rankregret/internal/loadgen"
 	"github.com/rankregret/rankregret/internal/obs/obstest"
@@ -23,34 +22,32 @@ import (
 // newChaosServer boots an in-process rrmd over a durable store whose disk
 // operations route through fs (normally a faultfs.Injector, armed by the
 // test after this setup traffic has passed). Heal backoff is tightened so
-// recovery happens on test timescales.
+// recovery happens on test timescales, and retention is generous so heavy
+// chaos mutation never ages out the versions pinned-read events are about to
+// solve against.
 func newChaosServer(t *testing.T, dir string, fs faultfs.FS) (*Server, *httptest.Server, *store.Store) {
 	t.Helper()
-	st, err := store.Open(store.Options{
+	srv, ts, st := newDurableServer(t, chaosStoreOptions(t, dir, fs))
+	if err := srv.AddDataset(t.Context(), "island", dataset.SimIsland(xrand.New(1), 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddDataset(t.Context(), "nba", dataset.SimNBA(xrand.New(1), 200)); err != nil {
+		t.Fatal(err)
+	}
+	return srv, ts, st
+}
+
+// chaosStoreOptions is the store configuration of a chaos server over dir.
+func chaosStoreOptions(t *testing.T, dir string, fs faultfs.FS) store.Options {
+	return store.Options{
 		Dir:            dir,
 		Sync:           store.SyncAlways,
 		FS:             fs,
 		HealBackoff:    5 * time.Millisecond,
 		HealMaxBackoff: 50 * time.Millisecond,
 		Logger:         obstest.Logger(t),
-	})
-	if err != nil {
-		t.Fatal(err)
+		Retain:         64,
 	}
-	srv := NewServerWith(st, 0, 30*time.Second, 0, 0)
-	t.Cleanup(srv.Close)
-	// Generous retention so heavy chaos mutation never ages out the versions
-	// pinned-read events are about to solve against.
-	srv.RetainVersions = 64
-	if err := srv.AddDataset("island", dataset.SimIsland(xrand.New(1), 200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddDataset("nba", dataset.SimNBA(xrand.New(1), 200)); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts, st
 }
 
 // waitStoreHealthy blocks until the store's self-healing loop reports
@@ -183,7 +180,7 @@ func TestChaosMidLoadFaultServesAndHeals(t *testing.T) {
 	// Reopen without re-registering: startup loads would durably replace the
 	// recovered histories (the daemon's skipRecovered guard exists for the
 	// same reason).
-	_, ts2, st2 := newDurableServer(t, dir, store.SyncAlways)
+	_, ts2, st2 := newDurableServer(t, chaosStoreOptions(t, dir, nil))
 	if rec := st2.Recovery(); rec.Datasets != 2 || rec.TornTail {
 		t.Fatalf("post-chaos recovery: %+v", rec)
 	}
@@ -283,7 +280,7 @@ func TestChaosDegradedEndpoints(t *testing.T) {
 // whose scheduler has begun draining (store still fine) reports 503
 // {"state":"draining"} so load balancers stop routing to it during shutdown.
 func TestHealthzDrainingState(t *testing.T) {
-	srv, ts := newServingServer(t, 0, 0, 0, engine.FIFO{})
+	srv, ts := newServingServer(t, Config{})
 	if err := srv.sched.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}

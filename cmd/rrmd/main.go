@@ -49,7 +49,6 @@ import (
 
 	"github.com/rankregret/rankregret/internal/cliutil"
 	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/engine"
 	"github.com/rankregret/rankregret/internal/faultfs"
 	"github.com/rankregret/rankregret/internal/obs"
 	"github.com/rankregret/rankregret/internal/store"
@@ -78,10 +77,9 @@ func run(args []string) error {
 		cacheSize = fs.Int("cache", 0, "solution cache capacity (0 = default, negative = disabled)")
 		workers   = fs.Int("workers", 0, "job scheduler worker count (0 = GOMAXPROCS)")
 		queueCap  = fs.Int("queue", 0, "job scheduler queue capacity (0 = default 256); a full queue rejects with 429 + Retry-After")
-		policy    = fs.String("policy", "affinity", "queue scheduling policy: fifo (strict arrival order) or affinity (warm-cache jobs first under pressure; results identical, only latency ordering moves)")
 		queueWait = fs.Duration("queue-wait", 0, "queue-wait budget for synchronous solves before a 429 (0 = same as -timeout); the solve's own timeout starts when it leaves the queue")
 		solvePar  = fs.Int("solve-parallelism", 0, "default per-solve worker bound for HDRRM scoring passes (0 = GOMAXPROCS); requests override with the parallelism field")
-		retainVer = fs.Int("retain-versions", DefaultRetainVersions, "dataset versions kept solvable per name (older versions age out)")
+		retainVer = fs.Int("retain-versions", store.DefaultRetain, "dataset versions kept solvable per name (older versions age out)")
 		traceSlow = fs.Duration("trace-slow", 0, "log the per-stage span breakdown (queue/cache/build/solve/store) of every request slower than this (0 = off); traces are always retrievable at /v1/trace/{id}")
 		demo      = fs.Bool("demo", false, "preload the simulated paper datasets (simisland, simnba, simweather)")
 		seed      = fs.Int64("seed", 1, "seed for -demo dataset generation")
@@ -186,31 +184,28 @@ func run(args []string) error {
 		return err
 	}
 
-	pol, ok := engine.PolicyByName(*policy)
-	if !ok {
+	srv, err := NewServer(st, Config{
+		CacheSize:        *cacheSize,
+		MaxTimeout:       *timeout,
+		Workers:          *workers,
+		QueueCap:         *queueCap,
+		MaxUploadBytes:   *maxUpload,
+		SolveParallelism: *solvePar,
+		QueueWait:        *queueWait,
+		TraceSlow:        *traceSlow,
+		Logger:           logger,
+		LogRing:          logRing,
+		TraceRing:        *traceRing,
+		IncidentDir:      *incidentDir,
+		SLOSpecs:         sloSpecs,
+	})
+	if err != nil {
 		if cerr := st.Close(); cerr != nil {
 			logger.Error("rrmd: closing store failed", "err", cerr)
 		}
-		return fmt.Errorf("unknown -policy %q (want fifo or affinity)", *policy)
-	}
-
-	srv := NewServerWith(st, *cacheSize, *timeout, *workers, *queueCap)
-	defer srv.Close()
-	srv.MaxUploadBytes = *maxUpload
-	srv.SolveParallelism = *solvePar
-	srv.RetainVersions = *retainVer
-	srv.QueueWait = *queueWait
-	srv.TraceSlow = *traceSlow
-	srv.SetPolicy(pol)
-	if err := srv.SetupObs(ObsOptions{
-		Logger:      logger,
-		LogRing:     logRing,
-		TraceRing:   *traceRing,
-		IncidentDir: *incidentDir,
-		SLOSpecs:    sloSpecs,
-	}); err != nil {
 		return err
 	}
+	defer srv.Close()
 	// Startup loads must not clobber what recovery just rebuilt: a daemon
 	// restarted with its usual -load/-demo flags keeps the recovered
 	// version history (with every durably-acked mutation) rather than
@@ -240,7 +235,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("loading %q: %w", spec, err)
 		}
-		if err := srv.AddDataset(name, ds); err != nil {
+		if err := srv.AddDataset(context.Background(), name, ds); err != nil {
 			return err
 		}
 		logger.Info("rrmd: loaded dataset", "dataset", name, "n", ds.N(), "d", ds.Dim())
@@ -255,7 +250,7 @@ func run(args []string) error {
 				continue
 			}
 			ds := gen(xrand.New(*seed), 0)
-			if err := srv.AddDataset(name, ds); err != nil {
+			if err := srv.AddDataset(context.Background(), name, ds); err != nil {
 				return err
 			}
 			logger.Info("rrmd: loaded demo dataset", "dataset", name, "n", ds.N(), "d", ds.Dim())

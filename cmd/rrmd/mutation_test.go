@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/store"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
@@ -94,7 +95,7 @@ func TestMutationEndpointsGolden(t *testing.T) {
 	fresh := dataset.SimIsland(xrand.New(1), 400)
 	fresh.Append(rows[0])
 	fresh.Append(rows[1])
-	if err := srv2.AddDataset("island2", fresh); err != nil {
+	if err := srv2.AddDataset(t.Context(), "island2", fresh); err != nil {
 		t.Fatal(err)
 	}
 	resp, body = postJSON(t, ts2.URL+"/v1/solve", solveRequest{Dataset: "island2", R: 5})
@@ -212,7 +213,7 @@ func TestVersionZeroDatasetsArePinnable(t *testing.T) {
 	if derived.Version() != 0 {
 		t.Fatal("test premise: Clone should be at version 0")
 	}
-	if err := srv.AddDataset("derived", derived); err != nil {
+	if err := srv.AddDataset(t.Context(), "derived", derived); err != nil {
 		t.Fatal(err)
 	}
 	cur, _ := srv.dataset("derived")
@@ -237,8 +238,7 @@ func TestVersionZeroDatasetsArePinnable(t *testing.T) {
 // TestVersionRetentionAgesOut mutates past the retention cap and checks old
 // versions stop resolving with 410 while retained ones still solve.
 func TestVersionRetentionAgesOut(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.RetainVersions = 3
+	srv, ts := newTestServerOn(t, store.Options{Retain: 3}, Config{})
 	ds0, _ := srv.dataset("island")
 	v0 := ds0.Version()
 	for i := 0; i < 4; i++ {
@@ -273,8 +273,7 @@ func TestVersionRetentionAgesOut(t *testing.T) {
 // content — verified by re-solving the pinned version — and nothing may
 // race (the -race CI job runs this test).
 func TestConcurrentMutateWhileSolve(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.RetainVersions = 16
+	srv, ts := newTestServerOn(t, store.Options{Retain: 16}, Config{})
 
 	const (
 		mutators = 2

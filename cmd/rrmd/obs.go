@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"strconv"
@@ -17,14 +16,18 @@ import (
 // GET /v1/trace/{id} and GET /v1/traces (the -trace-ring flag overrides).
 const DefaultTraceRing = 256
 
-// instrument wires the server's one metrics registry: latency histograms
-// recorded by the engine, scheduler, and store, plus scrape-time collectors
-// over the exact same subsystem snapshots /v1/metrics serializes — one
-// source of truth, two renderings. Called once by NewServerWith.
-func (s *Server) instrument() {
+// instrument wires the server's observability: the one metrics registry
+// (latency histograms recorded by the engine, scheduler, and store, plus
+// scrape-time collectors over the exact same subsystem snapshots
+// /v1/metrics serializes — one source of truth, two renderings), the trace
+// ring, the SLO engine over the latency histograms, and the anomaly flight
+// recorder (slow requests, SLO fast burns, store health transitions).
+// Called once by NewServer, before the server serves traffic — the fields
+// it sets are read without locks on request paths.
+func (s *Server) instrument() error {
 	reg := obs.NewRegistry()
 	s.obs = reg
-	s.traces = obs.NewTraceRing(DefaultTraceRing)
+	s.traces = obs.NewTraceRing(s.cfg.TraceRing)
 	s.eng.Instrument(reg)
 	s.sched.Instrument(reg)
 	s.store.Instrument(reg)
@@ -95,75 +98,13 @@ func (s *Server) instrument() {
 		func() float64 { return float64(s.store.Summary().SnapshotLag) })
 	reg.GaugeFunc("rrmd_store_degraded", "1 while the store is degraded (mutations rejected, healer active).",
 		func() float64 { return b2f(s.store.Summary().State == store.HealthDegraded) })
-}
 
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// ObsOptions configures the daemon-level observability wired by SetupObs:
-// the shared structured logger, the trace and incident rings, and the SLO
-// burn-rate engine.
-type ObsOptions struct {
-	// Logger is the daemon's structured logger (nil = keep the current one).
-	Logger *slog.Logger
-	// LogRing is the ring Logger tees into (see obs.NewLogger); incident
-	// bundles carry its tail. Optional.
-	LogRing *obs.LogRing
-	// TraceRing resizes the retained-trace ring (0 = keep DefaultTraceRing).
-	TraceRing int
-	// IncidentDir, when set, receives every incident bundle as JSON.
-	IncidentDir string
-	// IncidentCapacity bounds the incident ring (0 = recorder default).
-	IncidentCapacity int
-	// IncidentMinGap rate-limits captures per trigger (0 = recorder default).
-	IncidentMinGap time.Duration
-	// SLOSpecs declares the objectives ("solve:p99<250ms@99.9"); nil = the
-	// stock defaults for solve, mutate, and scrape.
-	SLOSpecs []string
-	// SLO tunes the engine (windows, thresholds, clock) — Registry and
-	// OnFastBurn are owned by the server and overwritten.
-	SLO slo.Config
-}
-
-// SetupObs wires the flag-driven observability surface: structured logging
-// with request correlation, the anomaly flight recorder (slow requests, SLO
-// fast burns, store health transitions), and the SLO engine over the latency
-// histograms instrument() registered. Call once, before the server serves
-// traffic — the fields it sets are read without locks on request paths.
-func (s *Server) SetupObs(o ObsOptions) error {
-	if o.Logger != nil {
-		s.logger = o.Logger
-		s.sched.SetLogger(o.Logger)
-	}
-	s.logRing = o.LogRing
-	if o.TraceRing > 0 {
-		s.traces = obs.NewTraceRing(o.TraceRing)
-	}
-	if o.IncidentDir != "" {
-		if err := os.MkdirAll(o.IncidentDir, 0o755); err != nil {
-			return fmt.Errorf("rrmd: creating -incident-dir: %w", err)
-		}
-	}
-	s.recorder = obs.NewRecorder(obs.RecorderConfig{
-		Capacity: o.IncidentCapacity,
-		Dir:      o.IncidentDir,
-		MinGap:   o.IncidentMinGap,
-		Registry: s.obs,
-		LogRing:  o.LogRing,
-		Logger:   s.logger,
-	})
-	s.store.OnHealthChange(func(h store.HealthState) {
-		s.recorder.Capture("store_health", "store transitioned to "+string(h), nil)
-	})
-
-	cfg := o.SLO
-	cfg.Registry = s.obs
+	// The SLO engine and the SLO-spec checks come before the recorder, so a
+	// bad spec fails NewServer before the store's health hook points here.
+	cfg := s.cfg.SLO
+	cfg.Registry = reg
 	cfg.OnFastBurn = func(st slo.Status) {
-		s.logger.Error("rrmd: SLO fast-burn alarm",
+		s.cfg.Logger.Error("rrmd: SLO fast-burn alarm",
 			"objective", st.Name, "burn_rate_fast", st.BurnRateFast,
 			"burn_rate_slow", st.BurnRateSlow, "compliance", st.Compliance)
 		// Attach the most recent retained trace: under a burn it is almost
@@ -175,30 +116,49 @@ func (s *Server) SetupObs(o ObsOptions) error {
 		s.recorder.Capture("slo_fast_burn",
 			fmt.Sprintf("objective %s burning at %.1fx budget", st.Name, st.BurnRateFast), tr)
 	}
-	eng := slo.New(cfg)
-	eng.Register("solve", s.solveDur.Snapshot)
-	eng.Register("mutate", s.mutateDur.Snapshot)
-	eng.Register("scrape", s.scrapeDur.Snapshot)
-	specs := o.SLOSpecs
-	if len(specs) == 0 {
-		for _, obj := range slo.DefaultObjectives() {
-			if err := eng.Add(obj); err != nil {
-				return err
-			}
-		}
-	} else {
-		for _, spec := range specs {
+	s.sloEng = slo.New(cfg)
+	s.sloEng.Register("solve", s.solveDur.Snapshot)
+	s.sloEng.Register("mutate", s.mutateDur.Snapshot)
+	s.sloEng.Register("scrape", s.scrapeDur.Snapshot)
+	objectives := slo.DefaultObjectives()
+	if len(s.cfg.SLOSpecs) > 0 {
+		objectives = objectives[:0]
+		for _, spec := range s.cfg.SLOSpecs {
 			obj, err := slo.ParseObjective(spec)
 			if err != nil {
 				return err
 			}
-			if err := eng.Add(obj); err != nil {
-				return err
-			}
+			objectives = append(objectives, obj)
 		}
 	}
-	s.sloEng = eng
+	for _, obj := range objectives {
+		if err := s.sloEng.Add(obj); err != nil {
+			return err
+		}
+	}
+
+	if s.cfg.IncidentDir != "" {
+		if err := os.MkdirAll(s.cfg.IncidentDir, 0o755); err != nil {
+			return fmt.Errorf("rrmd: creating -incident-dir: %w", err)
+		}
+	}
+	s.recorder = obs.NewRecorder(obs.RecorderConfig{
+		Dir:      s.cfg.IncidentDir,
+		Registry: reg,
+		LogRing:  s.cfg.LogRing,
+		Logger:   s.cfg.Logger,
+	})
+	s.store.OnHealthChange(func(h store.HealthState) {
+		s.recorder.Capture("store_health", "store transitioned to "+string(h), nil)
+	})
 	return nil
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // withObs is the edge middleware: it mints the request id (honoring an
@@ -222,17 +182,15 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 			return
 		}
 		s.traces.Put(tr)
-		if s.TraceSlow > 0 && total >= s.TraceSlow {
-			s.logger.Warn("rrmd: slow request",
+		if slow := s.cfg.TraceSlow; slow > 0 && total >= slow {
+			s.cfg.Logger.Warn("rrmd: slow request",
 				"method", r.Method, "path", r.URL.Path, "request_id", id,
 				"dataset", tr.Annotation("dataset"),
 				"total_ms", float64(total)/float64(time.Millisecond),
 				"breakdown", tr.Breakdown())
-			if s.recorder != nil {
-				s.recorder.Capture("slow_request",
-					fmt.Sprintf("%s %s took %.2fms (threshold %s)",
-						r.Method, r.URL.Path, float64(total)/float64(time.Millisecond), s.TraceSlow), tr)
-			}
+			s.recorder.Capture("slow_request",
+				fmt.Sprintf("%s %s took %.2fms (threshold %s)",
+					r.Method, r.URL.Path, float64(total)/float64(time.Millisecond), slow), tr)
 		}
 	})
 }
@@ -246,12 +204,10 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 // /v1/slo read once traffic quiesces.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if s.sloEng != nil {
-		s.sloEng.Eval()
-	}
+	s.sloEng.Eval()
 	w.Header().Set("Content-Type", obs.ExpositionContentType)
 	if err := s.obs.WritePrometheus(w); err != nil {
-		s.logger.Warn("rrmd: writing /metrics failed", "err", err)
+		s.cfg.Logger.Warn("rrmd: writing /metrics failed", "err", err)
 		return
 	}
 	s.scrapeDur.ObserveSince(start)
@@ -261,10 +217,6 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /v1/slo
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if s.sloEng == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("SLO engine not configured (start rrmd with -slo or defaults via SetupObs)"))
-		return
-	}
 	writeOK(w, http.StatusOK, map[string]any{"objectives": s.sloEng.Eval()})
 }
 
@@ -282,10 +234,6 @@ type incidentSummary struct {
 //
 //	GET /v1/incidents?n=20
 func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	if s.recorder == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("flight recorder not configured (SetupObs was not called)"))
-		return
-	}
 	n := 20
 	if v := r.URL.Query().Get("n"); v != "" {
 		p, err := strconv.Atoi(v)
@@ -307,10 +255,6 @@ func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /v1/incidents/{id}
 func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
-	if s.recorder == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("flight recorder not configured (SetupObs was not called)"))
-		return
-	}
 	id := r.PathValue("id")
 	inc, ok := s.recorder.Get(id)
 	if !ok {

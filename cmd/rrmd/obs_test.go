@@ -160,8 +160,8 @@ func TestPrometheusScrapeCoherentUnderLoad(t *testing.T) {
 	if v, _ := final.Value("rrmd_solve_duration_seconds_count"); v == 0 {
 		t.Error("no end-to-end solve latency was recorded under load")
 	}
-	if v, _ := final.Value(`rrmd_queue_wait_seconds_count{policy="fifo"}`); v == 0 {
-		t.Error("no queue-wait latency was recorded for the fifo policy")
+	if v, _ := final.Value("rrmd_queue_wait_seconds_count"); v == 0 {
+		t.Error("no queue-wait latency was recorded")
 	}
 	if v, _ := final.Value(`rrmd_solve_stage_duration_seconds_count{stage="solve"}`); v == 0 {
 		t.Error("no per-stage solve latency was recorded")
@@ -220,7 +220,7 @@ func TestJSONMetricsMatchesPrometheus(t *testing.T) {
 // unattributed).
 func TestTraceBreakdown(t *testing.T) {
 	srv, ts := newTestServer(t)
-	if err := srv.AddDataset("weather", dataset.SimWeather(xrand.New(1), 4000)); err != nil {
+	if err := srv.AddDataset(t.Context(), "weather", dataset.SimWeather(xrand.New(1), 4000)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -347,9 +347,8 @@ func TestSolveBitIdenticalWithTracing(t *testing.T) {
 	}
 }
 
-// TestHealthSingleSnapshot pins the /healthz shape after the one-snapshot
-// rewrite: the cache digest in the body must be the same object the metrics
-// body carries, not a second racy read.
+// TestHealthSingleSnapshot pins the /healthz shape: one metrics snapshot
+// carries the cache counters, and no second cache digest sits beside it.
 func TestHealthSingleSnapshot(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -361,9 +360,9 @@ func TestHealthSingleSnapshot(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 	var hz struct {
-		OK      bool            `json:"ok"`
-		State   string          `json:"state"`
-		Cache   json.RawMessage `json:"cache"`
+		OK      bool             `json:"ok"`
+		State   string           `json:"state"`
+		Cache   *json.RawMessage `json:"cache"`
 		Metrics struct {
 			Engine struct {
 				Solutions json.RawMessage `json:"solutions"`
@@ -376,7 +375,10 @@ func TestHealthSingleSnapshot(t *testing.T) {
 	if !hz.OK || hz.State != "healthy" {
 		t.Fatalf("healthz = ok=%v state=%q, want healthy", hz.OK, hz.State)
 	}
-	if string(hz.Cache) != string(hz.Metrics.Engine.Solutions) {
-		t.Errorf("healthz cache digest %s disagrees with its own metrics body %s", hz.Cache, hz.Metrics.Engine.Solutions)
+	if hz.Cache != nil {
+		t.Errorf("healthz carries a cache digest %s beside its metrics body", *hz.Cache)
+	}
+	if len(hz.Metrics.Engine.Solutions) == 0 {
+		t.Error("healthz metrics body has no engine.solutions block")
 	}
 }

@@ -20,15 +20,14 @@ import (
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
-// newDurableServer opens a store over dir and serves it.
-func newDurableServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server, *httptest.Server, *store.Store) {
+// newDurableServer opens a store with so and serves it.
+func newDurableServer(t *testing.T, so store.Options) (*Server, *httptest.Server, *store.Store) {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Sync: sync})
+	st, err := store.Open(so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerWith(st, 0, 30*time.Second, 0, 0)
-	t.Cleanup(srv.Close)
+	srv := newServerOver(t, st, Config{MaxTimeout: 30 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, st
@@ -36,6 +35,7 @@ func newDurableServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server,
 
 type versionsResponse struct {
 	Dataset  string        `json:"dataset"`
+	Retain   int           `json:"retain"`
 	Versions []versionInfo `json:"versions"`
 }
 
@@ -79,8 +79,8 @@ func mutateWorkload(t *testing.T, ts *httptest.Server) {
 // byte-identical to the pre-restart one.
 func TestPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	srv1, ts1, _ := newDurableServer(t, dir, store.SyncNever)
-	if err := srv1.AddDataset("nba", dataset.SimNBA(xrand.New(1), 400)); err != nil {
+	srv1, ts1, _ := newDurableServer(t, store.Options{Dir: dir, Sync: store.SyncNever})
+	if err := srv1.AddDataset(t.Context(), "nba", dataset.SimNBA(xrand.New(1), 400)); err != nil {
 		t.Fatal(err)
 	}
 	mutateWorkload(t, ts1)
@@ -105,7 +105,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 
 	// Restart.
-	srv2, ts2, st2 := newDurableServer(t, dir, store.SyncNever)
+	srv2, ts2, st2 := newDurableServer(t, store.Options{Dir: dir, Sync: store.SyncNever})
 	if rec := st2.Recovery(); rec.Datasets != 1 || rec.TornTail {
 		t.Fatalf("recovery: %+v", rec)
 	}
@@ -153,6 +153,40 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestRetainWindowOneSource pins the retained-version window to one source,
+// the store's Options.Retain: a daemon over a store opened with Retain 3
+// keeps 3 versions live after five appends, and recovers the same 3 after a
+// restart.
+func TestRetainWindowOneSource(t *testing.T) {
+	dir := t.TempDir()
+	opts := store.Options{Dir: dir, Sync: store.SyncAlways, Retain: 3}
+	srv1, ts1, _ := newDurableServer(t, opts)
+	if err := srv1.AddDataset(t.Context(), "nba", dataset.SimNBA(xrand.New(1), 200)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		resp, body := postJSON(t, ts1.URL+"/v1/datasets/nba/rows", map[string]any{
+			"rows": [][]float64{{0.1 * float64(i), 0.9, 0.5, 0.4, 0.3}},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("append %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	live := getVersions(t, ts1, "nba")
+	if len(live.Versions) != 3 || live.Retain != 3 {
+		t.Fatalf("live window: retain %d, %d versions, want 3 and 3: %+v", live.Retain, len(live.Versions), live)
+	}
+	ts1.Close()
+	if err := srv1.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2, _ := newDurableServer(t, opts)
+	if got := getVersions(t, ts2, "nba"); !reflect.DeepEqual(got, live) {
+		t.Fatalf("recovered window diverged:\ngot  %+v\nwant %+v", got, live)
+	}
+}
+
 // TestCrashImageRecovery simulates kill -9 in-process: with -fsync always,
 // every acked mutation is durable, so a byte-for-byte copy of the data
 // directory taken WITHOUT any shutdown — plus garbage appended to the live
@@ -160,8 +194,8 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 // version with identical fingerprints and discard the torn tail cleanly.
 func TestCrashImageRecovery(t *testing.T) {
 	dir := t.TempDir()
-	srv1, ts1, st1 := newDurableServer(t, dir, store.SyncAlways)
-	if err := srv1.AddDataset("nba", dataset.SimNBA(xrand.New(1), 300)); err != nil {
+	srv1, ts1, st1 := newDurableServer(t, store.Options{Dir: dir, Sync: store.SyncAlways})
+	if err := srv1.AddDataset(t.Context(), "nba", dataset.SimNBA(xrand.New(1), 300)); err != nil {
 		t.Fatal(err)
 	}
 	mutateWorkload(t, ts1)
@@ -192,7 +226,7 @@ func TestCrashImageRecovery(t *testing.T) {
 	f.Write([]byte{0xde, 0xad, 0xbe}) // half a record header
 	f.Close()
 
-	_, ts2, st2 := newDurableServer(t, img, store.SyncNever)
+	_, ts2, st2 := newDurableServer(t, store.Options{Dir: img, Sync: store.SyncNever})
 	rec := st2.Recovery()
 	if !rec.TornTail {
 		t.Fatalf("torn tail not detected: %+v", rec)
@@ -211,8 +245,8 @@ func TestCrashImageRecovery(t *testing.T) {
 // a minimal footprint, and leave the data readable.
 func TestCompactMode(t *testing.T) {
 	dir := t.TempDir()
-	srv1, ts1, _ := newDurableServer(t, dir, store.SyncNever)
-	if err := srv1.AddDataset("nba", dataset.SimNBA(xrand.New(1), 200)); err != nil {
+	srv1, ts1, _ := newDurableServer(t, store.Options{Dir: dir, Sync: store.SyncNever})
+	if err := srv1.AddDataset(t.Context(), "nba", dataset.SimNBA(xrand.New(1), 200)); err != nil {
 		t.Fatal(err)
 	}
 	mutateWorkload(t, ts1)
@@ -240,7 +274,7 @@ func TestCompactMode(t *testing.T) {
 		t.Fatalf("after compact: %d snapshots, %d segments, want 1 and 1", snaps, segs)
 	}
 
-	_, ts2, st2 := newDurableServer(t, dir, store.SyncNever)
+	_, ts2, st2 := newDurableServer(t, store.Options{Dir: dir, Sync: store.SyncNever})
 	if rec := st2.Recovery(); rec.RecordsReplayed != 0 {
 		t.Fatalf("compacted store still replays %d records", rec.RecordsReplayed)
 	}

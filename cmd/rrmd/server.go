@@ -21,25 +21,19 @@ import (
 	"github.com/rankregret/rankregret/internal/store"
 )
 
-// DefaultRetainVersions is how many dataset versions (including the current
-// one) the registry keeps solvable by default. Older versions age out;
-// in-flight solves pinned to an aged-out version still finish — they hold
-// the snapshot — but new requests for it are rejected.
-const DefaultRetainVersions = store.DefaultRetain
-
-// Server is the rrmd serving core: a durable named-dataset registry (with
-// retained version history and a mutation API, backed by internal/store's
-// WAL + snapshots when a data directory is configured) in front of a solver
-// engine and its job scheduler. It is safe for concurrent use; every
-// handler may run on many goroutines at once.
-type Server struct {
-	eng        *engine.Engine
-	sched      *engine.Scheduler
-	store      *store.Store
-	maxTimeout time.Duration
+// Config is everything a Server is built from; NewServer reads it once.
+// Zero values take the documented defaults.
+type Config struct {
+	// CacheSize is the engine's solution-cache capacity (0 = engine
+	// default, negative = both cache tiers disabled).
+	CacheSize int
+	// MaxTimeout is the per-request timeout ceiling (0 = 60s).
+	MaxTimeout time.Duration
+	// Workers and QueueCap size the job scheduler (0 = GOMAXPROCS and 256).
+	Workers, QueueCap int
 
 	// MaxUploadBytes bounds the size of every request body: a POST
-	// /v1/datasets CSV upload and each JSON request.
+	// /v1/datasets CSV upload and each JSON request (0 = 64 MiB).
 	MaxUploadBytes int64
 
 	// SolveParallelism is the default worker-goroutine bound for the
@@ -50,27 +44,69 @@ type Server struct {
 	// daemon.
 	SolveParallelism int
 
-	// RetainVersions caps each dataset's retained version history
-	// (DefaultRetainVersions when 0 or negative at first use). Keep it
-	// equal to the store's replay retain, or recovery will rebuild a
-	// differently-sized window.
-	RetainVersions int
-
 	// QueueWait is the queue-wait budget for synchronous solves: how long a
 	// POST /v1/solve may sit in the scheduler queue before it is rejected
-	// with 429 (0 = the server's timeout ceiling). The requested timeout_ms
-	// is the run budget and is anchored at dequeue, so a solve that waited
-	// in a saturated queue still gets its full budget once it starts.
+	// with 429 (0 = MaxTimeout). The requested timeout_ms is the run budget
+	// and is anchored at dequeue, so a solve that waited in a saturated
+	// queue still gets its full budget once it starts.
 	QueueWait time.Duration
 
-	// RetryAfterSeconds is the Retry-After hint sent with 429 (overload)
-	// and 503 (draining) rejections (0 = 1 second).
-	RetryAfterSeconds int
-
 	// TraceSlow, when positive, logs the per-stage span breakdown of every
-	// request slower than it (the -trace-slow flag). Tracing itself is
-	// always on; this only controls logging.
+	// request slower than it and files it with the flight recorder.
+	// Tracing itself is always on; this only controls logging.
 	TraceSlow time.Duration
+
+	// Logger is the daemon's structured logger (nil = slog.Default()).
+	Logger *slog.Logger
+	// LogRing is the ring Logger tees into (see obs.NewLogger); incident
+	// bundles carry its tail. Optional.
+	LogRing *obs.LogRing
+	// TraceRing sizes the retained-trace ring (0 = DefaultTraceRing).
+	TraceRing int
+	// IncidentDir, when set, receives every incident bundle as JSON.
+	IncidentDir string
+	// SLOSpecs declares the objectives ("solve:p99<250ms@99.9"); nil = the
+	// stock defaults for solve, mutate, and scrape.
+	SLOSpecs []string
+	// SLO tunes the SLO engine (windows, thresholds, clock); its Registry
+	// and OnFastBurn are owned by the server and overwritten.
+	SLO slo.Config
+}
+
+// withDefaults resolves Config's zero values.
+func (c Config) withDefaults() Config {
+	if c.MaxTimeout <= 0 {
+		c.MaxTimeout = 60 * time.Second
+	}
+	if c.MaxUploadBytes <= 0 {
+		c.MaxUploadBytes = 64 << 20
+	}
+	if c.QueueWait <= 0 {
+		c.QueueWait = c.MaxTimeout
+	}
+	if c.Logger == nil {
+		c.Logger = slog.Default()
+	}
+	if c.TraceRing <= 0 {
+		c.TraceRing = DefaultTraceRing
+	}
+	return c
+}
+
+// retryAfterSeconds is the Retry-After hint sent with 429 (overload) and
+// 503 (draining, degraded) rejections.
+const retryAfterSeconds = 1
+
+// Server is the rrmd serving core: a durable named-dataset registry (with
+// retained version history and a mutation API, backed by internal/store's
+// WAL + snapshots when a data directory is configured) in front of a solver
+// engine and its job scheduler. It is safe for concurrent use; every
+// handler may run on many goroutines at once.
+type Server struct {
+	eng   *engine.Engine
+	sched *engine.Scheduler
+	store *store.Store
+	cfg   Config // defaults resolved
 
 	// obs is the server's one metrics registry: GET /metrics renders it as
 	// Prometheus text, GET /v1/metrics serializes the same underlying
@@ -83,12 +119,8 @@ type Server struct {
 	mutateDur *obs.Histogram
 	scrapeDur *obs.Histogram
 
-	// logger is the daemon's structured logger; every request-path record
-	// carries the request id. logRing, recorder, and sloEng are the flight
-	// recorder surface, wired by SetupObs before the server serves traffic
-	// (nil = disabled).
-	logger   *slog.Logger
-	logRing  *obs.LogRing
+	// recorder and sloEng are the flight recorder surface: slow requests,
+	// SLO fast burns, and store health transitions file incidents.
 	recorder *obs.Recorder
 	sloEng   *slo.Engine
 
@@ -100,65 +132,32 @@ type Server struct {
 	warmCancel context.CancelFunc
 }
 
-// NewServer returns a Server with an ephemeral (memory-only) registry. See
-// NewServerWith for the durable variant; all other parameters are as there.
-func NewServer(cacheSize int, maxTimeout time.Duration, workers, queueCap int) *Server {
-	st, err := store.Open(store.Options{})
-	if err != nil {
-		// An ephemeral open touches no I/O; it cannot fail.
-		panic(err)
-	}
-	return NewServerWith(st, cacheSize, maxTimeout, workers, queueCap)
-}
-
-// NewServerWith returns a Server over an opened store — the registry every
-// dataset read and mutation goes through — with its own engine (cacheSize
-// 0 = engine default), a per-request timeout ceiling (0 = 60s), and a job
-// scheduler with the given worker count (0 = GOMAXPROCS) and queue capacity
-// (0 = 256). Call Close (or Shutdown) when done with the server; both close
-// the store.
-func NewServerWith(st *store.Store, cacheSize int, maxTimeout time.Duration, workers, queueCap int) *Server {
-	if maxTimeout <= 0 {
-		maxTimeout = 60 * time.Second
-	}
-	eng := engine.New(cacheSize)
+// NewServer returns a Server over an opened store — the registry every
+// dataset read and mutation goes through, which also fixes the retained
+// version window (store.Options.Retain) — with its own engine, job
+// scheduler, metrics registry, flight recorder, and SLO engine, all sized by
+// cfg. It fails on a bad SLO spec or an uncreatable IncidentDir. Call Close
+// (or Shutdown) when done with the server; both close the store.
+func NewServer(st *store.Store, cfg Config) (*Server, error) {
+	cfg = cfg.withDefaults()
+	eng := engine.New(cfg.CacheSize)
 	warmCtx, warmCancel := context.WithCancel(context.Background())
 	s := &Server{
-		eng:            eng,
-		sched:          engine.NewScheduler(eng, workers, queueCap),
-		store:          st,
-		maxTimeout:     maxTimeout,
-		MaxUploadBytes: 64 << 20, // 64 MiB
-		RetainVersions: DefaultRetainVersions,
-		warm:           make(map[string]string),
-		warmCtx:        warmCtx,
-		warmCancel:     warmCancel,
-		logger:         slog.Default(),
+		eng:        eng,
+		sched:      engine.NewScheduler(eng, cfg.Workers, cfg.QueueCap),
+		store:      st,
+		cfg:        cfg,
+		warm:       make(map[string]string),
+		warmCtx:    warmCtx,
+		warmCancel: warmCancel,
 	}
-	s.sched.SetLogger(s.logger)
-	s.instrument()
-	return s
-}
-
-// SetPolicy swaps the scheduler's queue-ordering policy: engine.FIFO (the
-// default) or engine.Affinity, which runs warm-cache jobs first under
-// pressure. Safe to call while serving.
-func (s *Server) SetPolicy(p engine.Policy) {
-	s.sched.SetPolicy(p)
-}
-
-func (s *Server) queueWait() time.Duration {
-	if s.QueueWait > 0 {
-		return s.QueueWait
+	s.sched.SetLogger(cfg.Logger)
+	if err := s.instrument(); err != nil {
+		warmCancel()
+		s.sched.Close()
+		return nil, err
 	}
-	return s.maxTimeout
-}
-
-func (s *Server) retryAfter() int {
-	if s.RetryAfterSeconds > 0 {
-		return s.RetryAfterSeconds
-	}
-	return 1
+	return s, nil
 }
 
 // Close stops the warm-start, the job scheduler (cancelling running jobs
@@ -168,7 +167,7 @@ func (s *Server) Close() {
 	s.warmCancel()
 	s.sched.Close()
 	if err := s.store.Close(); err != nil {
-		s.logger.Error("rrmd: closing store failed", "err", err)
+		s.cfg.Logger.Error("rrmd: closing store failed", "err", err)
 	}
 }
 
@@ -187,12 +186,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // AddDataset registers ds under name, replacing any previous dataset (and
-// its whole version history) with that name.
-func (s *Server) AddDataset(name string, ds *dataset.Dataset) error {
-	return s.addDataset(context.Background(), name, ds)
-}
-
-func (s *Server) addDataset(ctx context.Context, name string, ds *dataset.Dataset) error {
+// its whole version history) with that name. When ctx carries a trace, the
+// store stage is recorded on it.
+func (s *Server) AddDataset(ctx context.Context, name string, ds *dataset.Dataset) error {
 	if name == "" {
 		return errors.New("rrmd: dataset name must be non-empty")
 	}
@@ -214,26 +210,15 @@ func (s *Server) addDataset(ctx context.Context, name string, ds *dataset.Datase
 		}
 		ds = fresh
 	}
-	return s.store.RegisterCtx(ctx, name, ds, s.retain())
-}
-
-func (s *Server) entry(name string) (*store.Versions, bool) {
-	return s.store.Get(name)
+	return s.store.RegisterCtx(ctx, name, ds, 0)
 }
 
 func (s *Server) dataset(name string) (*dataset.Dataset, bool) {
-	nd, ok := s.entry(name)
+	nd, ok := s.store.Get(name)
 	if !ok {
 		return nil, false
 	}
 	return nd.Current(), true
-}
-
-func (s *Server) retain() int {
-	if s.RetainVersions < 1 {
-		return DefaultRetainVersions
-	}
-	return s.RetainVersions
 }
 
 // WarmStart primes the engine's cache tiers for the given datasets (every
@@ -255,7 +240,7 @@ func (s *Server) WarmStart(names []string) {
 			s.setWarm(name, "cancelled")
 			continue
 		}
-		nd, ok := s.entry(name)
+		nd, ok := s.store.Get(name)
 		if !ok {
 			s.setWarm(name, "dropped")
 			continue
@@ -267,7 +252,7 @@ func (s *Server) WarmStart(names []string) {
 		err := s.eng.Warm(s.warmCtx, nd.Current(), 0, engine.Options{
 			CacheSalt:   name,
 			Seed:        1,
-			Parallelism: s.SolveParallelism,
+			Parallelism: s.cfg.SolveParallelism,
 		})
 		switch {
 		case err == nil:
@@ -361,15 +346,15 @@ func (s *Server) writeStoreErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, store.ErrDegraded) || errors.Is(err, store.ErrWALFailed) {
 		reason = "degraded"
 	}
-	s.hintRetry(w)
+	hintRetry(w)
 	writeErrReason(w, status, err, reason)
 }
 
 // hintRetry sets the Retry-After header every overload/unavailable rejection
 // carries — the one place the hint is computed, so the 429 and the three
 // flavors of 503 cannot drift apart.
-func (s *Server) hintRetry(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+func hintRetry(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -388,10 +373,10 @@ func writeErrReason(w http.ResponseWriter, status int, err error, reason string)
 }
 
 // decodeJSON decodes r's JSON body into dst, reading at most
-// s.MaxUploadBytes of it. On failure it answers 413 for an oversize body and
-// 400 for any other decode error, and returns false.
+// Config.MaxUploadBytes of it. On failure it answers 413 for an oversize
+// body and 400 for any other decode error, and returns false.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxUploadBytes)).Decode(dst)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(dst)
 	if err == nil {
 		return true
 	}
@@ -415,10 +400,10 @@ func writeOK(w http.ResponseWriter, status int, v any) {
 // machine-readable state and reason, so orchestrators stop routing new
 // traffic while reads keep being served on the open connections.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	// One metrics snapshot serves the whole probe: the state decision, the
-	// cache digest, and the metrics body all read it, so the probe never
-	// reports a state that disagrees with the stats beside it (and the
-	// scheduler/store locks are taken once, not twice).
+	// One metrics snapshot serves the whole probe: the state decision and
+	// the metrics body both read it, so the probe never reports a state that
+	// disagrees with the stats beside it (and the scheduler/store locks are
+	// taken once, not twice).
 	m := s.metrics()
 	state, reason := "healthy", ""
 	switch {
@@ -430,35 +415,32 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"ok":      state == "healthy",
 		"state":   state,
-		"cache":   m.Engine.Solutions,
 		"metrics": m,
 	}
 	if reason != "" {
 		body["reason"] = reason
 	}
-	if s.sloEng != nil {
-		// The probe's SLO section is the same Eval the /v1/slo endpoint and
-		// the Prometheus gauges come from, so the three views cannot drift.
-		statuses := s.sloEng.Eval()
-		sloOK := true
-		summary := make([]map[string]any, 0, len(statuses))
-		for _, st := range statuses {
-			if st.FastBurnAlarm {
-				sloOK = false
-			}
-			summary = append(summary, map[string]any{
-				"name":            st.Name,
-				"compliance":      st.Compliance,
-				"burn_rate_fast":  st.BurnRateFast,
-				"fast_burn_alarm": st.FastBurnAlarm,
-			})
+	// The probe's SLO section is the same Eval the /v1/slo endpoint and the
+	// Prometheus gauges come from, so the three views cannot drift.
+	statuses := s.sloEng.Eval()
+	sloOK := true
+	summary := make([]map[string]any, 0, len(statuses))
+	for _, st := range statuses {
+		if st.FastBurnAlarm {
+			sloOK = false
 		}
-		body["slo"] = map[string]any{"ok": sloOK, "objectives": summary}
+		summary = append(summary, map[string]any{
+			"name":            st.Name,
+			"compliance":      st.Compliance,
+			"burn_rate_fast":  st.BurnRateFast,
+			"fast_burn_alarm": st.FastBurnAlarm,
+		})
 	}
+	body["slo"] = map[string]any{"ok": sloOK, "objectives": summary}
 	status := http.StatusOK
 	if state != "healthy" {
 		status = http.StatusServiceUnavailable
-		s.hintRetry(w)
+		hintRetry(w)
 	}
 	writeOK(w, status, body)
 }
@@ -529,14 +511,14 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("normalize"); v == "0" || v == "false" {
 		normalize = false
 	}
-	ds, err := cliutil.LoadCSV(http.MaxBytesReader(w, r.Body, s.MaxUploadBytes), header, neg, normalize)
+	ds, err := cliutil.LoadCSV(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), header, neg, normalize)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	obs.TraceFrom(r.Context()).Annotate("dataset", name)
 	start := time.Now()
-	if err := s.addDataset(r.Context(), name, ds); err != nil {
+	if err := s.AddDataset(r.Context(), name, ds); err != nil {
 		s.writeStoreErr(w, err)
 		return
 	}
@@ -562,7 +544,7 @@ type mutateResponse struct {
 // they started with; new solves see the appended rows.
 func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	nd, ok := s.entry(name)
+	nd, ok := s.store.Get(name)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
 		return
@@ -588,7 +570,7 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	// becomes visible; an error means nothing was published.
 	obs.TraceFrom(r.Context()).Annotate("dataset", name)
 	start := time.Now()
-	next, err := s.store.AppendRowsCtx(r.Context(), name, req.Rows, s.retain())
+	next, err := s.store.AppendRowsCtx(r.Context(), name, req.Rows, 0)
 	if err != nil {
 		s.writeStoreErr(w, err)
 		return
@@ -624,7 +606,7 @@ func validateRows(rows [][]float64, dim int) error {
 // (the registry never serves an empty dataset).
 func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	nd, ok := s.entry(name)
+	nd, ok := s.store.Get(name)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
 		return
@@ -650,7 +632,7 @@ func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.TraceFrom(r.Context()).Annotate("dataset", name)
 	start := time.Now()
-	next, err := s.store.DeleteRowsCtx(r.Context(), name, req.IDs, s.retain())
+	next, err := s.store.DeleteRowsCtx(r.Context(), name, req.IDs, 0)
 	if err != nil {
 		s.writeStoreErr(w, err)
 		return
@@ -677,7 +659,7 @@ type versionInfo struct {
 // Solves pin to one with the request's "version" field.
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	nd, ok := s.entry(name)
+	nd, ok := s.store.Get(name)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
 		return
@@ -694,7 +676,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	}
 	writeOK(w, http.StatusOK, map[string]any{
 		"dataset":  name,
-		"retain":   s.retain(),
+		"retain":   s.store.Summary().Retain,
 		"versions": out,
 	})
 }
@@ -747,13 +729,13 @@ func resultOf(name string, sol *engine.Solution) solveResult {
 	}
 }
 
-// solveResponse is the wire shape of a successful solve.
+// solveResponse is the wire shape of a successful solve. It carries only
+// what concerns this request; server-wide counters live at /v1/metrics.
 type solveResponse struct {
 	solveResult
-	Estimated *int              `json:"estimated_rank_regret,omitempty"`
-	Percent   *float64          `json:"estimated_percent,omitempty"`
-	ElapsedMS float64           `json:"elapsed_ms"`
-	Cache     engine.CacheStats `json:"cache"`
+	Estimated *int     `json:"estimated_rank_regret,omitempty"`
+	Percent   *float64 `json:"estimated_percent,omitempty"`
+	ElapsedMS float64  `json:"elapsed_ms"`
 }
 
 // resolve looks up the dataset (pinned to a retained version when version
@@ -761,7 +743,7 @@ type solveResponse struct {
 // the server ceiling — the validation every dataset-touching endpoint
 // shares. The returned int is the HTTP status to use when err is non-nil.
 func (s *Server) resolve(name, spec string, timeoutMS int64, version uint64) (*dataset.Dataset, funcspace.Space, time.Duration, int, error) {
-	nd, ok := s.entry(name)
+	nd, ok := s.store.Get(name)
 	if !ok {
 		return nil, nil, 0, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name)
 	}
@@ -777,7 +759,7 @@ func (s *Server) resolve(name, spec string, timeoutMS int64, version uint64) (*d
 			return nil, nil, 0, http.StatusBadRequest, err
 		}
 	}
-	timeout := s.maxTimeout
+	timeout := s.cfg.MaxTimeout
 	if timeoutMS > 0 {
 		if d := time.Duration(timeoutMS) * time.Millisecond; d < timeout {
 			timeout = d
@@ -815,7 +797,7 @@ func (s *Server) writeOverload(w http.ResponseWriter, err error) bool {
 	default:
 		return false
 	}
-	s.hintRetry(w)
+	hintRetry(w)
 	writeErrReason(w, status, err, reason)
 	return true
 }
@@ -842,7 +824,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// promptly (429) or runs with its full budget intact.
 	sol, ok := s.eng.SolveCached(r.Context(), er)
 	if !ok {
-		er.QueueTimeout = s.queueWait()
+		er.QueueTimeout = s.cfg.QueueWait
 		ctx, cancel := context.WithTimeout(r.Context(), er.QueueTimeout+er.Timeout)
 		defer cancel()
 		sol, err = s.sched.Do(ctx, er)
@@ -869,7 +851,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp := solveResponse{
 		solveResult: resultOf(req.Dataset, sol),
 		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
-		Cache:       s.eng.CacheStats(),
 	}
 	if est != nil {
 		pct := 100 * float64(*est) / float64(er.Dataset.N())
@@ -915,7 +896,7 @@ func (s *Server) engineRequest(req solveRequest) (engine.Request, int, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	par := s.SolveParallelism
+	par := s.cfg.SolveParallelism
 	if req.Parallelism != nil {
 		if par = *req.Parallelism; par < 0 {
 			par = 0
@@ -983,7 +964,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds the limit of %d", len(req.Requests), maxBatchSize))
 		return
 	}
-	timeout := s.maxTimeout
+	timeout := s.cfg.MaxTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
 			timeout = d
@@ -1042,7 +1023,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	if rejected > 0 {
 		// Partial rejection still hints backoff: some items were shed, so
 		// the client's re-submit of them should wait like a full 429 would.
-		s.hintRetry(w)
+		hintRetry(w)
 	}
 	writeOK(w, http.StatusOK, map[string]any{
 		"count":      len(items),
@@ -1050,7 +1031,6 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		"rejected":   rejected,
 		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
 		"results":    items,
-		"metrics":    s.metrics(),
 	})
 }
 
@@ -1158,8 +1138,8 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 // serverMetrics is the one metrics shape every surface reports: both engine
 // cache tiers (including the VecSet repairs counter), the scheduler state
 // (including queue depth), the registry size, and the store's durability
-// summary. /v1/metrics, batch responses, and /healthz all serialize this
-// struct, so no surface can drift into reporting partial stats again.
+// summary. /v1/metrics and /healthz both serialize this struct, so neither
+// surface can drift into reporting partial stats.
 //
 // Each block is an internally coherent snapshot — its subsystem reads every
 // counter under one lock — so a scraper can never observe a torn state such
@@ -1177,8 +1157,8 @@ type serverMetrics struct {
 }
 
 func (s *Server) metrics() serverMetrics {
-	// Summary, not Status: metrics runs on every health probe and batch
-	// response and must not do filesystem walks under the store lock.
+	// Summary, not Status: metrics runs on every health probe and must not
+	// do filesystem walks under the store lock.
 	return serverMetrics{
 		Engine:    s.eng.Metrics(),
 		Scheduler: s.sched.Stats(),

@@ -15,22 +15,71 @@ import (
 	"github.com/rankregret/rankregret"
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/engine"
+	"github.com/rankregret/rankregret/internal/store"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
+// newTestServer serves the island and nba test datasets from an in-memory
+// server with a 30s timeout ceiling and defaults otherwise.
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(0, 30*time.Second, 0, 0)
-	t.Cleanup(srv.Close)
-	if err := srv.AddDataset("island", dataset.SimIsland(xrand.New(1), 400)); err != nil {
+	return newTestServerWith(t, Config{})
+}
+
+// newTestServerWith is newTestServer with cfg (MaxTimeout 30s when unset).
+func newTestServerWith(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	return newTestServerOn(t, store.Options{}, cfg)
+}
+
+// newTestServerOn is newTestServerWith over a store opened with so.
+func newTestServerOn(t *testing.T, so store.Options, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	if cfg.MaxTimeout == 0 {
+		cfg.MaxTimeout = 30 * time.Second
+	}
+	st, err := store.Open(so)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddDataset("nba", dataset.SimNBA(xrand.New(1), 800)); err != nil {
+	srv := newServerOver(t, st, cfg)
+	if err := srv.AddDataset(t.Context(), "island", dataset.SimIsland(xrand.New(1), 400)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddDataset(t.Context(), "nba", dataset.SimNBA(xrand.New(1), 800)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// newServerOver builds a server over st; the server (and with it st) is
+// closed when the test ends.
+func newServerOver(t *testing.T, st *store.Store, cfg Config) *Server {
+	t.Helper()
+	srv, err := NewServer(st, cfg)
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// cacheHits reads the solution-cache hit counter from GET /v1/metrics.
+func cacheHits(t *testing.T, baseURL string) uint64 {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m serverMetrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Engine.Solutions.Hits
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -48,7 +97,7 @@ func TestSolveMatchesLibrary(t *testing.T) {
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
-	want, err := rankregret.Solve(dataset.SimIsland(xrand.New(1), 400), 5, nil)
+	want, err := rankregret.Solve(t.Context(), dataset.SimIsland(xrand.New(1), 400), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +112,9 @@ func TestSolveMatchesLibrary(t *testing.T) {
 // Solves at different parallelism settings must return identical answers —
 // and must share one cache entry, since parallelism is not part of the key.
 func TestSolveParallelismIdenticalAndCacheShared(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.SolveParallelism = 2 // server default; the explicit fields override it
+	// 2 is the server default; the explicit fields override it.
+	_, ts := newTestServerWith(t, Config{SolveParallelism: 2})
+	hits := cacheHits(t, ts.URL)
 	var answers []solveResponse
 	for ci, par := range []*int{nil, intp(0), intp(1), intp(8)} {
 		resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{Dataset: "nba", R: 7, Parallelism: par})
@@ -82,8 +132,8 @@ func TestSolveParallelismIdenticalAndCacheShared(t *testing.T) {
 			t.Errorf("parallelism changed the answer: %+v vs %+v", got, answers[0])
 		}
 	}
-	if last := answers[len(answers)-1].Cache; last.Hits < 3 {
-		t.Errorf("cache hits = %d, want >= 3 (parallelism must not fragment the cache key)", last.Hits)
+	if got := cacheHits(t, ts.URL) - hits; got < 3 {
+		t.Errorf("cache hits = %d, want >= 3 (parallelism must not fragment the cache key)", got)
 	}
 }
 
@@ -97,7 +147,7 @@ func TestConcurrentSolves(t *testing.T) {
 	ds := dataset.SimIsland(xrand.New(1), 400)
 	want := make(map[int][]int)
 	for r := 2; r <= 6; r++ {
-		sol, err := rankregret.Solve(ds, r, nil)
+		sol, err := rankregret.Solve(t.Context(), ds, r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,6 +204,7 @@ func TestSolveCache(t *testing.T) {
 	if err := json.Unmarshal(body1, &first); err != nil {
 		t.Fatal(err)
 	}
+	hits := cacheHits(t, ts.URL)
 
 	resp2, body2 := postJSON(t, ts.URL+"/v1/solve", req)
 	if resp2.StatusCode != http.StatusOK {
@@ -166,8 +217,8 @@ func TestSolveCache(t *testing.T) {
 	if !reflect.DeepEqual(first.IDs, second.IDs) {
 		t.Errorf("cached re-solve ids %v != %v", second.IDs, first.IDs)
 	}
-	if second.Cache.Hits <= first.Cache.Hits {
-		t.Errorf("cache hits did not increase: first %+v, second %+v", first.Cache, second.Cache)
+	if got := cacheHits(t, ts.URL); got <= hits {
+		t.Errorf("cache hits did not increase across the re-solve: %d -> %d", hits, got)
 	}
 }
 
@@ -175,7 +226,7 @@ func TestSolveCache(t *testing.T) {
 // solve long before it could complete.
 func TestSolveTimeout(t *testing.T) {
 	srv, ts := newTestServer(t)
-	if err := srv.AddDataset("weather", dataset.SimWeather(xrand.New(1), 120000)); err != nil {
+	if err := srv.AddDataset(t.Context(), "weather", dataset.SimWeather(xrand.New(1), 120000)); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -277,8 +328,7 @@ func TestRequestValidation(t *testing.T) {
 // malformed one: the first must be cut off at MaxUploadBytes with 413, the
 // second rejected with 400, and neither may reach the handler's logic.
 func TestJSONBodyLimits(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.MaxUploadBytes = 512
+	srv, ts := newTestServerWith(t, Config{MaxUploadBytes: 512})
 	// Valid JSON up to the cap, so only the size can fail the decode.
 	oversize := `{"pad":"` + strings.Repeat("a", 4096) + `"}`
 	endpoints := []struct{ method, path string }{
@@ -319,7 +369,7 @@ func TestJSONBodyLimits(t *testing.T) {
 		}
 	}
 	// No rejected append or delete reached the store.
-	nd, _ := srv.entry("island")
+	nd, _ := srv.store.Get("island")
 	if n := nd.Current().N(); n != 400 {
 		t.Errorf("island has %d rows after rejected mutations, want 400", n)
 	}
@@ -481,7 +531,7 @@ func TestJobCancelEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
 	// A dataset large enough that the solve cannot finish before the
 	// cancellation lands.
-	if err := srv.AddDataset("weather", dataset.SimWeather(xrand.New(1), 4000)); err != nil {
+	if err := srv.AddDataset(t.Context(), "weather", dataset.SimWeather(xrand.New(1), 4000)); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/jobs", solveRequest{Dataset: "weather", R: 10, Algorithm: "hdrrm"})

@@ -12,20 +12,25 @@ import (
 	"github.com/rankregret/rankregret/internal/engine"
 	"github.com/rankregret/rankregret/internal/loadgen"
 	"github.com/rankregret/rankregret/internal/obs/obstest"
+	"github.com/rankregret/rankregret/internal/store"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
 // newServingServer boots an in-process rrmd with two small datasets and the
-// given pool/queue shape, wrapped in an httptest listener.
-func newServingServer(t *testing.T, cacheSize, workers, queueCap int, policy engine.Policy) (*Server, *httptest.Server) {
+// cache/pool/queue shape in cfg (MaxTimeout 30s), wrapped in an httptest
+// listener.
+func newServingServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(cacheSize, 30*time.Second, workers, queueCap)
-	t.Cleanup(srv.Close)
-	srv.SetPolicy(policy)
-	if err := srv.AddDataset("island", dataset.SimIsland(xrand.New(1), 200)); err != nil {
+	cfg.MaxTimeout = 30 * time.Second
+	st, err := store.Open(store.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddDataset("nba", dataset.SimNBA(xrand.New(1), 200)); err != nil {
+	srv := newServerOver(t, st, cfg)
+	if err := srv.AddDataset(t.Context(), "island", dataset.SimIsland(xrand.New(1), 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddDataset(t.Context(), "nba", dataset.SimNBA(xrand.New(1), 200)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -55,7 +60,7 @@ func servingTrace(t *testing.T, cfg loadgen.Config) *loadgen.Trace {
 // run is healthy: work completed, nothing but deliberate sheds failed, and
 // the metrics timeline was captured.
 func TestServingSteadySmoke(t *testing.T) {
-	_, ts := newServingServer(t, 0, 0, 0, engine.Affinity{})
+	_, ts := newServingServer(t, Config{})
 	tr := servingTrace(t, loadgen.Config{
 		Scenario: loadgen.ScenarioSteady,
 		Seed:     11,
@@ -82,9 +87,6 @@ func TestServingSteadySmoke(t *testing.T) {
 	if len(rep.Timeline) == 0 {
 		t.Fatal("metrics timeline is empty")
 	}
-	if rep.Policy != "affinity" {
-		t.Fatalf("report policy = %q, want affinity", rep.Policy)
-	}
 	if rep.PerKind[string(loadgen.KindMutate)].OK == 0 || rep.PerKind[string(loadgen.KindPinned)].OK == 0 {
 		t.Fatalf("mix did not exercise mutate/pinned paths: %+v", rep.PerKind)
 	}
@@ -97,8 +99,7 @@ func TestServingSteadySmoke(t *testing.T) {
 // returns to its baseline goroutine count when the storm passes.
 func TestServingOverloadBurst(t *testing.T) {
 	obstest.ExpectNoGoroutineLeak(t, 3)
-	srv, ts := newServingServer(t, -1, 1, 2, engine.Affinity{})
-	srv.QueueWait = 250 * time.Millisecond
+	srv, ts := newServingServer(t, Config{CacheSize: -1, Workers: 1, QueueCap: 2, QueueWait: 250 * time.Millisecond})
 
 	tr := servingTrace(t, loadgen.Config{
 		Scenario:  loadgen.ScenarioBurst,
@@ -148,10 +149,12 @@ func TestServingOverloadBurst(t *testing.T) {
 }
 
 // TestServingPolicyEquivalence replays one solve/sweep/pinned trace (no
-// mutations, so both servers hold identical data throughout) against a FIFO
-// server and an affinity server below capacity: the affinity policy may
-// reorder queue service, but every request must return the identical
-// solution.
+// mutations, so both servers hold identical data throughout) against a
+// default server and a cache-disabled one below capacity. The default
+// server's warm-first dequeue may reorder queue service and answers repeats
+// from its caches; the cache-disabled server has no warm state, so it
+// dequeues in arrival order and solves every request cold. Every request
+// must return the identical solution on both.
 func TestServingPolicyEquivalence(t *testing.T) {
 	tr := servingTrace(t, loadgen.Config{
 		Scenario: loadgen.ScenarioSteady,
@@ -163,10 +166,10 @@ func TestServingPolicyEquivalence(t *testing.T) {
 	type key struct {
 		Event, Item int
 	}
-	collect := func(policy engine.Policy) map[key]loadgen.SolveOutcome {
+	collect := func(cacheSize int) map[key]loadgen.SolveOutcome {
 		var mu sync.Mutex
 		got := map[key]loadgen.SolveOutcome{}
-		_, ts := newServingServer(t, 0, 2, 64, policy)
+		_, ts := newServingServer(t, Config{CacheSize: cacheSize, Workers: 2, QueueCap: 64})
 		rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
 			BaseURL:     ts.URL,
 			SampleEvery: -1,
@@ -185,21 +188,21 @@ func TestServingPolicyEquivalence(t *testing.T) {
 		}
 		return got
 	}
-	fifo := collect(engine.FIFO{})
-	aff := collect(engine.Affinity{})
-	if len(fifo) == 0 {
+	cold := collect(-1)
+	warm := collect(0)
+	if len(cold) == 0 {
 		t.Fatal("no results captured")
 	}
-	if len(fifo) != len(aff) {
-		t.Fatalf("result counts differ: fifo %d, affinity %d", len(fifo), len(aff))
+	if len(cold) != len(warm) {
+		t.Fatalf("result counts differ: cache-disabled %d, default %d", len(cold), len(warm))
 	}
-	for k, f := range fifo {
-		a, ok := aff[k]
+	for k, c := range cold {
+		w, ok := warm[k]
 		if !ok {
-			t.Fatalf("affinity run missing result for event %d item %d", k.Event, k.Item)
+			t.Fatalf("default run missing result for event %d item %d", k.Event, k.Item)
 		}
-		if !reflect.DeepEqual(f, a) {
-			t.Fatalf("results diverge at event %d item %d:\n  fifo     %+v\n  affinity %+v", k.Event, k.Item, f, a)
+		if !reflect.DeepEqual(c, w) {
+			t.Fatalf("results diverge at event %d item %d:\n  cache-disabled %+v\n  default        %+v", k.Event, k.Item, c, w)
 		}
 	}
 }
@@ -236,8 +239,7 @@ func init() { engine.Register(gateSolver{}) }
 // queue-wait budget lapses while the worker is busy is rejected 429 shortly
 // after the worker frees — never held for the full 30s solve ceiling.
 func TestServingQueueWaitBudget(t *testing.T) {
-	srv, ts := newServingServer(t, -1, 1, 1, engine.FIFO{})
-	srv.QueueWait = 100 * time.Millisecond
+	_, ts := newServingServer(t, Config{CacheSize: -1, Workers: 1, QueueCap: 1, QueueWait: 100 * time.Millisecond})
 
 	// Wedge the worker, then fill the single queue slot.
 	for _, path := range []string{"/v1/jobs", "/v1/jobs"} {
@@ -265,8 +267,7 @@ func TestServingQueueWaitBudget(t *testing.T) {
 	// queue-wait budget — on a second server with queue room. The rejected
 	// solve must come back 429 promptly after the worker frees, not after
 	// the 30s solve ceiling.
-	srv2, ts2 := newServingServer(t, -1, 1, 8, engine.FIFO{})
-	srv2.QueueWait = 100 * time.Millisecond
+	_, ts2 := newServingServer(t, Config{CacheSize: -1, Workers: 1, QueueCap: 8, QueueWait: 100 * time.Millisecond})
 	resp, body = postJSON(t, ts2.URL+"/v1/jobs", map[string]any{"dataset": "island", "r": 4, "algorithm": "test-gate"})
 	if resp.StatusCode != 202 {
 		t.Fatalf("gate job submit = HTTP %d (%s), want 202", resp.StatusCode, body)
@@ -286,6 +287,4 @@ func TestServingQueueWaitBudget(t *testing.T) {
 		t.Fatalf("queue-wait 429 took %v; it must arrive when the worker frees, not at the solve ceiling", elapsed)
 	}
 	t.Logf("queue-wait 429 after %v", elapsed)
-	_ = srv
-	_ = srv2
 }

@@ -37,10 +37,8 @@ func (slowSolver) Solve(ctx context.Context, ds *dataset.Dataset, r int, opts en
 
 func init() { engine.Register(slowSolver{}) }
 
-// quietObs is the standard test SetupObs base: discard logging.
-func quietObs() ObsOptions {
-	return ObsOptions{Logger: slog.New(slog.DiscardHandler)}
-}
+// quiet is the logger of test servers whose log output nothing reads.
+var quiet = slog.New(slog.DiscardHandler)
 
 // sloStatuses fetches and decodes GET /v1/slo.
 func sloStatuses(t *testing.T, baseURL string) []slo.Status {
@@ -67,10 +65,7 @@ func sloStatuses(t *testing.T, baseURL string) []slo.Status {
 // rrmd_slo_* gauge series must agree value-for-value, because both reads run
 // Eval over the same histograms.
 func TestSLOEndpointAgreesWithPrometheus(t *testing.T) {
-	srv, ts := newTestServer(t)
-	if err := srv.SetupObs(quietObs()); err != nil {
-		t.Fatal(err)
-	}
+	_, ts := newTestServerWith(t, Config{Logger: quiet})
 
 	// Some solve traffic (repeats land in the cache) — then quiesce.
 	for _, r := range []int{5, 6, 5, 6} {
@@ -147,15 +142,13 @@ func TestSLOEndpointAgreesWithPrometheus(t *testing.T) {
 // a retrievable bundle carrying a trace, a goroutine profile, and a metrics
 // snapshot — plus the on-disk JSON dump.
 func TestFastBurnTripsIncidentCapture(t *testing.T) {
-	srv, ts := newTestServer(t)
 	dir := t.TempDir()
-	o := quietObs()
-	o.IncidentDir = dir
-	o.SLOSpecs = []string{"solve:p99<1ms@99"}
-	o.SLO = slo.Config{MinEvents: 5}
-	if err := srv.SetupObs(o); err != nil {
-		t.Fatal(err)
-	}
+	_, ts := newTestServerWith(t, Config{
+		Logger:      quiet,
+		IncidentDir: dir,
+		SLOSpecs:    []string{"solve:p99<1ms@99"},
+		SLO:         slo.Config{MinEvents: 5},
+	})
 
 	// Ten 20ms solves: every event lands far past the 1ms threshold, so the
 	// burn rate is 100x the budget — alarm territory in any window. MaxSamples
@@ -254,15 +247,13 @@ func (b *syncBuf) String() string {
 // threshold, every "slow request" record in the structured JSON log stream
 // must carry a non-empty request_id.
 func TestSlowRequestLogsCarryRequestID(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.TraceSlow = time.Nanosecond // every traced request logs as slow
-
 	var out syncBuf
 	ring := obs.NewLogRing(512)
-	o := ObsOptions{Logger: obs.NewLogger(&out, "json", slog.LevelInfo, ring), LogRing: ring}
-	if err := srv.SetupObs(o); err != nil {
-		t.Fatal(err)
-	}
+	_, ts := newTestServerWith(t, Config{
+		TraceSlow: time.Nanosecond, // every traced request logs as slow
+		Logger:    obs.NewLogger(&out, "json", slog.LevelInfo, ring),
+		LogRing:   ring,
+	})
 
 	tr := servingTrace(t, loadgen.Config{
 		Scenario:  loadgen.ScenarioBurst,

@@ -12,8 +12,8 @@
 //	rrmload -url ... -trace trace.json               # replay it exactly
 //
 // Traces are deterministic in the seed: two runs with the same flags offer
-// byte-identical request sequences, so A/B comparisons (e.g. -policy fifo
-// vs affinity on the server) see the same workload.
+// byte-identical request sequences, so A/B comparisons (e.g. two rrmd
+// builds, or two -workers settings) see the same workload.
 package main
 
 import (
@@ -135,8 +135,8 @@ func run(args []string) error {
 }
 
 // printSLO fetches GET /v1/slo after the run and summarizes each objective:
-// how the offered load landed against the declared budgets. Older daemons
-// (or ones started without SetupObs) return 404; that is not a run failure.
+// how the offered load landed against the declared budgets. Daemons without
+// /v1/slo return 404; that is not a run failure.
 func printSLO(baseURL string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -246,8 +246,8 @@ func targetDatasets(ctx context.Context, baseURL, flagVal string) (names []strin
 }
 
 func printSummary(rep *loadgen.Report, outPath string) {
-	fmt.Printf("run: policy=%s wall=%.1fs offered=%d ok=%d rejected=%d errors=%d (unexpected 5xx: %d)\n",
-		rep.Policy, rep.DurationMS/1000, rep.Offered, rep.OK, rep.Rejected, rep.Errors, rep.Unexpected5xx)
+	fmt.Printf("run: wall=%.1fs offered=%d ok=%d rejected=%d errors=%d (unexpected 5xx: %d)\n",
+		rep.DurationMS/1000, rep.Offered, rep.OK, rep.Rejected, rep.Errors, rep.Unexpected5xx)
 	fmt.Printf("throughput: %.1f req/s   reject rate: %.1f%%   error rate: %.1f%%\n",
 		rep.ThroughputRPS, 100*rep.RejectRate, 100*rep.ErrorRate)
 	fmt.Printf("latency (ok): p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n",

@@ -1,6 +1,7 @@
 package rankregret
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -35,8 +36,9 @@ type CompareOptions struct {
 // output with the same independent estimator, the shape of the paper's
 // per-figure experiments. Failures are recorded per row rather than
 // aborting, mirroring how the paper annotates solvers that "do not scale
-// beyond" a setting.
-func Compare(ds *Dataset, r int, algos []Algorithm, opts *CompareOptions) ([]AlgoResult, error) {
+// beyond" a setting. Cancelling ctx aborts the solve in flight, which its
+// row records as Err.
+func Compare(ctx context.Context, ds *Dataset, r int, algos []Algorithm, opts *CompareOptions) ([]AlgoResult, error) {
 	if ds == nil || ds.N() == 0 {
 		return nil, errors.New("rankregret: empty dataset")
 	}
@@ -60,7 +62,7 @@ func Compare(ds *Dataset, r int, algos []Algorithm, opts *CompareOptions) ([]Alg
 		o := co.Options
 		o.Algorithm = algo
 		start := time.Now()
-		sol, err := Solve(ds, r, &o)
+		sol, err := Solve(ctx, ds, r, &o)
 		row.Elapsed = time.Since(start)
 		if err != nil {
 			row.Err = err

@@ -8,20 +8,20 @@ import (
 
 func TestCompareValidation(t *testing.T) {
 	ds := rankregret.GenerateIndependent(1, 50, 2)
-	if _, err := rankregret.Compare(nil, 3, []rankregret.Algorithm{rankregret.AlgoHDRRM}, nil); err == nil {
+	if _, err := rankregret.Compare(t.Context(), nil, 3, []rankregret.Algorithm{rankregret.AlgoHDRRM}, nil); err == nil {
 		t.Error("nil dataset should fail")
 	}
-	if _, err := rankregret.Compare(ds, 0, []rankregret.Algorithm{rankregret.AlgoHDRRM}, nil); err == nil {
+	if _, err := rankregret.Compare(t.Context(), ds, 0, []rankregret.Algorithm{rankregret.AlgoHDRRM}, nil); err == nil {
 		t.Error("r=0 should fail")
 	}
-	if _, err := rankregret.Compare(ds, 3, nil, nil); err == nil {
+	if _, err := rankregret.Compare(t.Context(), ds, 3, nil, nil); err == nil {
 		t.Error("no algorithms should fail")
 	}
 }
 
 func TestCompare2DExactEvaluation(t *testing.T) {
 	ds := rankregret.GenerateAnticorrelated(7, 400, 2)
-	rows, err := rankregret.Compare(ds, 5,
+	rows, err := rankregret.Compare(t.Context(), ds, 5,
 		[]rankregret.Algorithm{rankregret.AlgoTwoDRRM, rankregret.AlgoTwoDRRR, rankregret.AlgoHDRRM},
 		&rankregret.CompareOptions{Options: rankregret.Options{MaxSamples: 1500}})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestCompare2DExactEvaluation(t *testing.T) {
 
 func TestCompareRecordsPerRowFailures(t *testing.T) {
 	ds := rankregret.GenerateIndependent(11, 100, 3)
-	rows, err := rankregret.Compare(ds, 5,
+	rows, err := rankregret.Compare(t.Context(), ds, 5,
 		[]rankregret.Algorithm{rankregret.AlgoHDRRM, rankregret.AlgoTwoDRRM, "bogus"},
 		&rankregret.CompareOptions{Options: rankregret.Options{MaxSamples: 500}, EvalSamples: 1000})
 	if err != nil {
@@ -73,7 +73,7 @@ func TestCompareHDQualityOrdering(t *testing.T) {
 	// The headline experimental shape: on anti-correlated data the MDRC
 	// heuristic must not be the best of the compared set.
 	ds := rankregret.GenerateAnticorrelated(19, 3000, 4)
-	rows, err := rankregret.Compare(ds, 10,
+	rows, err := rankregret.Compare(t.Context(), ds, 10,
 		[]rankregret.Algorithm{rankregret.AlgoHDRRM, rankregret.AlgoMDRC},
 		&rankregret.CompareOptions{Options: rankregret.Options{MaxSamples: 4000}, EvalSamples: 10000})
 	if err != nil {

@@ -1,6 +1,7 @@
 package rankregret_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func ExampleSolve() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol, err := rankregret.Solve(ds, 1, nil)
+	sol, err := rankregret.Solve(context.Background(), ds, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func ExampleSolveRRR() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol, err := rankregret.SolveRRR(ds, 3, nil)
+	sol, err := rankregret.SolveRRR(context.Background(), ds, 3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func ExampleWeakRankingSpace() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := rankregret.Solve(ds, 3, nil)
+	full, err := rankregret.Solve(context.Background(), ds, 3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	restricted, err := rankregret.Solve(ds, 3, &rankregret.Options{Space: cone})
+	restricted, err := rankregret.Solve(context.Background(), ds, 3, &rankregret.Options{Space: cone})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A synthetic car catalogue: 2 000 cars on the HP/MPG trade-off curve
 	// with noise (anti-correlated, like real engine data).
 	cars := rankregret.GenerateAnticorrelated(11, 2000, 2)
@@ -24,7 +26,7 @@ func main() {
 	}
 
 	const r = 5
-	sol, err := rankregret.Solve(cars, r, nil)
+	sol, err := rankregret.Solve(ctx, cars, r, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 	// dataset is essentially unchanged, and so is the RRM solution.
 	shifted := cars.Clone()
 	shifted.Shift([]float64{4, 0})
-	sol2, err := rankregret.Solve(shifted, r, nil)
+	sol2, err := rankregret.Solve(ctx, shifted, r, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func main() {
 		name string
 		ds   *rankregret.Dataset
 	}{{"original", cars}, {"shifted", shifted}} {
-		rms, err := rankregret.Solve(tc.ds, r, &rankregret.Options{Algorithm: rankregret.AlgoRMSGreedy})
+		rms, err := rankregret.Solve(ctx, tc.ds, r, &rankregret.Options{Algorithm: rankregret.AlgoRMSGreedy})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Simulated stand-in for the paper's 21 961-row, 5-attribute NBA
 	// dataset: it keeps the original's correlation structure, which is
 	// what drives skyline size and so the experiment's behavior.
@@ -19,7 +21,7 @@ func main() {
 	fmt.Printf("database: %d player/seasons x %d stats %v\n", nba.N(), nba.Dim(), nba.Attrs())
 
 	const r = 10
-	sol, err := rankregret.Solve(nba, r, &rankregret.Options{Algorithm: rankregret.AlgoHDRRM})
+	sol, err := rankregret.Solve(ctx, nba, r, &rankregret.Options{Algorithm: rankregret.AlgoHDRRM})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func main() {
 	// the regret-ratio solver MDRMS optimizes the wrong objective.
 	fmt.Println("\nbaseline comparison (same budget):")
 	for _, algo := range []rankregret.Algorithm{rankregret.AlgoMDRRRr, rankregret.AlgoMDRC, rankregret.AlgoMDRMS} {
-		b, err := rankregret.Solve(nba, r, &rankregret.Options{Algorithm: algo})
+		b, err := rankregret.Solve(ctx, nba, r, &rankregret.Options{Algorithm: algo})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol2, err := rankregret.Solve(two, 5, nil)
+	sol2, err := rankregret.Solve(ctx, two, 5, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,6 +11,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The paper's running example (Table I): seven cars over two
 	// attributes. For r = 1 the RRM optimum is t3 = (0.57, 0.75).
 	rows := [][]float64{
@@ -26,14 +28,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sol, err := rankregret.Solve(ds, 1, nil) // d = 2 -> exact 2D DP
+	sol, err := rankregret.Solve(ctx, ds, 1, nil) // d = 2 -> exact 2D DP
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Table I, r=1: chose t%d, rank-regret %d (exact=%v)\n",
 		sol.IDs[0]+1, sol.RankRegret, sol.Exact)
 
-	sol3, err := rankregret.Solve(ds, 3, nil)
+	sol3, err := rankregret.Solve(ctx, ds, 3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 	// A bigger high-dimensional instance: 5 000 anti-correlated tuples
 	// over 4 attributes, solved with HDRRM.
 	big := rankregret.GenerateAnticorrelated(42, 5000, 4)
-	solHD, err := rankregret.Solve(big, 10, &rankregret.Options{Algorithm: rankregret.AlgoHDRRM})
+	solHD, err := rankregret.Solve(ctx, big, 10, &rankregret.Options{Algorithm: rankregret.AlgoHDRRM})
 	if err != nil {
 		log.Fatal(err)
 	}

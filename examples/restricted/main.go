@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,11 +15,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	ds := rankregret.GenerateAnticorrelated(7, 20000, 4)
 	const r = 10
 
 	// Plain RRM: the adversary may use any non-negative weights.
-	full, err := rankregret.Solve(ds, r, &rankregret.Options{Algorithm: rankregret.AlgoHDRRM})
+	full, err := rankregret.Solve(ctx, ds, r, &rankregret.Options{Algorithm: rankregret.AlgoHDRRM})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	restricted, err := rankregret.Solve(ds, r, &rankregret.Options{
+	restricted, err := rankregret.Solve(ctx, ds, r, &rankregret.Options{
 		Algorithm: rankregret.AlgoHDRRM,
 		Space:     cone,
 	})
@@ -54,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ballSol, err := rankregret.Solve(ds, r, &rankregret.Options{
+	ballSol, err := rankregret.Solve(ctx, ds, r, &rankregret.Options{
 		Algorithm: rankregret.AlgoHDRRM,
 		Space:     ball,
 	})

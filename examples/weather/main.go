@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	ds := rankregret.SimWeather(7, 20000)
 	fmt.Printf("dataset: %d stations x %d attributes %v\n\n", ds.N(), ds.Dim(), ds.Attrs())
 
@@ -26,7 +28,7 @@ func main() {
 	fmt.Println("budget sweep (HDRRM):")
 	fmt.Printf("  %3s  %10s  %12s  %10s\n", "r", "regret<=", "estimated", "percentile")
 	for _, r := range []int{5, 8, 10, 15, 20, 30} {
-		sol, err := rankregret.Solve(ds, r, &rankregret.Options{
+		sol, err := rankregret.Solve(ctx, ds, r, &rankregret.Options{
 			Algorithm:  rankregret.AlgoHDRRM,
 			MaxSamples: 8000,
 		})
@@ -44,7 +46,7 @@ func main() {
 	// The dual view: fix a percentile target instead of a budget. "Every
 	// user must find a top-0.1% station" means k = n/1000.
 	k := ds.N() / 1000
-	dual, err := rankregret.SolveRRR(ds, k, &rankregret.Options{MaxSamples: 8000})
+	dual, err := rankregret.SolveRRR(ctx, ds, k, &rankregret.Options{MaxSamples: 8000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestPipelineCSVRoundTripSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Normalize()
-	sol, err := rankregret.Solve(ds, 8, &rankregret.Options{MaxSamples: 2000})
+	sol, err := rankregret.Solve(t.Context(), ds, 8, &rankregret.Options{MaxSamples: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSolutionsAreSkylineSubsets(t *testing.T) {
 	for _, id := range rankregret.Skyline(ds) {
 		onSkyline[id] = true
 	}
-	sol, err := rankregret.Solve(ds, 6, nil)
+	sol, err := rankregret.Solve(t.Context(), ds, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRestrictedCandidatesSubset(t *testing.T) {
 func TestLowerBoundTheorem2(t *testing.T) {
 	const n, r = 600, 4
 	ds := rankregret.GenerateQuarterCircle(n, 2)
-	sol, err := rankregret.Solve(ds, r, nil)
+	sol, err := rankregret.Solve(t.Context(), ds, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestLowerBoundTheorem2(t *testing.T) {
 // small factor of it.
 func TestTwoSolversAgreeIn2D(t *testing.T) {
 	ds := rankregret.GenerateIndependent(41, 1000, 2)
-	exact, err := rankregret.Solve(ds, 6, &rankregret.Options{Algorithm: rankregret.AlgoTwoDRRM})
+	exact, err := rankregret.Solve(t.Context(), ds, 6, &rankregret.Options{Algorithm: rankregret.AlgoTwoDRRM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd, err := rankregret.Solve(ds, 6, &rankregret.Options{Algorithm: rankregret.AlgoHDRRM, MaxSamples: 4000})
+	hd, err := rankregret.Solve(t.Context(), ds, 6, &rankregret.Options{Algorithm: rankregret.AlgoHDRRM, MaxSamples: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestTwoSolversAgreeIn2D(t *testing.T) {
 func TestDualAndPrimalConsistency(t *testing.T) {
 	ds := rankregret.GenerateAnticorrelated(51, 700, 2)
 	for _, r := range []int{2, 4, 6} {
-		primal, err := rankregret.Solve(ds, r, nil)
+		primal, err := rankregret.Solve(t.Context(), ds, r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dual, err := rankregret.SolveRRR(ds, primal.RankRegret, nil)
+		dual, err := rankregret.SolveRRR(t.Context(), ds, primal.RankRegret, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestMonotonicityInBudget(t *testing.T) {
 	ds := rankregret.GenerateAnticorrelated(61, 900, 2)
 	prev := math.MaxInt
 	for r := 1; r <= 8; r++ {
-		sol, err := rankregret.Solve(ds, r, nil)
+		sol, err := rankregret.Solve(t.Context(), ds, r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestPreferenceSamplerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := rankregret.Solve(ds, 8, &rankregret.Options{
+	sol, err := rankregret.Solve(t.Context(), ds, 8, &rankregret.Options{
 		Algorithm:  rankregret.AlgoHDRRM,
 		Sampler:    mix,
 		MaxSamples: 2000,
@@ -225,7 +225,7 @@ func TestSolveVariantPublicAPI(t *testing.T) {
 	for _, v := range []rankregret.HDRRMVariant{
 		{}, {NoBasis: true}, {NoGrid: true}, {NoSamples: true},
 	} {
-		sol, err := rankregret.SolveVariant(ds, 6, &rankregret.Options{MaxSamples: 1000}, v)
+		sol, err := rankregret.SolveVariant(t.Context(), ds, 6, &rankregret.Options{MaxSamples: 1000}, v)
 		if err != nil {
 			t.Errorf("%s: %v", v.Name(), err)
 			continue
@@ -234,13 +234,13 @@ func TestSolveVariantPublicAPI(t *testing.T) {
 			t.Errorf("%s: |S| = %d", v.Name(), len(sol.IDs))
 		}
 	}
-	if _, err := rankregret.SolveVariant(ds, 6, nil, rankregret.HDRRMVariant{NoGrid: true, NoSamples: true}); err == nil {
+	if _, err := rankregret.SolveVariant(t.Context(), ds, 6, nil, rankregret.HDRRMVariant{NoGrid: true, NoSamples: true}); err == nil {
 		t.Error("impossible variant should fail")
 	}
-	if _, err := rankregret.SolveVariant(nil, 6, nil, rankregret.HDRRMVariant{}); err == nil {
+	if _, err := rankregret.SolveVariant(t.Context(), nil, 6, nil, rankregret.HDRRMVariant{}); err == nil {
 		t.Error("nil dataset should fail")
 	}
-	if _, err := rankregret.SolveVariant(ds, 0, nil, rankregret.HDRRMVariant{}); err == nil {
+	if _, err := rankregret.SolveVariant(t.Context(), ds, 0, nil, rankregret.HDRRMVariant{}); err == nil {
 		t.Error("r=0 should fail")
 	}
 }
@@ -249,7 +249,7 @@ func TestSolveVariantPublicAPI(t *testing.T) {
 // exact 2D sweep through the public API.
 func TestAdaptiveEstimatorPublicAPI(t *testing.T) {
 	ds := rankregret.GenerateAnticorrelated(91, 800, 2)
-	sol, err := rankregret.Solve(ds, 5, nil)
+	sol, err := rankregret.Solve(t.Context(), ds, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRMSShiftVarianceTableI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rms, err := rankregret.Solve(ds, 1, &rankregret.Options{Algorithm: rankregret.AlgoRMSGreedy})
+	rms, err := rankregret.Solve(t.Context(), ds, 1, &rankregret.Options{Algorithm: rankregret.AlgoRMSGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +290,14 @@ func TestRMSShiftVarianceTableI(t *testing.T) {
 	}
 	shifted := ds.Clone()
 	shifted.Shift([]float64{0, 4})
-	rms2, err := rankregret.Solve(shifted, 1, &rankregret.Options{Algorithm: rankregret.AlgoRMSGreedy})
+	rms2, err := rankregret.Solve(t.Context(), shifted, 1, &rankregret.Options{Algorithm: rankregret.AlgoRMSGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rms2.IDs) != 1 || rms2.IDs[0] != 6 {
 		t.Errorf("RMS on shifted Table I chose %v, paper says t7 (id 6)", rms2.IDs)
 	}
-	rrm, err := rankregret.Solve(shifted, 1, nil)
+	rrm, err := rankregret.Solve(t.Context(), shifted, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,6 +299,13 @@ func DecodeBinary(data []byte) (*Dataset, int, error) {
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(vb[i*8:]))
 	}
+	// A snapshot or WAL record is a boundary like a CSV upload: a NaN or
+	// ±Inf decoded from disk must not reach a solver either.
+	for i := 0; i < n; i++ {
+		if err := CheckFinite(i, vals[i*d:(i+1)*d]); err != nil {
+			return nil, 0, fmt.Errorf("%w: %w", ErrEncoding, err)
+		}
+	}
 	ds := &Dataset{
 		d:       d,
 		vals:    vals,

@@ -22,7 +22,7 @@ func mutatedDataset(t *testing.T, rewrite bool) *Dataset {
 	if err := ds.Delete([]int{0, 3, 7}); err != nil {
 		t.Fatal(err)
 	}
-	ds.Append([]float64{0.5, math.Inf(1), math.NaN()})
+	ds.Append([]float64{0.5, math.MaxFloat64, math.Copysign(0, -1)})
 	if rewrite {
 		ds.Shift([]float64{0.25, 0, -1})
 	}
@@ -58,9 +58,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Fatalf("rewrite=%v: consumed %d of %d bytes", rewrite, n, len(enc))
 		}
+		// The fingerprint (over raw bits) proves the matrices identical.
 		assertDatasetEqual(t, back, ds)
-		// NaN breaks value comparison through ==; the fingerprint (over raw
-		// bits) already proved the matrices identical.
 
 		// The decoded dataset must answer delta windows like the original.
 		since := ds.Version() - 2
@@ -122,6 +121,22 @@ func TestDecodeBumpsLineageSeq(t *testing.T) {
 	}
 	if fresh := New(2); fresh.Lineage() <= high {
 		t.Fatalf("post-decode lineage %d collides with recovered range (<= %d)", fresh.Lineage(), high)
+	}
+}
+
+// TestDecodeRejectsNonFinite: an encoding whose value matrix holds NaN or
+// ±Inf (Append itself does not check) fails to decode, with an error that
+// wraps both ErrEncoding and the *NonFiniteError naming the value.
+func TestDecodeRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ds := New(2)
+		ds.Append([]float64{0.5, 0.5})
+		ds.Append([]float64{0.25, v})
+		_, _, err := DecodeBinary(ds.AppendBinary(nil))
+		var nf *NonFiniteError
+		if !errors.Is(err, ErrEncoding) || !errors.As(err, &nf) || nf.Row != 1 || nf.Col != 1 {
+			t.Errorf("decoding a dataset holding %v = %v, want ErrEncoding naming row 1 attribute 1", v, err)
+		}
 	}
 }
 

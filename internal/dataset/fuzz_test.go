@@ -179,9 +179,9 @@ func FuzzFingerprintStability(f *testing.F) {
 }
 
 // FuzzDecodeBinary checks the durable decoder never panics (or allocates
-// past its input) on arbitrary bytes, and that every accepted input
-// re-encodes to a stable form: decode -> encode -> decode reproduces the
-// same fingerprint and versioning state.
+// past its input) on arbitrary bytes, that every accepted input holds only
+// finite values, and that it re-encodes to a stable form: decode -> encode
+// -> decode reproduces the same fingerprint and versioning state.
 func FuzzDecodeBinary(f *testing.F) {
 	seed := New(2)
 	seed.Append([]float64{0.5, 1})
@@ -198,6 +198,11 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		for i := 0; i < ds.N(); i++ {
+			if err := CheckFinite(i, ds.Row(i)); err != nil {
+				t.Fatalf("accepted a non-finite value: %v", err)
+			}
 		}
 		enc := ds.AppendBinary(nil)
 		back, m, err := DecodeBinary(enc)

@@ -233,7 +233,7 @@ func (e *Engine) Metrics() Metrics {
 // solution-cache key (empty when the request is uncacheable or would not
 // resolve) and the VecSet-tier key (empty when the tier is unavailable or
 // opted out). The scheduler stores them on the job at submission so the
-// affinity policy's warm probe is two map lookups per pending job.
+// dequeue order's warm probe is two map lookups per pending job.
 func (e *Engine) keysFor(req Request) (solKey, vsKey string) {
 	if req.Dataset == nil || req.Opts.Sampler != nil {
 		return "", ""
@@ -254,7 +254,7 @@ func (e *Engine) keysFor(req Request) (solKey, vsKey string) {
 }
 
 // warmKeys reports whether either cache tier already holds one of the
-// precomputed keys: the affinity policy's warm probe. Probing is passive —
+// precomputed keys: the dequeue order's warm probe. Probing is passive —
 // no hit/miss counters move and no LRU order changes.
 func (e *Engine) warmKeys(solKey, vsKey string) bool {
 	if solKey != "" && e.cache != nil && e.cache.Contains(solKey) {

@@ -118,11 +118,11 @@ type job struct {
 	cancel context.CancelFunc
 	done   chan struct{} // closed exactly once, when the job finishes
 	// ephemeral jobs (synchronous Do solves) share the pool, counters, and
-	// policy but are dropped from the registry as soon as they finish: they
-	// never appear in Jobs() or consume retention slots.
+	// queue order but are dropped from the registry as soon as they finish:
+	// they never appear in Jobs() or consume retention slots.
 	ephemeral bool
 	// solKey/vsKey are the engine cache keys precomputed at submission so
-	// the affinity policy's warm probe is two map lookups per pending job.
+	// dequeue's warm probe is two map lookups per pending job.
 	solKey, vsKey string
 	// trace is the request trace carried across the admit→dequeue handoff
 	// (job ctx is parented to the scheduler, not the request, so context
@@ -201,7 +201,6 @@ func (j *job) finish(sol *Solution, err error) bool {
 // snapshot instant.
 type SchedulerStats struct {
 	Workers    int    `json:"workers"`
-	Policy     string `json:"policy"`
 	QueueDepth int    `json:"queue_depth"`
 	QueueCap   int    `json:"queue_cap"`
 	Running    int64  `json:"running"`
@@ -221,11 +220,11 @@ type SchedulerStats struct {
 const maxRetainedJobs = 2048
 
 // Scheduler runs engine solves on a bounded worker pool fed by a
-// policy-ordered pending queue, with per-job cancellation and queryable job
-// states — the throughput layer that turns one engine into a multi-request
-// server. The queue is bounded: admission fails fast with ErrQueueFull so
-// serving layers can shed load instead of buffering it. All methods are safe
-// for concurrent use.
+// cache-affinity-ordered pending queue (see dequeue), with per-job
+// cancellation and queryable job states — the throughput layer that turns
+// one engine into a multi-request server. The queue is bounded: admission
+// fails fast with ErrQueueFull so serving layers can shed load instead of
+// buffering it. All methods are safe for concurrent use.
 type Scheduler struct {
 	eng     *Engine
 	workers int
@@ -241,7 +240,6 @@ type Scheduler struct {
 	slots chan struct{}
 
 	mu       sync.Mutex
-	policy   Policy
 	pending  []*job // admitted, not yet dequeued; arrival order
 	jobs     map[string]*job
 	finished []string // retention FIFO of finished job ids
@@ -258,9 +256,13 @@ type Scheduler struct {
 	nFailed   uint64
 	nRejected uint64
 
-	// obs holds the queue-wait and run-duration histograms, labeled by the
-	// dequeue policy in effect when the job ran. Wired by Instrument before
-	// the scheduler serves traffic; nil = uninstrumented.
+	// maxColdWait bounds starvation under the warm-first dequeue order:
+	// once the oldest pending job has waited this long it runs next
+	// regardless of warmth (DefaultMaxColdWait).
+	maxColdWait time.Duration
+
+	// obs holds the queue-wait and run-duration histograms. Wired by
+	// Instrument before the scheduler serves traffic; nil = uninstrumented.
 	obs *schedObs
 
 	// logger receives job-failure records; swapped in atomically (like obs)
@@ -300,41 +302,39 @@ func (s *Scheduler) logFailure(j *job, err error) {
 
 // schedObs is the scheduler's latency instrumentation.
 type schedObs struct {
-	queueWait *obs.HistogramVec
-	runDur    *obs.HistogramVec
+	queueWait *obs.Histogram
+	runDur    *obs.Histogram
 }
 
 // Instrument registers the scheduler's queue-wait and run-duration
-// histograms with reg, labeled by dequeue policy. Call before the scheduler
-// serves traffic.
+// histograms with reg. Call before the scheduler serves traffic.
 func (s *Scheduler) Instrument(reg *obs.Registry) {
 	so := &schedObs{
-		queueWait: reg.HistogramVec("rrmd_queue_wait_seconds",
-			"Time a job spent queued between admission and dequeue, by policy.", "policy", nil),
-		runDur: reg.HistogramVec("rrmd_run_duration_seconds",
-			"Time a job spent running (dequeue to finish), by policy.", "policy", nil),
+		queueWait: reg.Histogram("rrmd_queue_wait_seconds",
+			"Time a job spent queued between admission and dequeue.", nil),
+		runDur: reg.Histogram("rrmd_run_duration_seconds",
+			"Time a job spent running (dequeue to finish).", nil),
 	}
 	s.mu.Lock()
 	s.obs = so
 	s.mu.Unlock()
 }
 
-// observeRun records one job's queue wait and run duration under the
-// current policy's label.
+// observeRun records one job's queue wait and run duration.
 func (s *Scheduler) observeRun(wait, run time.Duration) {
 	s.mu.Lock()
-	so, name := s.obs, s.policy.Name()
+	so := s.obs
 	s.mu.Unlock()
 	if so == nil {
 		return
 	}
-	so.queueWait.With(name).Observe(wait.Seconds())
-	so.runDur.With(name).Observe(run.Seconds())
+	so.queueWait.Observe(wait.Seconds())
+	so.runDur.Observe(run.Seconds())
 }
 
 // NewScheduler starts a scheduler over eng with the given worker count
-// (0 = GOMAXPROCS) and queue capacity (0 = 256), running jobs in FIFO order;
-// see SetPolicy. Call Close to stop it.
+// (0 = GOMAXPROCS) and queue capacity (0 = 256), running jobs in the
+// warm-first order dequeue describes. Call Close to stop it.
 func NewScheduler(eng *Engine, workers, queueCap int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -350,9 +350,10 @@ func NewScheduler(eng *Engine, workers, queueCap int) *Scheduler {
 		cancel:  cancel,
 		space:   make(chan struct{}, queueCap),
 		slots:   make(chan struct{}, queueCap),
-		policy:  FIFO{},
 		jobs:    make(map[string]*job),
 		retain:  maxRetainedJobs,
+
+		maxColdWait: DefaultMaxColdWait,
 	}
 	for i := 0; i < queueCap; i++ {
 		s.space <- struct{}{}
@@ -362,17 +363,6 @@ func NewScheduler(eng *Engine, workers, queueCap int) *Scheduler {
 		go s.worker()
 	}
 	return s
-}
-
-// SetPolicy swaps the queue-ordering policy (nil resets to FIFO). Safe to
-// call while jobs are in flight; the next dequeue uses the new policy.
-func (s *Scheduler) SetPolicy(p Policy) {
-	if p == nil {
-		p = FIFO{}
-	}
-	s.mu.Lock()
-	s.policy = p
-	s.mu.Unlock()
 }
 
 func (s *Scheduler) worker() {
@@ -389,9 +379,20 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// dequeue pops the policy's pick from the pending queue and frees its
-// admission slot. Every slots token corresponds to one pending append, so
-// pending is non-empty here; the nil return is defense in depth only.
+// DefaultMaxColdWait is the dequeue order's starvation bound: once the
+// oldest pending job has waited this long it runs next regardless of warmth.
+const DefaultMaxColdWait = 2 * time.Second
+
+// dequeue pops the next job from the pending queue and frees its admission
+// slot. The order is cache-affinity-aware: under pressure, the oldest job
+// whose state is already warm in the engine (cached solution or resident
+// VecSet) runs before jobs that would trigger a cold build, so the queue
+// drains at warm-hit speed instead of stalling every worker on cold builds.
+// Within each class arrival order is kept, so answers are the same as in
+// arrival order — only latency ordering moves — and once the oldest job has
+// waited maxColdWait it runs next regardless. Every slots token corresponds
+// to one pending append, so pending is non-empty here; the nil return is
+// defense in depth only.
 func (s *Scheduler) dequeue() *job {
 	s.mu.Lock()
 	if len(s.pending) == 0 {
@@ -399,9 +400,12 @@ func (s *Scheduler) dequeue() *job {
 		return nil
 	}
 	idx := 0
-	if len(s.pending) > 1 {
-		if _, isFIFO := s.policy.(FIFO); !isFIFO {
-			idx = s.pickLocked()
+	if len(s.pending) > 1 && !s.starvingLocked() {
+		for i, j := range s.pending {
+			if s.eng.warmKeys(j.solKey, j.vsKey) {
+				idx = i
+				break
+			}
 		}
 	}
 	j := s.pending[idx]
@@ -411,29 +415,14 @@ func (s *Scheduler) dequeue() *job {
 	return j
 }
 
-// pickLocked builds the policy's view of the pending queue — including the
-// per-job warm probe against the engine's cache tiers — and applies it.
-// Called with s.mu held.
-func (s *Scheduler) pickLocked() int {
-	view := make([]PendingJob, len(s.pending))
-	for i, j := range s.pending {
-		j.mu.Lock()
-		enq := j.enqueued
-		j.mu.Unlock()
-		view[i] = PendingJob{
-			Label:      j.req.Label,
-			Algorithm:  j.req.Algorithm,
-			Mode:       j.req.Mode,
-			RK:         j.req.RK,
-			EnqueuedAt: enq,
-			Warm:       s.eng.warmKeys(j.solKey, j.vsKey),
-		}
-	}
-	idx := s.policy.Next(view)
-	if idx < 0 || idx >= len(s.pending) {
-		idx = 0
-	}
-	return idx
+// starvingLocked reports whether the oldest pending job has waited
+// maxColdWait. Called with s.mu held and pending non-empty.
+func (s *Scheduler) starvingLocked() bool {
+	j := s.pending[0]
+	j.mu.Lock()
+	enq := j.enqueued
+	j.mu.Unlock()
+	return time.Since(enq) >= s.maxColdWait
 }
 
 func (s *Scheduler) runJob(j *job) {
@@ -805,7 +794,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 	defer s.mu.Unlock()
 	return SchedulerStats{
 		Workers:    s.workers,
-		Policy:     s.policy.Name(),
 		QueueDepth: len(s.pending),
 		QueueCap:   cap(s.space),
 		Running:    s.running,

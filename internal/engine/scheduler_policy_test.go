@@ -115,87 +115,85 @@ func TestDoQueueTimeout(t *testing.T) {
 	}
 }
 
-// TestAffinityRunsWarmJobsFirst pins the policy behavior: under pressure,
-// with the affinity policy installed, a pending job whose dataset is warm in
-// the engine's cache tiers starts before an earlier-arrived cold job — and
-// under FIFO the arrival order wins.
+// warmJobStartsFirst queues a cold job and then a warm one behind a blocked
+// worker, lets them wait for hold, releases the worker, and reports whether
+// the warm job started first. cacheSize configures the engine (negative =
+// caches off) and maxColdWait the scheduler's starvation bound.
+func warmJobStartsFirst(t *testing.T, cacheSize int, maxColdWait, hold time.Duration) bool {
+	t.Helper()
+	e := New(cacheSize)
+	s := NewScheduler(e, 1, 8)
+	defer s.Close()
+	s.maxColdWait = maxColdWait
+	b := blockingSolver{started: make(chan string, 4), release: make(chan struct{})}
+	testBlock.cur.Store(&b)
+	defer testBlock.cur.Store(nil)
+
+	cold := dataset.SimIsland(xrand.New(2), 150)
+	warm := dataset.SimNBA(xrand.New(3), 150)
+	opts := Options{Seed: 1, MaxSamples: 400}
+	// Warm the VecSet tier for one dataset with a direct solve (r=5 covers
+	// SimNBA's basis; the tier's key ignores r, so the later r=5 job probes
+	// warm either way).
+	if _, err := e.Solve(t.Context(), warm, 5, "", opts); err != nil {
+		t.Fatal(err)
+	}
+
+	blocker, err := s.Submit(blockReq(cold, b, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-b.started
+	coldSt, err := s.Submit(Request{Dataset: cold, Mode: ModeRRM, RK: 5, Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmSt, err := s.Submit(Request{Dataset: warm, Mode: ModeRRM, RK: 5, Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(hold)
+	close(b.release)
+
+	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
+	defer cancel()
+	for _, id := range []string{blocker.ID, coldSt.ID, warmSt.ID} {
+		if st, err := s.Wait(ctx, id); err != nil || st.State != JobDone {
+			t.Fatalf("job %s = %+v (err %v), want done", id, st, err)
+		}
+	}
+	gotCold, _ := s.Get(coldSt.ID)
+	gotWarm, _ := s.Get(warmSt.ID)
+	return gotWarm.StartedAt.Before(gotCold.StartedAt)
+}
+
+// TestAffinityRunsWarmJobsFirst pins the dequeue order: under pressure, a
+// pending job whose dataset is warm in the engine's cache tiers starts
+// before an earlier-arrived cold job. With the caches off nothing probes
+// warm, so arrival order wins.
 func TestAffinityRunsWarmJobsFirst(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		policy    Policy
+		cacheSize int
 		warmFirst bool
 	}{
-		{"affinity", Affinity{MaxColdWait: time.Minute}, true},
-		{"fifo", FIFO{}, false},
+		{"affinity", 0, true},
+		{"fifo", -1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := New(0) // caches on: the warm probe needs them
-			s := NewScheduler(e, 1, 8)
-			defer s.Close()
-			s.SetPolicy(tc.policy)
-			b := blockingSolver{started: make(chan string, 4), release: make(chan struct{})}
-			testBlock.cur.Store(&b)
-			defer testBlock.cur.Store(nil)
-
-			cold := dataset.SimIsland(xrand.New(2), 150)
-			warm := dataset.SimNBA(xrand.New(3), 150)
-			opts := Options{Seed: 1, MaxSamples: 400}
-			// Warm the VecSet tier for one dataset with a direct solve (r=5
-			// covers SimNBA's basis; the tier's key ignores r, so the later
-			// r=5 job probes warm either way).
-			if _, err := e.Solve(context.Background(), warm, 5, "", opts); err != nil {
-				t.Fatal(err)
-			}
-
-			blocker, err := s.Submit(blockReq(cold, b, 3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			<-b.started
-			coldSt, err := s.Submit(Request{Dataset: cold, Mode: ModeRRM, RK: 5, Opts: opts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			warmSt, err := s.Submit(Request{Dataset: warm, Mode: ModeRRM, RK: 5, Opts: opts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			close(b.release)
-
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			for _, id := range []string{blocker.ID, coldSt.ID, warmSt.ID} {
-				if st, err := s.Wait(ctx, id); err != nil || st.State != JobDone {
-					t.Fatalf("job %s = %+v (err %v), want done", id, st, err)
-				}
-			}
-			gotCold, _ := s.Get(coldSt.ID)
-			gotWarm, _ := s.Get(warmSt.ID)
-			warmFirst := gotWarm.StartedAt.Before(gotCold.StartedAt)
-			if warmFirst != tc.warmFirst {
-				t.Fatalf("policy %s: warm job started first = %v, want %v (warm %v, cold %v)",
-					tc.name, warmFirst, tc.warmFirst, gotWarm.StartedAt, gotCold.StartedAt)
+			if got := warmJobStartsFirst(t, tc.cacheSize, time.Minute, 0); got != tc.warmFirst {
+				t.Fatalf("warm job started first = %v, want %v", got, tc.warmFirst)
 			}
 		})
 	}
 }
 
 // TestAffinityAntiStarvation: once the oldest pending job has waited past
-// MaxColdWait, affinity degrades to FIFO so cold jobs cannot starve behind a
-// stream of warm ones.
+// maxColdWait, dequeue takes it in arrival order so cold jobs cannot starve
+// behind a stream of warm ones.
 func TestAffinityAntiStarvation(t *testing.T) {
-	now := time.Now()
-	p := Affinity{MaxColdWait: 50 * time.Millisecond}
-	pending := []PendingJob{
-		{Label: "cold", EnqueuedAt: now.Add(-time.Second), Warm: false},
-		{Label: "warm", EnqueuedAt: now, Warm: true},
-	}
-	if got := p.Next(pending); got != 0 {
-		t.Fatalf("starving cold job skipped: Next = %d, want 0", got)
-	}
-	pending[0].EnqueuedAt = now // fresh again: warm preference applies
-	if got := p.Next(pending); got != 1 {
-		t.Fatalf("fresh queue: Next = %d, want the warm job (1)", got)
+	if warmJobStartsFirst(t, 0, 50*time.Millisecond, 150*time.Millisecond) {
+		t.Fatal("starving cold job skipped: the warm job started first")
 	}
 }
 

@@ -70,7 +70,6 @@ type Report struct {
 	Schema     int     `json:"schema"`
 	Scenario   string  `json:"scenario"`
 	Seed       int64   `json:"seed"`
-	Policy     string  `json:"policy"`
 	BaseURL    string  `json:"base_url"`
 	DurationMS float64 `json:"duration_ms"`
 

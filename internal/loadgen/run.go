@@ -94,7 +94,6 @@ type runner struct {
 	mu       sync.Mutex
 	outcomes []outcome
 	samples  []Sample
-	policy   string
 }
 
 // Run fires the trace at the server open-loop — each event at its scheduled
@@ -185,8 +184,8 @@ func Run(ctx context.Context, trace *Trace, cfg RunConfig) (*Report, error) {
 	<-samplerDone
 	wall := time.Since(start)
 
-	// Final metrics fetch (fresh context: the run's ctx may be done) for the
-	// policy name and a closing timeline point.
+	// Final metrics fetch (fresh context: the run's ctx may be done) for a
+	// closing timeline point.
 	fctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	r.sampleMetrics(fctx, wall)
 	cancel()
@@ -214,7 +213,6 @@ type wireMetrics struct {
 		} `json:"vecsets"`
 	} `json:"engine"`
 	Scheduler struct {
-		Policy     string `json:"policy"`
 		QueueDepth int    `json:"queue_depth"`
 		Running    int64  `json:"running"`
 		Rejected   uint64 `json:"rejected"`
@@ -297,9 +295,6 @@ func (r *runner) sampleMetrics(ctx context.Context, at time.Duration) {
 	ps := r.scrapeProm(sctx)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if wm.Scheduler.Policy != "" {
-		r.policy = wm.Scheduler.Policy
-	}
 	r.samples = append(r.samples, Sample{
 		TMS:          float64(at.Microseconds()) / 1000,
 		QueueDepth:   wm.Scheduler.QueueDepth,
@@ -553,7 +548,6 @@ func (r *runner) report(trace *Trace, wall time.Duration) *Report {
 		Schema:     ReportSchema,
 		Scenario:   trace.Scenario,
 		Seed:       trace.Seed,
-		Policy:     r.policy,
 		BaseURL:    r.base,
 		DurationMS: float64(wall.Microseconds()) / 1000,
 		PerKind:    map[string]KindReport{},

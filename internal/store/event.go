@@ -172,6 +172,9 @@ func decodeEvent(data []byte) (Event, error) {
 				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(rest))
 				rest = rest[8:]
 			}
+			if err := dataset.CheckFinite(i, row); err != nil {
+				return ev, fmt.Errorf("%w: append %w", ErrEventEncoding, err)
+			}
 			ev.Rows[i] = row
 		}
 	case EventDelete:

@@ -25,7 +25,8 @@ func fuzzSeedEvents(t testing.TB) []Event {
 }
 
 // FuzzEventDecode checks the WAL record decoder never panics on arbitrary
-// bytes, and that accepted inputs re-encode to a decodable fixed point.
+// bytes, that accepted inputs hold only finite values, and that they
+// re-encode to a decodable fixed point.
 func FuzzEventDecode(f *testing.F) {
 	for _, ev := range fuzzSeedEvents(f) {
 		enc, err := ev.appendTo(nil)
@@ -40,6 +41,18 @@ func FuzzEventDecode(f *testing.F) {
 		ev, err := decodeEvent(data)
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		for i, row := range ev.Rows {
+			if err := dataset.CheckFinite(i, row); err != nil {
+				t.Fatalf("accepted a non-finite append: %v", err)
+			}
+		}
+		if ev.Dataset != nil {
+			for i := 0; i < ev.Dataset.N(); i++ {
+				if err := dataset.CheckFinite(i, ev.Dataset.Row(i)); err != nil {
+					t.Fatalf("accepted a non-finite register: %v", err)
+				}
+			}
 		}
 		enc, err := ev.appendTo(nil)
 		if err != nil {
@@ -63,8 +76,8 @@ func FuzzEventDecode(f *testing.F) {
 	})
 }
 
-// rowsBitEqual compares row matrices by raw float bits, so NaN payloads
-// (legal in arbitrary inputs) compare by identity rather than IEEE ==.
+// rowsBitEqual compares row matrices by raw float bits, so -0 and +0 stay
+// distinct rather than comparing equal under IEEE ==.
 func rowsBitEqual(a, b [][]float64) bool {
 	if len(a) != len(b) {
 		return false

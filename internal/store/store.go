@@ -35,7 +35,7 @@ import (
 // Defaults for Options zero values.
 const (
 	// DefaultRetain is the retained-version window used when Options.Retain
-	// and per-call retain are unset.
+	// is unset.
 	DefaultRetain = 8
 	// DefaultSegmentBytes is the WAL rotation threshold.
 	DefaultSegmentBytes = 8 << 20
@@ -105,10 +105,9 @@ type Options struct {
 	// Dir is the data directory. Empty means ephemeral: the full registry
 	// API with durability disabled.
 	Dir string
-	// Retain caps each dataset's version history during replay (live
-	// mutations pass their own retain). 0 = DefaultRetain. Reopening with a
-	// different retain than the serving layer uses live will recover a
-	// differently-sized window; keep them equal.
+	// Retain caps each dataset's version history (0 = DefaultRetain). It
+	// is the window replay trims to, and the one live mutations trim to
+	// unless they pass their own positive retain.
 	Retain int
 	// SegmentBytes rotates the WAL segment when it would exceed this size
 	// (0 = DefaultSegmentBytes).
@@ -207,11 +206,8 @@ func (v *Versions) List() []*dataset.Dataset {
 }
 
 // publish appends next as the new current version, trimming history past
-// retain.
+// retain (>= 1).
 func (v *Versions) publish(next *dataset.Dataset, retain int) {
-	if retain < 1 {
-		retain = DefaultRetain
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.list = append(v.list, next)
@@ -300,6 +296,8 @@ type Summary struct {
 	Reason        string      `json:"reason,omitempty"`
 	HealAttempts  uint64      `json:"heal_attempts"`
 	HealSuccesses uint64      `json:"heal_successes"`
+	// Retain is the retained-version window (Options.Retain).
+	Retain int `json:"retain"`
 }
 
 // Store is the durable registry. All methods are safe for concurrent use;
@@ -610,10 +608,11 @@ func deleteNext(cur *dataset.Dataset, ids []int) (*dataset.Dataset, error) {
 
 // encodeEvent prepares ev's WAL payload, or nil for an ephemeral store.
 // Callers run it OUTSIDE st.mu: register payloads carry whole datasets, and
-// that encode must not stall unrelated readers. st.wal's nil-ness is fixed
-// at Open, so the unlocked check is safe.
+// that encode must not stall unrelated readers. A store is ephemeral
+// exactly when it has no directory; the check reads the immutable options,
+// not st.wal, which the self-healing loop swaps under st.mu.
 func (st *Store) encodeEvent(ev Event) ([]byte, error) {
-	if st.wal == nil {
+	if st.opts.Dir == "" {
 		return nil, nil
 	}
 	return ev.appendTo(nil)
@@ -1106,6 +1105,9 @@ func (st *Store) mutate(ctx context.Context, name string, build func(cur *datase
 	if err := st.logPayload(ctx, payload); err != nil {
 		return nil, err
 	}
+	if retain < 1 {
+		retain = st.opts.Retain
+	}
 	vv.publish(next, retain)
 	st.maybeSnapshotLocked(ctx)
 	return next, nil
@@ -1113,8 +1115,9 @@ func (st *Store) mutate(ctx context.Context, name string, build func(cur *datase
 
 // AppendRowsCtx durably appends rows to name's current version and
 // publishes the successor, returning it. The WAL record is written (and,
-// under SyncAlways, synced) before the new version becomes visible. ctx
-// carries trace spans only (see RegisterCtx).
+// under SyncAlways, synced) before the new version becomes visible, and
+// history past retain versions ages out (retain < 1 = Options.Retain, the
+// window recovery rebuilds). ctx carries trace spans only (see RegisterCtx).
 func (st *Store) AppendRowsCtx(ctx context.Context, name string, rows [][]float64, retain int) (*dataset.Dataset, error) {
 	return st.mutate(ctx, name, func(cur *dataset.Dataset) (*dataset.Dataset, error) {
 		// Validation happens in the builder, so the WAL never holds an
@@ -1124,8 +1127,8 @@ func (st *Store) AppendRowsCtx(ctx context.Context, name string, rows [][]float6
 }
 
 // DeleteRowsCtx durably removes rows by id from name's current version and
-// publishes the successor, returning it. ctx carries trace spans only (see
-// RegisterCtx).
+// publishes the successor, returning it; retain is as in AppendRowsCtx. ctx
+// carries trace spans only (see RegisterCtx).
 func (st *Store) DeleteRowsCtx(ctx context.Context, name string, ids []int, retain int) (*dataset.Dataset, error) {
 	return st.mutate(ctx, name, func(cur *dataset.Dataset) (*dataset.Dataset, error) {
 		return deleteNext(cur, ids)
@@ -1247,6 +1250,7 @@ func (st *Store) Summary() Summary {
 		Reason:        st.degradedReason,
 		HealAttempts:  st.healAttempts,
 		HealSuccesses: st.healSuccesses,
+		Retain:        st.opts.Retain,
 	}
 	if st.wal != nil {
 		s.Records = st.wal.records

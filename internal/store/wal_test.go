@@ -301,6 +301,31 @@ func TestAcksDurableAcrossSecondRestart(t *testing.T) {
 	}
 }
 
+// appendRecords frames each event as a well-checksummed WAL record, the way
+// the writer would, and appends it to the segment file at path. The payload
+// encoder does not validate, so a test can plant records the live write
+// path never produces.
+func appendRecords(t *testing.T, path string, evs ...Event) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, ev := range evs {
+		payload, err := ev.appendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [recordHeader]byte
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+		if _, err := f.Write(append(hdr[:], payload...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestReplayHaltsAtUnappliableRecord: a record that frames and checksums
 // correctly but cannot be applied (format skew) must HALT replay — events
 // after it were minted against a state that includes it, and applying them
@@ -319,23 +344,9 @@ func TestReplayHaltsAtUnappliableRecord(t *testing.T) {
 
 	// Hand-frame two well-checksummed records: one unappliable (append to a
 	// name that does not exist), then one that WOULD apply — it must not.
-	frame := func(ev Event) []byte {
-		payload, err := ev.appendTo(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hdr [recordHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		return append(hdr[:], payload...)
-	}
-	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(frame(Event{Kind: EventAppend, Name: "ghost", Rows: [][]float64{{1, 2}}}))
-	f.Write(frame(Event{Kind: EventAppend, Name: "a", Rows: [][]float64{{0.9, 0.9}}}))
-	f.Close()
+	appendRecords(t, seg,
+		Event{Kind: EventAppend, Name: "ghost", Rows: [][]float64{{1, 2}}},
+		Event{Kind: EventAppend, Name: "a", Rows: [][]float64{{0.9, 0.9}}})
 
 	back := openTest(t, dir, Options{Sync: SyncNever, Retain: 4, SnapshotEvery: -1})
 	rec := back.Recovery()

@@ -29,7 +29,7 @@
 // Quick start:
 //
 //	ds, _ := rankregret.NewDataset(rows) // rows [][]float64, larger = better
-//	sol, err := rankregret.Solve(ds, 5, nil)
+//	sol, err := rankregret.Solve(ctx, ds, 5, nil)
 //	fmt.Println(sol.IDs, sol.RankRegret)
 package rankregret
 
@@ -213,13 +213,8 @@ type HDRRMVariant = algohd.Variant
 // SolveVariant runs an HDRRM ablation (see HDRRMVariant). Library users
 // solving real problems should call Solve; this entry point exists for the
 // ablation benchmarks and for studying the algorithm's design choices.
-func SolveVariant(ds *Dataset, r int, opts *Options, v HDRRMVariant) (*Solution, error) {
-	return SolveVariantContext(context.Background(), ds, r, opts, v)
-}
-
-// SolveVariantContext is SolveVariant with a context: cancelling ctx aborts
-// the solve from inside its hot loops.
-func SolveVariantContext(ctx context.Context, ds *Dataset, r int, opts *Options, v HDRRMVariant) (*Solution, error) {
+// Cancelling ctx aborts the solve from inside its hot loops.
+func SolveVariant(ctx context.Context, ds *Dataset, r int, opts *Options, v HDRRMVariant) (*Solution, error) {
 	if ds == nil || ds.N() == 0 {
 		return nil, errors.New("rankregret: empty dataset")
 	}
@@ -302,15 +297,10 @@ var ErrDimension = errors.New("rankregret: algorithm requires a 2-dimensional da
 // opts it runs the paper's primary algorithm for the dataset's
 // dimensionality: the exact 2D dynamic program when d = 2, HDRRM otherwise.
 // Dispatch goes through the engine registry (internal/engine): repeated
-// identical solves are answered from its LRU solution cache.
-func Solve(ds *Dataset, r int, opts *Options) (*Solution, error) {
-	return SolveContext(context.Background(), ds, r, opts)
-}
-
-// SolveContext is Solve with a context: cancelling ctx (or exceeding its
-// deadline) aborts the solve from inside the algorithms' hot loops and
-// returns ctx.Err().
-func SolveContext(ctx context.Context, ds *Dataset, r int, opts *Options) (*Solution, error) {
+// identical solves are answered from its LRU solution cache. Cancelling ctx
+// (or exceeding its deadline) aborts the solve from inside the algorithms'
+// hot loops and returns ctx.Err().
+func Solve(ctx context.Context, ds *Dataset, r int, opts *Options) (*Solution, error) {
 	if ds == nil || ds.N() == 0 {
 		return nil, errors.New("rankregret: empty dataset")
 	}
@@ -331,20 +321,15 @@ func SolveContext(ctx context.Context, ds *Dataset, r int, opts *Options) (*Solu
 // discretization (polar grid, sample stream, per-vector top-K lists) across
 // every budget, so each point after the first costs only its set-cover
 // search — orders of magnitude less than a cold solve. Each solution is
-// identical to the corresponding Solve(ds, r, opts) call.
-func SolveSweep(ds *Dataset, rs []int, opts *Options) ([]*Solution, error) {
-	return SolveSweepContext(context.Background(), ds, rs, opts)
-}
-
-// SolveSweepContext is SolveSweep with a context: cancelling ctx aborts the
-// sweep from inside the current solve's hot loops.
-func SolveSweepContext(ctx context.Context, ds *Dataset, rs []int, opts *Options) ([]*Solution, error) {
+// identical to the corresponding Solve(ctx, ds, r, opts) call. Cancelling
+// ctx aborts the sweep from inside the current solve's hot loops.
+func SolveSweep(ctx context.Context, ds *Dataset, rs []int, opts *Options) ([]*Solution, error) {
 	if len(rs) == 0 {
 		return nil, errors.New("rankregret: empty budget sweep")
 	}
 	out := make([]*Solution, len(rs))
 	for i, r := range rs {
-		sol, err := SolveContext(ctx, ds, r, opts)
+		sol, err := Solve(ctx, ds, r, opts)
 		if err != nil {
 			return nil, fmt.Errorf("rankregret: sweep r = %d: %w", r, err)
 		}
@@ -356,18 +341,14 @@ func SolveSweepContext(ctx context.Context, ds *Dataset, rs []int, opts *Options
 // SolveRRR solves the dual rank-regret representative problem: the minimum
 // size set with rank-regret at most k. For d = 2 it is exact (a mode of the
 // 2D DP); in HD it runs HDRRM's ASMS solver once at threshold k, inheriting
-// its (1 + ln|D|) size approximation (Theorem 9).
+// its (1 + ln|D|) size approximation (Theorem 9). Cancelling ctx aborts the
+// solve as in Solve.
 //
 // Options.Algorithm must name a solver that supports the dual problem
 // (2drrm or hdrrm) or be Auto. Earlier releases silently ignored the field
 // and always fell back to HDRRR; since the engine refactor a non-dual
 // algorithm (e.g. mdrc) is an error, and 2drrm on d != 2 is ErrDimension.
-func SolveRRR(ds *Dataset, k int, opts *Options) (*Solution, error) {
-	return SolveRRRContext(context.Background(), ds, k, opts)
-}
-
-// SolveRRRContext is SolveRRR with a context (see SolveContext).
-func SolveRRRContext(ctx context.Context, ds *Dataset, k int, opts *Options) (*Solution, error) {
+func SolveRRR(ctx context.Context, ds *Dataset, k int, opts *Options) (*Solution, error) {
 	if ds == nil || ds.N() == 0 {
 		return nil, errors.New("rankregret: empty dataset")
 	}

@@ -22,7 +22,7 @@ func tableI(t testing.TB) *rankregret.Dataset {
 
 func TestSolveTableI(t *testing.T) {
 	ds := tableI(t)
-	sol, err := rankregret.Solve(ds, 1, nil)
+	sol, err := rankregret.Solve(t.Context(), ds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSolveTableI(t *testing.T) {
 
 func TestSolveAutoPicksHDRRMFor3D(t *testing.T) {
 	ds := rankregret.GenerateIndependent(1, 300, 3)
-	sol, err := rankregret.Solve(ds, 6, nil)
+	sol, err := rankregret.Solve(t.Context(), ds, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,24 +53,24 @@ func TestSolveAutoPicksHDRRMFor3D(t *testing.T) {
 
 func TestSolveValidation(t *testing.T) {
 	ds := tableI(t)
-	if _, err := rankregret.Solve(nil, 1, nil); err == nil {
+	if _, err := rankregret.Solve(t.Context(), nil, 1, nil); err == nil {
 		t.Error("Solve(nil) should fail")
 	}
-	if _, err := rankregret.Solve(ds, 0, nil); err == nil {
+	if _, err := rankregret.Solve(t.Context(), ds, 0, nil); err == nil {
 		t.Error("Solve with r=0 should fail")
 	}
-	if _, err := rankregret.Solve(ds, 1, &rankregret.Options{Algorithm: "bogus"}); err == nil {
+	if _, err := rankregret.Solve(t.Context(), ds, 1, &rankregret.Options{Algorithm: "bogus"}); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
 	d3 := rankregret.GenerateIndependent(1, 50, 3)
-	if _, err := rankregret.Solve(d3, 2, &rankregret.Options{Algorithm: rankregret.AlgoTwoDRRM}); err != rankregret.ErrDimension {
+	if _, err := rankregret.Solve(t.Context(), d3, 2, &rankregret.Options{Algorithm: rankregret.AlgoTwoDRRM}); err != rankregret.ErrDimension {
 		t.Errorf("2drrm on d=3: err = %v, want ErrDimension", err)
 	}
 }
 
 func TestSolveRRRExact2D(t *testing.T) {
 	ds := rankregret.GenerateAnticorrelated(5, 400, 2)
-	sol, err := rankregret.SolveRRR(ds, 3, nil)
+	sol, err := rankregret.SolveRRR(t.Context(), ds, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSolveRRRExact2D(t *testing.T) {
 	}
 	// Minimality: every strictly smaller set must exceed the threshold.
 	if len(sol.IDs) > 1 {
-		smaller, err := rankregret.Solve(ds, len(sol.IDs)-1, nil)
+		smaller, err := rankregret.Solve(t.Context(), ds, len(sol.IDs)-1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,17 +99,17 @@ func TestSolveRRRExact2D(t *testing.T) {
 
 func TestSolveRRRValidation(t *testing.T) {
 	ds := tableI(t)
-	if _, err := rankregret.SolveRRR(ds, 0, nil); err == nil {
+	if _, err := rankregret.SolveRRR(t.Context(), ds, 0, nil); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := rankregret.SolveRRR(ds, 100, nil); err == nil {
+	if _, err := rankregret.SolveRRR(t.Context(), ds, 100, nil); err == nil {
 		t.Error("k>n should fail")
 	}
 }
 
 func TestSolveRRRHighDim(t *testing.T) {
 	ds := rankregret.GenerateIndependent(3, 500, 3)
-	sol, err := rankregret.SolveRRR(ds, 25, &rankregret.Options{MaxSamples: 2000})
+	sol, err := rankregret.SolveRRR(t.Context(), ds, 25, &rankregret.Options{MaxSamples: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestRestrictedSolveImprovesRegret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := rankregret.Solve(ds, 8, &rankregret.Options{MaxSamples: 2000})
+	full, err := rankregret.Solve(t.Context(), ds, 8, &rankregret.Options{MaxSamples: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, err := rankregret.Solve(ds, 8, &rankregret.Options{Space: cone, MaxSamples: 2000})
+	restricted, err := rankregret.Solve(t.Context(), ds, 8, &rankregret.Options{Space: cone, MaxSamples: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestAllBaselinesRun(t *testing.T) {
 		rankregret.AlgoMDRMS, rankregret.AlgoMDRRR, rankregret.AlgoRMSGreedy,
 		rankregret.AlgoSkylineOnly,
 	} {
-		sol, err := rankregret.Solve(ds, 8, &rankregret.Options{Algorithm: algo, MaxSamples: 1000})
+		sol, err := rankregret.Solve(t.Context(), ds, 8, &rankregret.Options{Algorithm: algo, MaxSamples: 1000})
 		if err != nil {
 			t.Errorf("%s: %v", algo, err)
 			continue
@@ -178,13 +178,13 @@ func TestAllBaselinesRun(t *testing.T) {
 
 func TestShiftInvariancePublicAPI(t *testing.T) {
 	ds := rankregret.GenerateAnticorrelated(23, 500, 2)
-	sol, err := rankregret.Solve(ds, 4, nil)
+	sol, err := rankregret.Solve(t.Context(), ds, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shifted := ds.Clone()
 	shifted.Shift([]float64{3.5, 0.25})
-	sol2, err := rankregret.Solve(shifted, 4, nil)
+	sol2, err := rankregret.Solve(t.Context(), shifted, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSkylineAndTopKHelpers(t *testing.T) {
 
 func TestEvaluateHelpers(t *testing.T) {
 	ds := rankregret.GenerateIndependent(5, 200, 2)
-	sol, err := rankregret.Solve(ds, 5, nil)
+	sol, err := rankregret.Solve(t.Context(), ds, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestHDRRMBeatsBaselinesOnAnticorrelated(t *testing.T) {
 	ds := rankregret.GenerateAnticorrelated(31, 4000, 4)
 	regret := func(algo rankregret.Algorithm) int {
 		t.Helper()
-		sol, err := rankregret.Solve(ds, 10, &rankregret.Options{Algorithm: algo, MaxSamples: 4000})
+		sol, err := rankregret.Solve(t.Context(), ds, 10, &rankregret.Options{Algorithm: algo, MaxSamples: 4000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +421,7 @@ func TestSolveRRRRestricted2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := rankregret.SolveRRR(ds, 3, &rankregret.Options{Space: cone})
+	sol, err := rankregret.SolveRRR(t.Context(), ds, 3, &rankregret.Options{Space: cone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestSolveRRRRestricted2D(t *testing.T) {
 		t.Errorf("restricted RRR(k=3) has rank-regret %d on the cone", got)
 	}
 	// The restricted dual never needs more tuples than the full dual.
-	full, err := rankregret.SolveRRR(ds, 3, nil)
+	full, err := rankregret.SolveRRR(t.Context(), ds, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestSolveSweep(t *testing.T) {
 	ds := rankregret.GenerateAnticorrelated(9, 150, 3)
 	opts := &rankregret.Options{Algorithm: rankregret.AlgoHDRRM, Samples: 300, Gamma: 3, Seed: 2}
 	rs := []int{4, 5, 6, 7, 8}
-	sols, err := rankregret.SolveSweep(ds, rs, opts)
+	sols, err := rankregret.SolveSweep(t.Context(), ds, rs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestSolveSweep(t *testing.T) {
 	}
 	prev := ds.N() + 1
 	for i, r := range rs {
-		single, err := rankregret.Solve(ds, r, opts)
+		single, err := rankregret.Solve(t.Context(), ds, r, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,10 +477,10 @@ func TestSolveSweep(t *testing.T) {
 		prev = sols[i].RankRegret
 	}
 
-	if _, err := rankregret.SolveSweep(ds, nil, opts); err == nil {
+	if _, err := rankregret.SolveSweep(t.Context(), ds, nil, opts); err == nil {
 		t.Error("empty sweep should error")
 	}
-	if _, err := rankregret.SolveSweep(ds, []int{4, 0}, opts); err == nil {
+	if _, err := rankregret.SolveSweep(t.Context(), ds, []int{4, 0}, opts); err == nil {
 		t.Error("sweep with an invalid budget should error")
 	}
 }

@@ -40,7 +40,7 @@ EOF
 # surface runs in anger: JSON logs, a deliberately unmeetable solve SLO plus
 # a hair-trigger slow-request threshold so the burst scenario trips the
 # fast-burn alarm and the flight recorder captures bundles we can assert on.
-"$WORK/rrmd" -addr "$ADDR" -policy affinity -workers 4 -queue 64 \
+"$WORK/rrmd" -addr "$ADDR" -workers 4 -queue 64 \
   -queue-wait 2s -load "pair=$WORK/pair.csv" -load "cars=$WORK/cars.csv" \
   -log-format json -slo "solve:p99<1ms@99" -trace-slow 250ms \
   -incident-dir "$WORK/incidents" 2> "$WORK/rrmd.log" &
