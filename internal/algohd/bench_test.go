@@ -100,3 +100,72 @@ func BenchmarkBaselines(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkHDRRMColdCI is one cold HDRRM solve at CI scale on one worker:
+// the shape of the benchmark's cold simweather and simnba solves.
+func BenchmarkHDRRMColdCI(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		r    int
+	}{
+		{"simweather", dataset.SimWeather(xrand.New(1), 4000), 10},
+		{"simnba", dataset.SimNBA(xrand.New(1), 2000), 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			o := DefaultOptions()
+			o.MaxM = 12000
+			o.Parallelism = 1
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := HDRRMCtx(b.Context(), c.ds, c.r, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRepairAppendCI repairs simweather's depth-32 VecSet across an
+// append of 16 random rows, the shape of the engine's repair acceptance
+// test: the sample size follows the grown n, so the repair also scores the
+// extended tail of the sample stream. Only the first repair can take over
+// the source's sample rng; every later iteration replays the stream.
+func BenchmarkRepairAppendCI(b *testing.B) {
+	ctx := b.Context()
+	o := DefaultOptions()
+	base := dataset.SimWeather(xrand.New(1), 4000)
+	old := NewSharedVecSet(base, nil, o.EffectiveGamma(), 1, nil)
+	view, _, err := old.Acquire(ctx, o.SampleSize(base.N(), base.Dim(), 10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := view.EnsureTopKCtx(ctx, 32); err != nil {
+		b.Fatal(err)
+	}
+	v1 := base.Snapshot()
+	rng := xrand.New(4)
+	row := make([]float64, v1.Dim())
+	for i := 0; i < 16; i++ {
+		for j := range row {
+			row[j] = rng.Float64()
+		}
+		v1.Append(row)
+	}
+	deltas, ok := v1.Deltas(base.Version())
+	if !ok {
+		b.Fatal("history truncated")
+	}
+	m1 := o.SampleSize(v1.N(), v1.Dim(), 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view, outcome, err := NewRepairedVecSet(old, v1, deltas).Acquire(ctx, m1)
+		if err != nil || outcome != VecSetRepaired {
+			b.Fatal(outcome, err)
+		}
+		if err := view.EnsureTopKCtx(ctx, 32); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -209,9 +209,12 @@ func clampWorkers(workers, numTiles int) int {
 //     (candidates): tuples always-beaten by target others can never enter
 //     any top-target list, so both scoring and selection skip them;
 //   - worker goroutines pull whole tiles of vectors and score them with
-//     dataset.UtilitiesBatch's blocked column-major kernel;
-//   - topk.SelectBatch turns each score tile into top lists by selection
-//     (inline heap scan or quickselect) instead of container/heap churn.
+//     dataset.UtilitiesBatch, which sums each tuple's utility in a register
+//     over tuple tiles of the column-major mirror;
+//   - topk.SelectBatch turns each score tile into top lists with a
+//     read-only scan against a heap of (score, position) pairs, seeded
+//     with the previous vector's winners so the threshold starts near the
+//     answer, and writes a tile's lists into one backing array.
 //
 // The worker count honors SetParallelism (default GOMAXPROCS); tiles are
 // handed out by an atomic counter so uneven tiles cannot starve workers.

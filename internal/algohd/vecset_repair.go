@@ -2,6 +2,7 @@ package algohd
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,7 +87,7 @@ func (s *SharedVecSet) repairFrom(ctx context.Context, src *repairSource) (bool,
 	// set's vector list reallocates instead of appending into the shared
 	// backing array.
 	vecs := old.vecs[:len(old.vecs):len(old.vecs)]
-	space, gridCount, samples, oldTC := old.space, old.gridCount, old.samples, old.tc
+	space, gridCount, samples, rngSteps, oldTC := old.space, old.gridCount, old.samples, old.rngSteps, old.tc
 	old.mu.Unlock()
 	// Adopt the source's resolved space immediately: even a declined
 	// repair's cold-build fallback must discretize the same (possibly
@@ -100,10 +101,12 @@ func (s *SharedVecSet) repairFrom(ctx context.Context, src *repairSource) (bool,
 	s.vecs = vecs
 	s.gridCount = gridCount
 	s.samples = samples
-	// The sample stream is deterministic from the seed; rather than cloning
-	// the source's rng, resync (replay) lazily if an extension ever needs it.
+	// The sample stream is deterministic from the seed; rather than sharing
+	// the source's rng, resync lazily (a skip to rngSteps) if an extension
+	// ever needs it.
 	s.rng = nil
 	s.rngDirty = true
+	s.rngSteps = rngSteps
 	s.tc = tc
 	s.built = true
 	return true, nil
@@ -231,9 +234,16 @@ func (tc *topsCache) repaired(ctx context.Context, newDS *dataset.Dataset, delta
 // repairMergePass fills repTops[v] for every non-affected vector: the old
 // list remapped through the deletion and merged with the batch-scored
 // appended rows, truncated to target. Affected vectors are skipped (the
-// re-select pass owns them).
+// re-select pass owns them). A tile's changed lists are merged into one
+// scratch buffer and then copied into a single exactly-sized backing array,
+// so a tile costs one allocation however many of its lists change.
 func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, newDS, newSub *dataset.Dataset, newIDs []int, oldToNew []int, hasDelete bool, isAffected []bool, target int, repTops, tops [][]int) error {
-	tile := vecTileSize(max(len(newIDs), 1))
+	// A merge tile is several scoring tiles wide: its changed lists share one
+	// allocation, and fewer, larger allocations are markedly cheaper. Sizing
+	// by widen times the appended rows keeps the score buffer within
+	// vecTileSize's bound.
+	const widen = 4
+	tile := widen * vecTileSize(widen*max(len(newIDs), 1))
 	numTiles := (len(vecs) + tile - 1) / tile
 	workers := clampWorkers(int(tc.par.Load()), numTiles)
 	var next atomic.Int64
@@ -243,7 +253,8 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 		go func() {
 			defer wg.Done()
 			var scores [][]float64
-			var order []int
+			var order, merged []int
+			ends := make([]int, tile)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= numTiles || ctxutil.Cancelled(ctx) != nil {
@@ -253,7 +264,9 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 				if newSub != nil {
 					scores = newSub.UtilitiesBatch(vecs[lo:hi], scores)
 				}
+				merged = merged[:0]
 				for v := lo; v < hi; v++ {
+					ends[v-lo] = -1
 					if isAffected[v] {
 						continue
 					}
@@ -261,7 +274,24 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 					if newSub != nil {
 						candScores = scores[v-lo]
 					}
-					repTops[v] = mergeRepairList(newDS, vecs[v], tops[v], oldToNew, hasDelete, newIDs, candScores, target, &order)
+					shared, grown, fresh := mergeRepairList(newDS, vecs[v], tops[v], oldToNew, hasDelete, newIDs, candScores, target, &order, merged)
+					merged = grown
+					if fresh {
+						ends[v-lo] = len(merged)
+					} else {
+						repTops[v] = shared
+					}
+				}
+				if len(merged) == 0 {
+					continue
+				}
+				backing := slices.Clone(merged)
+				start := 0
+				for v := lo; v < hi; v++ {
+					if end := ends[v-lo]; end >= 0 {
+						repTops[v] = backing[start:end:end]
+						start = end
+					}
 				}
 			}
 		}()
@@ -276,9 +306,19 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 // sorted sequences with the builders' comparator. The result is exactly the
 // cold-built list: an old row absent from the incumbent list was beaten by
 // >= topK surviving rows and can never enter, and every appended row is a
-// candidate. When nothing changes, the committed slice is returned as-is
-// (lists are immutable, so sharing across caches is safe).
-func mergeRepairList(newDS *dataset.Dataset, u geom.Vector, list []int, oldToNew []int, hasDelete bool, newIDs []int, candScores []float64, target int, order *[]int) []int {
+// candidate.
+//
+// When nothing changes, the committed slice itself is returned as shared
+// (lists are immutable, so sharing across caches is safe). Otherwise the
+// merged list is appended to buf, which is returned grown with fresh=true,
+// and the caller copies it out before reusing buf.
+func mergeRepairList(newDS *dataset.Dataset, u geom.Vector, list []int, oldToNew []int, hasDelete bool, newIDs []int, candScores []float64, target int, order *[]int, buf []int) (shared, grown []int, fresh bool) {
+	remap := func(id int) int {
+		if hasDelete {
+			return oldToNew[id]
+		}
+		return id
+	}
 	// When the incumbent list is at full depth, its weakest surviving member
 	// is a sound entry threshold: an appended row that loses to it cannot be
 	// in the merged top-target. Filtering first makes the dominant case —
@@ -286,19 +326,12 @@ func mergeRepairList(newDS *dataset.Dataset, u geom.Vector, list []int, oldToNew
 	// entrants.
 	cand := (*order)[:0]
 	if target > 0 && len(list) >= target {
-		tailID := list[target-1]
-		if hasDelete {
-			tailID = oldToNew[tailID]
-		}
+		tailID := remap(list[target-1])
 		tailScore := newDS.Utility(u, tailID)
 		for i, id := range newIDs {
 			if topk.Beats(candScores[i], id, tailScore, tailID) {
 				cand = append(cand, i)
 			}
-		}
-		if len(cand) == 0 && !hasDelete {
-			*order = cand
-			return list[:target:target]
 		}
 	} else {
 		for i := range newIDs {
@@ -319,46 +352,45 @@ func mergeRepairList(newDS *dataset.Dataset, u geom.Vector, list []int, oldToNew
 		cand[j+1] = c
 	}
 	*order = cand
-
 	outLen := min(target, len(list)+len(cand))
-	out := make([]int, 0, outLen)
-	li, ci := 0, 0
-	changed := hasDelete // any remap means fresh content
-	incScored := false
-	var incID int
+	if len(cand) == 0 && !hasDelete {
+		return list[:outLen:outLen], buf, false
+	}
+
+	// Merge: each incumbent is scored at most once, and only while entrants
+	// remain to be placed; once the last entrant is in, the incumbent tail
+	// is bulk-copied.
+	start := len(buf)
+	li := 0
+	scored := -1 // the index into list whose score incScore holds
 	var incScore float64
-	for len(out) < outLen {
-		takeCand := li >= len(list)
-		if !takeCand {
-			if !incScored {
-				incID = list[li]
-				if hasDelete {
-					incID = oldToNew[incID]
-				}
-				if ci < len(cand) {
-					incScore = newDS.Utility(u, incID)
-				}
-				incScored = true
+	for _, c := range cand {
+		cs, cid := candScores[c], newIDs[c]
+		for len(buf)-start < outLen && li < len(list) {
+			id := remap(list[li])
+			if scored != li {
+				incScore, scored = newDS.Utility(u, id), li
 			}
-			if ci < len(cand) {
-				cid := newIDs[cand[ci]]
-				takeCand = topk.Beats(candScores[cand[ci]], cid, incScore, incID)
+			if topk.Beats(cs, cid, incScore, id) {
+				break
 			}
-		}
-		if takeCand {
-			out = append(out, newIDs[cand[ci]])
-			ci++
-			changed = true
-		} else {
-			out = append(out, incID)
+			buf = append(buf, id)
 			li++
-			incScored = false
+		}
+		if len(buf)-start == outLen {
+			break
+		}
+		buf = append(buf, cid)
+	}
+	tail := list[li:min(len(list), li+outLen-(len(buf)-start))]
+	if !hasDelete {
+		buf = append(buf, tail...)
+	} else {
+		for _, id := range tail {
+			buf = append(buf, oldToNew[id])
 		}
 	}
-	if !changed && len(out) == len(list) {
-		return list
-	}
-	return out
+	return nil, buf, true
 }
 
 // repairReselectPass recomputes the affected vectors' lists from scratch

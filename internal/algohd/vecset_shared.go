@@ -70,6 +70,7 @@ type SharedVecSet struct {
 	mu        sync.Mutex
 	rng       *xrand.Rand
 	rngDirty  bool          // rng advanced past uncommitted draws; resync before use
+	rngSteps  uint64        // generator steps the committed samples consumed
 	vecs      []geom.Vector // grid + samples drawn so far; grows, never edited
 	gridCount int
 	samples   int // sampled directions drawn so far
@@ -120,9 +121,7 @@ func (s *SharedVecSet) Acquire(ctx context.Context, m int) (*VecSet, AcquireOutc
 	}
 	if m > s.samples {
 		if s.rngDirty {
-			if err := s.resyncRNG(ctx); err != nil {
-				return nil, outcome, err
-			}
+			s.resyncRNG()
 		}
 		vecs, err := drawSamples(ctx, s.space, m-s.samples, s.rng, s.sampler, s.vecs)
 		if err != nil {
@@ -135,6 +134,7 @@ func (s *SharedVecSet) Acquire(ctx context.Context, m int) (*VecSet, AcquireOutc
 		}
 		s.vecs = vecs
 		s.samples = m
+		s.rngSteps = s.rng.Steps()
 		s.tc.setVecs(vecs)
 		if outcome == VecSetReused {
 			outcome = VecSetExtended
@@ -174,6 +174,7 @@ func (s *SharedVecSet) materializeLocked(ctx context.Context) (AcquireOutcome, e
 	s.vecs = grid
 	s.gridCount = len(grid)
 	s.samples = 0
+	s.rngSteps = 0
 	s.tc = &topsCache{ds: s.ds, vecs: s.vecs}
 	s.built = true
 	return VecSetBuilt, nil
@@ -192,19 +193,14 @@ func (s *SharedVecSet) materialize(ctx context.Context) error {
 }
 
 // resyncRNG repositions a fresh seeded rng at the end of the committed
-// sample stream by replaying (and discarding) the draws that produced it:
-// the stream is deterministic from the seed, so this is exact and costs
-// only the sampling, not the top-K lists. Called with s.mu held.
-func (s *SharedVecSet) resyncRNG(ctx context.Context) error {
-	rng := xrand.New(s.seed)
-	if s.samples > 0 {
-		if _, err := drawSamples(ctx, s.space, s.samples, rng, s.sampler, nil); err != nil {
-			return err
-		}
-	}
-	s.rng = rng
+// sample stream by skipping the generator steps the committed draws
+// consumed: the stream is deterministic from the seed, so this is exact and
+// costs one generator step per value rather than redrawing every sample.
+// Called with s.mu held.
+func (s *SharedVecSet) resyncRNG() {
+	s.rng = xrand.New(s.seed)
+	s.rng.Skip(s.rngSteps)
 	s.rngDirty = false
-	return nil
 }
 
 // Samples returns how many sampled directions have been drawn so far.

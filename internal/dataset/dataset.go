@@ -352,10 +352,13 @@ const utilitiesTupleTile = 1024
 // UtilitiesBatch fills dst[b] (each length N) with the utility of every
 // tuple under us[b] and returns dst. If dst is nil, too short, or holds
 // under-sized rows, the needed slices are (re)allocated. Scores are
-// bit-identical to per-vector Utilities calls — both accumulate attribute
-// terms in ascending j order — but the kernel runs blocked loops over the
-// cached column-major mirror, so a tile of vectors reuses each L1-resident
-// column strip instead of re-streaming the whole matrix per vector.
+// bit-identical to per-vector Utilities calls: every tuple's sum starts at 0
+// and adds the terms w_j*v_j in ascending j with the same expression form,
+// so the bits agree even where a target fuses multiply-adds. The kernel runs
+// over the cached column-major mirror in tuple tiles: each tile's column
+// strips stay L1-resident while every vector of the batch scores against
+// them, and for d = 4 and 5 a tuple's sum lives in a register across its
+// columns and is stored once.
 func (ds *Dataset) UtilitiesBatch(us [][]float64, dst [][]float64) [][]float64 {
 	n, d := ds.N(), ds.d
 	if cap(dst) < len(us) {
@@ -373,25 +376,68 @@ func (ds *Dataset) UtilitiesBatch(us [][]float64, dst [][]float64) [][]float64 {
 	}
 	cols := ds.ColumnMajor()
 	for i0 := 0; i0 < n; i0 += utilitiesTupleTile {
-		i1 := i0 + utilitiesTupleTile
-		if i1 > n {
-			i1 = n
-		}
+		i1 := min(i0+utilitiesTupleTile, n)
 		for b, u := range us {
 			acc := dst[b][i0:i1]
-			for i := range acc {
-				acc[i] = 0
-			}
-			for j := 0; j < d; j++ {
-				w := u[j]
-				col := cols[j*n+i0 : j*n+i1]
-				for i, v := range col {
-					acc[i] += w * v
+			switch d {
+			case 4:
+				scoreTile4(acc, u, cols, n, i0)
+			case 5:
+				scoreTile5(acc, u, cols, n, i0)
+			default:
+				for i := range acc {
+					acc[i] = 0
+				}
+				for j := 0; j < d; j++ {
+					w := u[j]
+					col := cols[j*n+i0 : j*n+i0+len(acc)]
+					for i, v := range col {
+						acc[i] += w * v
+					}
 				}
 			}
 		}
 	}
 	return dst
+}
+
+// scoreTile4 scores the tuples i0 .. i0+len(acc)-1 of a 4-attribute
+// column-major mirror with n rows under u, summing each in a register.
+func scoreTile4(acc, u, cols []float64, n, i0 int) {
+	m := len(acc)
+	w0, w1, w2, w3 := u[0], u[1], u[2], u[3]
+	c0 := cols[i0:][:m]
+	c1 := cols[n+i0:][:m]
+	c2 := cols[2*n+i0:][:m]
+	c3 := cols[3*n+i0:][:m]
+	for i := range acc {
+		s := 0.0
+		s += w0 * c0[i]
+		s += w1 * c1[i]
+		s += w2 * c2[i]
+		s += w3 * c3[i]
+		acc[i] = s
+	}
+}
+
+// scoreTile5 is scoreTile4 for 5 attributes.
+func scoreTile5(acc, u, cols []float64, n, i0 int) {
+	m := len(acc)
+	w0, w1, w2, w3, w4 := u[0], u[1], u[2], u[3], u[4]
+	c0 := cols[i0:][:m]
+	c1 := cols[n+i0:][:m]
+	c2 := cols[2*n+i0:][:m]
+	c3 := cols[3*n+i0:][:m]
+	c4 := cols[4*n+i0:][:m]
+	for i := range acc {
+		s := 0.0
+		s += w0 * c0[i]
+		s += w1 * c1[i]
+		s += w2 * c2[i]
+		s += w3 * c3[i]
+		s += w4 * c4[i]
+		acc[i] = s
+	}
 }
 
 // Normalize min-max scales every attribute to [0,1] in place, matching the

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -267,6 +268,63 @@ func FuzzReadCSV(f *testing.F) {
 				// FormatFloat('g', -1) round-tripping.
 				if a != b && !(a != a && b != b) {
 					t.Fatalf("value (%d,%d) changed: %v -> %v", i, j, a, b)
+				}
+			}
+		}
+	})
+}
+
+// FuzzUtilitiesBatch checks the batch-scoring kernel against per-vector
+// Utilities on fuzzer-chosen shapes and values: the first two bytes pick d
+// in [1, 10] and the batch size, and every further byte becomes a value or a
+// weight in [-8, 8) on a 1/16 grid (so zeros, ties and negative terms are
+// common). Scores must agree bit for bit (up to the sign of a zero sum at
+// d = 2, see sameScore).
+func FuzzUtilitiesBatch(f *testing.F) {
+	f.Add([]byte{3, 1, 10, 20, 30, 40, 50, 60, 70, 80, 90})
+	f.Add([]byte{4, 2, 0x80, 0x7f, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{5, 0, 1, 1, 1, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80})
+	f.Add([]byte{2, 3, 0x80, 0x80, 0x80, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		d := int(data[0])%10 + 1
+		nb := int(data[1])%4 + 1
+		vals := data[2:]
+		if len(vals) < nb*d+d {
+			return
+		}
+		val := func(b byte) float64 {
+			if b == 0x80 {
+				return math.Copysign(0, -1)
+			}
+			return float64(int8(b)) / 16
+		}
+		us := make([][]float64, nb)
+		for b := range us {
+			us[b] = make([]float64, d)
+			for j := range us[b] {
+				us[b][j] = val(vals[b*d+j])
+			}
+		}
+		vals = vals[nb*d:]
+		// Repeat the row bytes so n can cross a tuple tile.
+		n := len(vals) / d * (1 + int(data[1])/4)
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = make([]float64, d)
+			for j := range rows[i] {
+				rows[i][j] = val(vals[(i*d+j)%(len(vals)/d*d)])
+			}
+		}
+		ds := MustFromRows(rows)
+		got := ds.UtilitiesBatch(us, nil)
+		for b, u := range us {
+			want := ds.Utilities(u, nil)
+			for i := range want {
+				if !sameScore(got[b][i], want[i], d) {
+					t.Fatalf("d=%d vector %d tuple %d: batch %v, Utilities %v", d, b, i, got[b][i], want[i])
 				}
 			}
 		}

@@ -1,7 +1,8 @@
 package skyline
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/rankregret/rankregret/internal/dataset"
 )
@@ -73,11 +74,14 @@ func KSkyband(ds *dataset.Dataset, k int) []int {
 		}
 		recs[i] = rec{i, s}
 	}
-	sort.Slice(recs, func(a, b int) bool {
-		if recs[a].sum != recs[b].sum {
-			return recs[a].sum > recs[b].sum
+	slices.SortFunc(recs, func(a, b rec) int {
+		if a.sum != b.sum {
+			if a.sum > b.sum {
+				return -1
+			}
+			return 1
 		}
-		return recs[a].id < recs[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	budget := kSkybandBudget
 	kept := make([]int, 0, 2*k)
@@ -98,6 +102,6 @@ func KSkyband(ds *dataset.Dataset, k int) []int {
 			kept = append(kept, r.id)
 		}
 	}
-	sort.Ints(kept)
+	slices.Sort(kept)
 	return kept
 }

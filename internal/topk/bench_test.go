@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
@@ -54,5 +55,27 @@ func BenchmarkFullRanking10K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FullRanking(ds, u, scores)
+	}
+}
+
+// BenchmarkSelectBatch selects top-k lists from one tile of 16 scored
+// random directions over CI-scale simweather, the shape of one tile of the
+// HDRRM scoring pass.
+func BenchmarkSelectBatch(b *testing.B) {
+	ds := dataset.SimWeather(xrand.New(1), 4000)
+	rng := xrand.New(2)
+	us := make([][]float64, 16)
+	for i := range us {
+		us[i] = rng.UnitOrthantDirection(ds.Dim())
+	}
+	rows := ds.UtilitiesBatch(us, nil)
+	for _, k := range []int{8, 32} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var scratch []int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, scratch = SelectBatch(rows, nil, k, scratch)
+			}
+		})
 	}
 }

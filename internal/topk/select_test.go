@@ -135,3 +135,98 @@ func TestSelectEdgeCases(t *testing.T) {
 		t.Errorf("all-tied Select = %v, want [0 1 2]", got)
 	}
 }
+
+// Property: SelectBatch seeds each row's scan with the previous row's
+// winners, and that must never change an answer. Every row equals the
+// heap-based TopK on its own, whether the rows of a batch are unrelated
+// (seeds are arbitrary), identical (seeds are exactly the answer), or all
+// tied (seeds tie with everything and only positions decide), at k in both
+// the scan and the quickselect regime, with and without an id mapping.
+func TestSelectBatchSeededAgreesWithTopK(t *testing.T) {
+	f := func(seed int64, nn, bb, kk, shape uint8, mapped bool) bool {
+		n := int(nn)%300 + 1
+		rng := xrand.New(seed)
+		rows := make([][]float64, int(bb)%9+1)
+		for b := range rows {
+			switch shape % 3 {
+			case 0: // unrelated
+				rows[b] = tiedScores(seed+int64(b), n, int(shape)%50+2)
+			case 1: // identical
+				if b == 0 {
+					rows[b] = tiedScores(seed, n, int(shape)%50+2)
+				} else {
+					rows[b] = rows[0]
+				}
+			default: // all tied
+				rows[b] = make([]float64, n)
+				for i := range rows[b] {
+					rows[b][i] = 0.5
+				}
+			}
+		}
+		k := int(kk)%n + 1
+		var ids []int
+		if mapped {
+			ids = make([]int, n)
+			next := 0
+			for i := range ids {
+				next += 1 + rng.Intn(3)
+				ids[i] = next
+			}
+		}
+		got, _ := SelectBatch(rows, ids, k, nil)
+		for b, row := range rows {
+			want := heapSelect(row, k)
+			if ids != nil {
+				for i, p := range want {
+					want[i] = ids[p]
+				}
+			}
+			if !reflect.DeepEqual(got[b], want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSelectBatch checks SelectBatch against the heap-based TopK on
+// fuzzer-chosen batches: the first byte picks k, the second the row count,
+// and each further byte is a score on a coarse grid (ties are common). One
+// scratch buffer is carried across two calls, as the scoring pass does.
+func FuzzSelectBatch(f *testing.F) {
+	f.Add([]byte{3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{1, 1, 5, 5, 5, 5, 5, 5})
+	f.Add([]byte{200, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		nr := int(data[1])%6 + 1
+		n := (len(data) - 2) / nr
+		if n == 0 {
+			return
+		}
+		k := int(data[0])%(n+2) + 1 // occasionally past n: both must clamp
+		rows := make([][]float64, nr)
+		for b := range rows {
+			rows[b] = make([]float64, n)
+			for i := range rows[b] {
+				rows[b][i] = float64(data[2+b*n+i]%16) / 4
+			}
+		}
+		var scratch []int
+		for pass := 0; pass < 2; pass++ {
+			var got [][]int
+			got, scratch = SelectBatch(rows, nil, k, scratch)
+			for b, row := range rows {
+				if want := heapSelect(row, k); !reflect.DeepEqual(got[b], want) {
+					t.Fatalf("pass %d row %d: SelectBatch %v, TopK %v", pass, b, got[b], want)
+				}
+			}
+		}
+	})
+}

@@ -7,8 +7,9 @@
 package topk
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"github.com/rankregret/rankregret/internal/dataset"
 )
@@ -43,6 +44,18 @@ func beats(s1 float64, id1 int, s2 float64, id2 int) bool {
 		return s1 > s2
 	}
 	return id1 < id2
+}
+
+// compare is the three-way form of beats: -1 when (s1, id1) ranks first,
+// +1 when (s2, id2) does, 0 for the same entry.
+func compare(s1 float64, id1 int, s2 float64, id2 int) int {
+	if s1 != s2 {
+		if s1 > s2 {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(id1, id2)
 }
 
 // Beats reports whether entry (s1, id1) ranks strictly before (s2, id2)
@@ -88,8 +101,8 @@ func TopK(ds *dataset.Dataset, u []float64, k int, scores []float64) []int {
 	for i := range ord {
 		ord[i] = i
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		return beats(h.scores[ord[a]], h.ids[ord[a]], h.scores[ord[b]], h.ids[ord[b]])
+	slices.SortFunc(ord, func(a, b int) int {
+		return compare(h.scores[a], h.ids[a], h.scores[b], h.ids[b])
 	})
 	out := make([]int, len(ord))
 	for i, o := range ord {

@@ -17,9 +17,41 @@ import (
 	"github.com/rankregret/rankregret/internal/geom"
 )
 
-// Rand is a seeded random source with geometry-aware samplers.
+// Rand is a seeded random source with geometry-aware samplers. It counts the
+// steps its generator has taken, so a fresh Rand of the same seed can be
+// brought to the same position with Skip instead of repeating the draws.
 type Rand struct {
 	*rand.Rand
+	src *stepSource
+}
+
+// stepSource forwards to math/rand's generator and counts its steps: each
+// Int63 or Uint64 call advances that generator by exactly one, and every
+// rand.Rand method draws through those two.
+type stepSource struct {
+	inner rand.Source64
+	steps uint64
+}
+
+func (s *stepSource) Int63() int64 {
+	s.steps++
+	return s.inner.Int63()
+}
+
+func (s *stepSource) Uint64() uint64 {
+	s.steps++
+	return s.inner.Uint64()
+}
+
+func (s *stepSource) Seed(seed int64) {
+	s.steps = 0
+	s.inner.Seed(seed)
+}
+
+// fromSeed returns a Rand over math/rand's generator seeded with s.
+func fromSeed(s int64) *Rand {
+	src := &stepSource{inner: rand.NewSource(s).(rand.Source64)}
+	return &Rand{Rand: rand.New(src), src: src}
 }
 
 // splitmix64 scrambles a seed so consecutive seeds give independent streams.
@@ -32,15 +64,26 @@ func splitmix64(x uint64) uint64 {
 
 // New returns a reproducible random source for the given seed.
 func New(seed int64) *Rand {
-	s := splitmix64(uint64(seed))
-	return &Rand{Rand: rand.New(rand.NewSource(int64(s)))}
+	return fromSeed(int64(splitmix64(uint64(seed))))
+}
+
+// Steps reports how many values the generator has produced so far.
+func (r *Rand) Steps() uint64 { return r.src.steps }
+
+// Skip advances the generator by n steps, as if n values had been drawn and
+// discarded: a fresh Rand of r's seed skipped by r.Steps() continues exactly
+// where r does, at the cost of one generator step per value rather than the
+// sampling that consumed them.
+func (r *Rand) Skip(n uint64) {
+	for ; n > 0; n-- {
+		r.src.Uint64()
+	}
 }
 
 // Split derives an independent stream labeled by tag. Use it to hand separate
 // components their own generators without manual seed bookkeeping.
 func (r *Rand) Split(tag uint64) *Rand {
-	s := splitmix64(uint64(r.Int63()) ^ splitmix64(tag))
-	return &Rand{Rand: rand.New(rand.NewSource(int64(s)))}
+	return fromSeed(int64(splitmix64(uint64(r.Int63()) ^ splitmix64(tag))))
 }
 
 // UnitOrthantDirection samples a direction uniformly at random from the

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/geom"
@@ -115,5 +116,50 @@ func TestSampleWhere(t *testing.T) {
 	// Nil accepter accepts everything.
 	if u := r.SampleWhere(3, nil, 1); u == nil {
 		t.Error("nil accepter should always succeed")
+	}
+}
+
+// mixedDraws consumes r through every kind of draw the repository makes.
+func mixedDraws(r *Rand, n int) []float64 {
+	var out []float64
+	for i := 0; i < n; i++ {
+		out = append(out, r.NormFloat64(), r.Float64(), r.ExpFloat64(), float64(r.Intn(1000)), float64(r.Uint64()>>11))
+		out = append(out, r.UnitOrthantDirection(3)...)
+	}
+	return out
+}
+
+// The step-counting source must not change the stream: xrand.New(seed) is
+// math/rand over the scrambled seed, draw for draw.
+func TestStreamMatchesMathRand(t *testing.T) {
+	got := mixedDraws(New(9), 200)
+	ref := &Rand{Rand: rand.New(rand.NewSource(int64(splitmix64(9))))}
+	// UnitOrthantDirection only needs the embedded generator.
+	want := mixedDraws(ref, 200)
+	if len(got) != len(want) {
+		t.Fatalf("%d draws, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("draw %d = %v, math/rand gives %v", i, got[i], want[i])
+		}
+	}
+}
+
+// Skip(Steps()) on a fresh Rand of the same seed continues the stream
+// exactly where the original stands, however the steps were consumed.
+func TestSkipResumesStream(t *testing.T) {
+	r := New(4)
+	mixedDraws(r, 137)
+	fresh := New(4)
+	fresh.Skip(r.Steps())
+	if fresh.Steps() != r.Steps() {
+		t.Fatalf("skipped to %d steps, original at %d", fresh.Steps(), r.Steps())
+	}
+	a, b := mixedDraws(r, 50), mixedDraws(fresh, 50)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("draw %d after Skip = %v, original %v", i, b[i], a[i])
+		}
 	}
 }
