@@ -1,5 +1,5 @@
 // Command promcheck validates a Prometheus text-exposition scrape with the
-// same strict parser the loadgen client and the obs tests use: HELP/TYPE
+// same strict parser the obs tests use: HELP/TYPE
 // discipline, cumulative non-decreasing buckets, +Inf == _count, _sum/_count
 // presence, no duplicate samples, no negative counters.
 //

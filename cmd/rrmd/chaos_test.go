@@ -121,9 +121,8 @@ func TestChaosMidLoadFaultServesAndHeals(t *testing.T) {
 	}()
 
 	rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
-		BaseURL:     ts.URL,
-		SampleEvery: -1,
-		Logf:        t.Logf,
+		BaseURL: ts.URL,
+		Logf:    t.Logf,
 	})
 	<-cleared
 	if err != nil {

@@ -57,8 +57,8 @@ func servingTrace(t *testing.T, cfg loadgen.Config) *loadgen.Trace {
 
 // TestServingSteadySmoke drives a short steady scenario — the full request
 // mix, mutations included — against a default-shaped server and checks the
-// run is healthy: work completed, nothing but deliberate sheds failed, and
-// the metrics timeline was captured.
+// run is healthy: work completed, and nothing but deliberate sheds failed,
+// down to the individual sweep items.
 func TestServingSteadySmoke(t *testing.T) {
 	_, ts := newServingServer(t, Config{})
 	tr := servingTrace(t, loadgen.Config{
@@ -68,9 +68,8 @@ func TestServingSteadySmoke(t *testing.T) {
 		Rate:     40,
 	})
 	rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
-		BaseURL:     ts.URL,
-		SampleEvery: 100 * time.Millisecond,
-		Logf:        t.Logf,
+		BaseURL: ts.URL,
+		Logf:    t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +83,8 @@ func TestServingSteadySmoke(t *testing.T) {
 	if rep.Unexpected5xx != 0 {
 		t.Fatalf("unexpected 5xx responses: %d", rep.Unexpected5xx)
 	}
-	if len(rep.Timeline) == 0 {
-		t.Fatal("metrics timeline is empty")
+	if rep.BatchItemsFailed != 0 {
+		t.Fatalf("steady run at low rate had %d failed sweep items", rep.BatchItemsFailed)
 	}
 	if rep.PerKind[string(loadgen.KindMutate)].OK == 0 || rep.PerKind[string(loadgen.KindPinned)].OK == 0 {
 		t.Fatalf("mix did not exercise mutate/pinned paths: %+v", rep.PerKind)
@@ -113,7 +112,6 @@ func TestServingOverloadBurst(t *testing.T) {
 	rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
 		BaseURL:        ts.URL,
 		RequestTimeout: 10 * time.Second,
-		SampleEvery:    100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +127,13 @@ func TestServingOverloadBurst(t *testing.T) {
 	}
 	// Sheds must be prompt: a 429 is the server refusing work, not queuing
 	// it. The bound is generous for CI noise; the real p99 is milliseconds.
-	if rep.RejectLatency.P99 > 2000 {
-		t.Fatalf("reject p99 = %.1fms; overload rejections must be fast", rep.RejectLatency.P99)
+	if rep.RejectLatencyP99MS > 2000 {
+		t.Fatalf("reject p99 = %.1fms; overload rejections must be fast", rep.RejectLatencyP99MS)
 	}
 	// Accepted requests are bounded by queue-wait + run budget, not by the
 	// whole storm's length.
-	if rep.Latency.P99 > 25000 {
-		t.Fatalf("accepted p99 = %.1fms; queued work must keep its bounded budget", rep.Latency.P99)
+	if rep.LatencyP99MS > 25000 {
+		t.Fatalf("accepted p99 = %.1fms; queued work must keep its bounded budget", rep.LatencyP99MS)
 	}
 
 	// Drain; the obstest leak check at the top of the test verifies (after
@@ -171,9 +169,8 @@ func TestServingPolicyEquivalence(t *testing.T) {
 		got := map[key]loadgen.SolveOutcome{}
 		_, ts := newServingServer(t, Config{CacheSize: cacheSize, Workers: 2, QueueCap: 64})
 		rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
-			BaseURL:     ts.URL,
-			SampleEvery: -1,
-			Logf:        t.Logf,
+			BaseURL: ts.URL,
+			Logf:    t.Logf,
 			OnResult: func(o loadgen.SolveOutcome) {
 				mu.Lock()
 				got[key{o.Event, o.Item}] = o
@@ -183,8 +180,9 @@ func TestServingPolicyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Rejected != 0 || rep.Errors != 0 {
-			t.Fatalf("below-capacity run shed or failed work (%d rejected, %d errors); equivalence needs full completion", rep.Rejected, rep.Errors)
+		if rep.Rejected != 0 || rep.Errors != 0 || rep.BatchItemsFailed != 0 {
+			t.Fatalf("below-capacity run shed or failed work (%d rejected, %d errors, %d failed sweep items); equivalence needs full completion",
+				rep.Rejected, rep.Errors, rep.BatchItemsFailed)
 		}
 		return got
 	}

@@ -1,27 +1,24 @@
-// Command rrmload is an open-loop load generator for rrmd. It expands a
-// seeded scenario (steady Poisson or bursty arrivals; a configurable mix of
+// Command rrmload is a seeded open-loop traffic generator for rrmd. It expands
+// a scenario (steady Poisson or bursty arrivals; a configurable mix of
 // solves, parameter sweeps, dataset mutations, and pinned-version solves
 // over one or more datasets) into a deterministic trace, fires the trace at
 // a live daemon without waiting for completions, and writes a serving
-// report — latency percentiles, throughput, reject/error rates, and a
-// queue-depth / cache-hit timeline — to BENCH_serving.json.
+// report — completed, shed and failed counts, throughput, reject/error
+// rates, and per-item batch outcomes — to BENCH_serving.json.
 //
 //	rrmload -url http://127.0.0.1:8080 -scenario steady -rate 50 -duration 20s
 //	rrmload -url ... -scenario burst -rate 20 -burst-rate 200 -out BENCH_serving.json
-//	rrmload -url ... -save-trace trace.json          # record the schedule
-//	rrmload -url ... -trace trace.json               # replay it exactly
 //
-// Traces are deterministic in the seed: two runs with the same flags offer
-// byte-identical request sequences, so A/B comparisons (e.g. two rrmd
-// builds, or two -workers settings) see the same workload.
+// Traces are deterministic in the seed: two runs with the same -seed and
+// flags offer identical request sequences, so A/B comparisons (e.g. two
+// rrmd builds, or two -workers settings) see the same workload. Latency is
+// measured by cmd/rrmladder, not here.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -58,11 +55,7 @@ func run(args []string) error {
 		mutRows   = fs.Int("mutate-rows", 8, "rows appended per mutation")
 		timeout   = fs.Duration("timeout", 30*time.Second, "client-side per-request guard timeout")
 		maxSamp   = fs.Int("max-samples", 0, "max_samples bound attached to every solve (0 = server default); size the per-solve cost to the machine")
-		sampleEv  = fs.Duration("sample-every", 500*time.Millisecond, "metrics timeline sampling interval (negative = no timeline)")
 		out       = fs.String("out", "BENCH_serving.json", "report output path (empty = stdout summary only)")
-		traceIn   = fs.String("trace", "", "replay this trace file instead of generating one")
-		traceOut  = fs.String("save-trace", "", "also save the (generated or replayed) trace here")
-		dryRun    = fs.Bool("dry-run", false, "generate (and optionally save) the trace, print its shape, and exit without sending traffic")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -74,51 +67,35 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var trace *loadgen.Trace
-	var err error
-	if *traceIn != "" {
-		if trace, err = loadgen.LoadTrace(*traceIn); err != nil {
-			return err
-		}
-	} else {
-		cfg := loadgen.Config{
-			Scenario:    *scenario,
-			Seed:        *seed,
-			Duration:    *duration,
-			Rate:        *rate,
-			BurstRate:   *burstRate,
-			BurstPeriod: *burstPer,
-			BurstLen:    *burstLen,
-			RMax:        *rMax,
-			SweepWidth:  *sweepW,
-			MutateRows:  *mutRows,
-		}
-		if cfg.Mix, err = parseMix(*mix); err != nil {
-			return err
-		}
-		if cfg.Datasets, cfg.RMin, err = targetDatasets(ctx, *url, *datasets); err != nil {
-			return err
-		}
-		if trace, err = loadgen.Generate(cfg); err != nil {
-			return err
-		}
+	cfg := loadgen.Config{
+		Scenario:    *scenario,
+		Seed:        *seed,
+		Duration:    *duration,
+		Rate:        *rate,
+		BurstRate:   *burstRate,
+		BurstPeriod: *burstPer,
+		BurstLen:    *burstLen,
+		RMax:        *rMax,
+		SweepWidth:  *sweepW,
+		MutateRows:  *mutRows,
 	}
-	if *traceOut != "" {
-		if err := trace.Save(*traceOut); err != nil {
-			return err
-		}
-		fmt.Printf("trace saved to %s\n", *traceOut)
+	var err error
+	if cfg.Mix, err = parseMix(*mix); err != nil {
+		return err
+	}
+	if cfg.Datasets, cfg.RMin, err = targetDatasets(ctx, *url, *datasets); err != nil {
+		return err
+	}
+	trace, err := loadgen.Generate(cfg)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("trace: scenario=%s seed=%d events=%d datasets=%v window=%.1fs\n",
 		trace.Scenario, trace.Seed, len(trace.Events), trace.Datasets, trace.DurationMS/1000)
-	if *dryRun {
-		return nil
-	}
 
 	rep, err := loadgen.Run(ctx, trace, loadgen.RunConfig{
 		BaseURL:        strings.TrimRight(*url, "/"),
 		RequestTimeout: *timeout,
-		SampleEvery:    *sampleEv,
 		MaxSamples:     *maxSamp,
 	})
 	if err != nil {
@@ -130,51 +107,7 @@ func run(args []string) error {
 		}
 	}
 	printSummary(rep, *out)
-	printSLO(strings.TrimRight(*url, "/"))
 	return nil
-}
-
-// printSLO fetches GET /v1/slo after the run and summarizes each objective:
-// how the offered load landed against the declared budgets. Daemons without
-// /v1/slo return 404; that is not a run failure.
-func printSLO(baseURL string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/slo", nil)
-	if err != nil {
-		return
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	var body struct {
-		Objectives []struct {
-			Name          string  `json:"name"`
-			Spec          string  `json:"spec"`
-			Compliance    float64 `json:"compliance"`
-			Budget        float64 `json:"error_budget_remaining"`
-			BurnFast      float64 `json:"burn_rate_fast"`
-			BurnSlow      float64 `json:"burn_rate_slow"`
-			FastBurnAlarm bool    `json:"fast_burn_alarm"`
-		} `json:"objectives"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || len(body.Objectives) == 0 {
-		return
-	}
-	fmt.Println("slo:")
-	for _, o := range body.Objectives {
-		alarm := ""
-		if o.FastBurnAlarm {
-			alarm = "   FAST-BURN ALARM"
-		}
-		fmt.Printf("  %-12s %-24s compliance=%.4f budget=%+.2f burn fast=%.1fx slow=%.1fx%s\n",
-			o.Name, o.Spec, o.Compliance, o.Budget, o.BurnFast, o.BurnSlow, alarm)
-	}
 }
 
 // parseMix parses "solve=0.7,sweep=0.1,..." into a Mix; empty means the
@@ -250,21 +183,19 @@ func printSummary(rep *loadgen.Report, outPath string) {
 		rep.DurationMS/1000, rep.Offered, rep.OK, rep.Rejected, rep.Errors, rep.Unexpected5xx)
 	fmt.Printf("throughput: %.1f req/s   reject rate: %.1f%%   error rate: %.1f%%\n",
 		rep.ThroughputRPS, 100*rep.RejectRate, 100*rep.ErrorRate)
-	fmt.Printf("latency (ok): p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n",
-		rep.Latency.P50, rep.Latency.P95, rep.Latency.P99, rep.Latency.Max)
+	fmt.Printf("p99 from send: ok=%.1fms rejects=%.1fms — sheds should be fast\n",
+		rep.LatencyP99MS, rep.RejectLatencyP99MS)
 	if rep.Rejected > 0 {
 		fmt.Printf("rejects by cause: queue(429)=%d degraded(503)=%d drain(503)=%d\n",
 			rep.RejectedQueue, rep.RejectedDegraded, rep.RejectedDrain)
-		fmt.Printf("latency (rejects): p50=%.1fms p99=%.1fms — sheds should be fast\n",
-			rep.RejectLatency.P50, rep.RejectLatency.P99)
 	}
-	if rep.BatchItemsAccepted+rep.BatchItemsRejected > 0 {
-		fmt.Printf("sweep items: %d accepted, %d rejected\n", rep.BatchItemsAccepted, rep.BatchItemsRejected)
+	if rep.BatchItemsAccepted+rep.BatchItemsRejected+rep.BatchItemsFailed > 0 {
+		fmt.Printf("sweep items: %d accepted, %d rejected, %d failed\n",
+			rep.BatchItemsAccepted, rep.BatchItemsRejected, rep.BatchItemsFailed)
 	}
 	for kind, kr := range rep.PerKind {
-		fmt.Printf("  %-6s offered=%d ok=%d rejected=%d (q=%d deg=%d drain=%d) errors=%d p50=%.1fms p99=%.1fms\n",
-			kind, kr.Offered, kr.OK, kr.Rejected, kr.RejectedQueue, kr.RejectedDegraded, kr.RejectedDrain,
-			kr.Errors, kr.Latency.P50, kr.Latency.P99)
+		fmt.Printf("  %-6s offered=%d ok=%d rejected=%d (q=%d deg=%d drain=%d) errors=%d\n",
+			kind, kr.Offered, kr.OK, kr.Rejected, kr.RejectedQueue, kr.RejectedDegraded, kr.RejectedDrain, kr.Errors)
 	}
 	if outPath != "" {
 		fmt.Printf("report written to %s\n", outPath)

@@ -7,28 +7,28 @@ import (
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
-// PoissonArrivals returns the event offsets (milliseconds, ascending, all in
+// poissonArrivals returns the event offsets (milliseconds, ascending, all in
 // [0, d)) of a homogeneous Poisson process with mean rate rps. Inter-arrival
 // gaps are exponential, so the stream has the memoryless burstiness of real
 // open-loop traffic rather than a metronome's.
-func PoissonArrivals(rng *xrand.Rand, rps float64, d time.Duration) []float64 {
+func poissonArrivals(rng *xrand.Rand, rps float64, d time.Duration) []float64 {
 	durMS := float64(d.Milliseconds())
 	return piecewiseArrivals(rng, durMS, func(float64) float64 { return rps / 1000 }, func(float64) float64 { return durMS })
 }
 
-// BurstArrivals returns the offsets of a piecewise-constant-rate Poisson
+// burstArrivals returns the offsets of a piecewise-constant-rate Poisson
 // process that alternates calm and burst phases: every period, the first
 // burstLen runs at burstRPS and the remainder at baseRPS. Within each phase
 // arrivals are Poisson, so bursts are jittered rather than square waves of
 // evenly spaced requests.
-func BurstArrivals(rng *xrand.Rand, baseRPS, burstRPS float64, period, burstLen, d time.Duration) []float64 {
+func burstArrivals(rng *xrand.Rand, baseRPS, burstRPS float64, period, burstLen, d time.Duration) []float64 {
 	durMS := float64(d.Milliseconds())
 	perMS := float64(period.Milliseconds())
 	burstMS := float64(burstLen.Milliseconds())
 	if perMS <= 0 || burstMS <= 0 || burstMS >= perMS {
 		// Degenerate phase geometry: fall back to the flat process at the
 		// higher rate so a misconfigured scenario still offers load.
-		return PoissonArrivals(rng, math.Max(baseRPS, burstRPS), d)
+		return poissonArrivals(rng, math.Max(baseRPS, burstRPS), d)
 	}
 	rate := func(t float64) float64 {
 		if math.Mod(t, perMS) < burstMS {

@@ -20,10 +20,10 @@ const (
 // Mix weighs the request kinds of a generated trace. Weights need not sum
 // to 1; they are normalized. A zero weight removes the kind entirely.
 type Mix struct {
-	Solve  float64 `json:"solve"`
-	Sweep  float64 `json:"sweep"`
-	Mutate float64 `json:"mutate"`
-	Pinned float64 `json:"pinned"`
+	Solve  float64
+	Sweep  float64
+	Mutate float64
+	Pinned float64
 }
 
 // DefaultMix is a read-mostly serving blend: mostly point solves, some
@@ -120,9 +120,9 @@ func (c *Config) withDefaults() (Config, error) {
 }
 
 // Generate expands a scenario config into a concrete trace. The expansion is
-// pure and seeded: the same config always yields the same trace, so a trace
-// can be regenerated instead of shipped, and two policies can be driven with
-// identical request sequences.
+// pure and seeded: the same config always yields the same trace, so two
+// servers driven with one seed and one config see identical request
+// sequences.
 func Generate(cfg Config) (*Trace, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -135,9 +135,9 @@ func Generate(cfg Config) (*Trace, error) {
 	var offsets []float64
 	switch c.Scenario {
 	case ScenarioBurst:
-		offsets = BurstArrivals(arrivalRNG, c.Rate, c.BurstRate, c.BurstPeriod, c.BurstLen, c.Duration)
+		offsets = burstArrivals(arrivalRNG, c.Rate, c.BurstRate, c.BurstPeriod, c.BurstLen, c.Duration)
 	default:
-		offsets = PoissonArrivals(arrivalRNG, c.Rate, c.Duration)
+		offsets = poissonArrivals(arrivalRNG, c.Rate, c.Duration)
 	}
 
 	total := c.Mix.Solve + c.Mix.Sweep + c.Mix.Mutate + c.Mix.Pinned
@@ -165,7 +165,6 @@ func Generate(cfg Config) (*Trace, error) {
 		events = append(events, ev)
 	}
 	return &Trace{
-		Schema:     TraceSchema,
 		Scenario:   c.Scenario,
 		Seed:       c.Seed,
 		DurationMS: float64(c.Duration.Milliseconds()),

@@ -1,8 +1,11 @@
 package loadgen
 
 import (
+	"context"
+	"encoding/json"
 	"math"
-	"path/filepath"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -105,34 +108,10 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	tr, err := Generate(Config{
-		Scenario: ScenarioBurst,
-		Seed:     9,
-		Duration: 3 * time.Second,
-		Rate:     50,
-		Datasets: []string{"d"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Fatal("trace did not survive a save/load round trip")
-	}
-}
-
 func TestBurstArrivalsModulate(t *testing.T) {
 	rng := xrand.New(11)
 	// 1s bursts at 200rps every 5s, calm at 20rps, for 20s: 4 full periods.
-	offsets := BurstArrivals(rng, 20, 200, 5*time.Second, time.Second, 20*time.Second)
+	offsets := burstArrivals(rng, 20, 200, 5*time.Second, time.Second, 20*time.Second)
 	inBurst, inCalm := 0, 0
 	for _, at := range offsets {
 		if math.Mod(at, 5000) < 1000 {
@@ -151,22 +130,24 @@ func TestBurstArrivalsModulate(t *testing.T) {
 }
 
 func TestPercentile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(100 - i) // descending: p99 must sort first
+	}
 	cases := []struct {
-		p    float64
+		ms   []float64
 		want float64
-	}{{50, 5}, {95, 10}, {99, 10}, {100, 10}, {10, 1}}
+	}{
+		{nil, 0},
+		{[]float64{7}, 7},
+		{[]float64{3, 1, 2}, 3},
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 10},
+		{hundred, 99},
+	}
 	for _, c := range cases {
-		if got := percentile(sorted, c.p); got != c.want {
-			t.Errorf("percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := p99(c.ms); got != c.want {
+			t.Errorf("p99 over %d samples = %v, want %v", len(c.ms), got, c.want)
 		}
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("percentile of empty = %v, want 0", got)
-	}
-	st := latencyStats([]float64{3, 1, 2})
-	if st.Count != 3 || st.P50 != 2 || st.Max != 3 || st.Mean != 2 {
-		t.Errorf("latencyStats = %+v", st)
 	}
 }
 
@@ -185,5 +166,48 @@ func TestMutationRowsDeterministic(t *testing.T) {
 				t.Fatalf("row value %v outside [0,1)", v)
 			}
 		}
+	}
+}
+
+// TestSweepItemOutcomes fires one sweep at a fake daemon whose HTTP-200
+// batch response holds one solved, one shed and one failed item: each lands
+// in its own batch-item count, and only the solved one reaches OnResult.
+func TestSweepItemOutcomes(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/datasets", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"datasets": []map[string]any{{"name": "d", "d": 2}}})
+	})
+	mux.HandleFunc("POST /v1/solve/batch", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"results": []map[string]any{
+			{"index": 0, "ids": []int{1, 4}, "rank_regret": 3},
+			{"index": 1, "rejected": true, "error": "queue full"},
+			{"index": 2, "error": "context canceled"},
+		}})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	tr := &Trace{
+		Datasets: []string{"d"},
+		Events:   []Event{{Kind: KindSweep, Dataset: "d", R: 2, Width: 3}},
+	}
+	var got []SolveOutcome
+	rep, err := Run(context.Background(), tr, RunConfig{
+		BaseURL:  ts.URL,
+		OnResult: func(o SolveOutcome) { got = append(got, o) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != 1 || rep.Errors != 0 {
+		t.Fatalf("an HTTP-200 batch is one completed request: ok=%d errors=%d", rep.OK, rep.Errors)
+	}
+	if rep.BatchItemsAccepted != 1 || rep.BatchItemsRejected != 1 || rep.BatchItemsFailed != 1 {
+		t.Fatalf("batch items accepted/rejected/failed = %d/%d/%d, want 1/1/1",
+			rep.BatchItemsAccepted, rep.BatchItemsRejected, rep.BatchItemsFailed)
+	}
+	want := []SolveOutcome{{Event: 0, Item: 0, Dataset: "d", IDs: []int{1, 4}, RankRegret: 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("OnResult got %+v, want %+v", got, want)
 	}
 }

@@ -2,63 +2,25 @@ package loadgen
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"sort"
 )
 
 // ReportSchema versions the BENCH_serving.json format.
-const ReportSchema = 1
+const ReportSchema = 2
 
-// LatencyMS summarizes a latency distribution in milliseconds. Percentiles
-// use the nearest-rank method over the observed samples.
-type LatencyMS struct {
-	Count int     `json:"count"`
-	Mean  float64 `json:"mean_ms"`
-	P50   float64 `json:"p50_ms"`
-	P95   float64 `json:"p95_ms"`
-	P99   float64 `json:"p99_ms"`
-	Max   float64 `json:"max_ms"`
-}
-
-// KindReport breaks the outcome counts and latency down by request kind.
+// KindReport breaks the outcome counts down by request kind.
 // The Rejected* fields split sheds by what refused the request: a full
 // scheduler queue (429), a degraded store refusing mutations (503 with
 // reason "degraded"), or a draining server (other 503s).
 type KindReport struct {
-	Offered          int       `json:"offered"`
-	OK               int       `json:"ok"`
-	Rejected         int       `json:"rejected"`
-	RejectedQueue    int       `json:"rejected_queue,omitempty"`
-	RejectedDegraded int       `json:"rejected_degraded,omitempty"`
-	RejectedDrain    int       `json:"rejected_drain,omitempty"`
-	Errors           int       `json:"errors"`
-	Latency          LatencyMS `json:"latency"`
-}
-
-// Sample is one point of the /v1/metrics timeline: queue pressure and cache
-// effectiveness as the trace played.
-type Sample struct {
-	TMS          float64 `json:"t_ms"`
-	QueueDepth   int     `json:"queue_depth"`
-	Running      int64   `json:"running"`
-	CacheHits    uint64  `json:"cache_hits"`
-	CacheMisses  uint64  `json:"cache_misses"`
-	VecSetReuses uint64  `json:"vecset_reuses"`
-	VecSetBuilds uint64  `json:"vecset_builds"`
-	Rejected     uint64  `json:"sched_rejected"`
-	// SolveCount/SolveSumMS are the server-measured solve-latency totals
-	// scraped from the Prometheus surface (rrmd_solve_duration_seconds),
-	// placing server-side latency next to the client-side percentiles.
-	// Zero against a daemon without GET /metrics.
-	SolveCount uint64  `json:"prom_solve_count,omitempty"`
-	SolveSumMS float64 `json:"prom_solve_sum_ms,omitempty"`
-	// Goroutines and MaxBurnFast ride along from the same scrape: the Go
-	// runtime gauge (rrmd_go_goroutines) and the worst fast-window SLO burn
-	// rate across objectives (rrmd_slo_burn_rate_fast), so a load run's
-	// timeline shows runtime pressure and budget burn next to queue depth.
-	Goroutines  uint64  `json:"goroutines,omitempty"`
-	MaxBurnFast float64 `json:"slo_max_burn_fast,omitempty"`
+	Offered          int `json:"offered"`
+	OK               int `json:"ok"`
+	Rejected         int `json:"rejected"`
+	RejectedQueue    int `json:"rejected_queue,omitempty"`
+	RejectedDegraded int `json:"rejected_degraded,omitempty"`
+	RejectedDrain    int `json:"rejected_drain,omitempty"`
+	Errors           int `json:"errors"`
 }
 
 // Report is the BENCH_serving.json payload: one load run reduced to the
@@ -89,18 +51,23 @@ type Report struct {
 	RejectRate       float64 `json:"reject_rate"`
 	ErrorRate        float64 `json:"error_rate"`
 
-	// Latency covers successful requests; RejectLatency covers sheds, and
-	// should stay small — an overloaded server must say no quickly.
-	Latency       LatencyMS `json:"latency"`
-	RejectLatency LatencyMS `json:"reject_latency"`
+	// LatencyP99MS is the p99 time from send to reply of completed
+	// requests; RejectLatencyP99MS is the same for sheds, and should stay
+	// small — an overloaded server must say no quickly. Both are bounds for
+	// overload tests, not benchmark figures: the clock starts at send, so
+	// a late generator is not counted.
+	LatencyP99MS       float64 `json:"latency_p99_ms"`
+	RejectLatencyP99MS float64 `json:"reject_latency_p99_ms"`
 
 	// BatchItems* count individual sweep items inside HTTP-200 batch
-	// responses (per-item accept/reject is invisible to the HTTP status).
+	// responses (per-item outcomes are invisible to the HTTP status).
+	// Failed items carry an error without being shed: invalid requests, or
+	// jobs that failed or were cancelled mid-flight.
 	BatchItemsAccepted int `json:"batch_items_accepted"`
 	BatchItemsRejected int `json:"batch_items_rejected"`
+	BatchItemsFailed   int `json:"batch_items_failed"`
 
-	PerKind  map[string]KindReport `json:"per_kind"`
-	Timeline []Sample              `json:"timeline,omitempty"`
+	PerKind map[string]KindReport `json:"per_kind"`
 }
 
 // Save writes the report as indented JSON to path.
@@ -112,40 +79,13 @@ func (r *Report) Save(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// latencyStats reduces a sample set to its summary. The input is not
-// modified.
-func latencyStats(ms []float64) LatencyMS {
+// p99 returns the nearest-rank 99th percentile of ms: the smallest sample
+// with at least 99% of the samples at or below it, or 0 for none. It sorts
+// ms in place.
+func p99(ms []float64) float64 {
 	if len(ms) == 0 {
-		return LatencyMS{}
-	}
-	sorted := append([]float64(nil), ms...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	return LatencyMS{
-		Count: len(sorted),
-		Mean:  sum / float64(len(sorted)),
-		P50:   percentile(sorted, 50),
-		P95:   percentile(sorted, 95),
-		P99:   percentile(sorted, 99),
-		Max:   sorted[len(sorted)-1],
-	}
-}
-
-// percentile returns the nearest-rank p-th percentile of sorted (ascending)
-// samples: the smallest value with at least p% of the mass at or below it.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+	sort.Float64s(ms)
+	return ms[(99*len(ms)+99)/100-1]
 }

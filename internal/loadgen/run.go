@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/rankregret/rankregret/internal/obs"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
@@ -19,15 +18,9 @@ import (
 type RunConfig struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Client overrides the HTTP client (nil = a pooled default sized for
-	// many concurrent in-flight requests).
-	Client *http.Client
 	// RequestTimeout is the client-side guard on each request (0 = 30s).
 	// It is a backstop; server-side budgets do the real bounding.
 	RequestTimeout time.Duration
-	// SampleEvery is the /v1/metrics timeline sampling interval
-	// (0 = 500ms, negative = no timeline).
-	SampleEvery time.Duration
 	// MaxSamples, when positive, is attached to every solve request as the
 	// max_samples bound, capping the per-solve sampling cost. Use it to size
 	// the workload to the machine: the smoke scripts bound it so the run
@@ -36,8 +29,8 @@ type RunConfig struct {
 	// OnResult, when set, receives every successful solve result (point
 	// solves, pinned solves, and individual sweep items). It is called from
 	// the firing goroutines concurrently; the callback must synchronize.
-	// A/B harnesses use it to check that two runs of one trace — e.g. FIFO
-	// vs affinity scheduling — return identical solutions.
+	// Equivalence tests use it to check that two servers given one trace
+	// return identical solutions.
 	OnResult func(SolveOutcome)
 	// Logf, when set, receives occasional progress lines.
 	Logf func(format string, args ...any)
@@ -65,7 +58,7 @@ type outcome struct {
 	reason  string
 	errText string
 	// batch item counts (sweep events only)
-	itemsOK, itemsRejected int
+	itemsOK, itemsRejected, itemsFailed int
 }
 
 // classifyReject names what refused a shed request. The server tags its
@@ -93,7 +86,6 @@ type runner struct {
 
 	mu       sync.Mutex
 	outcomes []outcome
-	samples  []Sample
 }
 
 // Run fires the trace at the server open-loop — each event at its scheduled
@@ -111,55 +103,24 @@ func Run(ctx context.Context, trace *Trace, cfg RunConfig) (*Report, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		// The default transport keeps only two idle conns per host; an
-		// open-loop burst would churn through ephemeral ports without this.
-		tr := &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 256,
-		}
-		client = &http.Client{Transport: tr}
-		// The pool is ours, so drop its idle connections (and their reader
-		// goroutines) when the run ends instead of leaking them.
-		defer tr.CloseIdleConnections()
+	// The default transport keeps only two idle conns per host; an
+	// open-loop burst would churn through ephemeral ports without this.
+	tr := &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 256,
 	}
-	r := &runner{cfg: cfg, client: client, base: cfg.BaseURL, dims: map[string]int{}}
+	// Drop the pool's idle connections (and their reader goroutines) when
+	// the run ends instead of leaking them.
+	defer tr.CloseIdleConnections()
+	r := &runner{cfg: cfg, client: &http.Client{Transport: tr}, base: cfg.BaseURL}
 
 	if err := r.fetchDatasets(ctx, trace.Datasets); err != nil {
 		return nil, err
 	}
 
-	// Timeline sampler: polls /v1/metrics until the run is over.
-	samplerDone := make(chan struct{})
-	samplerStop := make(chan struct{})
-	start := time.Now()
-	if cfg.SampleEvery >= 0 {
-		every := cfg.SampleEvery
-		if every == 0 {
-			every = 500 * time.Millisecond
-		}
-		go func() {
-			defer close(samplerDone)
-			tick := time.NewTicker(every)
-			defer tick.Stop()
-			for {
-				select {
-				case <-samplerStop:
-					return
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					r.sampleMetrics(ctx, time.Since(start))
-				}
-			}
-		}()
-	} else {
-		close(samplerDone)
-	}
-
 	// Open-loop dispatch: sleep to each event's offset, then fire it on its
 	// own goroutine. Server slowness never delays the next event.
+	start := time.Now()
 	var wg sync.WaitGroup
 	for i := range trace.Events {
 		ev := &trace.Events[i]
@@ -180,17 +141,7 @@ func Run(ctx context.Context, trace *Trace, cfg RunConfig) (*Report, error) {
 		}()
 	}
 	wg.Wait()
-	close(samplerStop)
-	<-samplerDone
-	wall := time.Since(start)
-
-	// Final metrics fetch (fresh context: the run's ctx may be done) for a
-	// closing timeline point.
-	fctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	r.sampleMetrics(fctx, wall)
-	cancel()
-
-	return r.report(trace, wall), nil
+	return r.report(trace, time.Since(start)), nil
 }
 
 // wire shapes, mirrored locally so loadgen stays a pure HTTP client.
@@ -199,24 +150,6 @@ type wireDatasets struct {
 		Name string `json:"name"`
 		D    int    `json:"d"`
 	} `json:"datasets"`
-}
-
-type wireMetrics struct {
-	Engine struct {
-		Solutions struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-		} `json:"solutions"`
-		VecSets struct {
-			Builds uint64 `json:"builds"`
-			Reuses uint64 `json:"reuses"`
-		} `json:"vecsets"`
-	} `json:"engine"`
-	Scheduler struct {
-		QueueDepth int    `json:"queue_depth"`
-		Running    int64  `json:"running"`
-		Rejected   uint64 `json:"rejected"`
-	} `json:"scheduler"`
 }
 
 type wireVersions struct {
@@ -264,103 +197,20 @@ func DiscoverDatasets(ctx context.Context, baseURL string) (map[string]int, erro
 	return dims, nil
 }
 
+// fetchDatasets records the dimensionality of every dataset the trace
+// targets, failing when the server lacks one.
 func (r *runner) fetchDatasets(ctx context.Context, want []string) error {
-	var wd wireDatasets
-	status, err := r.getJSON(ctx, "/v1/datasets", &wd)
+	dims, err := DiscoverDatasets(ctx, r.base)
 	if err != nil {
-		return fmt.Errorf("loadgen: listing datasets at %s: %w", r.base, err)
+		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("loadgen: listing datasets: HTTP %d", status)
-	}
-	for _, d := range wd.Datasets {
-		r.dims[d.Name] = d.D
-	}
+	r.dims = dims
 	for _, name := range want {
 		if _, ok := r.dims[name]; !ok {
 			return fmt.Errorf("loadgen: server has no dataset %q (trace needs %v)", name, want)
 		}
 	}
 	return nil
-}
-
-func (r *runner) sampleMetrics(ctx context.Context, at time.Duration) {
-	sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	var wm wireMetrics
-	status, err := r.getJSON(sctx, "/v1/metrics", &wm)
-	if err != nil || status != http.StatusOK {
-		return // a missed sample is a gap in the timeline, not a run failure
-	}
-	ps := r.scrapeProm(sctx)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samples = append(r.samples, Sample{
-		TMS:          float64(at.Microseconds()) / 1000,
-		QueueDepth:   wm.Scheduler.QueueDepth,
-		Running:      wm.Scheduler.Running,
-		CacheHits:    wm.Engine.Solutions.Hits,
-		CacheMisses:  wm.Engine.Solutions.Misses,
-		VecSetReuses: wm.Engine.VecSets.Reuses,
-		VecSetBuilds: wm.Engine.VecSets.Builds,
-		Rejected:     wm.Scheduler.Rejected,
-		SolveCount:   ps.solveCount,
-		SolveSumMS:   ps.solveSumMS,
-		Goroutines:   ps.goroutines,
-		MaxBurnFast:  ps.maxBurnFast,
-	})
-}
-
-// promSample is what one strict /metrics scrape contributes to the timeline.
-type promSample struct {
-	solveCount  uint64
-	solveSumMS  float64
-	goroutines  uint64
-	maxBurnFast float64
-}
-
-// scrapeProm samples the daemon's Prometheus surface for the server-side
-// solve-latency histogram, the goroutine gauge, and the worst fast-window SLO
-// burn rate, so the timeline carries server-measured signals next to the
-// client-measured ones. A daemon without GET /metrics (or an unparseable
-// exposition) just leaves the fields zero — the JSON surface already carried
-// the sample.
-func (r *runner) scrapeProm(ctx context.Context) promSample {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/metrics", nil)
-	if err != nil {
-		return promSample{}
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return promSample{}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return promSample{}
-	}
-	exp, err := obs.ParseExposition(resp.Body)
-	if err != nil {
-		if r.cfg.Logf != nil {
-			r.cfg.Logf("scrape: /metrics failed validation: %v", err)
-		}
-		return promSample{}
-	}
-	var ps promSample
-	c, _ := exp.Value("rrmd_solve_duration_seconds_count")
-	s, _ := exp.Value("rrmd_solve_duration_seconds_sum")
-	ps.solveCount, ps.solveSumMS = uint64(c), s*1000
-	if g, ok := exp.Value("rrmd_go_goroutines"); ok {
-		ps.goroutines = uint64(g)
-	}
-	if fam := exp.Families["rrmd_slo_burn_rate_fast"]; fam != nil {
-		for _, v := range fam.Series {
-			if v > ps.maxBurnFast {
-				ps.maxBurnFast = v
-			}
-		}
-	}
-	return ps
 }
 
 // fire executes one event and records its outcome.
@@ -450,7 +300,9 @@ func (r *runner) fireSweep(ctx context.Context, idx int, ev *Event) outcome {
 		switch {
 		case it.Rejected:
 			o.itemsRejected++
-		case it.Error == "" && len(it.IDs) > 0:
+		case it.Error != "":
+			o.itemsFailed++
+		case len(it.IDs) > 0:
 			o.itemsOK++
 			r.capture(idx, it.Index, ev, &wireSolve{IDs: it.IDs, RankRegret: it.RankRegret, Exact: it.Exact}, o)
 		}
@@ -471,8 +323,8 @@ func (r *runner) solveBody(ds string, rk int, version uint64) map[string]any {
 	return body
 }
 
-// mutationRows derives deterministic row content from the event seed, so a
-// replayed trace appends byte-identical data. Values are uniform in [0,1] —
+// mutationRows derives deterministic row content from the event seed, so
+// every run of a trace appends byte-identical data. Values are uniform in [0,1] —
 // the units of a normalized dataset.
 func mutationRows(seed int64, rows, dim int) [][]float64 {
 	rng := xrand.New(seed)
@@ -551,10 +403,8 @@ func (r *runner) report(trace *Trace, wall time.Duration) *Report {
 		BaseURL:    r.base,
 		DurationMS: float64(wall.Microseconds()) / 1000,
 		PerKind:    map[string]KindReport{},
-		Timeline:   r.samples,
 	}
 	var okLat, rejLat []float64
-	perKindLat := map[Kind][]float64{}
 	for _, o := range r.outcomes {
 		rep.Offered++
 		kr := rep.PerKind[string(o.kind)]
@@ -585,19 +435,14 @@ func (r *runner) report(trace *Trace, wall time.Duration) *Report {
 			rep.OK++
 			kr.OK++
 			okLat = append(okLat, o.latMS)
-			perKindLat[o.kind] = append(perKindLat[o.kind], o.latMS)
 		}
 		rep.BatchItemsAccepted += o.itemsOK
 		rep.BatchItemsRejected += o.itemsRejected
+		rep.BatchItemsFailed += o.itemsFailed
 		rep.PerKind[string(o.kind)] = kr
 	}
-	for kind, lat := range perKindLat {
-		kr := rep.PerKind[string(kind)]
-		kr.Latency = latencyStats(lat)
-		rep.PerKind[string(kind)] = kr
-	}
-	rep.Latency = latencyStats(okLat)
-	rep.RejectLatency = latencyStats(rejLat)
+	rep.LatencyP99MS = p99(okLat)
+	rep.RejectLatencyP99MS = p99(rejLat)
 	if secs := wall.Seconds(); secs > 0 {
 		rep.ThroughputRPS = float64(rep.OK) / secs
 	}

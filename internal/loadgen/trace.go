@@ -1,27 +1,19 @@
-// Package loadgen is an open-loop traffic generator for rrmd: it turns a
-// seeded scenario description into a deterministic request trace (solves,
+// Package loadgen is a seeded open-loop traffic generator for rrmd: it turns a
+// scenario description into a deterministic request trace (solves,
 // parameter sweeps, dataset mutations, and pinned-version solves over
 // multiple named datasets, with Poisson or bursty arrival times), fires the
 // trace at a live daemon over HTTP without waiting for completions — the
-// open-loop discipline, so server slowdowns surface as latency instead of
-// silently throttling the offered load — and reduces the outcomes to a
-// serving report (latency percentiles, throughput, reject/error rates, and
-// queue-depth / cache-hit timelines sampled from /v1/metrics).
+// open-loop discipline, so server slowdowns surface as mounting concurrency
+// instead of silently throttling the offered load — and reduces the outcomes
+// to a report of counts: completed, shed (by cause), failed, and per-item
+// batch results, plus the p99 latency of completed and of shed requests.
 //
-// Traces are plain JSON and replayable: saving a generated trace and
-// replaying it later offers byte-identical request sequences to both sides
-// of an A/B comparison (for example FIFO vs affinity queue policies).
+// Generate is a pure function of its Config, so the same seed and settings
+// reproduce the same trace; there is no trace file to ship. Latency is not
+// this package's job: its clock starts at send, not when the request was
+// due, so a late generator reads as a slow server. cmd/rrmladder is the
+// latency benchmark.
 package loadgen
-
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
-)
-
-// TraceSchema versions the trace file format.
-const TraceSchema = 1
 
 // Kind names one request type of a trace event.
 type Kind string
@@ -34,7 +26,7 @@ const (
 	// KindMutate appends rows via POST /v1/datasets/{name}/rows, publishing
 	// a new dataset version.
 	KindMutate Kind = "mutate"
-	// KindPinned solves against the oldest retained version (looked up at
+	// KindPinned solves against an older retained version (looked up at
 	// fire time), exercising the pinned-version path.
 	KindPinned Kind = "pinned"
 )
@@ -42,59 +34,27 @@ const (
 // Event is one scheduled request of an open-loop trace.
 type Event struct {
 	// AtMS is the firing offset from trace start, in milliseconds.
-	AtMS float64 `json:"at_ms"`
-	Kind Kind    `json:"kind"`
+	AtMS float64
+	Kind Kind
 	// Dataset names the registry entry the request targets.
-	Dataset string `json:"dataset"`
+	Dataset string
 	// R is the solve budget for solve/pinned events, and the first r of the
 	// swept range for sweep events.
-	R int `json:"r,omitempty"`
+	R int
 	// Width is how many consecutive r values a sweep covers.
-	Width int `json:"width,omitempty"`
+	Width int
 	// Rows is how many rows a mutate appends.
-	Rows int `json:"rows,omitempty"`
-	// Seed salts the row content of a mutate so replays append identical
-	// data.
-	Seed int64 `json:"seed,omitempty"`
+	Rows int
+	// Seed salts the row content of a mutate, so every run of the trace
+	// appends identical data.
+	Seed int64
 }
 
-// Trace is a deterministic, replayable request schedule.
+// Trace is a deterministic request schedule, ordered by AtMS.
 type Trace struct {
-	Schema     int      `json:"schema"`
-	Scenario   string   `json:"scenario"`
-	Seed       int64    `json:"seed"`
-	DurationMS float64  `json:"duration_ms"`
-	Datasets   []string `json:"datasets"`
-	Events     []Event  `json:"events"`
-}
-
-// Save writes the trace as indented JSON to path.
-func (t *Trace) Save(path string) error {
-	b, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// LoadTrace reads a trace saved by Save, validating the schema and restoring
-// the firing order (events must be sorted by offset for the open-loop
-// dispatcher; a hand-edited file is healed rather than rejected).
-func LoadTrace(path string) (*Trace, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var t Trace
-	if err := json.Unmarshal(b, &t); err != nil {
-		return nil, fmt.Errorf("loadgen: parsing trace %s: %w", path, err)
-	}
-	if t.Schema != TraceSchema {
-		return nil, fmt.Errorf("loadgen: trace %s has schema %d, want %d", path, t.Schema, TraceSchema)
-	}
-	if len(t.Events) == 0 {
-		return nil, fmt.Errorf("loadgen: trace %s has no events", path)
-	}
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].AtMS < t.Events[j].AtMS })
-	return &t, nil
+	Scenario   string
+	Seed       int64
+	DurationMS float64
+	Datasets   []string
+	Events     []Event
 }

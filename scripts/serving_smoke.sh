@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Serving smoke: boot rrmd over two small deterministic datasets, drive it
-# with the seeded open-loop load generator — a steady scenario and a burst
+# with the seeded open-loop traffic generator — a steady scenario and a burst
 # scenario — and require both runs healthy: nonzero completed throughput,
 # zero unexpected 5xx responses, and a near-zero error rate. Rejections
 # (429/503) are fine; they are the overload design working. The reports are
@@ -13,7 +13,7 @@ BASE="http://$ADDR"
 WORK="$(mktemp -d)"
 STEADY_SECS="${STEADY_SECS:-15}"
 BURST_SECS="${BURST_SECS:-10}"
-trap 'kill -9 $PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'kill -9 $PID ${SCRAPER:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/rrmd" ./cmd/rrmd
 go build -o "$WORK/rrmload" ./cmd/rrmload
@@ -51,12 +51,19 @@ for _ in $(seq 1 100); do
 done
 curl -sf "$BASE/healthz" >/dev/null
 
+# Scrape /metrics twice a second while the load runs, as a Prometheus server
+# would. rrmd evaluates its SLO objectives when they are read, so the
+# fast-burn alarm (and the incident it captures) can only fire while
+# something scrapes.
+( while sleep 0.5; do curl -sf "$BASE/metrics" -o /dev/null || true; done ) &
+SCRAPER=$!
+
 # max_samples bounds the per-solve cost so the smoke measures the serving
 # path on any runner; rates are sized for small CI machines.
 echo "== steady scenario =="
 "$WORK/rrmload" -url "$BASE" -scenario steady -seed 7 \
   -rate 15 -duration "${STEADY_SECS}s" -timeout 15s -max-samples 400 \
-  -save-trace "$WORK/trace_steady.json" -out BENCH_serving_steady.json
+  -out BENCH_serving_steady.json
 
 # Scrape the Prometheus surface mid-run (the daemon has just served a full
 # steady scenario, so the histograms are populated) and validate it with the
@@ -79,6 +86,8 @@ echo "== burst scenario =="
   -rate 8 -burst-rate 120 -burst-period 3s -burst-len 1s \
   -duration "${BURST_SECS}s" -timeout 15s -max-samples 400 \
   -out BENCH_serving_burst.json
+kill "$SCRAPER" 2>/dev/null
+wait "$SCRAPER" 2>/dev/null || true
 
 # The burst ran against an unmeetable 1ms solve objective and a 250ms
 # slow-request threshold, so the flight recorder must hold at least one
