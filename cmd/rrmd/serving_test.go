@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,24 +206,40 @@ func TestServingPolicyEquivalence(t *testing.T) {
 	}
 }
 
-// gate is a registered blocking solver the serving tests use to wedge the
-// worker pool deterministically over HTTP.
-var gate = struct {
+// gateRun is one test run's signal pair for gateSolver, a registered
+// blocking solver the serving tests use to wedge the worker pool
+// deterministically over HTTP: each solve signals started, then blocks
+// until release is closed.
+type gateRun struct {
 	started chan struct{}
 	release chan struct{}
-}{started: make(chan struct{}, 16), release: make(chan struct{})}
+}
+
+// gate is the pair gateSolver reads. Each test run installs a fresh one
+// with newGate, so a repeated run (go test -count=N) never sees the release
+// an earlier run closed.
+var gate atomic.Pointer[gateRun]
+
+// newGate installs a fresh pair. started is buffered so a solve never
+// blocks signalling; the test reads one signal per wedged solve.
+func newGate() *gateRun {
+	g := &gateRun{started: make(chan struct{}, 16), release: make(chan struct{})}
+	gate.Store(g)
+	return g
+}
 
 type gateSolver struct{}
 
 func (gateSolver) Name() string { return "test-gate" }
 
 func (gateSolver) Solve(ctx context.Context, ds *dataset.Dataset, r int, opts engine.Options) (*engine.Solution, error) {
+	g := gate.Load()
 	select {
-	case gate.started <- struct{}{}:
+	case g.started <- struct{}{}:
 	default:
 	}
 	select {
-	case <-gate.release:
+	case <-g.release:
 		return &engine.Solution{IDs: []int{0}, Algorithm: "test-gate"}, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -237,6 +254,7 @@ func init() { engine.Register(gateSolver{}) }
 // queue-wait budget lapses while the worker is busy is rejected 429 shortly
 // after the worker frees — never held for the full 30s solve ceiling.
 func TestServingQueueWaitBudget(t *testing.T) {
+	g := newGate()
 	_, ts := newServingServer(t, Config{CacheSize: -1, Workers: 1, QueueCap: 1, QueueWait: 100 * time.Millisecond})
 
 	// Wedge the worker, then fill the single queue slot.
@@ -246,7 +264,7 @@ func TestServingQueueWaitBudget(t *testing.T) {
 			t.Fatalf("gate job submit = HTTP %d (%s), want 202", resp.StatusCode, body)
 		}
 	}
-	<-gate.started // the worker is now inside the first gate solve
+	<-g.started // the worker is now inside the first gate solve
 
 	// Queue full: the synchronous path refuses instantly with 429.
 	start := time.Now()
@@ -270,10 +288,10 @@ func TestServingQueueWaitBudget(t *testing.T) {
 	if resp.StatusCode != 202 {
 		t.Fatalf("gate job submit = HTTP %d (%s), want 202", resp.StatusCode, body)
 	}
-	<-gate.started
+	<-g.started
 	go func() {
 		time.Sleep(400 * time.Millisecond)
-		close(gate.release)
+		close(g.release)
 	}()
 	start = time.Now()
 	resp, body = postJSON(t, ts2.URL+"/v1/solve", map[string]any{"dataset": "island", "r": 4})

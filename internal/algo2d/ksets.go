@@ -21,13 +21,6 @@ import (
 // function. Runtime is O(n^2 log n) like any full sweep; it exists to make
 // MDRRR exact in 2D and to validate the randomized discovery used in HD.
 func KSets2D(ds *dataset.Dataset, k int) ([][]int, error) {
-	return KSets2DRange(ds, k, 0, 1)
-}
-
-// KSets2DRange is KSets2D restricted to the dual segment x in [c0, c1] —
-// the RRRM setting after "rendering the scene" (Section IV.C) maps a convex
-// utility space to such a segment.
-func KSets2DRange(ds *dataset.Dataset, k int, c0, c1 float64) ([][]int, error) {
 	n := ds.N()
 	if ds.Dim() != 2 {
 		return nil, fmt.Errorf("algo2d: KSets2D needs d=2, got %d", ds.Dim())
@@ -35,20 +28,17 @@ func KSets2DRange(ds *dataset.Dataset, k int, c0, c1 float64) ([][]int, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("algo2d: k=%d out of range [1, %d]", k, n)
 	}
-	if c0 < 0 || c1 > 1 || c0 >= c1 {
-		return nil, fmt.Errorf("algo2d: segment [%v, %v] invalid, need 0 <= c0 < c1 <= 1", c0, c1)
-	}
 	lines := Lines(ds)
 
-	// Initial order at x = c0 (ties broken by slope: the line rising
-	// faster is above immediately after c0).
+	// Initial order at x = 0 (ties broken by slope: the line rising
+	// faster is above immediately after 0).
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
 		la, lb := lines[order[a]], lines[order[b]]
-		ya, yb := la.Eval(c0), lb.Eval(c0)
+		ya, yb := la.Eval(0), lb.Eval(0)
 		if ya != yb {
 			return ya > yb
 		}
@@ -73,7 +63,7 @@ func KSets2DRange(ds *dataset.Dataset, k int, c0, c1 float64) ([][]int, error) {
 	}
 	record()
 
-	sweep.NeighborSweep(lines, c0, c1, func(x float64, up, down int) {
+	sweep.NeighborSweep(lines, 0, 1, func(x float64, up, down int) {
 		pu, pd := pos[up], pos[down]
 		if pu+1 != pd {
 			// NeighborSweep guarantees adjacency; the mirror should agree.

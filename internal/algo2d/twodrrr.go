@@ -10,6 +10,7 @@ import (
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/geom"
+	"github.com/rankregret/rankregret/internal/ksearch"
 	"github.com/rankregret/rankregret/internal/skyline"
 	"github.com/rankregret/rankregret/internal/sweep"
 )
@@ -160,48 +161,16 @@ func TwoDRRRBaselineCtx(ctx context.Context, ds *dataset.Dataset, k int) (Result
 // improved binary search of Section V.B.2: double k until the output fits
 // in r tuples, then binary search (k/2, k]. The returned rank-regret is the
 // exact regret of the chosen set (at most 2k by the baseline's guarantee).
-// Cancellation is checked in every binary-search round.
+// Cancellation is checked in every search probe.
 func TwoDRRRBaselineForRRMCtx(ctx context.Context, ds *dataset.Dataset, r int) (Result, error) {
 	if r < 1 {
 		return Result{}, fmt.Errorf("algo2d: output size %d, need >= 1", r)
 	}
-	n := ds.N()
-	var fit Result
-	k := 1
-	for {
+	fit, _, err := ksearch.Smallest(ds.N(), func(k int) (Result, bool, error) {
 		res, err := TwoDRRRBaselineCtx(ctx, ds, k)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(res.IDs) <= r {
-			fit = res
-			break
-		}
-		if k >= n {
-			// Even k = n needs more than r tuples; impossible, since one
-			// tuple always achieves rank n. Defensive only.
-			return res, nil
-		}
-		k *= 2
-		if k > n {
-			k = n
-		}
-	}
-	low, high := k/2+1, k
-	for low < high {
-		mid := (low + high) / 2
-		res, err := TwoDRRRBaselineCtx(ctx, ds, mid)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(res.IDs) <= r {
-			fit = res
-			high = mid
-		} else {
-			low = mid + 1
-		}
-	}
-	return fit, nil
+		return res, len(res.IDs) <= r, err
+	})
+	return fit, err
 }
 
 // TwoDRRRExactRestrictedCtx solves the dual RRR problem exactly under a

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/xrand"
+	"github.com/rankregret/rankregret/internal/ksearch"
 )
 
 // Variant switches off individual ingredients of HDRRM for ablation
@@ -44,40 +44,12 @@ func (v Variant) Name() string {
 	}
 }
 
-// HDRRMVariantCtx runs HDRRM with the given ingredients removed; the zero
-// Variant is the full algorithm (see HDRRMCtx, including cancellation).
-func HDRRMVariantCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, v Variant) (Result, error) {
-	n, d := ds.N(), ds.Dim()
-	if n == 0 {
-		return Result{}, fmt.Errorf("algohd: empty dataset")
-	}
-	if r < 1 {
-		return Result{}, fmt.Errorf("algohd: output size %d, need >= 1", r)
-	}
-	if v.NoGrid && v.NoSamples {
-		return Result{}, fmt.Errorf("algohd: ablation removed both Da and Db; nothing left to cover")
-	}
-	m := opts.sampleSize(n, d, r)
-	if v.NoSamples {
-		m = 0
-	}
-	gamma := opts.EffectiveGamma()
-	if v.NoGrid {
-		gamma = 1 // the minimal grid: axis directions only...
-	}
-	vs, err := BuildVecSetSampledCtx(ctx, ds, opts.space(d), gamma, m, xrand.New(opts.Seed), opts.Sampler)
-	if err != nil {
-		return Result{}, err
-	}
-	return HDRRMVariantWithVecSetCtx(ctx, ds, r, opts, v, vs)
-}
-
 // HDRRMVariantWithVecSetCtx runs an ablation's search phase against a
-// caller-provided vector set (see HDRRMWithVecSetCtx). For the NoGrid
-// ablation vs must have been built with gamma 1 and is stripped of its grid
-// here; note the stripped set cannot share a top-K cache, so the engine
-// only routes grid-keeping variants through its VecSet tier. For NoSamples,
-// vs must have been built (or acquired) with m = 0.
+// caller-provided vector set (see HDRRMWithVecSetCtx); the zero Variant is
+// the full algorithm. For the NoGrid ablation vs must have been acquired
+// with gamma 1 and is stripped of its grid here; the stripped set cannot
+// share a top-K cache, so the engine gives NoGrid a one-off set. For
+// NoSamples, vs must have been acquired with m = 0.
 func HDRRMVariantWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, v Variant, vs *VecSet) (Result, error) {
 	if ds.N() == 0 {
 		return Result{}, fmt.Errorf("algohd: empty dataset")
@@ -93,7 +65,7 @@ func HDRRMVariantWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, 
 		if vs.GridCount >= len(vs.Vecs) {
 			return Result{}, fmt.Errorf("algohd: no-grid ablation left an empty vector set")
 		}
-		vs = &VecSet{ds: ds, Vecs: vs.Vecs[vs.GridCount:], GridCount: 0}
+		vs = newVecSet(ds, vs.Vecs[vs.GridCount:], 0)
 	}
 	vs.SetParallelism(opts.Parallelism)
 	var basis []int
@@ -103,7 +75,11 @@ func HDRRMVariantWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, 
 			return Result{}, fmt.Errorf("algohd: budget r=%d smaller than basis size %d (need r >= d)", r, len(basis))
 		}
 	}
-	ids, bestK, err := searchSmallestK(ctx, ds, r, basis, vs)
+	// The improved binary search of Section V.B.2 over ASMS thresholds.
+	ids, bestK, err := ksearch.Smallest(ds.N(), func(k int) ([]int, bool, error) {
+		q, err := ASMSCtx(ctx, ds, k, basis, vs)
+		return q, len(q) <= r, err
+	})
 	if err != nil {
 		return Result{}, err
 	}

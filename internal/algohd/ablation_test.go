@@ -1,6 +1,7 @@
 package algohd
 
 import (
+	"context"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
@@ -8,6 +9,33 @@ import (
 	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
+
+// soloVariant runs an HDRRM ablation the way the engine does when no VecSet
+// tier is wired: on a one-off SharedVecSet no one else holds, at gamma 1
+// for NoGrid and with no samples for NoSamples.
+func soloVariant(ctx context.Context, ds *dataset.Dataset, r int, opts Options, v Variant) (Result, error) {
+	gamma, m := opts.EffectiveGamma(), opts.SampleSize(ds.N(), ds.Dim(), r)
+	if v.NoGrid {
+		gamma = 1
+	}
+	if v.NoSamples {
+		m = 0
+	}
+	vs, _, err := NewSharedVecSet(ds, opts.Space, gamma, opts.Seed, opts.Sampler).Acquire(ctx, m)
+	if err != nil {
+		return Result{}, err
+	}
+	return HDRRMVariantWithVecSetCtx(ctx, ds, r, opts, v, vs)
+}
+
+// soloRRR is soloVariant's HDRRR analogue.
+func soloRRR(ctx context.Context, ds *dataset.Dataset, k int, opts Options) (Result, error) {
+	vs, _, err := NewSharedVecSet(ds, opts.Space, opts.EffectiveGamma(), opts.Seed, opts.Sampler).Acquire(ctx, opts.SampleSizeRRR(ds.N(), ds.Dim(), k))
+	if err != nil {
+		return Result{}, err
+	}
+	return HDRRRWithVecSetCtx(ctx, ds, k, opts, vs)
+}
 
 func TestVariantNames(t *testing.T) {
 	cases := map[string]Variant{
@@ -34,7 +62,7 @@ func TestHDRRMVariantFullMatchesHDRRM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, err := HDRRMVariantCtx(t.Context(), ds, 8, opts, Variant{})
+	variant, err := soloVariant(t.Context(), ds, 8, opts, Variant{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +81,14 @@ func TestHDRRMVariantFullMatchesHDRRM(t *testing.T) {
 func TestHDRRMVariantValidation(t *testing.T) {
 	ds := dataset.Independent(xrand.New(3), 100, 3)
 	opts := DefaultOptions()
-	if _, err := HDRRMVariantCtx(t.Context(), ds, 8, opts, Variant{NoGrid: true, NoSamples: true}); err == nil {
+	if _, err := soloVariant(t.Context(), ds, 8, opts, Variant{NoGrid: true, NoSamples: true}); err == nil {
 		t.Error("removing both Da and Db should fail")
 	}
-	if _, err := HDRRMVariantCtx(t.Context(), ds, 0, opts, Variant{}); err == nil {
+	if _, err := soloVariant(t.Context(), ds, 0, opts, Variant{}); err == nil {
 		t.Error("r=0 should fail")
 	}
 	empty := dataset.New(3)
-	if _, err := HDRRMVariantCtx(t.Context(), empty, 5, opts, Variant{}); err == nil {
+	if _, err := soloVariant(t.Context(), empty, 5, opts, Variant{}); err == nil {
 		t.Error("empty dataset should fail")
 	}
 }
@@ -76,7 +104,7 @@ func TestAblationShapesOnAnticorrelated(t *testing.T) {
 	space := funcspace.NewFull(3)
 	regretOf := func(v Variant) int {
 		t.Helper()
-		res, err := HDRRMVariantCtx(t.Context(), ds, r, opts, v)
+		res, err := soloVariant(t.Context(), ds, r, opts, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +135,7 @@ func TestHDRRRReturnsThresholdSet(t *testing.T) {
 	ds := dataset.Independent(xrand.New(21), 600, 3)
 	opts := DefaultOptions()
 	opts.MaxM = 1200
-	res, err := HDRRRCtx(t.Context(), ds, 20, opts)
+	res, err := soloRRR(t.Context(), ds, 20, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +149,12 @@ func TestHDRRRReturnsThresholdSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got > 3*20 {
-		t.Errorf("HDRRRCtx(t.Context(), k=20) estimated rank-regret %d", got)
+		t.Errorf("HDRRR k=20: estimated rank-regret %d", got)
 	}
-	if _, err := HDRRRCtx(t.Context(), ds, 0, opts); err == nil {
+	if _, err := soloRRR(t.Context(), ds, 0, opts); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := HDRRRCtx(t.Context(), ds, 1000, opts); err == nil {
+	if _, err := soloRRR(t.Context(), ds, 1000, opts); err == nil {
 		t.Error("k>n should fail")
 	}
 }

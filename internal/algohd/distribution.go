@@ -1,11 +1,8 @@
 package algohd
 
 import (
-	"context"
 	"fmt"
 
-	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
@@ -80,30 +77,4 @@ func MixturePreference(weights []float64, samplers []Sampler) (Sampler, error) {
 		}
 		return samplers[len(samplers)-1](rng)
 	}, nil
-}
-
-// BuildVecSetSampledCtx is BuildVecSetCtx with a custom Da distribution (nil
-// sampler = the space's own uniform sampling). Sampled directions outside
-// the space are rejected and redrawn, so the restricted-space contract of
-// Section V.C holds for any distribution. The rejection-sampling loop
-// checks ctx.
-func BuildVecSetSampledCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space, gamma, m int, rng *xrand.Rand, sample Sampler) (*VecSet, error) {
-	if sample == nil {
-		return BuildVecSetCtx(ctx, ds, space, gamma, m, rng)
-	}
-	vecs, space, err := buildGrid(ds, space, gamma)
-	if err != nil {
-		return nil, err
-	}
-	if len(vecs) == 0 {
-		// Matches the pre-refactor behavior: the sampled builder grew out of
-		// a grid-only build and requires a non-empty grid.
-		return nil, fmt.Errorf("algohd: empty vector set (space %s admits no directions)", space.Name())
-	}
-	gridCount := len(vecs)
-	vecs, err = drawSamples(ctx, space, m, rng, sample, vecs)
-	if err != nil {
-		return nil, err
-	}
-	return &VecSet{ds: ds, Vecs: vecs, GridCount: gridCount}, nil
 }

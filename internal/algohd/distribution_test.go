@@ -2,6 +2,7 @@ package algohd
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
@@ -87,7 +88,10 @@ func TestMixturePreference(t *testing.T) {
 	}
 }
 
-func TestBuildVecSetSampledRejection(t *testing.T) {
+// TestSampledVecSetRejection checks a custom Da distribution is
+// rejection-sampled into the space: draws outside it are redrawn, and a
+// sampler that never lands inside fails.
+func TestSampledVecSetRejection(t *testing.T) {
 	ds := dataset.Independent(xrand.New(1), 100, 2)
 	cone, err := funcspace.WeakRanking(2, 1) // u[0] >= u[1]
 	if err != nil {
@@ -95,7 +99,7 @@ func TestBuildVecSetSampledRejection(t *testing.T) {
 	}
 	// A sampler concentrated inside the cone: accepted directly.
 	inside, _ := GaussianPreference(geom.Vector{1, 0.2}, 0.01)
-	vs, err := BuildVecSetSampledCtx(t.Context(), ds, cone, 4, 50, xrand.New(2), inside)
+	vs, _, err := NewSharedVecSet(ds, cone, 4, 2, inside).Acquire(t.Context(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +110,41 @@ func TestBuildVecSetSampledRejection(t *testing.T) {
 	}
 	// A sampler concentrated outside the cone: every draw is rejected.
 	outside, _ := GaussianPreference(geom.Vector{0.01, 1}, 0.001)
-	if _, err := BuildVecSetSampledCtx(t.Context(), ds, cone, 4, 10, xrand.New(3), outside); err == nil {
+	if _, _, err := NewSharedVecSet(ds, cone, 4, 3, outside).Acquire(t.Context(), 10); err == nil {
 		t.Error("sampler entirely outside the space should fail after max rejects")
+	}
+}
+
+// TestSampledSolveOverEmptyGrid solves with a Sampler over a space so small
+// that the polar grid Db admits no direction: D is then all samples, as for
+// the uniform solve over the same space.
+func TestSampledSolveOverEmptyGrid(t *testing.T) {
+	ds := dataset.Anticorrelated(xrand.New(4), 300, 3)
+	center := geom.Normalize(geom.Vector{0.31, 0.52, 0.79})
+	ball, err := funcspace.NewBall(center, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid, _, err := buildGrid(ds, ball, 6); err != nil || len(grid) != 0 {
+		t.Fatalf("ball admits %d grid directions (err %v), want 0", len(grid), err)
+	}
+	sampler, err := GaussianPreference(center, 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.M = 200
+	opts.Space = ball
+	opts.Sampler = sampler
+	res, err := HDRRMCtx(t.Context(), ds, 5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VecCount != 200 {
+		t.Errorf("|D| = %d, want the 200 samples", res.VecCount)
+	}
+	if len(res.IDs) == 0 || len(res.IDs) > 5 || !sort.IntsAreSorted(res.IDs) || res.K < 1 {
+		t.Errorf("malformed result %+v", res)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/setcover"
-	"github.com/rankregret/rankregret/internal/xrand"
 )
 
 // Options configures the HD solvers. The zero value is not usable; call
@@ -196,12 +195,17 @@ func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *V
 // threshold ASMS can fit into the budget — a double approximation of the RRM
 // optimum (Theorem 10). With Options.Space set it solves RRRM instead
 // (Section V.C): Da is sampled from U and Db keeps only directions whose ray
-// meets U. Cancellation is plumbed through the vector-set build, the
-// per-vector top-K lists, and the ASMS set-cover rounds; it returns ctx.Err()
-// as soon as a hot loop observes it. It is HDRRMVariantCtx with the zero
-// (full) Variant.
+// meets U. It is the one standalone HD solve: it acquires D from a one-off
+// SharedVecSet and runs HDRRMWithVecSetCtx. Cancellation is plumbed through
+// the vector-set build, the per-vector top-K lists, and the ASMS set-cover
+// rounds; it returns ctx.Err() as soon as a hot loop observes it.
 func HDRRMCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Result, error) {
-	return HDRRMVariantCtx(ctx, ds, r, opts, Variant{})
+	shared := NewSharedVecSet(ds, opts.Space, opts.EffectiveGamma(), opts.Seed, opts.Sampler)
+	vs, _, err := shared.Acquire(ctx, opts.sampleSize(ds.N(), ds.Dim(), r))
+	if err != nil {
+		return Result{}, err
+	}
+	return HDRRMWithVecSetCtx(ctx, ds, r, opts, vs)
 }
 
 // HDRRMWithVecSetCtx runs the search phase of Algorithm 3 — forced basis
@@ -209,82 +213,17 @@ func HDRRMCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Re
 // vector set: the reuse hook behind the engine's VecSet cache tier. The
 // result is identical to HDRRMCtx when vs covers the same dataset and was
 // built (or acquired from a SharedVecSet) with the solve's space, effective
-// gamma, seed, and exactly SampleSize(n, d, r) sampled directions.
+// gamma, seed, sampler, and exactly SampleSize(n, d, r) sampled directions.
 func HDRRMWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, vs *VecSet) (Result, error) {
 	return HDRRMVariantWithVecSetCtx(ctx, ds, r, opts, Variant{}, vs)
 }
 
-// searchSmallestK is the improved binary search of Section V.B.2: double k
-// until ASMS fits the budget, then binary search (k/2, k]. It returns the
-// fitting set and the smallest fitting threshold.
-func searchSmallestK(ctx context.Context, ds *dataset.Dataset, r int, basis []int, vs *VecSet) ([]int, int, error) {
-	n := ds.N()
-	var fit []int
-	k := 1
-	for {
-		q, err := ASMSCtx(ctx, ds, k, basis, vs)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(q) <= r {
-			fit = q
-			break
-		}
-		if k >= n {
-			// Defensive: at k = n every vector is covered by any tuple, so
-			// ASMS returns the basis which fits (checked by the caller).
-			fit = q
-			break
-		}
-		k *= 2
-		if k > n {
-			k = n
-		}
-	}
-	low, high := k/2+1, k
-	bestK := k
-	for low < high {
-		mid := (low + high) / 2
-		q, err := ASMSCtx(ctx, ds, mid, basis, vs)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(q) <= r {
-			fit = q
-			bestK = mid
-			high = mid
-		} else {
-			low = mid + 1
-		}
-	}
-	return fit, bestK, nil
-}
-
-// HDRRRCtx solves the dual rank-regret representative problem in HD: given
-// a threshold k, it runs a single ASMS call and returns the (1 + ln|D|)-size-
-// approximate minimum superset of the basis with rank-regret at most k for
-// the discretized space D (Theorem 9). Result.K echoes k. Cancellation works
-// as in HDRRMCtx.
-func HDRRRCtx(ctx context.Context, ds *dataset.Dataset, k int, opts Options) (Result, error) {
-	n, d := ds.N(), ds.Dim()
-	if n == 0 {
-		return Result{}, fmt.Errorf("algohd: empty dataset")
-	}
-	if k < 1 || k > n {
-		return Result{}, fmt.Errorf("algohd: threshold k=%d out of range [1, %d]", k, n)
-	}
-	rng := xrand.New(opts.Seed)
-	m := opts.SampleSizeRRR(n, d, k)
-	vs, err := BuildVecSetSampledCtx(ctx, ds, opts.space(d), opts.EffectiveGamma(), m, rng, opts.Sampler)
-	if err != nil {
-		return Result{}, err
-	}
-	return HDRRRWithVecSetCtx(ctx, ds, k, opts, vs)
-}
-
-// HDRRRWithVecSetCtx runs the single threshold-k ASMS pass of HDRRR against
-// a caller-provided vector set (see HDRRMWithVecSetCtx for the matching
-// rules; the sample size here is SampleSizeRRR(n, d, k)).
+// HDRRRWithVecSetCtx solves the dual rank-regret representative problem in
+// HD: given a threshold k, it runs a single ASMS pass over the
+// caller-provided vector set and returns the (1 + ln|D|)-size-approximate
+// minimum superset of the basis with rank-regret at most k for D (Theorem
+// 9). Result.K echoes k. The set is acquired as for HDRRMWithVecSetCtx, with
+// SampleSizeRRR(n, d, k) sampled directions.
 func HDRRRWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, k int, opts Options, vs *VecSet) (Result, error) {
 	n := ds.N()
 	if n == 0 {

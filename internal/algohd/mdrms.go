@@ -27,57 +27,17 @@ import (
 // It checks ctx in the direction precompute, the set-cover rounds, and the
 // eps binary search.
 func MDRMSCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Result, error) {
-	n, d := ds.N(), ds.Dim()
-	if n == 0 {
+	if ds.N() == 0 {
 		return Result{}, fmt.Errorf("algohd: empty dataset")
 	}
 	if r < 1 {
 		return Result{}, fmt.Errorf("algohd: output size %d, need >= 1", r)
 	}
-	gamma := opts.Gamma
-	if gamma < 1 {
-		gamma = 6
-	}
-	space := opts.space(d)
-	rng := xrand.New(opts.Seed)
-	m := opts.M
-	if m <= 0 {
-		m = 2048
-	}
-	vs, err := BuildVecSetCtx(ctx, ds, space, gamma, m, rng)
+	cands, bestU, candU, err := regretTable(ctx, ds, opts, 2048)
 	if err != nil {
 		return Result{}, err
 	}
-
-	// Candidates: skyline tuples (sufficient for regret-ratio minimization).
-	cands := skyline.Compute(ds)
-
-	// Precompute per-direction: best utility in D, and candidate utilities.
-	nv := vs.Len()
-	bestU := make([]float64, nv)
-	candU := make([][]float64, nv)
-	scores := make([]float64, n)
-	for v := 0; v < nv; v++ {
-		if v%256 == 0 {
-			if err := ctxutil.Cancelled(ctx); err != nil {
-				return Result{}, err
-			}
-		}
-		u := vs.Vecs[v]
-		scores = ds.Utilities(u, scores)
-		best := math.Inf(-1)
-		for _, s := range scores {
-			if s > best {
-				best = s
-			}
-		}
-		bestU[v] = best
-		cu := make([]float64, len(cands))
-		for ci, t := range cands {
-			cu[ci] = scores[t]
-		}
-		candU[v] = cu
-	}
+	nv := len(bestU)
 
 	solve := func(eps float64) ([]int, error) {
 		sets := make([][]int, len(cands))
@@ -141,52 +101,17 @@ func MDRMSCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Re
 // Included as an extension for regret-ratio comparisons and ablations.
 // It checks ctx in the greedy selection rounds.
 func RMSGreedyCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (Result, error) {
-	n, d := ds.N(), ds.Dim()
-	if n == 0 {
+	if ds.N() == 0 {
 		return Result{}, fmt.Errorf("algohd: empty dataset")
 	}
 	if r < 1 {
 		return Result{}, fmt.Errorf("algohd: output size %d, need >= 1", r)
 	}
-	gamma := opts.Gamma
-	if gamma < 1 {
-		gamma = 6
-	}
-	space := opts.space(d)
-	rng := xrand.New(opts.Seed)
-	m := opts.M
-	if m <= 0 {
-		m = 1024
-	}
-	vs, err := BuildVecSetCtx(ctx, ds, space, gamma, m, rng)
+	cands, bestU, candU, err := regretTable(ctx, ds, opts, 1024)
 	if err != nil {
 		return Result{}, err
 	}
-	cands := skyline.Compute(ds)
-	nv := vs.Len()
-	bestU := make([]float64, nv)
-	candU := make([][]float64, nv) // per direction, per candidate
-	scores := make([]float64, n)
-	for v := 0; v < nv; v++ {
-		if v%256 == 0 {
-			if err := ctxutil.Cancelled(ctx); err != nil {
-				return Result{}, err
-			}
-		}
-		scores = ds.Utilities(vs.Vecs[v], scores)
-		best := math.Inf(-1)
-		for _, s := range scores {
-			if s > best {
-				best = s
-			}
-		}
-		bestU[v] = best
-		cu := make([]float64, len(cands))
-		for ci, t := range cands {
-			cu[ci] = scores[t]
-		}
-		candU[v] = cu
-	}
+	nv := len(bestU)
 
 	chosen := map[int]bool{}
 	// curBest[v] = best utility among chosen tuples for direction v.
@@ -237,4 +162,47 @@ func RMSGreedyCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options)
 	}
 	sort.Ints(out)
 	return Result{IDs: out, K: 0, VecCount: nv}, nil
+}
+
+// regretTable is the per-direction utility table both regret-ratio solvers
+// work from. It discretizes the space (grid at the effective gamma plus
+// Options.M samples, defaultM when unset) and returns the skyline
+// candidates, each direction's best utility over ds, and each direction's
+// utility of every candidate. It checks ctx every 256 directions.
+func regretTable(ctx context.Context, ds *dataset.Dataset, opts Options, defaultM int) (cands []int, bestU []float64, candU [][]float64, err error) {
+	m := opts.M
+	if m <= 0 {
+		m = defaultM
+	}
+	vs, err := BuildVecSetCtx(ctx, ds, opts.space(ds.Dim()), opts.EffectiveGamma(), m, xrand.New(opts.Seed))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// Candidates: skyline tuples (sufficient for regret-ratio minimization).
+	cands = skyline.Compute(ds)
+	nv := vs.Len()
+	bestU = make([]float64, nv)
+	candU = make([][]float64, nv)
+	scores := make([]float64, ds.N())
+	for v := 0; v < nv; v++ {
+		if v%256 == 0 {
+			if err := ctxutil.Cancelled(ctx); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		scores = ds.Utilities(vs.Vecs[v], scores)
+		best := math.Inf(-1)
+		for _, s := range scores {
+			if s > best {
+				best = s
+			}
+		}
+		bestU[v] = best
+		cu := make([]float64, len(cands))
+		for ci, t := range cands {
+			cu[ci] = scores[t]
+		}
+		candU[v] = cu
+	}
+	return cands, bestU, candU, nil
 }

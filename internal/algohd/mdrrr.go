@@ -8,6 +8,7 @@ import (
 	"github.com/rankregret/rankregret/internal/algo2d"
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/ksearch"
 	"github.com/rankregret/rankregret/internal/setcover"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
@@ -86,6 +87,42 @@ func hittingSet(ctx context.Context, ksets [][]int) ([]int, error) {
 	return uniqueInts(out), nil
 }
 
+// kSetSearch is the k-set baseline shared by MDRRRr and MDRRR: the hitting
+// set over ksets(k), run through the improved binary search of Section
+// V.B.2 for the smallest k whose hitting set fits in r. Result.VecCount is
+// the number of k-sets at the threshold returned; callers discovering
+// k-sets from a VecSet report |D| instead.
+func kSetSearch(ctx context.Context, n, r int, ksets func(k int) ([][]int, error)) (Result, error) {
+	type probe struct {
+		ids   []int
+		ksets int
+	}
+	fit, k, err := ksearch.Smallest(n, func(k int) (probe, bool, error) {
+		sets, err := ksets(k)
+		if err != nil {
+			return probe{}, false, err
+		}
+		hs, err := hittingSet(ctx, sets)
+		return probe{hs, len(sets)}, len(hs) <= r, err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{IDs: fit.ids, K: k, VecCount: fit.ksets}, nil
+}
+
+// vecSetKSetSearch runs kSetSearch over the k-sets discovered from vs.
+func vecSetKSetSearch(ctx context.Context, ds *dataset.Dataset, r int, vs *VecSet) (Result, error) {
+	res, err := kSetSearch(ctx, ds.N(), r, func(k int) ([][]int, error) {
+		return discoverKSets(ctx, ds, vs, k)
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	res.VecCount = vs.Len()
+	return res, nil
+}
+
 // MDRRRrCtx is the randomized baseline of Asudeh et al.: discover k-sets by
 // sampling utility vectors, then choose a minimal hitting set — a tuple in
 // every discovered top-k set guarantees rank <= k for the sampled functions,
@@ -103,70 +140,25 @@ func MDRRRrCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (R
 	if r < 1 {
 		return Result{}, fmt.Errorf("algohd: output size %d, need >= 1", r)
 	}
-	space := opts.space(d)
-	rng := xrand.New(opts.Seed)
 	m := opts.M
 	if m <= 0 {
 		m = 1024
 	}
 	// Pure sampling (no grid): the k-set discovery in MDRRRr is Monte Carlo.
-	vs, err := BuildVecSetCtx(ctx, ds, space, 1, m, rng)
+	vs, err := BuildVecSetCtx(ctx, ds, opts.space(d), 1, m, xrand.New(opts.Seed))
 	if err != nil {
 		return Result{}, err
 	}
-
-	solve := func(k int) ([]int, error) {
-		ksets, err := discoverKSets(ctx, ds, vs, k)
-		if err != nil {
-			return nil, err
-		}
-		return hittingSet(ctx, ksets)
-	}
-	var fit []int
-	k := 1
-	for {
-		s, err := solve(k)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(s) <= r {
-			fit = s
-			break
-		}
-		if k >= n {
-			fit = s
-			break
-		}
-		k *= 2
-		if k > n {
-			k = n
-		}
-	}
-	low, high := k/2+1, k
-	bestK := k
-	for low < high {
-		mid := (low + high) / 2
-		s, err := solve(mid)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(s) <= r {
-			fit = s
-			bestK = mid
-			high = mid
-		} else {
-			low = mid + 1
-		}
-	}
-	return Result{IDs: fit, K: bestK, VecCount: vs.Len()}, nil
+	return vecSetKSetSearch(ctx, ds, r, vs)
 }
 
 // MDRRRCtx is the deterministic k-set variant. The authors' original
 // enumerates k-sets with computational-geometry machinery and "does not
 // scale beyond a few hundred tuples"; this reimplementation preserves that
 // contract: in 2D the sweep enumerates k-sets exactly (algo2d.KSets2D), so
-// MDRRR carries the paper's rank-regret guarantee of k there; for d > 2 a
-// dense deterministic polar grid stands in for the geometric enumeration.
+// MDRRR carries the paper's rank-regret guarantee of k there and
+// Result.VecCount is the number of k-sets; for d > 2 a dense deterministic
+// polar grid stands in for the geometric enumeration.
 // It refuses datasets beyond maxN tuples to honor its role as a small-scale
 // reference (pass 0 for the default 500).
 // Cancellation works as in MDRRRrCtx.
@@ -181,11 +173,17 @@ func MDRRRCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, max
 	if r < 1 {
 		return Result{}, fmt.Errorf("algohd: output size %d, need >= 1", r)
 	}
-	space := opts.space(d)
 	if d == 2 && opts.Space == nil {
-		return mdrrrExact2D(ctx, ds, r)
+		// Exact: the hitting set is over every k-set, not a sample, so the
+		// returned set's rank-regret is provably at most Result.K for the
+		// whole space, as in the paper's original MDRRR.
+		return kSetSearch(ctx, n, r, func(k int) ([][]int, error) {
+			if err := ctxutil.Cancelled(ctx); err != nil {
+				return nil, err
+			}
+			return algo2d.KSets2D(ds, k)
+		})
 	}
-	rng := xrand.New(opts.Seed)
 	// Dense deterministic grid: gamma chosen so the grid alone has at least
 	// ~n^(d-1)-ish resolution at small n, plus samples for safety.
 	gamma := 64
@@ -195,108 +193,9 @@ func MDRRRCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, max
 	if d > 4 {
 		gamma = 12
 	}
-	vs, err := BuildVecSetCtx(ctx, ds, space, gamma, 2048, rng)
+	vs, err := BuildVecSetCtx(ctx, ds, opts.space(d), gamma, 2048, xrand.New(opts.Seed))
 	if err != nil {
 		return Result{}, err
 	}
-	solve := func(k int) ([]int, error) {
-		ksets, err := discoverKSets(ctx, ds, vs, k)
-		if err != nil {
-			return nil, err
-		}
-		return hittingSet(ctx, ksets)
-	}
-	var fit []int
-	k := 1
-	for {
-		s, err := solve(k)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(s) <= r {
-			fit = s
-			break
-		}
-		if k >= n {
-			fit = s
-			break
-		}
-		k *= 2
-		if k > n {
-			k = n
-		}
-	}
-	low, high := k/2+1, k
-	bestK := k
-	for low < high {
-		mid := (low + high) / 2
-		s, err := solve(mid)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(s) <= r {
-			fit = s
-			bestK = mid
-			high = mid
-		} else {
-			low = mid + 1
-		}
-	}
-	return Result{IDs: fit, K: bestK, VecCount: vs.Len()}, nil
-}
-
-// mdrrrExact2D runs MDRRR with the exact 2D k-set enumeration: the hitting
-// set is over every k-set (not a sample), so the returned set's rank-regret
-// is provably at most Result.K for the whole space, as in the paper's
-// original MDRRR.
-func mdrrrExact2D(ctx context.Context, ds *dataset.Dataset, r int) (Result, error) {
-	n := ds.N()
-	solve := func(k int) ([]int, int, error) {
-		if err := ctxutil.Cancelled(ctx); err != nil {
-			return nil, 0, err
-		}
-		ksets, err := algo2d.KSets2D(ds, k)
-		if err != nil {
-			return nil, 0, err
-		}
-		hs, err := hittingSet(ctx, ksets)
-		if err != nil {
-			return nil, 0, err
-		}
-		return hs, len(ksets), nil
-	}
-	var fit []int
-	vecs := 0
-	k := 1
-	for {
-		s, w, err := solve(k)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(s) <= r || k >= n {
-			fit, vecs = s, w
-			break
-		}
-		k *= 2
-		if k > n {
-			k = n
-		}
-	}
-	low, high := k/2+1, k
-	bestK := k
-	for low < high {
-		mid := (low + high) / 2
-		s, w, err := solve(mid)
-		if err != nil {
-			return Result{}, err
-		}
-		if len(s) <= r {
-			fit, vecs = s, w
-			bestK = mid
-			high = mid
-		} else {
-			low = mid + 1
-		}
-	}
-	return Result{IDs: fit, K: bestK, VecCount: vecs}, nil
+	return vecSetKSetSearch(ctx, ds, r, vs)
 }

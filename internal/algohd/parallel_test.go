@@ -40,7 +40,7 @@ func TestParallelismBitIdentical(t *testing.T) {
 			if got.rrm, err = HDRRMCtx(t.Context(), s.ds, 8, o); err != nil {
 				t.Fatalf("%s par=%d HDRRM: %v", s.name, par, err)
 			}
-			if got.rrr, err = HDRRRCtx(t.Context(), s.ds, 30, o); err != nil {
+			if got.rrr, err = soloRRR(t.Context(), s.ds, 30, o); err != nil {
 				t.Fatalf("%s par=%d HDRRR: %v", s.name, par, err)
 			}
 			ro := o
@@ -48,7 +48,7 @@ func TestParallelismBitIdentical(t *testing.T) {
 				// Exercise the restricted-space (RRRM) path too.
 				ro.Space = w3
 			}
-			if got.variant, err = HDRRMVariantCtx(t.Context(), s.ds, 8, ro, Variant{NoBasis: true}); err != nil {
+			if got.variant, err = soloVariant(t.Context(), s.ds, 8, ro, Variant{NoBasis: true}); err != nil {
 				t.Fatalf("%s par=%d variant: %v", s.name, par, err)
 			}
 			if base == nil {

@@ -5,6 +5,12 @@
 // MDRMS (regret-ratio minimization, Asudeh et al. 2017) — plus a classic
 // greedy RMS algorithm for regret-ratio comparisons. All of them are
 // generalized to restricted utility spaces where the paper allows it.
+//
+// HDRRMCtx is the one standalone HDRRM solve. Every other HD entry point
+// (HDRRMWithVecSetCtx, HDRRMVariantWithVecSetCtx, HDRRRWithVecSetCtx) runs
+// against a caller-provided VecSet, normally a SharedVecSet view: the
+// engine acquires one from its cache tier, or from a one-off SharedVecSet
+// when the solve has no cacheable identity.
 package algohd
 
 import (
@@ -29,11 +35,11 @@ import (
 // discretization with parameter gamma (filtered to the restricted space for
 // RRRM); Da is a set of m sampled directions.
 //
-// A VecSet is either standalone (built by BuildVecSetCtx and owning a private
-// top-K cache) or a view handed out by SharedVecSet.Acquire, in which case
-// the top-K cache is shared with every other view of the same underlying
-// vector list. Per-vector top lists depend only on the dataset and that one
-// vector, so sharing never changes results.
+// Every VecSet is created with its top-K cache. A SharedVecSet.Acquire view
+// shares that cache with every other view of the same underlying vector
+// list; BuildVecSetCtx gives its set a cache of its own. Per-vector top
+// lists depend only on the dataset and that one vector, so sharing never
+// changes results.
 //
 // Every vector must lie in the non-negative orthant — all funcspace spaces,
 // the polar grid, and every Sampler guarantee this, and the paper's problem
@@ -46,8 +52,12 @@ type VecSet struct {
 	// (they are first); the rest are samples Da.
 	GridCount int
 
-	mu sync.Mutex // guards lazy tc initialization
 	tc *topsCache
+}
+
+// newVecSet returns a VecSet over vecs with a top-K cache of its own.
+func newVecSet(ds *dataset.Dataset, vecs []geom.Vector, gridCount int) *VecSet {
+	return &VecSet{ds: ds, Vecs: vecs, GridCount: gridCount, tc: &topsCache{ds: ds, vecs: vecs}}
 }
 
 // topsCache is the lazily grown per-vector top-K store behind one or more
@@ -293,17 +303,6 @@ func (tc *topsCache) snapshot(ctx context.Context, k int) ([][]int, error) {
 	return tc.tops, nil
 }
 
-// cache returns the VecSet's top-K cache, creating a private one on first
-// use for standalone sets (views arrive with the shared cache pre-set).
-func (vs *VecSet) cache() *topsCache {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	if vs.tc == nil {
-		vs.tc = &topsCache{ds: vs.ds, vecs: vs.Vecs}
-	}
-	return vs.tc
-}
-
 // buildGrid validates the build parameters and returns the polar-grid
 // directions Db filtered to the space. It does not consume rng, so the
 // sample stream that follows is identical no matter when the grid is built.
@@ -382,7 +381,7 @@ func BuildVecSetCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Sp
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("algohd: empty vector set (space %s admits no directions)", space.Name())
 	}
-	return &VecSet{ds: ds, Vecs: vecs, GridCount: gridCount}, nil
+	return newVecSet(ds, vecs, gridCount), nil
 }
 
 // SampleSizeTheorem10 returns the paper's Theorem 10 sample size
@@ -430,7 +429,7 @@ func (vs *VecSet) SetParallelism(p int) {
 	if p < 0 {
 		p = 0
 	}
-	vs.cache().par.Store(int32(p))
+	vs.tc.par.Store(int32(p))
 }
 
 // EnsureTopKCtx extends the cached per-vector top lists to at least k
@@ -440,7 +439,7 @@ func (vs *VecSet) SetParallelism(p int) {
 // lists are discarded on cancellation, leaving the cache in its previous
 // consistent state.
 func (vs *VecSet) EnsureTopKCtx(ctx context.Context, k int) error {
-	return vs.cache().ensure(ctx, k)
+	return vs.tc.ensure(ctx, k)
 }
 
 // TopsCtx ensures depth min(k, n) and returns the per-vector top lists for
@@ -452,7 +451,7 @@ func (vs *VecSet) TopsCtx(ctx context.Context, k int) ([][]int, error) {
 	if k > vs.ds.N() {
 		k = vs.ds.N()
 	}
-	return vs.cache().snapshot(ctx, k)
+	return vs.tc.snapshot(ctx, k)
 }
 
 // Len returns the number of vectors in D.

@@ -103,7 +103,7 @@ func TestHDRRRWithSharedVecSet(t *testing.T) {
 	opts := testOpts()
 	shared := NewSharedVecSet(ds, nil, opts.EffectiveGamma(), opts.Seed, nil)
 	for _, k := range []int{3, 8, 15} {
-		want, err := HDRRRCtx(t.Context(), ds, k, opts)
+		want, err := soloRRR(t.Context(), ds, k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

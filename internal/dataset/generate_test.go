@@ -184,3 +184,47 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkloadCorrelationSigns pins the property the paper's evaluation
+// relies on: the three synthetic generators and the three simulated real
+// datasets have the right correlation structure, which is what drives
+// skyline size and so output rank-regret.
+func TestWorkloadCorrelationSigns(t *testing.T) {
+	rng := func() *xrand.Rand { return xrand.New(99) }
+	cases := []struct {
+		name   string
+		ds     *Dataset
+		lo, hi float64
+	}{
+		{"correlated", Correlated(rng(), 4000, 4), 0.2, 1},
+		{"independent", Independent(rng(), 4000, 4), -0.1, 0.1},
+		{"anticorrelated", Anticorrelated(rng(), 4000, 4), -1, -0.15},
+		{"nba", SimNBA(rng(), 4000), 0.15, 1},
+		{"island", SimIsland(rng(), 4000), -1, -0.1},
+	}
+	for _, tc := range cases {
+		sum, pairs := 0.0, 0
+		for a := 0; a < tc.ds.Dim(); a++ {
+			for b := 0; b < a; b++ {
+				sum += pearson(tc.ds, a, b)
+				pairs++
+			}
+		}
+		if got := sum / float64(pairs); got < tc.lo || got > tc.hi {
+			t.Errorf("%s: mean pairwise correlation %.3f outside [%v, %v]", tc.name, got, tc.lo, tc.hi)
+		}
+	}
+	// Weather is a seasonal mixture: some pair must be negative, some positive.
+	w := SimWeather(xrand.New(99), 4000)
+	pos, neg := false, false
+	for a := 0; a < w.Dim(); a++ {
+		for b := 0; b < a; b++ {
+			c := pearson(w, a, b)
+			pos = pos || c > 0.05
+			neg = neg || c < -0.05
+		}
+	}
+	if !pos || !neg {
+		t.Error("weather should mix correlation signs")
+	}
+}

@@ -57,16 +57,11 @@ type Options struct {
 	// identity to key on.
 	Sampler algohd.Sampler
 	// VecSets is the first-tier cache HDRRM-family solvers draw their
-	// shared vector sets from. The engine fills it in with its own tier
-	// when unset; it is not part of any cache key. Leave nil to have each
-	// solve build a private vector set.
+	// shared vector sets from; it is not part of any cache key. Engine
+	// methods fill a nil value with the engine's own tier (nil only when
+	// the engine's caching is disabled). A Solver called directly with nil
+	// builds a one-off vector set for the solve.
 	VecSets *VecSetCache
-	// NoVecSetCache opts this solve out of the VecSet tier entirely: the
-	// solver builds a private vector set that is garbage-collected with the
-	// solve. Results are identical either way; set this for huge datasets
-	// touched once, where retaining the tier's top-K lists would cost more
-	// memory than the sweep reuse is worth.
-	NoVecSetCache bool
 	// Parallelism bounds the worker goroutines of the HDRRM-family top-K
 	// scoring passes (0 = GOMAXPROCS). Results are bit-identical at every
 	// setting, which is why it is not part of any cache key.
@@ -231,8 +226,8 @@ func (e *Engine) Metrics() Metrics {
 
 // keysFor precomputes the cache keys a scheduled request would hit: the
 // solution-cache key (empty when the request is uncacheable or would not
-// resolve) and the VecSet-tier key (empty when the tier is unavailable or
-// opted out). The scheduler stores them on the job at submission so the
+// resolve) and the VecSet-tier key (empty when the tier is unavailable).
+// The scheduler stores them on the job at submission so the
 // dequeue order's warm probe is two map lookups per pending job.
 func (e *Engine) keysFor(req Request) (solKey, vsKey string) {
 	if req.Dataset == nil || req.Opts.Sampler != nil {
@@ -247,7 +242,7 @@ func (e *Engine) keysFor(req Request) (solKey, vsKey string) {
 			solKey = solutionKey(req.Dataset, mode, req.RK, s.Name(), req.Opts)
 		}
 	}
-	if e.vecsets != nil && !req.Opts.NoVecSetCache {
+	if e.vecsets != nil {
 		vsKey = vecsetKey(req.Dataset, req.Opts)
 	}
 	return solKey, vsKey
@@ -290,11 +285,9 @@ func (e *Engine) SolveCached(ctx context.Context, req Request) (*Solution, bool)
 }
 
 // withVecSets fills in the engine's VecSet tier when the caller did not
-// bring their own and has not opted out.
+// bring their own.
 func (e *Engine) withVecSets(opts Options) Options {
-	if opts.NoVecSetCache {
-		opts.VecSets = nil
-	} else if opts.VecSets == nil {
+	if opts.VecSets == nil {
 		opts.VecSets = e.vecsets
 	}
 	return opts

@@ -153,7 +153,12 @@ func TestSolveRRRGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resHD, err := algohd.HDRRRCtx(t.Context(), nba, 40, Options{Seed: 1, MaxSamples: 1500}.hd())
+	ho := Options{Seed: 1, MaxSamples: 1500}.hd()
+	vs, _, err := algohd.NewSharedVecSet(nba, nil, ho.EffectiveGamma(), ho.Seed, nil).Acquire(t.Context(), ho.SampleSizeRRR(nba.N(), nba.Dim(), 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resHD, err := algohd.HDRRRWithVecSetCtx(t.Context(), nba, 40, ho, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +215,12 @@ func TestVariantSolver(t *testing.T) {
 	nba := dataset.SimNBA(xrand.New(7), 400)
 	opts := Options{Seed: 1, MaxSamples: 1000}
 	v := algohd.Variant{NoBasis: true}
-	want, err := algohd.HDRRMVariantCtx(t.Context(), nba, 6, opts.hd(), v)
+	ho := opts.hd()
+	vs, _, err := algohd.NewSharedVecSet(nba, nil, ho.EffectiveGamma(), ho.Seed, nil).Acquire(t.Context(), ho.SampleSize(nba.N(), nba.Dim(), 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := algohd.HDRRMVariantWithVecSetCtx(t.Context(), nba, 6, ho, v, vs)
 	if err != nil {
 		t.Fatal(err)
 	}

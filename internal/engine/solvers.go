@@ -78,15 +78,22 @@ func space2D(sp funcspace.Space) funcspace.Space {
 	return sp
 }
 
-// sharedVecSet acquires the solve's vector set from the VecSet cache tier
-// when one is wired in and the solve has a cacheable identity. A nil return
-// with nil error means "build privately" — the standalone algohd entry
-// points then behave exactly as before the tier existed.
-func sharedVecSet(ctx context.Context, ds *dataset.Dataset, opts Options, m int) (*algohd.VecSet, error) {
-	if opts.VecSets == nil || opts.Sampler != nil {
-		return nil, nil
+// vecSet returns the vector set an HDRRM-family solve runs against, with m
+// sampled directions: a view from the VecSet tier when one is wired in, no
+// Sampler is set, and the grid is kept; otherwise a one-off set no one else
+// holds (gamma 1 when the NoGrid ablation strips the grid). Both come from
+// a SharedVecSet, so results are identical either way.
+func vecSet(ctx context.Context, ds *dataset.Dataset, opts Options, m int, noGrid bool) (*algohd.VecSet, error) {
+	if opts.VecSets != nil && opts.Sampler == nil && !noGrid {
+		return opts.VecSets.Acquire(ctx, ds, opts, m)
 	}
-	return opts.VecSets.Acquire(ctx, ds, opts, m)
+	ho := opts.hd()
+	gamma := ho.EffectiveGamma()
+	if noGrid {
+		gamma = 1
+	}
+	vs, _, err := algohd.NewSharedVecSet(ds, ho.Space, gamma, ho.Seed, ho.Sampler).Acquire(ctx, m)
+	return vs, err
 }
 
 // hdrrmSolver is the paper's HDRRM (Algorithm 3) — the full variant, whose
@@ -100,16 +107,11 @@ func (hdrrmSolver) Name() string { return AlgoHDRRM }
 
 func (hdrrmSolver) SolveRRR(ctx context.Context, ds *dataset.Dataset, k int, opts Options) (*Solution, error) {
 	ho := opts.hd()
-	vs, err := sharedVecSet(ctx, ds, opts, ho.SampleSizeRRR(ds.N(), ds.Dim(), k))
+	vs, err := vecSet(ctx, ds, opts, ho.SampleSizeRRR(ds.N(), ds.Dim(), k), false)
 	if err != nil {
 		return nil, err
 	}
-	var res algohd.Result
-	if vs != nil {
-		res, err = algohd.HDRRRWithVecSetCtx(ctx, ds, k, ho, vs)
-	} else {
-		res, err = algohd.HDRRRCtx(ctx, ds, k, ho)
-	}
+	res, err := algohd.HDRRRWithVecSetCtx(ctx, ds, k, ho, vs)
 	if err != nil {
 		return nil, err
 	}
@@ -128,27 +130,17 @@ func (s variantSolver) Name() string { return "hdrrm:" + s.v.Name() }
 
 func (s variantSolver) Solve(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (*Solution, error) {
 	ho := opts.hd()
-	var vs *algohd.VecSet
-	var err error
-	if !s.v.NoGrid {
-		// Grid-keeping variants share the full algorithm's vector set: the
-		// NoSamples ablation is simply the m = 0 prefix view. NoGrid strips
-		// the grid and cannot share a top-K cache, so it builds privately.
-		m := 0
-		if !s.v.NoSamples {
-			m = ho.SampleSize(ds.N(), ds.Dim(), r)
-		}
-		vs, err = sharedVecSet(ctx, ds, opts, m)
-		if err != nil {
-			return nil, err
-		}
+	// The NoSamples ablation is the m = 0 prefix view of the full
+	// algorithm's vector set.
+	m := 0
+	if !s.v.NoSamples {
+		m = ho.SampleSize(ds.N(), ds.Dim(), r)
 	}
-	var res algohd.Result
-	if vs != nil {
-		res, err = algohd.HDRRMVariantWithVecSetCtx(ctx, ds, r, ho, s.v, vs)
-	} else {
-		res, err = algohd.HDRRMVariantCtx(ctx, ds, r, ho, s.v)
+	vs, err := vecSet(ctx, ds, opts, m, s.v.NoGrid)
+	if err != nil {
+		return nil, err
 	}
+	res, err := algohd.HDRRMVariantWithVecSetCtx(ctx, ds, r, ho, s.v, vs)
 	if err != nil {
 		return nil, err
 	}

@@ -143,7 +143,3 @@ func (r *Rand) SampleWhere(d int, accept Accepter, maxTries int) geom.Vector {
 	}
 	return nil
 }
-
-// Perm returns a random permutation of [0, n), same contract as rand.Perm.
-// Declared here so callers only import xrand.
-func (r *Rand) PermN(n int) []int { return r.Perm(n) }

@@ -166,13 +166,6 @@ type Options struct {
 	// Seed drives all randomness. 0 means seed 1, so results are
 	// reproducible by default.
 	Seed int64
-	// NoVecSetCache opts out of the engine's shared vector-set tier, which
-	// otherwise retains the expensive per-dataset discretization (sampled
-	// directions plus top-K lists, potentially hundreds of MB for very
-	// large datasets) across solves to make parameter sweeps cheap.
-	// Results are identical either way; set this when solving huge
-	// datasets once and memory matters more than sweep speed.
-	NoVecSetCache bool
 	// Sampler overrides the user-preference distribution HDRRM samples
 	// its directions from (nil = uniform on the space), the paper's
 	// Section V.C generalization. See GaussianPreference and
@@ -243,15 +236,14 @@ func (o *Options) orDefault() Options {
 // engineOptions converts the public Options to the engine's option struct.
 func (o Options) engineOptions() engine.Options {
 	return engine.Options{
-		Space:         o.Space,
-		Gamma:         o.Gamma,
-		Delta:         o.Delta,
-		Samples:       o.Samples,
-		MaxSamples:    o.MaxSamples,
-		Seed:          o.Seed,
-		Sampler:       o.Sampler,
-		NoVecSetCache: o.NoVecSetCache,
-		Parallelism:   o.Parallelism,
+		Space:       o.Space,
+		Gamma:       o.Gamma,
+		Delta:       o.Delta,
+		Samples:     o.Samples,
+		MaxSamples:  o.MaxSamples,
+		Seed:        o.Seed,
+		Sampler:     o.Sampler,
+		Parallelism: o.Parallelism,
 	}
 }
 
