@@ -702,7 +702,11 @@ type solveRequest struct {
 	// Parallelism overrides the server's -solve-parallelism default when
 	// present; an explicit 0 (or negative) asks for GOMAXPROCS. A pointer
 	// distinguishes "absent" from that explicit 0.
-	Parallelism *int  `json:"parallelism,omitempty"`
+	Parallelism *int `json:"parallelism,omitempty"`
+	// EvalSamples, when positive, adds a sampled rank-regret estimate of
+	// the answer (eval.RankRegretCtx, seeded seed+7). The estimate is the
+	// same at every core count; for a given seed it differs from earlier
+	// releases.
 	EvalSamples int   `json:"eval_samples,omitempty"`
 	TimeoutMS   int64 `json:"timeout_ms,omitempty"`
 }
@@ -911,7 +915,6 @@ func (s *Server) engineRequest(req solveRequest) (engine.Request, int, error) {
 		Timeout:   timeout,
 		Opts: engine.Options{
 			Space:       sp,
-			SpaceKey:    req.Space,
 			CacheSalt:   req.Dataset,
 			Gamma:       req.Gamma,
 			Delta:       req.Delta,
@@ -1200,7 +1203,9 @@ func (s *Server) handleStoreStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // evaluateRequest is the wire shape of POST /v1/evaluate: an independent
-// sampled rank-regret estimate for a caller-chosen tuple set.
+// sampled rank-regret estimate for a caller-chosen tuple set. The estimate
+// is the same at every core count; for a given seed it differs from earlier
+// releases.
 type evaluateRequest struct {
 	Dataset   string `json:"dataset"`
 	Version   uint64 `json:"version,omitempty"`

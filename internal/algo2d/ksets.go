@@ -88,18 +88,6 @@ func intsKey(ids []int) string {
 	return string(buf)
 }
 
-// KSetCount2D returns the number of distinct k-sets, a quantity whose
-// super-linear growth in n is the reason MDRRR and MDRRRr do not scale
-// (its best known lower bound is n * exp(Omega(sqrt(log k))) for the
-// k-level complexity; Toth 2000).
-func KSetCount2D(ds *dataset.Dataset, k int) (int, error) {
-	sets, err := KSets2D(ds, k)
-	if err != nil {
-		return 0, err
-	}
-	return len(sets), nil
-}
-
 // Lines2DAbove reports, for validation, the ids ranked in the top k at a
 // specific x in dual space (the top-k set of the utility vector (x, 1-x)).
 func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {

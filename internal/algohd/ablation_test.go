@@ -111,7 +111,7 @@ func TestAblationShapesOnAnticorrelated(t *testing.T) {
 		if len(res.IDs) > r || len(res.IDs) == 0 {
 			t.Fatalf("%s: |S| = %d", v.Name(), len(res.IDs))
 		}
-		got, err := eval.RankRegret(ds, res.IDs, space, 6000, 17)
+		got, err := eval.RankRegretCtx(t.Context(), ds, res.IDs, space, 6000, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestHDRRRReturnsThresholdSet(t *testing.T) {
 	}
 	// Every vector of the solver's own discretization must be covered at
 	// rank <= 20 (Lemma 2). Verify with an independent estimator.
-	got, err := eval.RankRegret(ds, res.IDs, funcspace.NewFull(3), 6000, 23)
+	got, err := eval.RankRegretCtx(t.Context(), ds, res.IDs, funcspace.NewFull(3), 6000, 23)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func TestHDRRMWithPreferenceDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eval.RankRegret(ds, res.IDs, ball, 4000, 9)
+	got, err := eval.RankRegretCtx(t.Context(), ds, res.IDs, ball, 4000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestHDRRMWithPreferenceDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ugot, err := eval.RankRegret(ds, ures.IDs, ball, 4000, 9)
+	ugot, err := eval.RankRegretCtx(t.Context(), ds, ures.IDs, ball, 4000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -25,6 +24,7 @@ import (
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/geom"
+	"github.com/rankregret/rankregret/internal/par"
 	"github.com/rankregret/rankregret/internal/skyline"
 	"github.com/rankregret/rankregret/internal/topk"
 	"github.com/rankregret/rankregret/internal/xrand"
@@ -161,9 +161,7 @@ func (tc *topsCache) ensure(ctx context.Context, k int) error {
 				target = minBuildDepth
 			}
 		}
-		if target > n {
-			target = n
-		}
+		target = min(target, n)
 		tops := make([][]int, len(vecs))
 		copy(tops, committed[:start])
 		if err := tc.scorePass(ctx, vecs, start, target, tops); err != nil {
@@ -190,79 +188,46 @@ func vecTileSize(n int) int {
 	return t
 }
 
-// clampWorkers bounds a scoring or repair pass's fan-out: the configured
-// parallelism (0 = GOMAXPROCS), capped because the passes are CPU-bound and
-// each worker owns a score-tile buffer — workers beyond the core count only
-// add memory and scheduler churn; the floor of 16 keeps small-machine
-// tile-handoff interleavings exercisable — and never more workers than
-// tiles. Builds and repairs share this one clamp so their fan-out can never
-// drift apart.
-func clampWorkers(workers, numTiles int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if ceiling := max(runtime.GOMAXPROCS(0), 16); workers > ceiling {
-		workers = ceiling
-	}
-	if workers > numTiles {
-		workers = numTiles
-	}
-	return workers
-}
-
 // scorePass fills tops[start:] with depth-target top lists for
 // vecs[start:], the expensive heart of every (re)build. Called with buildMu
-// held. Three optimizations over scoring one vector at a time against the
-// row-major matrix, all bit-identical to that baseline:
-//
-//   - the selection universe shrinks to the target-depth k-skyband
-//     (candidates): tuples always-beaten by target others can never enter
-//     any top-target list, so both scoring and selection skip them;
-//   - worker goroutines pull whole tiles of vectors and score them with
-//     dataset.UtilitiesBatch, which sums each tuple's utility in a register
-//     over tuple tiles of the column-major mirror;
-//   - topk.SelectBatch turns each score tile into top lists with a
-//     read-only scan against a heap of (score, position) pairs, seeded
-//     with the previous vector's winners so the threshold starts near the
-//     answer, and writes a tile's lists into one backing array.
-//
-// The worker count honors SetParallelism (default GOMAXPROCS); tiles are
-// handed out by an atomic counter so uneven tiles cannot starve workers.
+// held. The selection universe shrinks to the target-depth k-skyband
+// (candidates): tuples always-beaten by target others can never enter any
+// top-target list, so both scoring and selection skip them. The result is
+// bit-identical to scoring one vector at a time against the full dataset.
 func (tc *topsCache) scorePass(ctx context.Context, vecs []geom.Vector, start, target int, tops [][]int) error {
 	candIDs, candDS := tc.candidates(target)
-	// Materialize the column mirror before the fan-out so cold-path workers
-	// don't all race to build identical copies.
-	candDS.ColumnMajor()
-	tile := vecTileSize(candDS.N())
-	numTiles := (len(vecs) - start + tile - 1) / tile
-	workers := clampWorkers(int(tc.par.Load()), numTiles)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scores [][]float64
-			var scratch []int
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= numTiles || ctxutil.Cancelled(ctx) != nil {
-					return
-				}
-				lo := start + t*tile
-				hi := lo + tile
-				if hi > len(vecs) {
-					hi = len(vecs)
-				}
-				scores = candDS.UtilitiesBatch(vecs[lo:hi], scores)
-				var lists [][]int
-				lists, scratch = topk.SelectBatch(scores, candIDs, target, scratch)
-				copy(tops[lo:hi], lists)
+	return selectTops(ctx, int(tc.par.Load()), candDS, candIDs, vecs[start:], target, func(i int, list []int) {
+		tops[start+i] = list
+	})
+}
+
+// selectTops is the one top-K scoring pass: it hands par.Tiles tiles of
+// vecTileSize(ds.N()) vectors, and for each tile scores every row of ds with
+// dataset.UtilitiesBatch (each tuple's utility summed in a register over
+// tuple tiles of the column-major mirror) and turns the scores into top
+// lists with topk.SelectBatch (a read-only scan against a heap seeded with
+// the previous vector's winners). put(i, list) receives vecs[i]'s depth-
+// target list, best first; ids maps ds's rows to tuple ids as in
+// SelectBatch. Workers write disjoint i, and the result depends only on the
+// inputs, never on workers (0 = GOMAXPROCS).
+func selectTops(ctx context.Context, workers int, ds *dataset.Dataset, ids []int, vecs []geom.Vector, target int, put func(i int, list []int)) error {
+	// Materialize the column mirror before the fan-out so workers don't all
+	// race to build identical copies.
+	ds.ColumnMajor()
+	tile := vecTileSize(ds.N())
+	return par.Tiles(ctx, workers, (len(vecs)+tile-1)/tile, func() func(int) {
+		var scores [][]float64
+		var scratch []int
+		return func(t int) {
+			lo, hi := t*tile, min((t+1)*tile, len(vecs))
+			scores = ds.UtilitiesBatch(vecs[lo:hi], scores)
+			var lists [][]int
+			lists, scratch = topk.SelectBatch(scores, ids, target, scratch)
+			for i, list := range lists {
+				put(lo+i, list)
 			}
-		}()
-	}
-	wg.Wait()
-	return ctxutil.Cancelled(ctx)
+		}
+	})
 }
 
 // candidates returns the depth-aware selection universe: the k-skyband ids
@@ -289,18 +254,6 @@ func (tc *topsCache) candidates(depth int) ([]int, *dataset.Dataset) {
 		return nil, tc.ds
 	}
 	return tc.skyIDs, tc.skySub
-}
-
-// snapshot ensures depth k and returns the committed lists. The returned
-// slice may cover more vectors than the calling view exposes; entries are
-// immutable, so reading them outside the lock is safe.
-func (tc *topsCache) snapshot(ctx context.Context, k int) ([][]int, error) {
-	if err := tc.ensure(ctx, k); err != nil {
-		return nil, err
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.tops, nil
 }
 
 // buildGrid validates the build parameters and returns the polar-grid
@@ -426,17 +379,14 @@ func ln(x float64) float64 {
 // vectors, never within one — so when the top-K cache is shared the knob is
 // shared too, and the most recent setting wins.
 func (vs *VecSet) SetParallelism(p int) {
-	if p < 0 {
-		p = 0
-	}
-	vs.tc.par.Store(int32(p))
+	vs.tc.par.Store(int32(max(p, 0)))
 }
 
 // EnsureTopKCtx extends the cached per-vector top lists to at least k
 // entries (clamped to n). Lists are built in parallel across vectors.
 // Amortized over a binary search the total work is O(|D| · n · d + |D| · k
-// log k). Each worker checks ctx between vectors and the partially-built
-// lists are discarded on cancellation, leaving the cache in its previous
+// log k). Scoring checks ctx before each tile of vectors; on cancellation
+// the partially-built lists are discarded, leaving the cache in its previous
 // consistent state.
 func (vs *VecSet) EnsureTopKCtx(ctx context.Context, k int) error {
 	return vs.tc.ensure(ctx, k)
@@ -448,10 +398,15 @@ func (vs *VecSet) EnsureTopKCtx(ctx context.Context, k int) error {
 // more vectors than Len() when the top-K cache is shared; callers must index
 // only [0, Len()). Reading the result needs no further synchronization.
 func (vs *VecSet) TopsCtx(ctx context.Context, k int) ([][]int, error) {
-	if k > vs.ds.N() {
-		k = vs.ds.N()
+	k = min(k, vs.ds.N())
+	if err := vs.tc.ensure(ctx, k); err != nil {
+		return nil, err
 	}
-	return vs.tc.snapshot(ctx, k)
+	// Committed entries are immutable, so the lists are safe to read
+	// outside the lock.
+	vs.tc.mu.Lock()
+	defer vs.tc.mu.Unlock()
+	return vs.tc.tops, nil
 }
 
 // Len returns the number of vectors in D.

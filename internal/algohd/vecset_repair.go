@@ -3,12 +3,10 @@ package algohd
 import (
 	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
 
-	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/geom"
+	"github.com/rankregret/rankregret/internal/par"
 	"github.com/rankregret/rankregret/internal/topk"
 )
 
@@ -163,18 +161,8 @@ func (tc *topsCache) repaired(ctx context.Context, newDS *dataset.Dataset, delta
 			}
 		}
 	}
-	hasDelete := false
-	for _, v := range oldToNew {
-		if v < 0 {
-			hasDelete = true
-			break
-		}
-	}
-
-	target := topK
-	if target > newN {
-		target = newN
-	}
+	hasDelete := slices.ContainsFunc(oldToNew, func(p int) bool { return p < 0 })
+	target := min(topK, newN)
 
 	// Lists holding a tombstone cannot know their replacement entries from
 	// k-deep state; they are re-selected from scratch below. Past the churn
@@ -244,60 +232,46 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 	// vecTileSize's bound.
 	const widen = 4
 	tile := widen * vecTileSize(widen*max(len(newIDs), 1))
-	numTiles := (len(vecs) + tile - 1) / tile
-	workers := clampWorkers(int(tc.par.Load()), numTiles)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scores [][]float64
-			var order, merged []int
-			ends := make([]int, tile)
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= numTiles || ctxutil.Cancelled(ctx) != nil {
-					return
-				}
-				lo, hi := t*tile, min((t+1)*tile, len(vecs))
-				if newSub != nil {
-					scores = newSub.UtilitiesBatch(vecs[lo:hi], scores)
-				}
-				merged = merged[:0]
-				for v := lo; v < hi; v++ {
-					ends[v-lo] = -1
-					if isAffected[v] {
-						continue
-					}
-					var candScores []float64
-					if newSub != nil {
-						candScores = scores[v-lo]
-					}
-					shared, grown, fresh := mergeRepairList(newDS, vecs[v], tops[v], oldToNew, hasDelete, newIDs, candScores, target, &order, merged)
-					merged = grown
-					if fresh {
-						ends[v-lo] = len(merged)
-					} else {
-						repTops[v] = shared
-					}
-				}
-				if len(merged) == 0 {
+	return par.Tiles(ctx, int(tc.par.Load()), (len(vecs)+tile-1)/tile, func() func(int) {
+		var scores [][]float64
+		var order, merged []int
+		ends := make([]int, tile)
+		return func(t int) {
+			lo, hi := t*tile, min((t+1)*tile, len(vecs))
+			if newSub != nil {
+				scores = newSub.UtilitiesBatch(vecs[lo:hi], scores)
+			}
+			merged = merged[:0]
+			for v := lo; v < hi; v++ {
+				ends[v-lo] = -1
+				if isAffected[v] {
 					continue
 				}
-				backing := slices.Clone(merged)
-				start := 0
-				for v := lo; v < hi; v++ {
-					if end := ends[v-lo]; end >= 0 {
-						repTops[v] = backing[start:end:end]
-						start = end
-					}
+				var candScores []float64
+				if newSub != nil {
+					candScores = scores[v-lo]
+				}
+				shared, grown, fresh := mergeRepairList(newDS, vecs[v], tops[v], oldToNew, hasDelete, newIDs, candScores, target, &order, merged)
+				merged = grown
+				if fresh {
+					ends[v-lo] = len(merged)
+				} else {
+					repTops[v] = shared
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	return ctxutil.Cancelled(ctx)
+			if len(merged) == 0 {
+				return
+			}
+			backing := slices.Clone(merged)
+			start := 0
+			for v := lo; v < hi; v++ {
+				if end := ends[v-lo]; end >= 0 {
+					repTops[v] = backing[start:end:end]
+					start = end
+				}
+			}
+		}
+	})
 }
 
 // mergeRepairList produces the depth-target list for one vector from its
@@ -401,37 +375,11 @@ func (tc *topsCache) repairReselectPass(ctx context.Context, vecs []geom.Vector,
 	if len(affected) == 0 {
 		return nil
 	}
-	newDS.ColumnMajor()
 	affVecs := make([]geom.Vector, len(affected))
 	for i, v := range affected {
 		affVecs[i] = vecs[v]
 	}
-	tile := vecTileSize(newDS.N())
-	numTiles := (len(affVecs) + tile - 1) / tile
-	workers := clampWorkers(int(tc.par.Load()), numTiles)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scores [][]float64
-			var scratch []int
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= numTiles || ctxutil.Cancelled(ctx) != nil {
-					return
-				}
-				lo, hi := t*tile, min((t+1)*tile, len(affVecs))
-				scores = newDS.UtilitiesBatch(affVecs[lo:hi], scores)
-				var lists [][]int
-				lists, scratch = topk.SelectBatch(scores, nil, target, scratch)
-				for i, list := range lists {
-					repTops[affected[lo+i]] = list
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return ctxutil.Cancelled(ctx)
+	return selectTops(ctx, int(tc.par.Load()), newDS, nil, affVecs, target, func(i int, list []int) {
+		repTops[affected[i]] = list
+	})
 }

@@ -174,7 +174,7 @@ func Run(spec FigureSpec, sc Scale, seed int64) []Row {
 			if d == 2 {
 				rr, err = eval.RankRegret2DExact(ds, sol.IDs, sp)
 			} else {
-				rr, err = eval.RankRegret(ds, sol.IDs, sp, sc.EvalSamples, seed+777)
+				rr, err = eval.RankRegretCtx(context.TODO(), ds, sol.IDs, sp, sc.EvalSamples, seed+777)
 			}
 			if err != nil {
 				row.Err = err.Error()

@@ -32,10 +32,6 @@ var ErrDimension = errors.New("engine: algorithm requires a 2-dimensional datase
 type Options struct {
 	// Space restricts the utility space (nil = full orthant = RRM).
 	Space funcspace.Space
-	// SpaceKey optionally overrides the cache-key component derived from
-	// Space. Callers constructing spaces from a textual spec (e.g. "weak:2")
-	// should pass the spec so equal specs share cache entries.
-	SpaceKey string
 	// CacheSalt is an extra cache-key component. Multi-tenant callers (e.g.
 	// a daemon with a named-dataset registry) should set it to the dataset's
 	// registry name so entries stay distinct even if two datasets' 64-bit
@@ -96,14 +92,13 @@ func (o Options) hd() algohd.Options {
 
 // spaceKey returns the cache-key component identifying the utility space.
 func (o Options) spaceKey() string {
-	if o.SpaceKey != "" {
-		return o.SpaceKey
-	}
 	if o.Space == nil {
 		return "full"
 	}
-	// %+v over the concrete value is deterministic and includes the
-	// constraint data, so structurally different spaces key differently.
+	// %+v over the concrete value is deterministic and exact: every space
+	// holds only value fields, and %v prints floats in their shortest exact
+	// form, so two separately parsed equal specs share one key while
+	// structurally different spaces key differently.
 	return fmt.Sprintf("%T%+v", o.Space, o.Space)
 }
 

@@ -173,8 +173,9 @@ func (j *job) result() (*Solution, error) {
 	return j.sol, j.err
 }
 
-// finish transitions to done/failed and wakes waiters. It is a no-op if the
-// job already finished.
+// finish transitions to done/failed. It reports false, changing nothing, if
+// the job already finished. It does not wake waiters: finishJob closes done
+// once the scheduler has counted the job.
 func (j *job) finish(sol *Solution, err error) bool {
 	j.mu.Lock()
 	if j.state == JobDone || j.state == JobFailed {
@@ -190,7 +191,6 @@ func (j *job) finish(sol *Solution, err error) bool {
 		j.sol = sol
 	}
 	j.mu.Unlock()
-	close(j.done)
 	return true
 }
 
@@ -479,8 +479,10 @@ func (s *Scheduler) addRunning(d int64) {
 	s.mu.Unlock()
 }
 
-// finishJob finalizes a job, updates the counters, and trims the retained
-// history. Ephemeral jobs leave the registry immediately.
+// finishJob finalizes a job, updates the counters, trims the retained
+// history, and only then wakes the job's waiters, so a Stats read right
+// after Wait or Do always counts the job. Ephemeral jobs leave the registry
+// immediately.
 func (s *Scheduler) finishJob(j *job, sol *Solution, err error) {
 	if !j.finish(sol, err) {
 		return
@@ -504,6 +506,7 @@ func (s *Scheduler) finishJob(j *job, sol *Solution, err error) {
 		}
 	}
 	s.mu.Unlock()
+	close(j.done)
 }
 
 // newJob registers a queued job. The job's context is parented to the

@@ -198,6 +198,32 @@ func TestJobCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// TestStatsCountJobBeforeWaking: a job is counted before its waiters wake,
+// so Stats read right after Wait or Do always includes it.
+func TestStatsCountJobBeforeWaking(t *testing.T) {
+	testBlock.cur.Store(nil) // test-block solves return at once
+	s := NewScheduler(New(-1), 2, 8)
+	t.Cleanup(s.Close)
+	ds := dataset.Independent(xrand.New(1), 50, 3)
+	ctx := context.Background()
+	for i := 0; i < 300; i++ {
+		if i%2 == 0 {
+			st, err := s.Submit(blockReq(ds, blockingSolver{}, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Wait(ctx, st.ID); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := s.Do(ctx, blockReq(ds, blockingSolver{}, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Done+st.Failed != st.Submitted {
+			t.Fatalf("iteration %d: stats %+v, want done + failed == submitted", i, st)
+		}
+	}
+}
+
 // TestSubmitQueueFull checks the fail-fast path: with the single worker
 // parked and the queue full, Submit refuses instead of blocking.
 func TestSubmitQueueFull(t *testing.T) {

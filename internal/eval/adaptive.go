@@ -11,15 +11,15 @@ import (
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
-// RankRegretAdaptive estimates the rank-regret of ids like RankRegret, but
+// RankRegretAdaptive estimates the rank-regret of ids like RankRegretCtx, but
 // spends part of the sample budget refining around the worst directions
 // found so far: after a uniform pass, it repeatedly perturbs the current
 // argmax directions with shrinking Gaussian noise. The maximum rank over a
 // convex-ish region is attained at a boundary the uniform pass only grazes,
 // so local refinement converges to the true maximum with far fewer samples.
-// The result is still a lower bound on the true rank-regret, and is always
-// >= the plain uniform estimate with the same seed and a `samples` uniform
-// budget.
+// The result is still a lower bound on the true rank-regret, but it is not
+// always >= RankRegretCtx's uniform estimate with the same seed and budget:
+// its uniform phase gets half the budget, drawn from a different stream.
 func RankRegretAdaptive(ds *dataset.Dataset, ids []int, space funcspace.Space, samples int, seed int64) (int, error) {
 	if len(ids) == 0 {
 		return 0, fmt.Errorf("eval: empty set has no rank-regret")

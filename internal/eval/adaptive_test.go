@@ -24,7 +24,7 @@ func TestRankRegretAdaptiveNeverBelowUniform(t *testing.T) {
 	ids := []int{0, 5, 17, 100, 212}
 	space := funcspace.NewFull(3)
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		uni, err := RankRegret(ds, ids, space, 1000, seed)
+		uni, err := RankRegretCtx(t.Context(), ds, ids, space, 1000, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,28 +8,28 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
+	"slices"
 
 	"github.com/rankregret/rankregret/internal/algo2d"
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/funcspace"
+	"github.com/rankregret/rankregret/internal/par"
 	"github.com/rankregret/rankregret/internal/topk"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
-// RankRegret estimates the rank-regret of the set ids over the space by
+// estimateTile is how many sampled directions one RankRegretCtx tile draws.
+// Tile t draws from xrand.New(seed).Split(t), so the estimate depends on the
+// seed and sample count only, never on how many workers ran the tiles.
+const estimateTile = 1024
+
+// RankRegretCtx estimates the rank-regret of the set ids over the space by
 // sampling `samples` utility directions (paper default 100,000), in
 // parallel. A nil space means the full orthant. The estimate is a lower
-// bound on the true maximum that converges as samples grow.
-func RankRegret(ds *dataset.Dataset, ids []int, space funcspace.Space, samples int, seed int64) (int, error) {
-	return RankRegretCtx(nil, ds, ids, space, samples, seed)
-}
-
-// RankRegretCtx is RankRegret with cooperative cancellation: each sampling
-// worker checks ctx periodically and the call returns ctx.Err() promptly on
-// cancellation.
+// bound on the true maximum that converges as samples grow, and it is the
+// same at every core count. Sampling checks ctx periodically and the call
+// returns ctx.Err() promptly on cancellation.
 func RankRegretCtx(ctx context.Context, ds *dataset.Dataset, ids []int, space funcspace.Space, samples int, seed int64) (int, error) {
 	if len(ids) == 0 {
 		return 0, fmt.Errorf("eval: empty set has no rank-regret")
@@ -40,50 +40,28 @@ func RankRegretCtx(ctx context.Context, ds *dataset.Dataset, ids []int, space fu
 	if space == nil {
 		space = funcspace.NewFull(ds.Dim())
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > samples {
-		workers = samples
-	}
-	worsts := make([]int, workers)
-	var wg sync.WaitGroup
-	per := samples / workers
-	for w := 0; w < workers; w++ {
-		count := per
-		if w == workers-1 {
-			count = samples - per*(workers-1)
-		}
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			rng := xrand.New(seed).Split(uint64(w))
-			scores := make([]float64, ds.N())
+	numTiles := (samples + estimateTile - 1) / estimateTile
+	worsts := make([]int, numTiles)
+	err := par.Tiles(ctx, 0, numTiles, func() func(int) {
+		scores := make([]float64, ds.N())
+		return func(t int) {
+			rng := xrand.New(seed).Split(uint64(t))
 			worst := 0
-			for i := 0; i < count; i++ {
+			for i := t * estimateTile; i < min((t+1)*estimateTile, samples); i++ {
 				if i%64 == 0 && ctxutil.Cancelled(ctx) != nil {
 					return
 				}
-				u := space.Sample(rng)
-				if u == nil {
-					continue
-				}
-				if r := topk.RankOfSet(ds, u, ids, scores); r > worst {
-					worst = r
+				if u := space.Sample(rng); u != nil {
+					worst = max(worst, topk.RankOfSet(ds, u, ids, scores))
 				}
 			}
-			worsts[w] = worst
-		}(w, count)
-	}
-	wg.Wait()
-	if err := ctxutil.Cancelled(ctx); err != nil {
+			worsts[t] = worst
+		}
+	})
+	if err != nil {
 		return 0, err
 	}
-	worst := 0
-	for _, v := range worsts {
-		if v > worst {
-			worst = v
-		}
-	}
-	return worst, nil
+	return slices.Max(worsts), nil
 }
 
 // RankRegret2DExact computes the exact rank-regret in 2D over the rendered

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/algo2d"
@@ -19,7 +20,7 @@ func TestRankRegretAgainstExact2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := RankRegret(ds, ids, nil, 20000, 42)
+		est, err := RankRegretCtx(t.Context(), ds, ids, nil, 20000, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestRankRegretSetContainingTopEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := RankRegret(ds, res.IDs, nil, 5000, 7)
+	est, err := RankRegretCtx(t.Context(), ds, res.IDs, nil, 5000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestRankRegretRestrictedSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// t7 = (1,0) is strong on the restricted space, weak on the full one.
-	full, err := RankRegret(ds, []int{6}, nil, 5000, 3)
+	full, err := RankRegretCtx(t.Context(), ds, []int{6}, nil, 5000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, err := RankRegret(ds, []int{6}, cone, 5000, 3)
+	restricted, err := RankRegretCtx(t.Context(), ds, []int{6}, cone, 5000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestRankRegretRestrictedSpace(t *testing.T) {
 func TestRankRegretDeterministicSeed(t *testing.T) {
 	rng := xrand.New(3)
 	ds := dataset.Independent(rng, 50, 3)
-	a, err := RankRegret(ds, []int{1, 2}, nil, 3000, 11)
+	a, err := RankRegretCtx(t.Context(), ds, []int{1, 2}, nil, 3000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RankRegret(ds, []int{1, 2}, nil, 3000, 11)
+	b, err := RankRegretCtx(t.Context(), ds, []int{1, 2}, nil, 3000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +97,36 @@ func TestRankRegretDeterministicSeed(t *testing.T) {
 	}
 }
 
+// TestRankRegretSameAtEveryCoreCount: the sampled estimate depends on the
+// seed and the sample count only. Its fixed tiles each draw from their own
+// split of the seed, so the worker count cannot change which directions are
+// drawn.
+func TestRankRegretSameAtEveryCoreCount(t *testing.T) {
+	ds := dataset.Anticorrelated(xrand.New(7), 5000, 4)
+	ids := []int{0, 1, 2, 3, 4}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := -1
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := RankRegretCtx(t.Context(), ds, ids, nil, 2000, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want < 0 {
+			want = got
+		}
+		if got != want {
+			t.Errorf("GOMAXPROCS %d: estimate %d, want %d as at GOMAXPROCS 1", procs, got, want)
+		}
+	}
+}
+
 func TestRankRegretErrors(t *testing.T) {
 	ds := dataset.MustFromRows([][]float64{{1, 1}})
-	if _, err := RankRegret(ds, nil, nil, 100, 1); err == nil {
+	if _, err := RankRegretCtx(t.Context(), ds, nil, nil, 100, 1); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := RankRegret(ds, []int{0}, nil, 0, 1); err == nil {
+	if _, err := RankRegretCtx(t.Context(), ds, []int{0}, nil, 0, 1); err == nil {
 		t.Error("zero samples accepted")
 	}
 	if _, err := RankRegret2DExact(dataset.MustFromRows([][]float64{{1, 2, 3}}), []int{0}, nil); err == nil {

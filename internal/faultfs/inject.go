@@ -72,8 +72,7 @@ type Injector struct {
 	mu    sync.Mutex
 	rng   *xrand.Rand
 	rules []*armed
-	// ops counts every operation seen per Op; injected counts faults fired.
-	ops      map[Op]uint64
+	// injected counts faults fired.
 	injected uint64
 }
 
@@ -83,7 +82,7 @@ func New(inner FS, seed int64) *Injector {
 	if inner == nil {
 		inner = Disk
 	}
-	return &Injector{inner: inner, rng: xrand.New(seed), ops: make(map[Op]uint64)}
+	return &Injector{inner: inner, rng: xrand.New(seed)}
 }
 
 // Arm appends rules to the active script. Rules are consulted in arming
@@ -112,21 +111,12 @@ func (in *Injector) Injected() uint64 {
 	return in.injected
 }
 
-// OpCount reports how many operations of the given kind have been seen
-// (fired or passed).
-func (in *Injector) OpCount(op Op) uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ops[op]
-}
-
 // decide consults the script for one operation. It returns the rule's
 // injected error (nil = proceed), a sleep to apply first, and for torn
 // writes the byte count to pass through.
 func (in *Injector) decide(op Op, path string) (err error, delay time.Duration, short int, torn bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.ops[op]++
 	for _, r := range in.rules {
 		if r.Op != "" && r.Op != OpAny && r.Op != op {
 			continue

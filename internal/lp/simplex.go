@@ -113,19 +113,6 @@ func Minimize(c []float64, a [][]float64, b []float64) (Result, error) {
 	return res, nil
 }
 
-// Feasible reports whether {x >= 0 : A.x <= b} is non-empty.
-func Feasible(a [][]float64, b []float64) (bool, error) {
-	n := 0
-	if len(a) > 0 {
-		n = len(a[0])
-	}
-	res, err := Maximize(make([]float64, n), a, b)
-	if err != nil {
-		return false, err
-	}
-	return res.Status == Optimal, nil
-}
-
 // tableau is a dense simplex tableau with m rows (constraints) and columns
 // for the n structural variables, m slack variables, and (during phase one)
 // artificial variables.

@@ -68,14 +68,16 @@ func TestInfeasible(t *testing.T) {
 	}
 }
 
+// Feasibility is a zero-objective Maximize: funcspace relies on its status
+// telling a non-empty region (Optimal) from an empty one (Infeasible).
 func TestFeasible(t *testing.T) {
-	ok, err := Feasible([][]float64{{1, 1}}, []float64{1})
-	if err != nil || !ok {
-		t.Errorf("simple region reported infeasible (%v, %v)", ok, err)
+	res, err := Maximize([]float64{0, 0}, [][]float64{{1, 1}}, []float64{1})
+	if err != nil || res.Status != Optimal {
+		t.Errorf("simple region: status %v, err %v; want optimal", res.Status, err)
 	}
-	ok, err = Feasible([][]float64{{1}, {-1}}, []float64{1, -3})
-	if err != nil || ok {
-		t.Errorf("empty region reported feasible (%v, %v)", ok, err)
+	res, err = Maximize([]float64{0}, [][]float64{{1}, {-1}}, []float64{1, -3})
+	if err != nil || res.Status != Infeasible {
+		t.Errorf("empty region: status %v, err %v; want infeasible", res.Status, err)
 	}
 }
 

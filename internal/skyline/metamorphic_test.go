@@ -119,9 +119,13 @@ func TestTopKUnchangedByNonSkybandDelete(t *testing.T) {
 			u := rng.UnitOrthantDirection(d)
 			before = ds.Utilities(u, before)
 			after = mut.Utilities(u, after)
-			var wantIDs, gotIDs []int
-			wantIDs, scratch = topk.SelectScratch(before, nil, k, scratch)
-			gotIDs, scratch = topk.SelectScratch(after, nil, k, scratch)
+			// One call per row: the deletes make the two score rows differ
+			// in length.
+			var lists [][]int
+			lists, scratch = topk.SelectBatch([][]float64{before}, nil, k, scratch)
+			wantIDs := lists[0]
+			lists, scratch = topk.SelectBatch([][]float64{after}, nil, k, scratch)
+			gotIDs := lists[0]
 			for i, oldID := range wantIDs {
 				if mapped := oldToNew[oldID]; mapped != gotIDs[i] {
 					t.Fatalf("d=%d sample %d: top-%d changed after non-skyband delete: old %v (mapped pos %d -> %d), new %v",

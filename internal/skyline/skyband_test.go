@@ -104,7 +104,8 @@ func TestKSkybandPreservesTopK(t *testing.T) {
 			}
 			want := topk.TopK(ds, u, k, nil)
 			subScores := sub.Utilities(u, nil)
-			mapped := topk.Select(subScores, band, k, nil)
+			lists, _ := topk.SelectBatch([][]float64{subScores}, band, k, nil)
+			mapped := lists[0]
 			if !reflect.DeepEqual(mapped, want) {
 				return false
 			}

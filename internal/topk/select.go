@@ -3,8 +3,8 @@ package topk
 // better reports whether position a should rank before position b in a score
 // slice, delegating to the package's beats comparator so the two can never
 // drift. Positions double as the deterministic tie-break, which is why
-// Select requires any id remapping to be ascending — position order and id
-// order then agree.
+// SelectBatch requires any id remapping to be ascending — position order and
+// id order then agree.
 func better(scores []float64, a, b int) bool {
 	return beats(scores[a], a, scores[b], b)
 }
@@ -19,38 +19,19 @@ type entry struct {
 // worse is the heap order: the worse of two entries sits nearer the root.
 func (a entry) worse(b entry) bool { return beats(b.score, b.pos, a.score, a.pos) }
 
-// Select returns the ids of the k best entries of scores, best first, under
-// the package's deterministic order (score descending, id ascending). ids
-// maps score positions to tuple ids and must be strictly ascending; nil
-// means the identity (position i is tuple i). scratch is an optional
-// reusable index buffer (pass the previous call's to avoid allocation; it
-// must not alias ids).
-//
-// Select agrees exactly with TopK — same set, same order, including
-// tie-breaks — but selects via a scan against an inline heap or a
-// quickselect instead of per-element container/heap churn, which is what
-// makes scoring whole tiles of utility vectors worthwhile.
-func Select(scores []float64, ids []int, k int, scratch []int) []int {
-	out, _ := SelectScratch(scores, ids, k, scratch)
-	return out
-}
-
-// SelectScratch is Select returning the (possibly grown) scratch buffer so
-// tight loops can reuse it across calls.
-func SelectScratch(scores []float64, ids []int, k int, scratch []int) ([]int, []int) {
-	lists, scratch := SelectBatch([][]float64{scores}, ids, k, scratch)
-	return lists[0], scratch
-}
-
 // SelectBatch converts a tile of score rows — as produced by
 // dataset.UtilitiesBatch, so every row has the same length — into per-row
-// top-k id lists, best first. ids follows the Select contract. scratch is
-// optional and is returned (possibly grown) so a loop over tiles reuses one
-// selection buffer throughout. The lists of one call share a single backing
-// array, each capped at its own length.
+// top-k id lists, best first, under the package's deterministic order
+// (score descending, id ascending). ids maps score positions to tuple ids
+// and must be strictly ascending; nil means the identity (position i is
+// tuple i). scratch is optional (it must not alias ids) and is returned
+// (possibly grown) so a loop over tiles reuses one selection buffer
+// throughout. The lists of one call share a single backing array, each
+// capped at its own length. The lists agree exactly with TopK, tie-breaks
+// included.
 //
 // Two regimes, chosen by k/n and both producing the identical deterministic
-// order: for small k a read-only scan of each row against an inline min-heap
+// order, avoid TopK's per-element container/heap churn: for small k a read-only scan of each row against an inline min-heap
 // of (score, position) pairs, and for k a sizable fraction of n a
 // quickselect over an index permutation (the scan's heap churn would
 // approach n log n there).

@@ -31,6 +31,12 @@ func tiedScores(seed int64, n, levels int) []float64 {
 	return out
 }
 
+// selectOne is SelectBatch over the single row scores.
+func selectOne(scores []float64, ids []int, k int) []int {
+	lists, _ := SelectBatch([][]float64{scores}, ids, k, nil)
+	return lists[0]
+}
+
 // heapSelect is the reference: the package's heap-based selection over a raw
 // score slice, via the same code path TopK uses.
 func heapSelect(scores []float64, k int) []int {
@@ -38,7 +44,7 @@ func heapSelect(scores []float64, k int) []int {
 	return TopK(ds, []float64{1}, k, nil)
 }
 
-// Property: Select agrees exactly with the heap-based TopK — same ids, same
+// Property: SelectBatch on one row agrees exactly with the heap-based TopK — same ids, same
 // order, including tie-breaks — on heavily tied data at every k.
 func TestSelectAgreesWithTopK(t *testing.T) {
 	f := func(seed int64, nn, ll, kk int) bool {
@@ -46,7 +52,7 @@ func TestSelectAgreesWithTopK(t *testing.T) {
 		levels := abs(ll)%6 + 1
 		scores := tiedScores(seed, n, levels)
 		k := abs(kk)%(n+2) + 1 // occasionally exceeds n: both must clamp
-		got := Select(scores, nil, k, nil)
+		got := selectOne(scores, nil, k)
 		want := heapSelect(scores, k)
 		return reflect.DeepEqual(got, want)
 	}
@@ -74,14 +80,14 @@ func TestSelectSubsetMapping(t *testing.T) {
 			return true
 		}
 		k := abs(kk)%len(ids) + 1
-		got := Select(sub, ids, k, nil)
+		got := selectOne(sub, ids, k)
 		// Reference: full selection restricted to the candidate ids.
 		keep := make(map[int]bool, len(ids))
 		for _, id := range ids {
 			keep[id] = true
 		}
 		var want []int
-		for _, id := range Select(scores, nil, n, nil) {
+		for _, id := range selectOne(scores, nil, n) {
 			if keep[id] {
 				want = append(want, id)
 			}
@@ -96,7 +102,7 @@ func TestSelectSubsetMapping(t *testing.T) {
 	}
 }
 
-// Property: SelectBatch is Select applied row-wise.
+// Property: a multi-row SelectBatch equals one call per row.
 func TestSelectBatchAgreesWithSelect(t *testing.T) {
 	f := func(seed int64, nn, bb, kk int) bool {
 		n := abs(nn)%60 + 1
@@ -112,7 +118,7 @@ func TestSelectBatchAgreesWithSelect(t *testing.T) {
 			return false // scratch must come back for reuse
 		}
 		for b, row := range rows {
-			if !reflect.DeepEqual(got[b], Select(row, nil, k, nil)) {
+			if !reflect.DeepEqual(got[b], selectOne(row, nil, k)) {
 				return false
 			}
 		}
@@ -124,15 +130,15 @@ func TestSelectBatchAgreesWithSelect(t *testing.T) {
 }
 
 func TestSelectEdgeCases(t *testing.T) {
-	if got := Select(nil, nil, 3, nil); got != nil {
-		t.Errorf("Select(nil) = %v, want nil", got)
+	if got := selectOne(nil, nil, 3); got != nil {
+		t.Errorf("selectOne(nil) = %v, want nil", got)
 	}
-	if got := Select([]float64{1, 2}, nil, 0, nil); got != nil {
-		t.Errorf("Select(k=0) = %v, want nil", got)
+	if got := selectOne([]float64{1, 2}, nil, 0); got != nil {
+		t.Errorf("selectOne(k=0) = %v, want nil", got)
 	}
-	got := Select([]float64{5, 5, 5}, nil, 5, nil)
+	got := selectOne([]float64{5, 5, 5}, nil, 5)
 	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("all-tied Select = %v, want [0 1 2]", got)
+		t.Errorf("all-tied selectOne = %v, want [0 1 2]", got)
 	}
 }
 

@@ -375,12 +375,14 @@ func Rank(ds *Dataset, u []float64, id int) int { return topk.Rank(ds, u, id, ni
 // EvaluateRankRegret estimates the rank-regret of the subset ids over space
 // (nil = full orthant) by sampling utility directions, the estimator the
 // paper uses to report output quality (100 000 samples there). For d = 2
-// with the full space, prefer EvaluateRankRegret2D which is exact.
+// with the full space, prefer EvaluateRankRegret2D which is exact. The
+// estimate is the same at every core count; for a given seed it differs
+// from earlier releases.
 func EvaluateRankRegret(ds *Dataset, ids []int, space Space, samples int, seed int64) (int, error) {
 	if space == nil {
 		space = funcspace.NewFull(ds.Dim())
 	}
-	return eval.RankRegret(ds, ids, space, samples, seed)
+	return eval.RankRegretCtx(context.Background(), ds, ids, space, samples, seed)
 }
 
 // EvaluateRankRegretAdaptive estimates like EvaluateRankRegret but spends
