@@ -56,7 +56,7 @@ func waitStoreHealthy(t *testing.T, st *store.Store) store.Health {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		h := st.Health()
+		h := st.Status().Health
 		if h.State == store.HealthHealthy {
 			return h
 		}

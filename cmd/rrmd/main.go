@@ -43,6 +43,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -211,12 +212,11 @@ func run(args []string) error {
 	// version history (with every durably-acked mutation) rather than
 	// durably replacing it with a fresh copy of the seed data. Replacing a
 	// recovered dataset is an explicit act: DELETE it, then re-upload.
-	recovered := make(map[string]bool)
-	for _, name := range st.RecoveredNames() {
-		recovered[name] = true
-	}
+	// Before any load, the registry holds exactly what recovery rebuilt; the
+	// same list is the warm-start worklist below.
+	recovered := st.Names()
 	skipRecovered := func(name string) bool {
-		if recovered[name] {
+		if slices.Contains(recovered, name) {
 			logger.Info("rrmd: dataset recovered; skipping startup load (drop it to replace)",
 				"dataset", name, "dir", *dataDir)
 			return true
@@ -256,7 +256,7 @@ func run(args []string) error {
 			logger.Info("rrmd: loaded demo dataset", "dataset", name, "n", ds.N(), "d", ds.Dim())
 		}
 	}
-	if recovered := st.RecoveredNames(); *warmStart && len(recovered) > 0 {
+	if *warmStart && len(recovered) > 0 {
 		logger.Info("rrmd: warm-start priming caches in the background", "datasets", len(recovered))
 		go srv.WarmStart(recovered)
 	}

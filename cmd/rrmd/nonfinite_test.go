@@ -2,27 +2,10 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"math"
 	"net/http"
 	"strings"
 	"testing"
-
-	"github.com/rankregret/rankregret/internal/dataset"
 )
-
-func TestValidateRowsRejectsNonFinite(t *testing.T) {
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		err := validateRows([][]float64{{0.1, 0.2}, {0.3, v}}, 2)
-		var nf *dataset.NonFiniteError
-		if !errors.As(err, &nf) || nf.Row != 1 || nf.Col != 1 {
-			t.Fatalf("value %v: err %v, want a NonFiniteError at row 1 attribute 1", v, err)
-		}
-	}
-	if err := validateRows([][]float64{{0.1, 0.2}}, 2); err != nil {
-		t.Fatalf("finite rows rejected: %v", err)
-	}
-}
 
 // Non-finite numbers fail with a 4xx on every path where a client can send
 // them, and publish nothing.

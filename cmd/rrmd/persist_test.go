@@ -115,7 +115,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 
 	// Warm-start (synchronously, so the assertion below is deterministic).
-	srv2.WarmStart(st2.RecoveredNames())
+	srv2.WarmStart(st2.Names())
 	stats := srv2.eng.VecSetStats()
 	if stats.Builds != 1 {
 		t.Fatalf("warm-start built %d vector sets, want 1 (%+v)", stats.Builds, stats)

@@ -540,30 +540,16 @@ type mutateResponse struct {
 //
 // Rows are taken as-is (no re-normalization — a rewrite would invalidate
 // every cached artifact), so callers of normalized datasets must supply
-// values in the normalized units. Solves already in flight keep the version
-// they started with; new solves see the appended rows.
+// values in the normalized units. The store is the one validator: an
+// unknown dataset is 404, and an empty, ragged or non-finite row set is 400
+// before any value matrix is copied. Solves already in flight keep the
+// version they started with; new solves see the appended rows.
 func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	nd, ok := s.store.Get(name)
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
-		return
-	}
 	var req struct {
 		Rows [][]float64 `json:"rows"`
 	}
 	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("rows must be non-empty"))
-		return
-	}
-	// Validate before mutate: a snapshot copies the whole value matrix
-	// under the store lock, and malformed requests must not pay (or make
-	// everyone else wait on) that.
-	if err := validateRows(req.Rows, nd.Current().Dim()); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// The append hits the WAL (per the fsync policy) before the new version
@@ -579,56 +565,23 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	writeOK(w, http.StatusOK, mutateResponse{datasetInfo: info(name, next), Appended: len(req.Rows)})
 }
 
-// validateRows checks rows offered for append: each must have the
-// dataset's dimension (immutable across versions, so checking against the
-// current one is exact) and only finite values. encoding/json cannot decode
-// NaN or ±Inf into a float64, but finiteness is checked where rows enter
-// rather than left to the decoder.
-func validateRows(rows [][]float64, dim int) error {
-	for i, row := range rows {
-		if len(row) != dim {
-			return fmt.Errorf("row %d has %d attributes, want %d", i, len(row), dim)
-		}
-		if err := dataset.CheckFinite(i, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // handleDeleteRows removes rows by id from a dataset, publishing a new
 // version:
 //
 //	DELETE /v1/datasets/{name}/rows {"ids": [3, 17]}
 //
 // Ids refer to the current version's indexing; rows above a deleted id shift
-// down, exactly as Dataset.Delete documents. Deleting every row is rejected
-// (the registry never serves an empty dataset).
+// down, exactly as Dataset.Delete documents. The store validates the ids
+// against the version it mutates: an unknown dataset is 404, and empty or
+// out-of-range ids, or a delete of every row (the registry never serves an
+// empty dataset), are 400.
 func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	nd, ok := s.store.Get(name)
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
-		return
-	}
 	var req struct {
 		IDs []int `json:"ids"`
 	}
 	if !s.decodeJSON(w, r, &req) {
 		return
-	}
-	if len(req.IDs) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("ids must be non-empty"))
-		return
-	}
-	// Cheap pre-check before the snapshot-copying mutate; the store
-	// re-validates against the authoritative row count inside its lock.
-	before := nd.Current().N()
-	for _, id := range req.IDs {
-		if id < 0 || id >= before {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("delete index %d out of range [0, %d)", id, before))
-			return
-		}
 	}
 	obs.TraceFrom(r.Context()).Annotate("dataset", name)
 	start := time.Now()
@@ -638,8 +591,7 @@ func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mutateDur.ObserveSince(start)
-	// The deleted count is the number of unique ids: exact even if another
-	// mutation raced in between the pre-check and the store call.
+	// The deleted count is the number of unique ids (duplicates delete once).
 	uniq := make(map[int]struct{}, len(req.IDs))
 	for _, id := range req.IDs {
 		uniq[id] = struct{}{}
@@ -1251,31 +1203,17 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if space == nil {
 		space = funcspace.NewFull(ds.Dim())
 	}
-	type outcome struct {
-		est int
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		est, err := eval.RankRegretCtx(ctx, ds, req.IDs, space, samples, seed)
-		done <- outcome{est, err}
-	}()
-	// The estimator checks ctx, so a timed-out request's goroutine stops
-	// shortly after the select returns instead of burning CPU to completion.
-	var o outcome
-	select {
-	case o = <-done:
-	case <-ctx.Done():
-		o.err = ctx.Err()
-	}
-	if o.err != nil {
-		writeErr(w, statusOf(o.err), o.err)
+	// The estimator checks ctx before every tile and every 64 samples, so a
+	// timed-out request returns promptly with the ctx error.
+	est, err := eval.RankRegretCtx(ctx, ds, req.IDs, space, samples, seed)
+	if err != nil {
+		writeErr(w, statusOf(err), err)
 		return
 	}
 	writeOK(w, http.StatusOK, map[string]any{
 		"dataset":     req.Dataset,
-		"rank_regret": o.est,
-		"percent":     100 * float64(o.est) / float64(ds.N()),
+		"rank_regret": est,
+		"percent":     100 * float64(est) / float64(ds.N()),
 		"samples":     samples,
 	})
 }

@@ -637,3 +637,19 @@ func TestBatchPartialValidation(t *testing.T) {
 		t.Errorf("item 2 error = %q, want r/k validation", batch.Results[2].Error)
 	}
 }
+
+// TestEvaluateTimeout: /v1/evaluate runs the estimator on the request
+// goroutine, and the estimator's own ctx checks end a timed-out request
+// promptly with 504, long before a million samples could finish.
+func TestEvaluateTimeout(t *testing.T) {
+	_, ts := newTestServer(t)
+	start := time.Now()
+	resp, body := postJSON(t, ts.URL+"/v1/evaluate",
+		evaluateRequest{Dataset: "nba", IDs: []int{0}, Samples: 1_000_000, TimeoutMS: 1})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("evaluate past its deadline: status %d, want 504: %s", resp.StatusCode, body)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("timed-out evaluate took %v, want < 2s", elapsed)
+	}
+}

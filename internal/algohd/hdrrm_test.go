@@ -321,6 +321,15 @@ func TestSampleSizeTheorem10(t *testing.T) {
 	}
 }
 
+// ratK is Rat_k at one threshold: the single-k case of RatKCurve.
+func ratK(ds *dataset.Dataset, ids []int, space funcspace.Space, k, samples int, seed int64) (float64, error) {
+	curve, err := eval.RatKCurve(ds, ids, space, []int{k}, samples, seed)
+	if err != nil {
+		return 0, err
+	}
+	return curve[0], nil
+}
+
 // TestHDRRMTheorem6RatK: when HDRRM reports the threshold K for its
 // discretized space, the fraction of the full space where the output
 // achieves rank <= K (the k-ratio of Theorem 6) should be close to one.
@@ -332,7 +341,7 @@ func TestHDRRMTheorem6RatK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio, err := eval.RatK(ds, res.IDs, funcspace.NewFull(3), res.K, 20000, 29)
+	ratio, err := ratK(ds, res.IDs, funcspace.NewFull(3), res.K, 20000, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +349,7 @@ func TestHDRRMTheorem6RatK(t *testing.T) {
 		t.Errorf("Rat_%d of the HDRRM output = %.4f, want ~1 (Theorem 6)", res.K, ratio)
 	}
 	// A slightly relaxed threshold must cover essentially everything.
-	relaxed, err := eval.RatK(ds, res.IDs, funcspace.NewFull(3), 2*res.K, 20000, 29)
+	relaxed, err := ratK(ds, res.IDs, funcspace.NewFull(3), 2*res.K, 20000, 29)
 	if err != nil {
 		t.Fatal(err)
 	}

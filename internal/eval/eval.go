@@ -121,30 +121,6 @@ func RegretRatio(ds *dataset.Dataset, ids []int, space funcspace.Space, samples 
 	return worst, nil
 }
 
-// RatK estimates Rat_k(S) (Theorem 6): the fraction of utility directions
-// for which S contains a top-k tuple.
-func RatK(ds *dataset.Dataset, ids []int, space funcspace.Space, k, samples int, seed int64) (float64, error) {
-	if len(ids) == 0 {
-		return 0, fmt.Errorf("eval: empty set")
-	}
-	if space == nil {
-		space = funcspace.NewFull(ds.Dim())
-	}
-	rng := xrand.New(seed)
-	scores := make([]float64, ds.N())
-	hits := 0
-	for i := 0; i < samples; i++ {
-		u := space.Sample(rng)
-		if u == nil {
-			continue
-		}
-		if topk.RankOfSet(ds, u, ids, scores) <= k {
-			hits++
-		}
-	}
-	return float64(hits) / float64(samples), nil
-}
-
 // RatKCurve evaluates Rat_k for every k in ks with a single sampling pass:
 // the fraction of sampled directions for which ids contains a top-k tuple.
 // It returns one value per requested k. Useful for "how much does relaxing

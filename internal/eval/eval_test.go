@@ -162,6 +162,15 @@ func TestRegretRatio(t *testing.T) {
 	}
 }
 
+// ratK is Rat_k at one threshold: the single-k case of RatKCurve.
+func ratK(ds *dataset.Dataset, ids []int, space funcspace.Space, k, samples int, seed int64) (float64, error) {
+	curve, err := RatKCurve(ds, ids, space, []int{k}, samples, seed)
+	if err != nil {
+		return 0, err
+	}
+	return curve[0], nil
+}
+
 func TestRatK(t *testing.T) {
 	rng := xrand.New(6)
 	ds := dataset.Independent(rng, 100, 2)
@@ -170,7 +179,7 @@ func TestRatK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RatK(ds, res.IDs, nil, 1, 3000, 9)
+	r1, err := ratK(ds, res.IDs, nil, 1, 3000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +187,11 @@ func TestRatK(t *testing.T) {
 		t.Errorf("Rat_1 of full skyline = %v, want 1", r1)
 	}
 	// A single tuple's Rat_k grows with k.
-	r5, err := RatK(ds, []int{res.IDs[0]}, nil, 5, 3000, 9)
+	r5, err := ratK(ds, []int{res.IDs[0]}, nil, 5, 3000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r50, err := RatK(ds, []int{res.IDs[0]}, nil, 50, 3000, 9)
+	r50, err := ratK(ds, []int{res.IDs[0]}, nil, 50, 3000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,12 @@ func waitHealthy(t *testing.T, st *Store) Health {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if h := st.Health(); h.State == HealthHealthy {
+		if h := st.Status().Health; h.State == HealthHealthy {
 			return h
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("store did not heal: %+v", st.Health())
+	t.Fatalf("store did not heal: %+v", st.Status().Health)
 	return Health{}
 }
 
@@ -57,7 +57,7 @@ func TestDegradeServeHeal(t *testing.T) {
 	}
 
 	// Degraded: reads serve from memory, mutations bounce with ErrDegraded.
-	if h := st.Health(); h.State != HealthDegraded || h.Reason != ReasonWALFailed || h.Since.IsZero() {
+	if h := st.Status().Health; h.State != HealthDegraded || h.Reason != ReasonWALFailed || h.Since.IsZero() {
 		t.Fatalf("health after fsync fault = %+v", h)
 	}
 	if got := digest(st); got != want {
@@ -123,7 +123,7 @@ func TestSnapshotENOSPCDegradesAndHeals(t *testing.T) {
 	var h Health
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if h = st.Health(); h.State == HealthHealthy && h.HealSuccesses >= 1 {
+		if h = st.Status().Health; h.State == HealthHealthy && h.HealSuccesses >= 1 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -178,6 +178,82 @@ func TestTornWriteHeals(t *testing.T) {
 	back := openTest(t, copyDir(t, dir), Options{Sync: SyncNever, Retain: 4, SnapshotEvery: -1})
 	if got := digest(back); got != want {
 		t.Fatalf("post-heal ack lost across crash:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCompactCutFailureDegrades: a forced snapshot whose cut cannot open
+// the next segment leaves the WAL writer without a segment. The store must
+// degrade (wal_failed) and reject mutations with ErrDegraded rather than
+// stay healthy over a closed file, and the healer must restore it once the
+// fault clears, with everything acked recoverable.
+func TestCompactCutFailureDegrades(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.New(faultfs.Disk, 1)
+	st := openTest(t, dir, Options{Sync: SyncAlways, SnapshotEvery: -1, FS: inj, HealBackoff: 2 * time.Millisecond})
+	mutateSome(t, st, 4)
+	want := digest(st)
+
+	// Segment opens fail until the fault clears: the cut's rotation first,
+	// then every heal attempt, so the degraded state holds still for the
+	// checks below.
+	inj.Arm(faultfs.Rule{Op: faultfs.OpOpen, Path: segPrefix, Err: syscall.ENOSPC})
+	if err := st.Compact(); err == nil {
+		t.Fatal("Compact over a failing segment open succeeded")
+	}
+	if h := st.Status().Health; h.State != HealthDegraded || h.Reason != ReasonWALFailed {
+		t.Fatalf("health after a failed forced cut = %+v, want degraded/%s", h, ReasonWALFailed)
+	}
+	if _, err := st.AppendRowsCtx(t.Context(), "alpha", [][]float64{{0.7, 0.8, 0.9}}, 4); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("append after a failed forced cut = %v, want ErrDegraded", err)
+	}
+	if got := digest(st); got != want {
+		t.Fatalf("failed cut changed observable state:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	inj.Clear()
+	waitHealthy(t, st)
+	if _, err := st.AppendRowsCtx(t.Context(), "alpha", [][]float64{{0.7, 0.8, 0.9}}, 4); err != nil {
+		t.Fatalf("append after heal: %v", err)
+	}
+	want = digest(st)
+	back := openTest(t, copyDir(t, dir), Options{Sync: SyncNever, Retain: 4, SnapshotEvery: -1})
+	if got := digest(back); got != want {
+		t.Fatalf("recovery after a healed forced cut diverged:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestBootSnapshotCutFailureDegrades: an optional boot snapshot (a long
+// clean replay) whose cut fails opens the store degraded (wal_failed), not
+// healthy over a closed segment; the healer restores it once the fault
+// clears.
+func TestBootSnapshotCutFailureDegrades(t *testing.T) {
+	dir := t.TempDir()
+	st := openTest(t, dir, Options{Sync: SyncAlways, SnapshotEvery: -1})
+	mutateSome(t, st, 4)
+	want := digest(st)
+	img := copyDir(t, dir) // never closed: recovery replays the whole WAL
+
+	inj := faultfs.New(faultfs.Disk, 1)
+	// The boot's fresh segment opens; the boot snapshot's cut and every heal
+	// attempt fail until the fault clears.
+	inj.Arm(faultfs.Rule{Op: faultfs.OpOpen, Path: segPrefix, After: 1, Err: syscall.ENOSPC})
+	back := openTest(t, img, Options{Sync: SyncAlways, Retain: 4, SnapshotEvery: 2, FS: inj, HealBackoff: 2 * time.Millisecond})
+	if h := back.Status().Health; h.State != HealthDegraded || h.Reason != ReasonWALFailed {
+		t.Fatalf("health after a failed boot cut = %+v, want degraded/%s", h, ReasonWALFailed)
+	}
+	if got := digest(back); got != want {
+		t.Fatalf("recovery diverged:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	inj.Clear()
+	waitHealthy(t, back)
+	if _, err := back.AppendRowsCtx(t.Context(), "alpha", [][]float64{{0.7, 0.8, 0.9}}, 4); err != nil {
+		t.Fatalf("append after heal: %v", err)
+	}
+	want = digest(back)
+	again := openTest(t, copyDir(t, img), Options{Sync: SyncNever, Retain: 4, SnapshotEvery: -1})
+	if got := digest(again); got != want {
+		t.Fatalf("recovery after a healed boot cut diverged:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

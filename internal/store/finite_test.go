@@ -105,3 +105,35 @@ func TestDecodeEventRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendNonFiniteRejected: the live path accepts exactly what replay
+// accepts. An append carrying NaN or ±Inf is rejected with the offending
+// row and attribute and never reaches the WAL, so a good append after it
+// survives a crash and replay halts nowhere.
+func TestAppendNonFiniteRejected(t *testing.T) {
+	dir := t.TempDir()
+	st := openTest(t, dir, Options{Sync: SyncAlways, SnapshotEvery: -1})
+	if err := st.RegisterCtx(t.Context(), "a", makeDS(t, 2, 4, 0.5), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.1, 0.2}, {0.3, v}}, 0)
+		var nf *dataset.NonFiniteError
+		if !errors.As(err, &nf) || nf.Row != 1 || nf.Col != 1 {
+			t.Fatalf("append with %v: err %v, want a NonFiniteError at row 1 attribute 1", v, err)
+		}
+	}
+	if _, err := st.AppendRowsCtx(t.Context(), "a", [][]float64{{0.1, 0.2}}, 0); err != nil {
+		t.Fatalf("finite rows rejected: %v", err)
+	}
+	want := digest(st)
+
+	// A crash image, not a clean Close: recovery must replay the WAL.
+	back := openTest(t, copyDir(t, dir), Options{Sync: SyncNever, SnapshotEvery: -1})
+	if rec := back.Recovery(); rec.RecordsSkipped != 0 || rec.TornTail {
+		t.Fatalf("replay met a record the live path accepted: %+v", rec)
+	}
+	if got := digest(back); got != want {
+		t.Fatalf("acked append lost across crash:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}

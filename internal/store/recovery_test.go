@@ -3,7 +3,9 @@ package store
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRestartUnderLoad hammers one store with concurrent mutators while a
@@ -104,5 +106,71 @@ func TestRestartUnderLoad(t *testing.T) {
 	back := openTest(t, dir, Options{Sync: SyncNever, Retain: 4})
 	if got := digest(back); got != want {
 		t.Fatalf("final recovery diverged:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestConcurrentSnapshotPaths races the automatic snapshot path
+// (SnapshotEvery 3) against a loop of forced ones (Compact) while four
+// writers append to their own datasets: every cut and persist goes through
+// one in-flight slot, so no snapshot may regress another or prune what a
+// later one needs. The writers are paced so that several forced snapshots
+// land while they run (a step cap bounds the run on a slow disk). After
+// Close, a reopen must reproduce the registry Close saw.
+func TestConcurrentSnapshotPaths(t *testing.T) {
+	dir := t.TempDir()
+	st := openTest(t, dir, Options{Sync: SyncNever, SnapshotEvery: 3})
+	const writers, minSteps, maxSteps, minCompacts = 4, 30, 2000, 8
+	for w := 0; w < writers; w++ {
+		if err := st.RegisterCtx(t.Context(), fmt.Sprintf("ds%d", w), makeDS(t, 2, 4, float64(w)/10), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var compacts atomic.Int32
+	stop := make(chan struct{})
+	compacted := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				compacted <- nil
+				return
+			default:
+			}
+			if err := st.Compact(); err != nil {
+				compacted <- err
+				return
+			}
+			compacts.Add(1)
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			name := fmt.Sprintf("ds%d", w)
+			for i := 0; i < maxSteps && (i < minSteps || compacts.Load() < minCompacts); i++ {
+				if _, err := st.AppendRowsCtx(t.Context(), name, [][]float64{{float64(i%100) / 100, float64(w) / writers}}, 0); err != nil {
+					t.Errorf("writer %d step %d: %v", w, i, err)
+					return
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-compacted; err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+
+	want := digest(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back := openTest(t, dir, Options{Sync: SyncNever, SnapshotEvery: 3})
+	if got := digest(back); got != want {
+		t.Fatalf("recovery after racing snapshots diverged:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

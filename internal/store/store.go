@@ -7,11 +7,16 @@
 // byte-identical — tolerating a torn WAL tail from a crash mid-write by
 // recovering the longest durable prefix.
 //
-// The live mutation API and crash replay funnel through the same
-// apply helpers, so the recovered state cannot drift from what a process
-// that never crashed would hold. A Store with no directory is ephemeral:
-// the same API, durability off — which lets serving layers use one code
-// path unconditionally.
+// The live mutation API and crash replay share one validation step
+// (appendNext/deleteNext, which also reject non-finite values) and one apply
+// step (Versions.publish), so the WAL never holds a record replay would
+// reject and the recovered state cannot drift from what a process that
+// never crashed would hold. Every live mutation commits through one path
+// (commit), and every snapshot is a cut followed by a persist (cutLocked,
+// then persistLocked or the background writer), so a failed cut degrades
+// the store however the snapshot was started. A Store with no directory is
+// ephemeral: the same API, durability off — which lets serving layers use
+// one code path unconditionally.
 package store
 
 import (
@@ -20,7 +25,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,8 +82,9 @@ const (
 
 // Degradation reasons, machine-readable for /healthz and alerting.
 const (
-	// ReasonWALFailed: a WAL write or fsync failed; the writer is wedged
-	// until the healer replaces it.
+	// ReasonWALFailed: a WAL write, fsync or segment rotation (including a
+	// snapshot cut's) failed; the writer is wedged until the healer replaces
+	// it.
 	ReasonWALFailed = "wal_failed"
 	// ReasonSnapshotError: a snapshot cut or persist failed; replay cost is
 	// unbounded (and the disk is likely full) until a snapshot lands.
@@ -268,8 +273,9 @@ type Status struct {
 	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
 	Snapshots   uint64 `json:"snapshots_written"`
 	SnapshotLag int    `json:"snapshot_lag"`
-	// SnapshotError carries the last automatic-snapshot failure (empty once
-	// one succeeds); a failure also degrades the store until healed.
+	// SnapshotError carries the last snapshot failure, cut or persist, on
+	// any path (empty once one succeeds); a failure also degrades the store
+	// until healed.
 	SnapshotError string       `json:"snapshot_error,omitempty"`
 	Datasets      int          `json:"datasets"`
 	Recovery      RecoveryInfo `json:"recovery"`
@@ -310,17 +316,18 @@ type Store struct {
 	// probes never wait behind each other — only behind the current
 	// mutation. Snapshot encoding and writing run OFF this lock entirely
 	// (see cutLocked/persistCut): a mutation only takes the cheap cut.
-	mu           sync.RWMutex
-	reg          map[string]*Versions
-	wal          *walWriter // nil when ephemeral
-	snapSeq      uint64
-	sinceSnap    int
-	snapshots    uint64
-	snapErr      error         // last snapshot failure (nil once one succeeds)
-	snapInFlight bool          // a cut is being persisted in the background
-	snapDone     chan struct{} // closed when that persist finishes
-	walBytes     int64         // on-disk WAL total, tracked so Summary never stats
-	closed       bool
+	mu        sync.RWMutex
+	reg       map[string]*Versions
+	wal       *walWriter // nil when ephemeral
+	snapSeq   uint64
+	sinceSnap int
+	snapshots uint64
+	snapErr   error // last snapshot failure (nil once one succeeds)
+	// snapDone is non-nil while a claimed cut is being persisted, and is
+	// closed when that persist finishes.
+	snapDone chan struct{}
+	walBytes int64 // on-disk WAL total, tracked so Summary never stats
+	closed   bool
 
 	// Health state machine (see HealthState). Mutations check health under
 	// the same lock they hold for the WAL append, so a degraded store can
@@ -332,8 +339,7 @@ type Store struct {
 	healAttempts   uint64
 	healSuccesses  uint64
 
-	recovery  RecoveryInfo
-	recovered []string // names restored by Open, sorted
+	recovery RecoveryInfo
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -397,10 +403,6 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	st.recovery.Datasets = len(st.reg)
-	for name := range st.reg {
-		st.recovered = append(st.recovered, name)
-	}
-	sort.Strings(st.recovered)
 	if st.wal, err = openWALWriter(opts.FS, opts.Dir, maxSeq+1); err != nil {
 		return nil, err
 	}
@@ -409,22 +411,20 @@ func Open(opts Options) (*Store, error) {
 	st.healKick = make(chan struct{}, 1)
 	st.stopHeal = make(chan struct{})
 	st.healDone = make(chan struct{})
-	st.walBytes = walBytesOnDisk(opts.Dir)
+	_, st.walBytes = segmentsOnDisk(opts.Dir)
 	st.sinceSnap = st.recovery.RecordsReplayed
 	// A boot snapshot is mandatory after a torn or gapped replay: the next
 	// recovery's replay would stop at the same damaged record, so anything
 	// acked into the fresh segment beyond it would be silently lost — the
 	// snapshot moves the replay start past the damage. It is also written
 	// after a long clean replay, purely to bound repeated-crash restart
-	// cost. Open is single-threaded, so the synchronous cut+persist needs
-	// no locking. Failing the snapshot in the mandatory case fails Open:
-	// a store that cannot promise durability must not accept writes.
+	// cost. Open is single-threaded; the lock is taken only because the
+	// persist drops and retakes it.
 	mustSnap := st.recovery.TornTail || st.recovery.SegmentGap || st.recovery.RecordsSkipped > 0
 	if mustSnap || (opts.SnapshotEvery > 0 && st.sinceSnap >= opts.SnapshotEvery) {
-		seq, view, err := st.cutLocked()
-		if err == nil {
-			err = st.finishCutLocked(seq, st.persistCut(seq, view))
-		}
+		st.mu.Lock()
+		err := st.snapshotLocked()
+		st.mu.Unlock()
 		if err != nil {
 			if mustSnap {
 				// A damaged suffix without a superseding snapshot would lose
@@ -434,8 +434,9 @@ func Open(opts Options) (*Store, error) {
 				return nil, fmt.Errorf("store: boot snapshot: %w", err)
 			}
 			// The replayed WAL is complete and intact; the snapshot was a
-			// replay-cost optimization. finishCutLocked has already degraded
-			// the store; the healer retries once it starts below.
+			// replay-cost optimization. The failed cut or persist has
+			// already degraded the store; the healer retries once it starts
+			// below.
 			st.opts.Logger.Warn("store: boot snapshot failed, opening degraded", "err", err)
 		}
 	}
@@ -567,8 +568,10 @@ func (st *Store) applyEvent(ev Event, retain int) (*dataset.Dataset, error) {
 	}
 }
 
-// appendNext validates rows against cur and builds the appended successor
-// version without publishing it.
+// appendNext validates rows against cur — each must have cur's dimension
+// and only finite values, exactly what replay's decodeEvent accepts — and
+// builds the appended successor version without publishing it. Validation
+// runs before the value-matrix copy, so malformed rows cost nothing.
 func appendNext(cur *dataset.Dataset, rows [][]float64) (*dataset.Dataset, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("store: append of zero rows")
@@ -576,6 +579,9 @@ func appendNext(cur *dataset.Dataset, rows [][]float64) (*dataset.Dataset, error
 	for i, row := range rows {
 		if len(row) != cur.Dim() {
 			return nil, fmt.Errorf("store: row %d has %d attributes, want %d", i, len(row), cur.Dim())
+		}
+		if err := dataset.CheckFinite(i, row); err != nil {
+			return nil, err
 		}
 	}
 	next := cur.Snapshot()
@@ -604,18 +610,6 @@ func deleteNext(cur *dataset.Dataset, ids []int) (*dataset.Dataset, error) {
 		return nil, ErrWouldEmpty
 	}
 	return next, nil
-}
-
-// encodeEvent prepares ev's WAL payload, or nil for an ephemeral store.
-// Callers run it OUTSIDE st.mu: register payloads carry whole datasets, and
-// that encode must not stall unrelated readers. A store is ephemeral
-// exactly when it has no directory; the check reads the immutable options,
-// not st.wal, which the self-healing loop swaps under st.mu.
-func (st *Store) encodeEvent(ev Event) ([]byte, error) {
-	if st.opts.Dir == "" {
-		return nil, nil
-	}
-	return ev.appendTo(nil)
 }
 
 // logPayload makes a pre-encoded event durable per the sync policy,
@@ -697,31 +691,18 @@ func (st *Store) degradedErrLocked() error {
 // already WAL-durable and published, so snapshotting must neither fail it
 // nor slow it down: the mutation pays only the cut (a segment rotation and
 // a map of pointer copies); encoding and writing the registry run in a
-// background goroutine against the immutable captured view. Failures are
-// logged and surfaced in Status/Summary, and the next threshold retries.
-// Called with st.mu write-held.
+// background goroutine against the immutable captured view. Failures
+// degrade the store (see cutLocked and finishCutLocked) and are surfaced in
+// Status/Summary. Called with st.mu write-held.
 func (st *Store) maybeSnapshotLocked(ctx context.Context) {
 	if st.wal == nil || st.opts.SnapshotEvery <= 0 || st.sinceSnap < st.opts.SnapshotEvery ||
-		st.snapInFlight || st.health != HealthHealthy {
+		st.snapDone != nil || st.health != HealthHealthy {
 		return
 	}
-	cutStart := time.Now()
-	endCut := obs.StartSpan(ctx, "snapshot_cut")
-	seq, view, err := st.cutLocked()
-	endCut()
-	if so := st.obsv.Load(); so != nil {
-		so.snapCut.ObserveSince(cutStart)
-	}
+	seq, view, err := st.cutLocked(ctx)
 	if err != nil {
-		// The cut is a WAL rotation; its failure means the WAL writer is
-		// wedged, not just the snapshot.
-		st.snapErr = err
-		st.enterDegradedLocked(ReasonWALFailed, err)
-		st.opts.Logger.Error("store: snapshot cut failed", "err", err)
 		return
 	}
-	st.snapInFlight = true
-	st.snapDone = make(chan struct{})
 	go func() {
 		werr := st.persistCut(seq, view)
 		st.mu.Lock()
@@ -730,18 +711,40 @@ func (st *Store) maybeSnapshotLocked(ctx context.Context) {
 	}()
 }
 
-// cutLocked takes a snapshot cut: rotate to a fresh segment S and capture
-// an immutable view of the registry as of that boundary (published datasets
-// are never mutated in place, so the view is a map of pointer copies).
-// Records appended afterwards land in segment S and will be replayed on top
-// of the snapshot. Called with st.mu write-held.
-func (st *Store) cutLocked() (uint64, map[string][]*dataset.Dataset, error) {
-	if err := st.wal.rotate(st.wal.seq + 1); err != nil {
+// cutLocked takes a snapshot cut: rotate to a fresh segment S and claim it
+// (see claimLocked). Records appended afterwards land in segment S and will
+// be replayed on top of the snapshot. A failed rotation leaves the WAL
+// writer without a segment, so it records the error and degrades the store
+// (wal_failed) whichever path asked for the cut. The caller must persist a
+// successful cut, through persistLocked or finishCutLocked. Called with
+// st.mu write-held and no cut in flight.
+func (st *Store) cutLocked(ctx context.Context) (uint64, map[string][]*dataset.Dataset, error) {
+	start := time.Now()
+	end := obs.StartSpan(ctx, "snapshot_cut")
+	err := st.wal.rotate(st.wal.seq + 1)
+	end()
+	if so := st.obsv.Load(); so != nil {
+		so.snapCut.ObserveSince(start)
+	}
+	if err != nil {
+		st.snapErr = err
+		st.enterDegradedLocked(ReasonWALFailed, err)
+		st.opts.Logger.Error("store: snapshot cut failed", "err", err)
 		return 0, nil, err
 	}
 	st.walBytes += int64(len(segMagic))
+	seq, view := st.claimLocked()
+	return seq, view, nil
+}
+
+// claimLocked claims the in-flight slot for a snapshot at the current
+// segment's sequence and captures an immutable view of the registry as of
+// that boundary (published datasets are never mutated in place, so the view
+// is a map of pointer copies). Called with st.mu write-held.
+func (st *Store) claimLocked() (uint64, map[string][]*dataset.Dataset) {
 	st.sinceSnap = 0
-	return st.wal.seq, registryView(st.reg), nil
+	st.snapDone = make(chan struct{})
+	return st.wal.seq, registryView(st.reg)
 }
 
 // persistCut encodes and writes a cut as snap-<seq>. It takes no locks —
@@ -755,15 +758,33 @@ func (st *Store) persistCut(seq uint64, view map[string][]*dataset.Dataset) erro
 	return err
 }
 
-// finishCutLocked records a persist attempt's outcome: on success the
-// snapshot becomes current and files older than its predecessor (the kept
-// fallback) are pruned. Called with st.mu write-held.
-func (st *Store) finishCutLocked(seq uint64, err error) error {
-	st.snapInFlight = false
-	if st.snapDone != nil {
-		close(st.snapDone)
-		st.snapDone = nil
+// persistLocked persists a claimed cut synchronously: st.mu is dropped while
+// the snapshot is written and re-held on return.
+func (st *Store) persistLocked(seq uint64, view map[string][]*dataset.Dataset) error {
+	st.mu.Unlock()
+	err := st.persistCut(seq, view)
+	st.mu.Lock()
+	return st.finishCutLocked(seq, err)
+}
+
+// snapshotLocked cuts and synchronously persists a snapshot. Called with
+// st.mu write-held and no cut in flight; the lock is dropped while the
+// snapshot is written.
+func (st *Store) snapshotLocked() error {
+	seq, view, err := st.cutLocked(context.Background())
+	if err != nil {
+		return err
 	}
+	return st.persistLocked(seq, view)
+}
+
+// finishCutLocked releases the in-flight slot and records a persist
+// attempt's outcome: on success the snapshot becomes current and files
+// older than its predecessor (the kept fallback) are pruned. Called with
+// st.mu write-held.
+func (st *Store) finishCutLocked(seq uint64, err error) error {
+	close(st.snapDone)
+	st.snapDone = nil
 	if err != nil {
 		st.snapErr = err
 		// A failed snapshot degrades the store: the disk is likely full, the
@@ -785,11 +806,11 @@ func (st *Store) finishCutLocked(seq uint64, err error) error {
 	return nil
 }
 
-// awaitSnapshotLocked blocks until no background persist is in flight.
-// Called with st.mu write-held; the lock is dropped while waiting and
-// re-held on return.
+// awaitSnapshotLocked blocks until no persist is in flight. Called with
+// st.mu write-held; the lock is dropped while waiting and re-held on
+// return.
 func (st *Store) awaitSnapshotLocked() {
-	for st.snapInFlight {
+	for st.snapDone != nil {
 		done := st.snapDone
 		st.mu.Unlock()
 		<-done
@@ -900,16 +921,12 @@ func (st *Store) healLoop() {
 // off and retry.
 func (st *Store) tryHeal() bool {
 	st.mu.Lock()
-	if st.closed || st.health != HealthDegraded {
-		st.mu.Unlock()
-		return true
-	}
+	defer st.mu.Unlock()
 	// A background persist may still be in flight from before the degrade;
 	// let it land (or fail) first so it cannot finish after our re-sync
 	// snapshot and regress snapSeq. The lock is dropped while waiting.
 	st.awaitSnapshotLocked()
 	if st.closed || st.health != HealthDegraded {
-		st.mu.Unlock()
 		return true
 	}
 	st.healAttempts++
@@ -926,7 +943,6 @@ func (st *Store) tryHeal() bool {
 	}
 	w, err := openWALWriter(st.opts.FS, st.opts.Dir, newSeq)
 	if err != nil {
-		st.mu.Unlock()
 		st.opts.Logger.Warn("store: heal attempt failed opening fresh segment", "attempt", attempt, "err", err)
 		return false
 	}
@@ -937,24 +953,17 @@ func (st *Store) tryHeal() bool {
 	w.syncs.Store(old.syncs.Load())
 	st.wal = w
 	_ = old.close() // best-effort; the writer is wedged anyway
-	// Persist the re-sync snapshot off-lock like any other cut, holding the
-	// in-flight slot so Snapshot/Close wait for it.
-	seq, view := w.seq, registryView(st.reg)
-	st.sinceSnap = 0
-	st.snapInFlight = true
-	st.snapDone = make(chan struct{})
-	st.mu.Unlock()
-	werr := st.persistCut(seq, view)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.finishCutLocked(seq, werr) != nil {
+	// The fresh segment is the cut: claim it without another rotation and
+	// persist the re-sync snapshot like any other cut.
+	seq, view := st.claimLocked()
+	if st.persistLocked(seq, view) != nil {
 		// Still degraded (the reason/detail of the original fault stand);
 		// the next attempt will open yet another segment past this one.
 		return false
 	}
 	// Prune can now see the true on-disk picture; re-derive the tracked
 	// total instead of patching it through the swap.
-	st.walBytes = walBytesOnDisk(st.opts.Dir)
+	_, st.walBytes = segmentsOnDisk(st.opts.Dir)
 	if st.closed {
 		return true
 	}
@@ -995,14 +1004,45 @@ func (st *Store) Get(name string) (*Versions, bool) {
 	return vv, ok
 }
 
-// RecoveredNames returns the dataset names Open restored from disk, sorted —
-// the serving layer's warm-start worklist.
-func (st *Store) RecoveredNames() []string {
-	return append([]string(nil), st.recovered...)
-}
-
 // Recovery reports what Open reconstructed.
 func (st *Store) Recovery() RecoveryInfo { return st.recovery }
+
+// commit is the one live-mutation path. It encodes ev's WAL payload OUTSIDE
+// st.mu (register payloads carry whole datasets, and that encode must not
+// stall unrelated readers), then, under the write lock, rejects the
+// mutation if the store is closed or degraded, runs check (nil = none),
+// makes the event durable, runs apply to publish it, and starts an
+// automatic snapshot when one is due. A store is ephemeral exactly when it
+// has no directory; the check reads the immutable options, not st.wal,
+// which the self-healing loop swaps under st.mu.
+func (st *Store) commit(ctx context.Context, ev Event, check func() error, apply func()) error {
+	var payload []byte
+	if st.opts.Dir != "" {
+		var err error
+		if payload, err = ev.appendTo(nil); err != nil {
+			return err
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed {
+		return ErrClosed
+	}
+	if st.health == HealthDegraded {
+		return st.degradedErrLocked()
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			return err
+		}
+	}
+	if err := st.logPayload(ctx, payload); err != nil {
+		return err
+	}
+	apply()
+	st.maybeSnapshotLocked(ctx)
+	return nil
+}
 
 // RegisterCtx durably (re)binds name to ds, dropping any previous history
 // under that name. The caller must not mutate ds afterwards except through
@@ -1018,61 +1058,28 @@ func (st *Store) RegisterCtx(ctx context.Context, name string, ds *dataset.Datas
 	if ds == nil || ds.N() == 0 {
 		return errors.New("store: dataset is empty")
 	}
-	// The O(n*d) dataset encode runs before the lock; only the WAL append
-	// and the map swap happen under it.
-	payload, err := st.encodeEvent(Event{Kind: EventRegister, Name: name, Dataset: ds})
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	if st.health == HealthDegraded {
-		return st.degradedErrLocked()
-	}
-	if err := st.logPayload(ctx, payload); err != nil {
-		return err
-	}
-	st.reg[name] = &Versions{list: []*dataset.Dataset{ds}}
-	st.maybeSnapshotLocked(ctx)
-	return nil
+	return st.commit(ctx, Event{Kind: EventRegister, Name: name, Dataset: ds}, nil, func() {
+		st.reg[name] = &Versions{list: []*dataset.Dataset{ds}}
+	})
 }
 
 // DropCtx durably removes name and its whole version history. ctx carries
 // trace spans only (see RegisterCtx).
 func (st *Store) DropCtx(ctx context.Context, name string) error {
 	defer obs.StartSpan(ctx, "store")()
-	payload, err := st.encodeEvent(Event{Kind: EventDrop, Name: name})
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	if st.health == HealthDegraded {
-		return st.degradedErrLocked()
-	}
-	if _, ok := st.reg[name]; !ok {
-		return fmt.Errorf("%w %q", ErrUnknownDataset, name)
-	}
-	if err := st.logPayload(ctx, payload); err != nil {
-		return err
-	}
-	delete(st.reg, name)
-	st.maybeSnapshotLocked(ctx)
-	return nil
+	return st.commit(ctx, Event{Kind: EventDrop, Name: name}, func() error {
+		if _, ok := st.reg[name]; !ok {
+			return fmt.Errorf("%w %q", ErrUnknownDataset, name)
+		}
+		return nil
+	}, func() { delete(st.reg, name) })
 }
 
-// mutate is the shared live-mutation path: build the successor version and
-// the WAL payload OUTSIDE the global lock (the value-matrix copy and the
-// event encode are the expensive parts, and they must not stall reads or
-// mutations of other datasets), then append + publish under it. The
-// per-dataset mutateMu serializes same-dataset mutations end to end so two
-// builders never race on one base version.
+// mutate is the shared append/delete path: build the successor version
+// OUTSIDE the global lock (the value-matrix copy is the expensive part, and
+// it must not stall reads or mutations of other datasets), then commit it.
+// The per-dataset mutateMu serializes same-dataset mutations end to end so
+// two builders never race on one base version.
 func (st *Store) mutate(ctx context.Context, name string, build func(cur *dataset.Dataset) (*dataset.Dataset, error), ev Event, retain int) (*dataset.Dataset, error) {
 	defer obs.StartSpan(ctx, "store")()
 	vv, ok := st.Get(name)
@@ -1085,31 +1092,21 @@ func (st *Store) mutate(ctx context.Context, name string, build func(cur *datase
 	if err != nil {
 		return nil, err
 	}
-	payload, err := st.encodeEvent(ev)
-	if err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return nil, ErrClosed
-	}
-	if st.health == HealthDegraded {
-		return nil, st.degradedErrLocked()
-	}
-	// The entry may have been dropped or replaced while we were building;
-	// publishing onto a detached history would silently lose the mutation.
-	if cur, live := st.reg[name]; !live || cur != vv {
-		return nil, fmt.Errorf("%w %q (dropped or replaced concurrently)", ErrUnknownDataset, name)
-	}
-	if err := st.logPayload(ctx, payload); err != nil {
-		return nil, err
-	}
 	if retain < 1 {
 		retain = st.opts.Retain
 	}
-	vv.publish(next, retain)
-	st.maybeSnapshotLocked(ctx)
+	err = st.commit(ctx, ev, func() error {
+		// The entry may have been dropped or replaced while we were
+		// building; publishing onto a detached history would silently lose
+		// the mutation.
+		if cur, live := st.reg[name]; !live || cur != vv {
+			return fmt.Errorf("%w %q (dropped or replaced concurrently)", ErrUnknownDataset, name)
+		}
+		return nil
+	}, func() { vv.publish(next, retain) })
+	if err != nil {
+		return nil, err
+	}
 	return next, nil
 }
 
@@ -1135,65 +1132,32 @@ func (st *Store) DeleteRowsCtx(ctx context.Context, name string, ids []int, reta
 	}, Event{Kind: EventDelete, Name: name, IDs: ids}, retain)
 }
 
-// Snapshot forces a full snapshot now, synchronously: when it returns nil
+// snapshot forces a full snapshot now, synchronously: when it returns nil
 // the snapshot is on disk and older files are pruned to the fallback.
-func (st *Store) Snapshot() error {
+// Durable stores only.
+func (st *Store) snapshot() error {
 	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.awaitSnapshotLocked()
 	if st.closed {
-		st.mu.Unlock()
 		return ErrClosed
-	}
-	if st.wal == nil {
-		st.mu.Unlock()
-		return nil
 	}
 	if st.health == HealthDegraded {
 		// A degraded store's WAL cannot rotate for the cut; the healer owns
 		// recovery (and cuts its own snapshot on the way back).
-		err := st.degradedErrLocked()
-		st.mu.Unlock()
-		return err
+		return st.degradedErrLocked()
 	}
-	st.awaitSnapshotLocked()
-	// awaitSnapshotLocked dropped the lock; Close or a degrade may have
-	// happened meanwhile, so both checks must repeat.
-	if st.closed {
-		st.mu.Unlock()
-		return ErrClosed
-	}
-	if st.health == HealthDegraded {
-		err := st.degradedErrLocked()
-		st.mu.Unlock()
-		return err
-	}
-	seq, view, err := st.cutLocked()
-	if err != nil {
-		st.snapErr = err
-		st.mu.Unlock()
-		return err
-	}
-	// Claim the in-flight slot so concurrent automatic snapshots hold off,
-	// then persist outside the lock like they do.
-	st.snapInFlight = true
-	st.snapDone = make(chan struct{})
-	st.mu.Unlock()
-	werr := st.persistCut(seq, view)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.finishCutLocked(seq, werr)
+	return st.snapshotLocked()
 }
 
 // Compact writes a snapshot, verifies it reads back, and prunes every older
 // snapshot and WAL segment — the offline `rrmd -compact` mode. Unlike
 // automatic snapshots it keeps no fallback, which is why it verifies first.
 func (st *Store) Compact() error {
-	st.mu.RLock()
-	enabled := st.wal != nil
-	st.mu.RUnlock()
-	if !enabled {
+	if st.opts.Dir == "" {
 		return nil
 	}
-	if err := st.Snapshot(); err != nil {
+	if err := st.snapshot(); err != nil {
 		return err
 	}
 	st.mu.RLock()
@@ -1226,14 +1190,6 @@ func (st *Store) healthLocked() Health {
 		h.Since = st.degradedSince
 	}
 	return h
-}
-
-// Health reports the store's position in the health state machine; safe to
-// call on every request (no filesystem access).
-func (st *Store) Health() Health {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.healthLocked()
 }
 
 // Summary reports the in-memory durability counters without touching the
@@ -1290,18 +1246,8 @@ func (st *Store) Status() Status {
 		s.Syncs = st.wal.syncs.Load()
 	}
 	st.mu.RUnlock()
-	if !s.Enabled {
-		return s
-	}
-	if seqs, err := listSeqs(s.Dir, segPrefix, segSuffix); err == nil {
-		for _, seq := range seqs {
-			info, err := os.Stat(filepath.Join(s.Dir, segmentName(seq)))
-			if err != nil {
-				continue
-			}
-			s.Segments = append(s.Segments, SegmentInfo{Seq: seq, Bytes: info.Size()})
-			s.WALBytes += info.Size()
-		}
+	if s.Enabled {
+		s.Segments, s.WALBytes = segmentsOnDisk(s.Dir)
 	}
 	return s
 }
@@ -1334,13 +1280,9 @@ func (st *Store) Close() error {
 	st.awaitSnapshotLocked() // closed is set, so no new cut can start
 	var err error
 	if st.sinceSnap > 0 {
-		// Final synchronous snapshot; no concurrency left, so persisting
-		// with the lock held is fine.
-		if seq, view, cerr := st.cutLocked(); cerr != nil {
-			err = cerr
-		} else {
-			err = st.finishCutLocked(seq, st.persistCut(seq, view))
-		}
+		// Final synchronous snapshot; closed rejects every mutation, so
+		// dropping the lock while it persists lets nothing in.
+		err = st.snapshotLocked()
 	}
 	if cerr := st.wal.close(); err == nil {
 		err = cerr

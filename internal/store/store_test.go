@@ -106,7 +106,7 @@ func TestRecoverAfterCleanClose(t *testing.T) {
 	if rec := back.Recovery(); rec.RecordsReplayed != 0 || rec.SnapshotSeq == 0 || rec.TornTail {
 		t.Fatalf("clean-close recovery should be replay-free: %+v", rec)
 	}
-	if got := back.RecoveredNames(); !equalStrings(got, []string{"alpha", "beta"}) {
+	if got := back.Names(); !equalStrings(got, []string{"alpha", "beta"}) {
 		t.Fatalf("recovered names %v", got)
 	}
 }
@@ -207,9 +207,9 @@ func TestSnapshotEveryBoundsReplayAndPrunes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Automatic snapshots persist in the background; a synchronous Snapshot
+	// Automatic snapshots persist in the background; a synchronous snapshot
 	// waits for any in-flight one, so the counters below are deterministic.
-	if err := st.Snapshot(); err != nil {
+	if err := st.snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	status := st.Status()
@@ -294,8 +294,8 @@ func TestEphemeralStore(t *testing.T) {
 	if status.Enabled || status.Records != 0 {
 		t.Fatalf("ephemeral store claims durability: %+v", status)
 	}
-	if names := st.RecoveredNames(); len(names) != 0 {
-		t.Fatalf("ephemeral store recovered %v", names)
+	if n := st.Recovery().Datasets; n != 0 {
+		t.Fatalf("ephemeral store recovered %d datasets", n)
 	}
 }
 

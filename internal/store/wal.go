@@ -266,16 +266,23 @@ func (w *walWriter) syncLocked() error {
 }
 
 // rotate syncs and closes the current segment and starts segment newSeq.
+// A failure after the close leaves no segment to write to, so it wedges the
+// writer like a failed append.
 func (w *walWriter) rotate(newSeq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.syncLocked(); err != nil {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("store: closing WAL segment: %w", err)
+	err := w.f.Close()
+	w.f = nil
+	if err != nil {
+		return w.wedge(fmt.Errorf("store: closing WAL segment: %w", err))
 	}
-	return w.openSegment(newSeq)
+	if err := w.openSegment(newSeq); err != nil {
+		return w.wedge(err)
+	}
+	return nil
 }
 
 // close syncs and closes the current segment.
@@ -409,20 +416,21 @@ func removeBelow(fs faultfs.FS, dir, prefix, suffix string, below uint64) (int, 
 	return removed, bytes, firstErr
 }
 
-// walBytesOnDisk sums the segment files' sizes — the one-time scan behind
-// the in-memory total Summary serves afterwards.
-func walBytesOnDisk(dir string) int64 {
-	seqs, err := listSeqs(dir, segPrefix, segSuffix)
-	if err != nil {
-		return 0
-	}
+// segmentsOnDisk lists dir's WAL segments, ascending, and their total size:
+// the scan behind Status and behind the in-memory total Summary serves.
+func segmentsOnDisk(dir string) ([]SegmentInfo, int64) {
+	seqs, _ := listSeqs(dir, segPrefix, segSuffix)
+	var segs []SegmentInfo
 	var total int64
 	for _, seq := range seqs {
-		if info, err := os.Stat(filepath.Join(dir, segmentName(seq))); err == nil {
-			total += info.Size()
+		info, err := os.Stat(filepath.Join(dir, segmentName(seq)))
+		if err != nil {
+			continue
 		}
+		segs = append(segs, SegmentInfo{Seq: seq, Bytes: info.Size()})
+		total += info.Size()
 	}
-	return total
+	return segs, total
 }
 
 // Durability-fault sentinels, exported so serving layers can classify a

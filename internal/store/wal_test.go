@@ -212,7 +212,7 @@ func TestWALWedgesAfterWriteFailure(t *testing.T) {
 		!errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "refusing further writes") {
 		t.Fatalf("writer not wedged after failure: %v", err)
 	}
-	if h := st.Health(); h.State != HealthDegraded || h.Reason != ReasonWALFailed {
+	if h := st.Status().Health; h.State != HealthDegraded || h.Reason != ReasonWALFailed {
 		t.Fatalf("health = %+v, want degraded/%s", h, ReasonWALFailed)
 	}
 	// The failed mutations were never published...

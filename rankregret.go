@@ -415,12 +415,15 @@ func EvaluateRegretRatio(ds *Dataset, ids []int, space Space, samples int, seed 
 }
 
 // RatK estimates the k-ratio of ids (Section V.A): the fraction of utility
-// directions for which ids contains a top-k tuple.
+// directions for which ids contains a top-k tuple. It is RatKCurve at the
+// single threshold k, so like RatKCurve it returns an error when samples < 1
+// or k lies outside [1, n].
 func RatK(ds *Dataset, ids []int, space Space, k, samples int, seed int64) (float64, error) {
-	if space == nil {
-		space = funcspace.NewFull(ds.Dim())
+	curve, err := RatKCurve(ds, ids, space, []int{k}, samples, seed)
+	if err != nil {
+		return 0, err
 	}
-	return eval.RatK(ds, ids, space, k, samples, seed)
+	return curve[0], nil
 }
 
 // TopKSets2D enumerates, exactly, every distinct top-k set any linear
