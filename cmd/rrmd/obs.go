@@ -68,6 +68,8 @@ func (s *Server) instrument() error {
 		func() float64 { return float64(s.sched.Stats().Failed) })
 	reg.CounterFunc("rrmd_jobs_rejected_total", "Jobs refused at admission (queue full or draining).",
 		func() float64 { return float64(s.sched.Stats().Rejected) })
+	reg.CounterFunc("rrmd_solver_panics_total", "Solves that panicked; each failed only its own job.",
+		func() float64 { return float64(s.sched.Stats().Panicked) })
 	reg.GaugeFunc("rrmd_queue_depth", "Jobs waiting in the scheduler queue.",
 		func() float64 { return float64(s.sched.Stats().QueueDepth) })
 	reg.GaugeFunc("rrmd_queue_capacity", "Scheduler queue capacity.",

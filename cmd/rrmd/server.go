@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -108,6 +110,10 @@ type Server struct {
 	store *store.Store
 	cfg   Config // defaults resolved
 
+	// bodyTimeout bounds reading one request body (bodyReadTimeout; tests
+	// shorten it).
+	bodyTimeout time.Duration
+
 	// obs is the server's one metrics registry: GET /metrics renders it as
 	// Prometheus text, GET /v1/metrics serializes the same underlying
 	// snapshots as JSON. traces retains recent request traces for
@@ -150,6 +156,8 @@ func NewServer(st *store.Store, cfg Config) (*Server, error) {
 		warm:       make(map[string]string),
 		warmCtx:    warmCtx,
 		warmCancel: warmCancel,
+
+		bodyTimeout: bodyReadTimeout,
 	}
 	s.sched.SetLogger(cfg.Logger)
 	if err := s.instrument(); err != nil {
@@ -372,20 +380,55 @@ func writeErrReason(w http.ResponseWriter, status int, err error, reason string)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error(), "reason": reason})
 }
 
-// decodeJSON decodes r's JSON body into dst, reading at most
-// Config.MaxUploadBytes of it. On failure it answers 413 for an oversize
-// body and 400 for any other decode error, and returns false.
+// bodyReadTimeout bounds how long reading one request body may take, so a
+// client trickling a body cannot hold a handler goroutine indefinitely. It
+// is a per-read connection deadline rather than http.Server.ReadTimeout,
+// which would be one deadline for the whole request read, headers
+// included, left armed while the handler runs.
+const bodyReadTimeout = 30 * time.Second
+
+// readBody runs read over r's body, capped at Config.MaxUploadBytes, with
+// the connection's read deadline set s.bodyTimeout ahead. A timed-out read
+// leaves the expired deadline in place and closes the connection after the
+// reply, so nothing waits on the rest of the body; otherwise the deadline
+// is cleared, so it bounds the body read and nothing after it.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, read func(io.Reader) error) error {
+	rc := http.NewResponseController(w)
+	// The error is http.ErrNotSupported for writers with no connection
+	// (handler tests); their bodies are in memory and need no deadline.
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
+	err := read(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		w.Header().Set("Connection", "close")
+		return err
+	}
+	_ = rc.SetReadDeadline(time.Time{})
+	return err
+}
+
+// bodyErrStatus maps a failed body read to its status: 413 for an oversize
+// body, 408 for one that did not arrive within the read deadline, 400
+// otherwise.
+func bodyErrStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return http.StatusRequestTimeout
+	default:
+		return http.StatusBadRequest
+	}
+}
+
+// decodeJSON decodes r's JSON body into dst (see readBody). On failure it
+// answers with bodyErrStatus's status and returns false.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(dst)
+	err := s.readBody(w, r, func(body io.Reader) error { return json.NewDecoder(body).Decode(dst) })
 	if err == nil {
 		return true
 	}
-	status := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeErr(w, status, fmt.Errorf("bad request body: %w", err))
+	writeErr(w, bodyErrStatus(err), fmt.Errorf("bad request body: %w", err))
 	return false
 }
 
@@ -511,9 +554,13 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("normalize"); v == "0" || v == "false" {
 		normalize = false
 	}
-	ds, err := cliutil.LoadCSV(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), header, neg, normalize)
+	var ds *dataset.Dataset
+	err = s.readBody(w, r, func(body io.Reader) (err error) {
+		ds, err = cliutil.LoadCSV(body, header, neg, normalize)
+		return err
+	})
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, bodyErrStatus(err), err)
 		return
 	}
 	obs.TraceFrom(r.Context()).Annotate("dataset", name)
@@ -735,6 +782,18 @@ func statusOf(err error) int {
 	}
 }
 
+// writeSolveErr answers a solve that ran and failed with statusOf's
+// status. A solver panic is a server fault: 500, with the request id under
+// which the scheduler logged the stack.
+func writeSolveErr(w http.ResponseWriter, err error) {
+	var pe *engine.PanicError
+	if !errors.As(err, &pe) {
+		writeErr(w, statusOf(err), err)
+		return
+	}
+	writeOK(w, http.StatusInternalServerError, map[string]string{"error": err.Error(), "request_id": w.Header().Get("X-Request-Id")})
+}
+
 // writeOverload maps scheduler admission failures to the unified overload
 // statuses — 429 when the queue is full or the queue-wait budget expired,
 // 503 when the scheduler is draining for shutdown — with a Retry-After hint,
@@ -786,7 +845,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		sol, err = s.sched.Do(ctx, er)
 		if err != nil {
 			if !s.writeOverload(w, err) {
-				writeErr(w, statusOf(err), err)
+				writeSolveErr(w, err)
 			}
 			return
 		}

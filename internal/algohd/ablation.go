@@ -65,7 +65,7 @@ func HDRRMVariantWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, 
 		if vs.GridCount >= len(vs.Vecs) {
 			return Result{}, fmt.Errorf("algohd: no-grid ablation left an empty vector set")
 		}
-		vs = newVecSet(ds, vs.Vecs[vs.GridCount:], 0)
+		vs = newVecSet(ds, vs.Vecs[vs.GridCount:], 0, 0)
 	}
 	vs.SetParallelism(opts.Parallelism)
 	var basis []int

@@ -55,9 +55,10 @@ type VecSet struct {
 	tc *topsCache
 }
 
-// newVecSet returns a VecSet over vecs with a top-K cache of its own.
-func newVecSet(ds *dataset.Dataset, vecs []geom.Vector, gridCount int) *VecSet {
-	return &VecSet{ds: ds, Vecs: vecs, GridCount: gridCount, tc: &topsCache{ds: ds, vecs: vecs}}
+// newVecSet returns a VecSet over vecs, whose first gridCount vectors are
+// the polar grid with parameter gamma, with a top-K cache of its own.
+func newVecSet(ds *dataset.Dataset, vecs []geom.Vector, gridCount, gamma int) *VecSet {
+	return &VecSet{ds: ds, Vecs: vecs, GridCount: gridCount, tc: newTopsCache(ds, vecs, gridCount, gamma)}
 }
 
 // topsCache is the lazily grown per-vector top-K store behind one or more
@@ -89,10 +90,26 @@ type topsCache struct {
 	skyIDs       []int            // ascending candidate ids
 	skySub       *dataset.Dataset // rows of skyIDs, aligned; nil when not pruning
 
+	// The first grid canonical vectors are the polar grid Db with parameter
+	// gamma (both fixed at construction). cells holds each vector's nearest
+	// grid cell (-1 until a seeded pass needs it), grown with vecs, and
+	// cellGrid maps a cell to its grid vector's index, or -1 when the space
+	// filtered that cell out; both belong to the pass holding buildMu. See
+	// gridSeeds.
+	grid, gamma int
+	cells       []int32
+	cellGrid    []int32
+
 	mu   sync.Mutex
 	vecs []geom.Vector // canonical vector list; replaced on growth, never edited
 	topK int           // depth of the committed lists
 	tops [][]int       // len == len(vecs) once built; per vector: ids, best first
+}
+
+// newTopsCache returns an empty cache over vecs, whose first grid vectors
+// are the polar grid with parameter gamma.
+func newTopsCache(ds *dataset.Dataset, vecs []geom.Vector, grid, gamma int) *topsCache {
+	return &topsCache{ds: ds, vecs: vecs, grid: grid, gamma: gamma}
 }
 
 // setVecs publishes a grown canonical vector list. Existing tops stay valid
@@ -118,6 +135,17 @@ func (tc *topsCache) ready(k int) bool {
 // ... and aggressive staging collapses those probes into one or two passes.
 // Staging is invisible in results: a depth-d cache answers every k <= d
 // with the same lists no matter how it got to depth d.
+//
+// Every pass after a cache's first one that is deeper than minBuildDepth
+// seeds each sample's selection from its nearest grid direction (see
+// scorePass): deepenings, tail extensions, and passes over a repaired
+// cache. At minBuildDepth the heap is so shallow that finding the cells
+// costs more than the replacements it saves. A cache's first pass never
+// seeds: in a staged solve it is at minBuildDepth anyway, and a first pass
+// straight to a deep target (a fixed-k solve, the k-set baselines) is the
+// cold build an incremental repair must beat by 10x
+// (TestRepairSpeedupCIWeather); seeded, that build is about a third faster,
+// which leaves the repair too little margin.
 const (
 	minBuildDepth = 2
 	depthGrowth   = 4
@@ -164,7 +192,8 @@ func (tc *topsCache) ensure(ctx context.Context, k int) error {
 		target = min(target, n)
 		tops := make([][]int, len(vecs))
 		copy(tops, committed[:start])
-		if err := tc.scorePass(ctx, vecs, start, target, tops); err != nil {
+		seed := committed != nil && target > minBuildDepth && tc.grid > 0
+		if err := tc.scorePass(ctx, vecs, start, target, seed, tops); err != nil {
 			return err
 		}
 		tc.mu.Lock()
@@ -190,44 +219,193 @@ func vecTileSize(n int) int {
 
 // scorePass fills tops[start:] with depth-target top lists for
 // vecs[start:], the expensive heart of every (re)build. Called with buildMu
-// held. The selection universe shrinks to the target-depth k-skyband
-// (candidates): tuples always-beaten by target others can never enter any
-// top-target list, so both scoring and selection skip them. The result is
-// bit-identical to scoring one vector at a time against the full dataset.
-func (tc *topsCache) scorePass(ctx context.Context, vecs []geom.Vector, start, target int, tops [][]int) error {
+// held; tops[:start] must already hold depth-target lists. The selection
+// universe shrinks to the target-depth k-skyband (candidates): tuples
+// always-beaten by target others can never enter any top-target list, so
+// both scoring and selection skip them.
+//
+// A seeded pass (see the staging constants; only a cache with a grid
+// seeds) has two phases. The grid vectors run first, each heap seeded from
+// the previous row as usual; then every sample's heap starts from the
+// depth-target list of its nearest grid direction, which is nearly its own
+// (see gridSeeds). On CI-scale
+// simweather that cuts heap replacements per sample from about 71 to about
+// 9 at depth 32, and from about 23 to about 3 at depth 8. The result is
+// bit-identical to scoring one vector at a time against the full dataset,
+// however the heaps are seeded.
+func (tc *topsCache) scorePass(ctx context.Context, vecs []geom.Vector, start, target int, seed bool, tops [][]int) error {
 	candIDs, candDS := tc.candidates(target)
-	return selectTops(ctx, int(tc.par.Load()), candDS, candIDs, vecs[start:], target, func(i int, list []int) {
+	workers := int(tc.par.Load())
+	split := len(vecs)
+	if seed {
+		split = max(start, tc.grid)
+	}
+	err := selectTops(ctx, workers, candDS, candIDs, vecs[start:split], target, nil, func(i int, list []int) {
 		tops[start+i] = list
 	})
+	if err != nil || split == len(vecs) {
+		return err
+	}
+	gridSeed := tc.gridSeeds(vecs, tops)
+	return selectTops(ctx, workers, candDS, candIDs, vecs[split:], target, func(i int) []int { return gridSeed(split + i) }, func(i int, list []int) {
+		tops[split+i] = list
+	})
+}
+
+// gridSeeds returns, for vector v of vecs, the committed list of its
+// nearest grid direction in tops, or nil when the cell it falls in has no
+// grid vector (the space filtered the cell out). A vector's cell is found
+// on its first call and cached in tc.cells (-1 until then), so each vector
+// is placed once per cache; the returned function may be called
+// concurrently for distinct v. Called with buildMu held.
+func (tc *topsCache) gridSeeds(vecs []geom.Vector, tops [][]int) func(v int) []int {
+	cut := cellCuts(tc.gamma)
+	if tc.cellGrid == nil {
+		size := 1
+		for range tc.ds.Dim() - 1 {
+			size *= tc.gamma + 1
+		}
+		tc.cellGrid = make([]int32, size)
+		for c := range tc.cellGrid {
+			tc.cellGrid[c] = -1
+		}
+		for g, u := range vecs[:tc.grid] {
+			// Copies of one direction share a cell; the first stands for it.
+			if c := gridCell(u, cut); tc.cellGrid[c] < 0 {
+				tc.cellGrid[c] = int32(g)
+			}
+		}
+	}
+	for len(tc.cells) < len(vecs) {
+		tc.cells = append(tc.cells, -1)
+	}
+	cells, cellGrid := tc.cells, tc.cellGrid
+	return func(v int) []int {
+		c := cells[v]
+		if c < 0 {
+			c = gridCell(vecs[v], cut)
+			cells[v] = c
+		}
+		if g := cellGrid[c]; g >= 0 {
+			return tops[g]
+		}
+		return nil
+	}
+}
+
+// cellCuts returns the squared cosines of the polar grid's half steps,
+// cos²((j+½)·π/2γ) for j < gamma, in decreasing order: the boundaries
+// between the grid angles j·π/2γ and (j+1)·π/2γ.
+func cellCuts(gamma int) []float64 {
+	cut := make([]float64, gamma)
+	for j := range cut {
+		c := math.Cos((float64(j) + 0.5) * math.Pi / 2 / float64(gamma))
+		cut[j] = c * c
+	}
+	return cut
+}
+
+// gridCell returns the index, in geom.AngleGrid's enumeration order, of the
+// grid direction whose polar angles are each nearest to u's, for u in the
+// non-negative orthant. Angle i-1 of u satisfies cos² = u[i]²/|u[0..i]|²,
+// and cosine falls on [0, π/2], so it is past the j-th half step exactly
+// when u[i]² <= cut[j]·|u[0..i]|²: no trig and no search.
+//
+// A grid angle of 0 zeroes every earlier coordinate, so the grid holds
+// γ+1 copies of that direction for each earlier angle. They all map to one
+// cell, the copy whose earlier angles are all π/2 (a zero prefix quantizes
+// to the last angle), so a u whose angle rounds to 0 takes that cell too.
+func gridCell(u geom.Vector, cut []float64) int32 {
+	var cell, stride int32 = 0, 1
+	r := u[0] * u[0]
+	for _, x := range u[1:] {
+		x2 := x * x
+		r += x2
+		q := 0
+		for q < len(cut) && x2 <= cut[q]*r {
+			q++
+		}
+		if q == 0 {
+			cell = stride - 1 // every earlier angle at its last step
+		}
+		cell += int32(q) * stride
+		stride *= int32(len(cut) + 1)
+	}
+	return cell
 }
 
 // selectTops is the one top-K scoring pass: it hands par.Tiles tiles of
 // vecTileSize(ds.N()) vectors, and for each tile scores every row of ds with
 // dataset.UtilitiesBatch (each tuple's utility summed in a register over
 // tuple tiles of the column-major mirror) and turns the scores into top
-// lists with topk.SelectBatch (a read-only scan against a heap seeded with
-// the previous vector's winners). put(i, list) receives vecs[i]'s depth-
-// target list, best first; ids maps ds's rows to tuple ids as in
-// SelectBatch. Workers write disjoint i, and the result depends only on the
-// inputs, never on workers (0 = GOMAXPROCS).
-func selectTops(ctx context.Context, workers int, ds *dataset.Dataset, ids []int, vecs []geom.Vector, target int, put func(i int, list []int)) error {
+// lists with topk.SelectBatchSeeded (a read-only scan against a seeded
+// heap). put(i, list) receives vecs[i]'s depth-target list, best first; ids
+// maps ds's rows to tuple ids as in SelectBatchSeeded. seed, when non-nil,
+// returns a depth-target id list to seed vecs[i]'s heap with, or nil for
+// the previous row's winners; its ids are mapped to rows of ds through one
+// position map per call. Workers write disjoint i, and the result depends
+// only on the inputs, never on workers (0 = GOMAXPROCS) or seeds.
+func selectTops(ctx context.Context, workers int, ds *dataset.Dataset, ids []int, vecs []geom.Vector, target int, seed func(i int) []int, put func(i int, list []int)) error {
 	// Materialize the column mirror before the fan-out so workers don't all
 	// race to build identical copies.
 	ds.ColumnMajor()
+	var pos []int32
+	if seed != nil && ids != nil {
+		pos = make([]int32, ids[len(ids)-1]+1)
+		for i := range pos {
+			pos[i] = -1
+		}
+		for p, id := range ids {
+			pos[id] = int32(p)
+		}
+	}
 	tile := vecTileSize(ds.N())
 	return par.Tiles(ctx, workers, (len(vecs)+tile-1)/tile, func() func(int) {
 		var scores [][]float64
-		var scratch []int
+		var seeds [][]int
+		var scratch, seedBuf []int
+		if seed != nil {
+			seeds = make([][]int, tile)
+			seedBuf = make([]int, tile*target)
+		}
 		return func(t int) {
 			lo, hi := t*tile, min((t+1)*tile, len(vecs))
 			scores = ds.UtilitiesBatch(vecs[lo:hi], scores)
+			var rowSeeds [][]int
+			if seed != nil {
+				rowSeeds = seeds[:hi-lo]
+				for i := range rowSeeds {
+					rowSeeds[i] = seedRows(seed(lo+i), pos, seedBuf[i*target:(i+1)*target])
+				}
+			}
 			var lists [][]int
-			lists, scratch = topk.SelectBatch(scores, ids, target, scratch)
+			lists, scratch = topk.SelectBatchSeeded(scores, ids, target, rowSeeds, scratch)
 			for i, list := range lists {
 				put(lo+i, list)
 			}
 		}
 	})
+}
+
+// seedRows writes the rows of list's ids into dst through pos (nil for the
+// identity) and returns it, or returns nil when list is not a full-depth
+// list inside the row universe, so that row falls back to the previous
+// row's seed.
+func seedRows(list []int, pos []int32, dst []int) []int {
+	if len(list) != len(dst) {
+		return nil
+	}
+	for i, id := range list {
+		if pos == nil {
+			dst[i] = id
+			continue
+		}
+		if id >= len(pos) || pos[id] < 0 {
+			return nil
+		}
+		dst[i] = int(pos[id])
+	}
+	return dst
 }
 
 // candidates returns the depth-aware selection universe: the k-skyband ids
@@ -334,7 +512,7 @@ func BuildVecSetCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Sp
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("algohd: empty vector set (space %s admits no directions)", space.Name())
 	}
-	return newVecSet(ds, vecs, gridCount), nil
+	return newVecSet(ds, vecs, gridCount, gamma), nil
 }
 
 // SampleSizeTheorem10 returns the paper's Theorem 10 sample size

@@ -128,8 +128,12 @@ func (tc *topsCache) repaired(ctx context.Context, newDS *dataset.Dataset, delta
 	if newN == 0 || newDS.Dim() != tc.ds.Dim() {
 		return nil, false, nil
 	}
-	out := &topsCache{ds: newDS, vecs: vecs}
+	out := newTopsCache(newDS, vecs, tc.grid, tc.gamma)
 	out.par.Store(tc.par.Load())
+	// Grid cells depend only on the vectors. The table is never written
+	// once built, so it is shared; the cells fill in lazily per cache, so
+	// each cache gets its own copy.
+	out.cells, out.cellGrid = slices.Clone(tc.cells), tc.cellGrid
 	if len(tops) == 0 || topK == 0 {
 		// Nothing expensive committed yet: carry the empty cache; the next
 		// ensure builds it against the new dataset.
@@ -379,7 +383,7 @@ func (tc *topsCache) repairReselectPass(ctx context.Context, vecs []geom.Vector,
 	for i, v := range affected {
 		affVecs[i] = vecs[v]
 	}
-	return selectTops(ctx, int(tc.par.Load()), newDS, nil, affVecs, target, func(i int, list []int) {
+	return selectTops(ctx, int(tc.par.Load()), newDS, nil, affVecs, target, nil, func(i int, list []int) {
 		repTops[affected[i]] = list
 	})
 }

@@ -175,7 +175,7 @@ func (s *SharedVecSet) materializeLocked(ctx context.Context) (AcquireOutcome, e
 	s.gridCount = len(grid)
 	s.samples = 0
 	s.rngSteps = 0
-	s.tc = &topsCache{ds: s.ds, vecs: s.vecs}
+	s.tc = newTopsCache(s.ds, s.vecs, s.gridCount, s.gamma)
 	s.built = true
 	return VecSetBuilt, nil
 }

@@ -3,6 +3,8 @@ package cliutil
 import (
 	"strings"
 	"testing"
+
+	"github.com/rankregret/rankregret/internal/xrand"
 )
 
 func TestParseSpaceWeak(t *testing.T) {
@@ -104,4 +106,48 @@ func TestLoadCSV(t *testing.T) {
 	if _, err := LoadCSV(strings.NewReader(csvData), true, []int{7}, true); err == nil {
 		t.Error("out-of-range negate column should fail")
 	}
+}
+
+// FuzzParseSpace feeds ParseSpace arbitrary specs, as a client's "space"
+// field would. It must reject a spec with an error, or return a space of
+// the requested dimension whose Sample and ContainsDirection do not panic,
+// whatever the direction they are given.
+func FuzzParseSpace(f *testing.F) {
+	for _, seed := range []struct {
+		spec string
+		d    uint8
+	}{
+		{"weak:2", 4}, {"weak:5", 6}, {"weak:-1", 3}, {"weak:99999999999999999999", 3},
+		{"ball:0.1,0.5,0.5", 2}, {"ball:0.1,0.5,0.5,0.5", 2}, {"ball:", 1},
+		{"ball:1e308,1e308,1e308", 2}, {"ball:0.1,NaN,0.5", 2}, {"ball:5e-324,1,1", 2},
+	} {
+		f.Add(seed.spec, seed.d)
+	}
+	f.Fuzz(func(t *testing.T, spec string, dd uint8) {
+		d := int(dd)%6 + 1
+		sp, err := ParseSpace(spec, d)
+		if err != nil {
+			return
+		}
+		if sp.Dim() != d {
+			t.Fatalf("ParseSpace(%q, %d).Dim() = %d", spec, d, sp.Dim())
+		}
+		rng := xrand.New(int64(dd))
+		dirs := [][]float64{make([]float64, d), make([]float64, d+1), rng.UnitOrthantDirection(d)}
+		for i := 0; i < d; i++ {
+			e := make([]float64, d)
+			e[i] = 1
+			dirs = append(dirs, e)
+		}
+		for i := 0; i < 3; i++ {
+			u := sp.Sample(rng)
+			if u != nil && len(u) != d {
+				t.Fatalf("ParseSpace(%q, %d).Sample() has length %d", spec, d, len(u))
+			}
+			dirs = append(dirs, u)
+		}
+		for _, u := range dirs {
+			sp.ContainsDirection(u)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/algohd"
@@ -83,8 +84,8 @@ func TestSolverProperties(t *testing.T) {
 	e := New(0)
 	for _, tc := range propertyDatasets() {
 		for _, algo := range Algorithms() {
-			if algo == "test-block" {
-				continue // test-only scheduler fixture, not a real solver
+			if strings.HasPrefix(algo, "test-") {
+				continue // test-only scheduler fixtures, not real solvers
 			}
 			t.Run(tc.name+"/"+algo, func(t *testing.T) {
 				ds := tc.ds

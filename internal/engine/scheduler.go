@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,21 @@ var (
 	// run budget it never got to use.
 	ErrQueueTimeout = errors.New("engine: timed out waiting in queue")
 )
+
+// PanicError is the failure of a job whose solve panicked. The scheduler
+// recovers the panic, so a solver bug fails its one job and the workers
+// keep serving. Solves that fan out over par.Tiles re-raise a tile's panic
+// on the job's goroutine, so those arrive here too, with the stack of the
+// re-raise.
+type PanicError struct {
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack where the scheduler
+	// recovered it.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("engine: solve panicked: %v", e.Value) }
 
 // Mode selects which problem a Request solves.
 type Mode string
@@ -208,7 +224,9 @@ type SchedulerStats struct {
 	Done       uint64 `json:"done"`
 	Failed     uint64 `json:"failed"`
 	Rejected   uint64 `json:"rejected"`
-	Retained   int    `json:"retained_jobs"`
+	// Panicked counts the failed jobs whose solve panicked (a *PanicError).
+	Panicked uint64 `json:"panicked"`
+	Retained int    `json:"retained_jobs"`
 	// Draining is true once Close or Drain has begun: no new jobs are
 	// admitted (submissions get ErrSchedulerClosed), and health probes
 	// report the server as draining.
@@ -255,6 +273,7 @@ type Scheduler struct {
 	nDone     uint64
 	nFailed   uint64
 	nRejected uint64
+	nPanicked uint64
 
 	// maxColdWait bounds starvation under the warm-first dequeue order:
 	// once the oldest pending job has waited this long it runs next
@@ -295,6 +314,11 @@ func (s *Scheduler) logFailure(j *job, err error) {
 	args := []any{"job", j.id, "dataset", j.req.Label, "request_id", reqID, "err", err}
 	if errors.Is(err, ErrSchedulerClosed) || errors.Is(err, context.Canceled) {
 		l.Debug("scheduler: job cancelled", args...)
+		return
+	}
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		l.Error("scheduler: solve panicked", append(args, "stack", string(pe.Stack))...)
 		return
 	}
 	l.Warn("scheduler: job failed", args...)
@@ -468,9 +492,19 @@ func (s *Scheduler) runJob(j *job) {
 		ctx, cancel = context.WithTimeout(ctx, j.req.Timeout)
 		defer cancel()
 	}
-	sol, err := j.req.Run(ctx, s.eng)
+	sol, err := runRecovered(ctx, j.req, s.eng)
 	s.observeRun(wait, time.Since(started))
 	s.finishJob(j, sol, err)
+}
+
+// runRecovered runs req on eng, turning a panic into a *PanicError.
+func runRecovered(ctx context.Context, req Request, eng *Engine) (sol *Solution, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			sol, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return req.Run(ctx, eng)
 }
 
 func (s *Scheduler) addRunning(d int64) {
@@ -490,11 +524,16 @@ func (s *Scheduler) finishJob(j *job, sol *Solution, err error) {
 	if err != nil {
 		s.logFailure(j, err)
 	}
+	var pe *PanicError
+	panicked := errors.As(err, &pe)
 	s.mu.Lock()
 	if err != nil {
 		s.nFailed++
 	} else {
 		s.nDone++
+	}
+	if panicked {
+		s.nPanicked++
 	}
 	if j.ephemeral {
 		delete(s.jobs, j.id)
@@ -804,6 +843,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		Done:       s.nDone,
 		Failed:     s.nFailed,
 		Rejected:   s.nRejected,
+		Panicked:   s.nPanicked,
 		Retained:   len(s.jobs),
 		Draining:   s.closed,
 	}

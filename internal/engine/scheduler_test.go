@@ -369,3 +369,37 @@ func TestDrainTimeoutCancelsRemainder(t *testing.T) {
 		t.Fatalf("stuck job after timed-out drain: %+v", got)
 	}
 }
+
+// panicSolver is a registered solver with a bug: every solve panics.
+type panicSolver struct{}
+
+func (panicSolver) Name() string { return "test-panic" }
+
+func (panicSolver) Solve(context.Context, *dataset.Dataset, int, Options) (*Solution, error) {
+	panic("test-panic: solver bug")
+}
+
+func init() { Register(panicSolver{}) }
+
+// TestSchedulerRecoversSolverPanic pins panic containment: a panicking
+// solve fails its own job with a *PanicError carrying the value and the
+// stack, is counted, and the one worker goes on to run the next job.
+func TestSchedulerRecoversSolverPanic(t *testing.T) {
+	s := NewScheduler(New(-1), 1, 4)
+	t.Cleanup(s.Close)
+	ds := dataset.Independent(xrand.New(1), 50, 2)
+	_, err := s.Do(t.Context(), Request{Dataset: ds, RK: 3, Algorithm: "test-panic"})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panicking solve returned %v, want a *PanicError", err)
+	}
+	if pe.Value != "test-panic: solver bug" || !strings.Contains(string(pe.Stack), "panicSolver.Solve") {
+		t.Fatalf("PanicError value %v, stack:\n%s", pe.Value, pe.Stack)
+	}
+	if _, err := s.Do(t.Context(), Request{Dataset: ds, RK: 3}); err != nil {
+		t.Fatalf("solve after the panic: %v", err)
+	}
+	if st := s.Stats(); st.Panicked != 1 || st.Failed != 1 || st.Done != 1 {
+		t.Fatalf("stats %+v, want 1 panicked of 1 failed, 1 done", st)
+	}
+}

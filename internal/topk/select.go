@@ -1,10 +1,12 @@
 package topk
 
+import "fmt"
+
 // better reports whether position a should rank before position b in a score
 // slice, delegating to the package's beats comparator so the two can never
 // drift. Positions double as the deterministic tie-break, which is why
-// SelectBatch requires any id remapping to be ascending — position order and
-// id order then agree.
+// SelectBatchSeeded requires any id remapping to be ascending — position
+// order and id order then agree.
 func better(scores []float64, a, b int) bool {
 	return beats(scores[a], a, scores[b], b)
 }
@@ -19,7 +21,14 @@ type entry struct {
 // worse is the heap order: the worse of two entries sits nearer the root.
 func (a entry) worse(b entry) bool { return beats(b.score, b.pos, a.score, a.pos) }
 
-// SelectBatch converts a tile of score rows — as produced by
+// SelectBatch is SelectBatchSeeded with every row seeded from the row before
+// it (nil seeds). Library code calls SelectBatchSeeded; this wrapper stays
+// for cmd/rrmladder's topk.SelectBatch rung, which times the unseeded scan.
+func SelectBatch(rows [][]float64, ids []int, k int, scratch []int) ([][]int, []int) {
+	return SelectBatchSeeded(rows, ids, k, nil, scratch)
+}
+
+// SelectBatchSeeded converts a tile of score rows — as produced by
 // dataset.UtilitiesBatch, so every row has the same length — into per-row
 // top-k id lists, best first, under the package's deterministic order
 // (score descending, id ascending). ids maps score positions to tuple ids
@@ -31,20 +40,24 @@ func (a entry) worse(b entry) bool { return beats(b.score, b.pos, a.score, a.pos
 // included.
 //
 // Two regimes, chosen by k/n and both producing the identical deterministic
-// order, avoid TopK's per-element container/heap churn: for small k a read-only scan of each row against an inline min-heap
-// of (score, position) pairs, and for k a sizable fraction of n a
-// quickselect over an index permutation (the scan's heap churn would
-// approach n log n there).
+// order, avoid TopK's per-element container/heap churn: for small k a
+// read-only scan of each row against an inline min-heap of (score,
+// position) pairs, and for k a sizable fraction of n a quickselect over an
+// index permutation (the scan's heap churn would approach n log n there).
 //
-// In the scan regime each row's heap starts from the previous row's winners
-// (the first row's from positions 0..k-1), marked in scratch so the scan
-// skips them. Even for unrelated utility vectors those winners score well —
-// each row's top-k is drawn from the same small front of the data — so the
-// seeded root starts near the row's k-th score and far fewer elements
-// replace it (on CI-scale simweather at k = 32, about 70 per row instead of
-// about 125). Seeding cannot change a result: the order is strict and
-// total, so the top-k set is unique whatever the heap starts from.
-func SelectBatch(rows [][]float64, ids []int, k int, scratch []int) ([][]int, []int) {
+// In the scan regime each row's heap starts from k distinct positions that
+// the scan then skips. seeds is nil or holds one entry per row; a non-nil
+// seeds[b] is exactly k distinct positions of row b, a guess at its top k:
+// the HDRRM scoring pass passes the committed list of the row's nearest
+// polar-grid direction, whose top k is nearly the row's own. A nil seed
+// means the previous row's winners (the first row's: positions 0..k-1);
+// even for unrelated rows those score well, since every row's top k is
+// drawn from the same small front of the data. The closer the seeded root
+// is to the row's k-th score, the fewer elements replace it. Seeding cannot
+// change a result: the order is strict and total, so the top-k set is
+// unique whatever the heap starts from. The quickselect regime ignores
+// seeds.
+func SelectBatchSeeded(rows [][]float64, ids []int, k int, seeds [][]int, scratch []int) ([][]int, []int) {
 	out := make([][]int, len(rows))
 	if len(rows) == 0 {
 		return out, scratch
@@ -62,15 +75,21 @@ func SelectBatch(rows [][]float64, ids []int, k int, scratch []int) ([][]int, []
 		if cap(scratch) < n+k {
 			scratch = make([]int, n+k)
 		}
-		marks, seeds := scratch[:n], scratch[n:n+k]
+		marks, prev := scratch[:n], scratch[n:n+k]
 		clear(marks)
-		for i := range seeds {
-			seeds[i] = i
+		for i := range prev {
+			prev[i] = i
 		}
 		for b, row := range rows {
-			scanSelect(row, h, seeds, marks, b+1)
+			seed := prev
+			if seeds != nil && seeds[b] != nil {
+				if seed = seeds[b]; len(seed) != k {
+					panic(fmt.Sprintf("topk: row %d has %d seeds, want %d", b, len(seed), k))
+				}
+			}
+			scanSelect(row, h, seed, marks, b+1)
 			for i, e := range h {
-				seeds[i] = e.pos
+				prev[i] = e.pos
 			}
 			out[b] = emit(h, ids, backing[b*k:(b+1)*k:(b+1)*k])
 		}

@@ -142,14 +142,45 @@ func TestSelectEdgeCases(t *testing.T) {
 	}
 }
 
-// Property: SelectBatch seeds each row's scan with the previous row's
-// winners, and that must never change an answer. Every row equals the
-// heap-based TopK on its own, whether the rows of a batch are unrelated
-// (seeds are arbitrary), identical (seeds are exactly the answer), or all
-// tied (seeds tie with everything and only positions decide), at k in both
-// the scan and the quickselect regime, with and without an id mapping.
+// rowSeeds returns explicit per-row seeds for SelectBatchSeeded: per row,
+// mode picks nil (the previous row's winners), the k worst positions, the
+// row's own answer, or k distinct positions drawn from rng.
+func rowSeeds(rows [][]float64, k int, modes []byte, rng *xrand.Rand) [][]int {
+	seeds := make([][]int, len(rows))
+	for b, row := range rows {
+		n := len(row)
+		if k > n {
+			continue
+		}
+		switch modes[b%len(modes)] % 4 {
+		case 1: // worst: the k last positions of the full ranking
+			seeds[b] = heapSelect(row, n)[n-k:]
+		case 2: // the answer itself
+			seeds[b] = heapSelect(row, k)
+		case 3: // arbitrary distinct positions
+			perm := make([]int, n)
+			for i := range perm {
+				perm[i] = i
+			}
+			for i := 0; i < k; i++ {
+				j := i + rng.Intn(n-i)
+				perm[i], perm[j] = perm[j], perm[i]
+			}
+			seeds[b] = perm[:k]
+		}
+	}
+	return seeds
+}
+
+// Property: seeding never changes an answer. Every row equals the
+// heap-based TopK on its own, whether its heap starts from the previous
+// row's winners or from explicit seeds (nil rows mixed with seeded ones;
+// the worst positions; the answer itself; arbitrary positions), and whether
+// the rows of a batch are unrelated, identical, or all tied (seeds tie with
+// everything and only positions decide), at k in both the scan and the
+// quickselect regime, with and without an id mapping.
 func TestSelectBatchSeededAgreesWithTopK(t *testing.T) {
-	f := func(seed int64, nn, bb, kk, shape uint8, mapped bool) bool {
+	f := func(seed int64, nn, bb, kk, shape uint8, mapped bool, modes []byte) bool {
 		n := int(nn)%300 + 1
 		rng := xrand.New(seed)
 		rows := make([][]float64, int(bb)%9+1)
@@ -180,7 +211,11 @@ func TestSelectBatchSeededAgreesWithTopK(t *testing.T) {
 				ids[i] = next
 			}
 		}
-		got, _ := SelectBatch(rows, ids, k, nil)
+		var seeds [][]int
+		if len(modes) > 0 {
+			seeds = rowSeeds(rows, k, modes, rng)
+		}
+		got, _ := SelectBatchSeeded(rows, ids, k, seeds, nil)
 		for b, row := range rows {
 			want := heapSelect(row, k)
 			if ids != nil {
@@ -194,25 +229,30 @@ func TestSelectBatchSeededAgreesWithTopK(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// FuzzSelectBatch checks SelectBatch against the heap-based TopK on
+// FuzzSelectBatch checks SelectBatchSeeded against the heap-based TopK on
 // fuzzer-chosen batches: the first byte picks k, the second the row count,
-// and each further byte is a score on a coarse grid (ties are common). One
-// scratch buffer is carried across two calls, as the scoring pass does.
+// the third the per-row seed modes of rowSeeds (two bits a row, 0 for the
+// previous row's winners) and the id mapping (its top bit), and each
+// further byte is a score on a coarse grid (ties are common). One scratch
+// buffer is carried across two calls, as the scoring pass does; the second
+// call goes through SelectBatch, which seeds every row from the one before.
 func FuzzSelectBatch(f *testing.F) {
-	f.Add([]byte{3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	f.Add([]byte{1, 1, 5, 5, 5, 5, 5, 5})
-	f.Add([]byte{200, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0})
+	f.Add([]byte{3, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{1, 1, 0, 5, 5, 5, 5, 5, 5})
+	f.Add([]byte{200, 3, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0})
+	f.Add([]byte{2, 3, 0b10_01_11, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33})
+	f.Add([]byte{1, 2, 0b1000_01_01, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 4 {
 			return
 		}
 		nr := int(data[1])%6 + 1
-		n := (len(data) - 2) / nr
+		n := (len(data) - 3) / nr
 		if n == 0 {
 			return
 		}
@@ -221,16 +261,38 @@ func FuzzSelectBatch(f *testing.F) {
 		for b := range rows {
 			rows[b] = make([]float64, n)
 			for i := range rows[b] {
-				rows[b][i] = float64(data[2+b*n+i]%16) / 4
+				rows[b][i] = float64(data[3+b*n+i]%16) / 4
 			}
 		}
+		modes := make([]byte, nr)
+		for b := range modes {
+			modes[b] = data[2] >> (2 * (b % 3)) & 3
+		}
+		var ids []int
+		if data[2]&0x80 != 0 {
+			ids = make([]int, n)
+			for i := range ids {
+				ids[i] = 3*i + int(data[3+i]%3)
+			}
+		}
+		seeds := rowSeeds(rows, k, modes, xrand.New(int64(data[2])))
 		var scratch []int
 		for pass := 0; pass < 2; pass++ {
 			var got [][]int
-			got, scratch = SelectBatch(rows, nil, k, scratch)
+			if pass == 0 {
+				got, scratch = SelectBatchSeeded(rows, ids, k, seeds, scratch)
+			} else {
+				got, scratch = SelectBatch(rows, ids, k, scratch)
+			}
 			for b, row := range rows {
-				if want := heapSelect(row, k); !reflect.DeepEqual(got[b], want) {
-					t.Fatalf("pass %d row %d: SelectBatch %v, TopK %v", pass, b, got[b], want)
+				want := heapSelect(row, k)
+				for i, p := range want {
+					if ids != nil {
+						want[i] = ids[p]
+					}
+				}
+				if !reflect.DeepEqual(got[b], want) {
+					t.Fatalf("pass %d row %d: got %v, TopK %v", pass, b, got[b], want)
 				}
 			}
 		}
