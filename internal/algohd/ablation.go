@@ -46,10 +46,13 @@ func (v Variant) Name() string {
 
 // HDRRMVariantWithVecSetCtx runs an ablation's search phase against a
 // caller-provided vector set (see HDRRMWithVecSetCtx); the zero Variant is
-// the full algorithm. For the NoGrid ablation vs must have been acquired
-// with gamma 1 and is stripped of its grid here; the stripped set cannot
-// share a top-K cache, so the engine gives NoGrid a one-off set. For
-// NoSamples, vs must have been acquired with m = 0.
+// the full algorithm. The search owns one ASMS cover index (asmsIndex),
+// shared by every probe: each vector's basis position is scanned once per
+// depth, and the flat cover sets reuse one scratch. For the NoGrid
+// ablation vs must have been acquired with gamma 1 and is stripped of its
+// grid here; the stripped set cannot share a top-K cache, so the engine
+// gives NoGrid a one-off set. For NoSamples, vs must have been acquired
+// with m = 0.
 func HDRRMVariantWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, v Variant, vs *VecSet) (Result, error) {
 	if ds.N() == 0 {
 		return Result{}, fmt.Errorf("algohd: empty dataset")
@@ -75,9 +78,11 @@ func HDRRMVariantWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, 
 			return Result{}, fmt.Errorf("algohd: budget r=%d smaller than basis size %d (need r >= d)", r, len(basis))
 		}
 	}
-	// The improved binary search of Section V.B.2 over ASMS thresholds.
+	// The improved binary search of Section V.B.2 over ASMS thresholds,
+	// every probe sharing one cover index.
+	x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis)
 	ids, bestK, err := ksearch.Smallest(ds.N(), func(k int) ([]int, bool, error) {
-		q, err := ASMSCtx(ctx, ds, k, basis, vs)
+		q, err := x.probe(ctx, k)
 		return q, len(q) <= r, err
 	})
 	if err != nil {

@@ -1,0 +1,215 @@
+package algohd
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/setcover"
+	"github.com/rankregret/rankregret/internal/xrand"
+)
+
+// naiveCoverSets builds ASMS's set system at threshold k with maps, one
+// append per (vector, tuple) pair: the universe is the vectors whose top-k
+// list misses the basis, and each candidate tuple (ascending id) covers the
+// universe elements whose list holds it.
+func naiveCoverSets(tops [][]int, nv, k int, basis []int) (universe int, ids []int, sets [][]int) {
+	inBasis := map[int]bool{}
+	for _, b := range basis {
+		inBasis[b] = true
+	}
+	coverOf := map[int][]int{}
+	for v := 0; v < nv; v++ {
+		top := tops[v][:min(k, len(tops[v]))]
+		if slices.ContainsFunc(top, func(t int) bool { return inBasis[t] }) {
+			continue
+		}
+		for _, t := range top {
+			coverOf[t] = append(coverOf[t], universe)
+		}
+		universe++
+	}
+	for t := range coverOf {
+		ids = append(ids, t)
+	}
+	sort.Ints(ids)
+	for _, t := range ids {
+		sets = append(sets, coverOf[t])
+	}
+	return universe, ids, sets
+}
+
+// requireNaiveSets checks the set system x holds after a probe at k against
+// naiveCoverSets over the same lists.
+func requireNaiveSets(t *testing.T, x *asmsIndex, tops [][]int, k int) {
+	t.Helper()
+	universe, ids, sets := naiveCoverSets(tops, x.nv, min(k, x.n), x.basis)
+	if len(x.rows) != universe || x.cover.universe != universe {
+		t.Fatalf("k=%d: universe %d (rows %d), want %d", k, x.cover.universe, len(x.rows), universe)
+	}
+	if !slices.Equal(x.cover.touched, ids) {
+		t.Fatalf("k=%d: candidate tuples %v, want %v", k, x.cover.touched, ids)
+	}
+	if !slices.EqualFunc(x.cover.sets, sets, slices.Equal[[]int]) {
+		t.Fatalf("k=%d: cover sets %v, want %v", k, x.cover.sets, sets)
+	}
+}
+
+// TestASMSIndexMatchesFreshProbes runs one search-scoped cover index through
+// a sequence of thresholds and checks every probe against a fresh ASMSCtx on
+// an identically built twin vector set, and the index's cover sets against
+// the naive map construction.
+func TestASMSIndexMatchesFreshProbes(t *testing.T) {
+	sequences := []struct {
+		name string
+		ks   []int
+		// deepen is the index of a probe that must find the top-K cache
+		// shallower than its k, forcing a deepening mid-search.
+		deepen int
+	}{
+		{"ascending", []int{1, 2, 4, 8, 16, 12, 10, 11}, -1},
+		{"descending", []int{16, 8, 4, 2, 1}, -1},
+		{"repeated", []int{3, 3, 5, 5, 3, 3}, -1},
+		{"past cache depth", []int{1, 2, 40, 3}, 2},
+	}
+	sets := []struct {
+		name    string
+		noBasis bool
+		noGrid  bool
+	}{
+		{"full", false, false},
+		{"no-basis", true, false},
+		{"no-grid", false, true},
+	}
+	for d := 3; d <= 5; d++ {
+		ds := dataset.Anticorrelated(xrand.New(int64(40+d)), 150, d)
+		for _, vc := range sets {
+			var basis []int
+			if !vc.noBasis {
+				basis = uniqueInts(ds.Basis())
+			}
+			build := func() *VecSet {
+				vs, err := BuildVecSetCtx(t.Context(), ds, nil, 3, 120, xrand.New(int64(d)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vc.noGrid {
+					vs = newVecSet(ds, vs.Vecs[vs.GridCount:], 0, 0)
+				}
+				return vs
+			}
+			for _, seq := range sequences {
+				t.Run(fmt.Sprintf("d=%d/%s/%s", d, vc.name, seq.name), func(t *testing.T) {
+					vs, twin := build(), build()
+					x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis)
+					for i, k := range seq.ks {
+						if i == seq.deepen && vs.tc.topK >= k {
+							t.Fatalf("probe %d (k=%d): cache already at depth %d", i, k, vs.tc.topK)
+						}
+						got, err := x.probe(t.Context(), k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := asms(t, ds, k, basis, twin)
+						if !slices.Equal(got, want) {
+							t.Fatalf("probe %d (k=%d): index gives %v, fresh ASMS %v", i, k, got, want)
+						}
+						requireNaiveSets(t, x, twin.tc.tops, k)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCoverNotCoverable feeds the cover builders universes a tuple cannot
+// cover, an empty top list and an empty k-set, and expects an error rather
+// than a panic.
+func TestCoverNotCoverable(t *testing.T) {
+	tops := [][]int{{0, 1}, {}, {2, 1}}
+	x := newASMSIndex(3, len(tops), func(context.Context, int) ([][]int, error) { return tops, nil }, []int{0})
+	if q, err := x.probe(t.Context(), 2); err == nil || !strings.Contains(err.Error(), "not coverable") {
+		t.Errorf("ASMS over an empty top list: got %v, %v; want a not-coverable error", q, err)
+	}
+	_, err := kSetSearch(t.Context(), 3, 2, func(int) ([][]int, error) { return [][]int{{1, 2}, {}}, nil })
+	if err == nil || !strings.Contains(err.Error(), "not coverable") {
+		t.Errorf("hitting set over an empty k-set: got %v; want a not-coverable error", err)
+	}
+}
+
+// FuzzCoverSets checks the flat cover sets of an ASMS index against the
+// naive map construction on random top lists. Each vector's list takes
+// depth bytes of data as distinct tuple ids mod n; basisBits picks the
+// basis (bit 15 stands for tuple n-1). The index first probes another
+// threshold, so the checked probe reuses its scratch and basis positions,
+// and its lists are served at exactly the depth asked for, as a deepening
+// cache would. Greedy must pick the same sets from both systems.
+func FuzzCoverSets(f *testing.F) {
+	f.Add(uint8(10), uint8(3), uint8(2), uint8(5), uint16(0b11), []byte{0, 9, 4, 0, 9, 4, 1, 2, 3, 9, 8, 7})
+	f.Add(uint8(5), uint8(5), uint8(5), uint8(1), uint16(0), []byte{4, 3, 2, 1, 0, 0, 1, 2, 3, 4})
+	f.Add(uint8(30), uint8(4), uint8(3), uint8(2), uint16(1<<15|1), []byte("shared ids across the top lists"))
+	f.Fuzz(func(t *testing.T, n, depth, k, k0 uint8, basisBits uint16, data []byte) {
+		nt := 1 + int(n)%40
+		dep := 1 + int(depth)%min(nt, 8)
+		nv := min(len(data)/dep, 64)
+		lists := make([][]int, nv)
+		for v := range lists {
+			used := make([]bool, nt)
+			for _, b := range data[v*dep : (v+1)*dep] {
+				id := int(b) % nt
+				for used[id] {
+					id = (id + 1) % nt
+				}
+				used[id] = true
+				lists[v] = append(lists[v], id)
+			}
+		}
+		var basis []int
+		for i := 0; i < 16; i++ {
+			if basisBits&(1<<i) != 0 {
+				if i == 15 {
+					basis = append(basis, nt-1)
+				} else if i < nt {
+					basis = append(basis, i)
+				}
+			}
+		}
+		basis = uniqueInts(basis)
+		atDepth := func(_ context.Context, k int) ([][]int, error) {
+			out := make([][]int, nv)
+			for v, l := range lists {
+				out[v] = l[:min(k, len(l))]
+			}
+			return out, nil
+		}
+		x := newASMSIndex(nt, nv, atDepth, basis)
+		kk := 1 + int(k)%dep
+		for _, probe := range []int{1 + int(k0)%dep, kk} {
+			if err := x.build(t.Context(), probe); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireNaiveSets(t, x, lists, kk)
+		universe, ids, sets := naiveCoverSets(lists, nv, kk, basis)
+		want, wantOK := setcover.Greedy(universe, sets)
+		got, gotOK := setcover.Greedy(x.cover.universe, x.cover.sets)
+		if !slices.Equal(got, want) || gotOK != wantOK || !wantOK {
+			t.Fatalf("greedy over the index picks %v (%v), over the naive sets %v (%v)", got, gotOK, want, wantOK)
+		}
+		q, err := x.probe(t.Context(), kk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantQ := append([]int(nil), basis...)
+		for _, ci := range want {
+			wantQ = append(wantQ, ids[ci])
+		}
+		if wantQ = uniqueInts(wantQ); !slices.Equal(q, wantQ) {
+			t.Fatalf("probe gives %v, want %v", q, wantQ)
+		}
+	})
+}

@@ -169,3 +169,47 @@ func BenchmarkRepairAppendCI(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHDRRMSweepCI is the shape of the benchmark's sweep workload at
+// CI scale on one worker: a prebuilt SharedVecSet per dataset and budgets
+// cycling over base..base+4, so each op is HDRRM's k-search (ASMS probes,
+// set cover) alone, with no scoring pass.
+func BenchmarkHDRRMSweepCI(b *testing.B) {
+	const steps = 5
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		r    int
+	}{
+		{"simweather", dataset.SimWeather(xrand.New(1), 4000), 10},
+		{"simnba", dataset.SimNBA(xrand.New(1), 2000), 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := b.Context()
+			o := DefaultOptions()
+			o.MaxM = 12000
+			o.Parallelism = 1
+			shared := NewSharedVecSet(c.ds, nil, o.EffectiveGamma(), o.Seed, nil)
+			views := make([]*VecSet, steps)
+			for i := range views {
+				r := c.r + i
+				vs, _, err := shared.Acquire(ctx, o.SampleSize(c.ds.N(), c.ds.Dim(), r))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := HDRRMWithVecSetCtx(ctx, c.ds, r, o, vs); err != nil {
+					b.Fatal(err)
+				}
+				views[i] = vs
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % steps
+				if _, err := HDRRMWithVecSetCtx(ctx, c.ds, c.r+j, o, views[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

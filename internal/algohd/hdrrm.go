@@ -3,6 +3,8 @@ package algohd
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/rankregret/rankregret/internal/ctxutil"
@@ -116,78 +118,222 @@ func uniqueInts(ids []int) []int {
 // ASMSCtx is the paper's Algorithm 2: the approximate solver for the MS
 // problem. Given the threshold k it returns a superset Q of the basis B
 // whose rank-regret with respect to the discrete vector set D is at most k,
-// with |Q| <= (1 + ln|D|)·r* + d (Theorem 9). The top-K build, the coverage
-// scan, and the greedy set-cover rounds all check ctx and abort with
-// ctx.Err().
+// with |Q| <= (1 + ln|D|)·r* + d (Theorem 9). It is a one-probe use of the
+// cover index an HDRRM search shares across its probes (see asmsIndex). The
+// top-K build, the basis scan, and the greedy set-cover rounds all check
+// ctx and abort with ctx.Err().
 func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *VecSet) ([]int, error) {
-	n := ds.N()
-	if k > n {
-		k = n
+	return newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis).probe(ctx, k)
+}
+
+// noBasisPos marks a vector whose scanned top list holds no basis tuple.
+const noBasisPos = math.MaxInt32
+
+// openVec is a vector whose top-1 tuple is not in the basis, with the
+// position of its first basis tuple (noBasisPos when none is within the
+// scanned depth).
+type openVec struct{ v, pos int32 }
+
+// asmsIndex is ASMS's set system for one HDRRM search: the universe Dk of
+// vectors the basis leaves uncovered at threshold k, and the cover set of
+// every candidate tuple. Algorithm 2 is monotone in k (a tuple within a
+// vector's top k is within its top k' for every k' > k), so each vector's
+// first basis position is found once, scanning only as deep as the deepest
+// k probed so far; a probe then takes Dk = {v : pos >= k} without
+// rescanning any list. The scratch of the flat cover sets is reused by
+// every probe. Committed top lists at any depth agree on their common
+// prefix, so a probe may read lists deepened since the last scan.
+type asmsIndex struct {
+	n, nv   int
+	tops    func(context.Context, int) ([][]int, error)
+	basis   []int
+	inBasis []bool // nil when the basis is empty
+	open    []openVec
+	depth   int // basis positions are exact below this depth; 0 before the first scan
+	rows    [][]int
+	cover   coverSets
+}
+
+// newASMSIndex returns an empty index over nv vectors whose top lists tops
+// returns, for n tuples and the given basis.
+func newASMSIndex(n, nv int, tops func(context.Context, int) ([][]int, error), basis []int) *asmsIndex {
+	x := &asmsIndex{n: n, nv: nv, tops: tops, basis: basis}
+	if len(basis) > 0 {
+		x.inBasis = make([]bool, n)
+		for _, b := range basis {
+			x.inBasis[b] = true
+		}
 	}
-	tops, err := vs.TopsCtx(ctx, k)
+	return x
+}
+
+// firstBasis returns the position of the first basis tuple in
+// top[from:min(k, len(top))], or noBasisPos.
+func (x *asmsIndex) firstBasis(top []int, from, k int) int32 {
+	if x.inBasis == nil {
+		return noBasisPos
+	}
+	for p := from; p < min(k, len(top)); p++ {
+		if x.inBasis[top[p]] {
+			return int32(p)
+		}
+	}
+	return noBasisPos
+}
+
+// scan extends the basis positions to depth k > x.depth. The first scan
+// visits every vector and keeps those its top-1 tuple does not cover; later
+// ones revisit only the vectors with no basis tuple found yet.
+func (x *asmsIndex) scan(ctx context.Context, tops [][]int, k int) error {
+	if x.depth == 0 {
+		for v := 0; v < x.nv; v++ {
+			if v%4096 == 0 {
+				if err := ctxutil.Cancelled(ctx); err != nil {
+					return err
+				}
+			}
+			if p := x.firstBasis(tops[v], 0, k); p != 0 {
+				x.open = append(x.open, openVec{int32(v), p})
+			}
+		}
+	} else {
+		for i, o := range x.open {
+			if i%4096 == 0 {
+				if err := ctxutil.Cancelled(ctx); err != nil {
+					return err
+				}
+			}
+			if o.pos == noBasisPos {
+				x.open[i].pos = x.firstBasis(tops[o.v], x.depth, k)
+			}
+		}
+	}
+	x.depth = k
+	return nil
+}
+
+// build lays out the set system of threshold k: x.rows holds the top-k list
+// of every vector of Dk, in ascending vector order, and x.cover its dual
+// sets.
+func (x *asmsIndex) build(ctx context.Context, k int) error {
+	k = min(k, x.n)
+	if k > x.depth {
+		// Only a probe deeper than any before can deepen the top-K cache,
+		// which replaces every list; drop the rows' references to the old
+		// ones so the pass's collection (see bigPassIDs) can free them.
+		clear(x.rows[:cap(x.rows)])
+	}
+	tops, err := x.tops(ctx, k)
+	if err != nil {
+		return err
+	}
+	if k > x.depth {
+		if err := x.scan(ctx, tops, k); err != nil {
+			return err
+		}
+	}
+	if x.rows == nil {
+		x.rows = make([][]int, 0, len(x.open)) // Dk is a subset of open
+	}
+	x.rows = x.rows[:0]
+	for _, o := range x.open {
+		if int(o.pos) >= k {
+			top := tops[o.v]
+			x.rows = append(x.rows, top[:min(k, len(top))])
+		}
+	}
+	x.cover.build(x.n, x.rows)
+	return nil
+}
+
+// probe runs ASMS at threshold k.
+func (x *asmsIndex) probe(ctx context.Context, k int) ([]int, error) {
+	if err := x.build(ctx, k); err != nil {
+		return nil, err
+	}
+	q := append([]int(nil), x.basis...)
+	if len(x.rows) == 0 {
+		return uniqueInts(q), nil
+	}
+	chosen, err := x.cover.greedy(ctx)
 	if err != nil {
 		return nil, err
 	}
-	inBasis := make([]bool, n)
-	for _, b := range basis {
-		inBasis[b] = true
+	return uniqueInts(append(q, chosen...)), nil
+}
+
+// coverSets is the flat set system of a greedy set cover in which tuples
+// cover rows: element u of the universe {0, ..., len(rows)-1} is in tuple
+// t's set when rows[u] holds t. It is built by a counting sort in two
+// passes, and every set is a full-slice-expression window of one arena.
+// The scratch is reused by every build.
+type coverSets struct {
+	count    []int // per tuple id: set size, then write cursor; zero between builds
+	universe int
+	touched  []int // tuple ids with a non-empty set, ascending
+	sets     [][]int
+	arena    []int
+}
+
+// build lays out the dual sets of rows, whose tuple ids lie in [0, n): set
+// i belongs to tuple touched[i], tuples come in ascending id, and each set
+// lists its elements in ascending order. The sets stay valid until the
+// next build.
+func (cs *coverSets) build(n int, rows [][]int) {
+	cs.universe = len(rows)
+	cs.touched = cs.touched[:0]
+	cs.sets = cs.sets[:0]
+	if len(rows) == 0 {
+		return
 	}
-	// Dk: vectors not covered by the basis; coverOf[t]: vectors (as indices
-	// into Dk) covered by tuple t. Dense slices instead of maps: the scan
-	// runs once per ASMS call over every vector in D and dominates the warm
-	// path when the top-K lists are already cached.
-	nDk := 0
-	coverOf := make([][]int, n)
-	var touched []int // tuple ids with a non-empty cover set, ascending
-	for v := 0; v < vs.Len(); v++ {
-		if v%4096 == 0 {
-			if err := ctxutil.Cancelled(ctx); err != nil {
-				return nil, err
+	if len(cs.count) < n {
+		cs.count = make([]int, n)
+	}
+	total := 0
+	for _, row := range rows {
+		for _, t := range row {
+			if cs.count[t] == 0 {
+				cs.touched = append(cs.touched, t)
 			}
+			cs.count[t]++
 		}
-		top := tops[v][:k]
-		covered := false
-		for _, t := range top {
-			if inBasis[t] {
-				covered = true
-				break
-			}
-		}
-		if covered {
-			continue
-		}
-		u := nDk
-		nDk++
-		for _, t := range top {
-			if coverOf[t] == nil {
-				touched = append(touched, t)
-			}
-			coverOf[t] = append(coverOf[t], u)
+		total += len(row)
+	}
+	slices.Sort(cs.touched)
+	cs.arena = slices.Grow(cs.arena[:0], total)[:total]
+	off := 0
+	for _, t := range cs.touched {
+		end := off + cs.count[t]
+		cs.sets = append(cs.sets, cs.arena[off:end:end])
+		cs.count[t] = off
+		off = end
+	}
+	for u, row := range rows {
+		for _, t := range row {
+			cs.arena[cs.count[t]] = u
+			cs.count[t]++
 		}
 	}
-	if nDk == 0 {
-		return uniqueInts(append([]int(nil), basis...)), nil
+	for _, t := range cs.touched {
+		cs.count[t] = 0
 	}
-	// Set cover over the universe Dk, candidate tuples in ascending id order
-	// for reproducibility.
-	sort.Ints(touched)
-	sortedSets := make([][]int, len(touched))
-	for i, t := range touched {
-		sortedSets[i] = coverOf[t]
-	}
-	chosen, ok, err := setcover.GreedyCtx(ctx, nDk, sortedSets)
+}
+
+// greedy covers the built universe with setcover.GreedyCtx and returns the
+// chosen tuple ids in selection order.
+func (cs *coverSets) greedy(ctx context.Context) ([]int, error) {
+	chosen, ok, err := setcover.GreedyCtx(ctx, cs.universe, cs.sets)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		// Cannot happen: every vector's own top-1 tuple covers it.
-		panic("algohd: ASMS universe not coverable")
+		return nil, fmt.Errorf("algohd: internal error: set cover universe of %d elements not coverable", cs.universe)
 	}
-	q := append([]int(nil), basis...)
-	for _, ci := range chosen {
-		q = append(q, touched[ci])
+	ids := make([]int, len(chosen))
+	for i, ci := range chosen {
+		ids[i] = cs.touched[ci]
 	}
-	return uniqueInts(q), nil
+	return ids, nil
 }
 
 // HDRRMCtx is the paper's Algorithm 3: it returns a set of at most r tuples

@@ -9,7 +9,6 @@ import (
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/ksearch"
-	"github.com/rankregret/rankregret/internal/setcover"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
@@ -54,39 +53,6 @@ func discoverKSets(ctx context.Context, ds *dataset.Dataset, vs *VecSet, k int) 
 	return out, nil
 }
 
-// hittingSet returns a small set of tuple ids intersecting every k-set,
-// via greedy set cover on the dual instance (tuple t covers the k-sets that
-// contain it).
-func hittingSet(ctx context.Context, ksets [][]int) ([]int, error) {
-	coverOf := map[int][]int{}
-	for w, ks := range ksets {
-		for _, t := range ks {
-			coverOf[t] = append(coverOf[t], w)
-		}
-	}
-	tuples := make([]int, 0, len(coverOf))
-	for t := range coverOf {
-		tuples = append(tuples, t)
-	}
-	sort.Ints(tuples)
-	sets := make([][]int, len(tuples))
-	for i, t := range tuples {
-		sets[i] = coverOf[t]
-	}
-	chosen, ok, err := setcover.GreedyCtx(ctx, len(ksets), sets)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		panic("algohd: hitting set universe not coverable")
-	}
-	out := make([]int, 0, len(chosen))
-	for _, ci := range chosen {
-		out = append(out, tuples[ci])
-	}
-	return uniqueInts(out), nil
-}
-
 // kSetSearch is the k-set baseline shared by MDRRRr and MDRRR: the hitting
 // set over ksets(k), run through the improved binary search of Section
 // V.B.2 for the smallest k whose hitting set fits in r. Result.VecCount is
@@ -97,13 +63,21 @@ func kSetSearch(ctx context.Context, n, r int, ksets func(k int) ([][]int, error
 		ids   []int
 		ksets int
 	}
+	// The hitting set is greedy set cover on the dual instance: tuple t
+	// covers the k-sets that contain it.
+	var cs coverSets
 	fit, k, err := ksearch.Smallest(n, func(k int) (probe, bool, error) {
 		sets, err := ksets(k)
 		if err != nil {
 			return probe{}, false, err
 		}
-		hs, err := hittingSet(ctx, sets)
-		return probe{hs, len(sets)}, len(hs) <= r, err
+		cs.build(n, sets)
+		hs, err := cs.greedy(ctx)
+		if err != nil {
+			return probe{}, false, err
+		}
+		hs = uniqueInts(hs)
+		return probe{hs, len(sets)}, len(hs) <= r, nil
 	})
 	if err != nil {
 		return Result{}, err

@@ -52,7 +52,9 @@ func Greedy(universe int, sets [][]int) (chosen []int, ok bool) {
 
 // GreedyCtx is Greedy with cooperative cancellation: the selection loop
 // checks ctx between rounds and returns ctx.Err() with the partial cover
-// chosen so far. A nil ctx disables the checks.
+// chosen so far. A nil ctx disables the checks. The sets may be windows of
+// one backing array (ASMS hands over a flat arena); Greedy neither keeps
+// nor writes them.
 func GreedyCtx(ctx context.Context, universe int, sets [][]int) (chosen []int, ok bool, err error) {
 	if universe == 0 {
 		return nil, true, nil
