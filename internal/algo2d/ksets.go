@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/sweep"
 )
 
@@ -86,24 +85,4 @@ func intsKey(ids []int) string {
 		buf = append(buf, byte(id), byte(id>>8), byte(id>>16))
 	}
 	return string(buf)
-}
-
-// Lines2DAbove reports, for validation, the ids ranked in the top k at a
-// specific x in dual space (the top-k set of the utility vector (x, 1-x)).
-func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {
-	lines := Lines(ds)
-	ids := make([]int, len(lines))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ya, yb := lines[ids[a]].Eval(x), lines[ids[b]].Eval(x)
-		if ya != yb {
-			return ya > yb
-		}
-		return geom.Above(lines[ids[a]], lines[ids[b]], x+1e-9)
-	})
-	top := ids[:k]
-	sort.Ints(top)
-	return top
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
@@ -147,4 +148,24 @@ func TestKSetCount2DGrowsWithN(t *testing.T) {
 	if cs, cl := len(smallSets), len(largeSets); cl <= cs {
 		t.Errorf("k-set count did not grow with n: %d (n=50) vs %d (n=400)", cs, cl)
 	}
+}
+
+// Lines2DAbove reports, for validation, the ids ranked in the top k at a
+// specific x in dual space (the top-k set of the utility vector (x, 1-x)).
+func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {
+	lines := Lines(ds)
+	ids := make([]int, len(lines))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		ya, yb := lines[ids[a]].Eval(x), lines[ids[b]].Eval(x)
+		if ya != yb {
+			return ya > yb
+		}
+		return geom.Above(lines[ids[a]], lines[ids[b]], x+1e-9)
+	})
+	top := ids[:k]
+	sort.Ints(top)
+	return top
 }

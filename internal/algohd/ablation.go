@@ -48,7 +48,7 @@ func (v Variant) Name() string {
 // caller-provided vector set (see HDRRMWithVecSetCtx); the zero Variant is
 // the full algorithm. The search owns one ASMS cover index (asmsIndex),
 // shared by every probe: each vector's basis position is scanned once per
-// depth, and the flat cover sets reuse one scratch. For the NoGrid
+// depth, and the flat cover sets reuse one pooled scratch. For the NoGrid
 // ablation vs must have been acquired with gamma 1 and is stripped of its
 // grid here; the stripped set cannot share a top-K cache, so the engine
 // gives NoGrid a one-off set. For NoSamples, vs must have been acquired
@@ -85,6 +85,7 @@ func HDRRMVariantWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, 
 		q, err := x.probe(ctx, k)
 		return q, len(q) <= r, err
 	})
+	x.release()
 	if err != nil {
 		return Result{}, err
 	}

@@ -54,9 +54,15 @@ func requireNaiveSets(t *testing.T, x *asmsIndex, tops [][]int, k int) {
 	if !slices.Equal(x.cover.touched, ids) {
 		t.Fatalf("k=%d: candidate tuples %v, want %v", k, x.cover.touched, ids)
 	}
-	if !slices.EqualFunc(x.cover.sets, sets, slices.Equal[[]int]) {
+	if !slices.EqualFunc(x.cover.sets, sets, equalInt32s) {
 		t.Fatalf("k=%d: cover sets %v, want %v", k, x.cover.sets, sets)
 	}
+}
+
+// equalInt32s reports whether a flat int32 cover set lists the same
+// elements, in the same order, as a naive int set.
+func equalInt32s(a []int32, b []int) bool {
+	return slices.EqualFunc(a, b, func(x int32, y int) bool { return int(x) == y })
 }
 
 // TestASMSIndexMatchesFreshProbes runs one search-scoped cover index through
@@ -141,6 +147,51 @@ func TestCoverNotCoverable(t *testing.T) {
 	}
 }
 
+// TestDropRowsClearsEveryList builds k = 3, whose universe is larger than
+// the next build's at k = 5, then deepens past both, and requires that no
+// row slot still holds a top list once the rows are dropped: pooled scratch
+// must not keep lists alive that a deepening replaced.
+func TestDropRowsClearsEveryList(t *testing.T) {
+	ds := dataset.Anticorrelated(xrand.New(7), 150, 4)
+	vs, err := BuildVecSetCtx(t.Context(), ds, nil, 3, 120, xrand.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, uniqueInts(ds.Basis()))
+	for _, k := range []int{8, 3, 5, 40} {
+		if err := x.build(t.Context(), k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(x.rows) == 0 {
+		t.Fatal("no open vectors: the test exercises nothing")
+	}
+	x.dropRows()
+	for i, row := range x.rows[:cap(x.rows)] {
+		if row != nil {
+			t.Fatalf("row slot %d still holds a list of %d ids", i, len(row))
+		}
+	}
+}
+
+// TestCoverSetsInt32Overflow hands the cover build a set system with 2^31
+// entries (one list shared by every row, so the test holds 8 MiB) and
+// expects an error before any count is taken.
+func TestCoverSetsInt32Overflow(t *testing.T) {
+	rows := make([][]int, 1<<11)
+	list := make([]int, 1<<20)
+	for i := range rows {
+		rows[i] = list
+	}
+	var cs coverSets
+	if err := cs.build(1, rows); err == nil || !strings.Contains(err.Error(), "overflows int32") {
+		t.Fatalf("build over %d entries: got %v, want an int32 overflow error", len(rows)*len(list), err)
+	}
+	if cs.count != nil {
+		t.Fatalf("the refused build allocated counts")
+	}
+}
+
 // FuzzCoverSets checks the flat cover sets of an ASMS index against the
 // naive map construction on random top lists. Each vector's list takes
 // depth bytes of data as distinct tuple ids mod n; basisBits picks the
@@ -196,7 +247,7 @@ func FuzzCoverSets(f *testing.F) {
 		requireNaiveSets(t, x, lists, kk)
 		universe, ids, sets := naiveCoverSets(lists, nv, kk, basis)
 		want, wantOK := setcover.Greedy(universe, sets)
-		got, gotOK := setcover.Greedy(x.cover.universe, x.cover.sets)
+		got, gotOK, _ := setcover.GreedyCtx(t.Context(), x.cover.universe, x.cover.sets)
 		if !slices.Equal(got, want) || gotOK != wantOK || !wantOK {
 			t.Fatalf("greedy over the index picks %v (%v), over the naive sets %v (%v)", got, gotOK, want, wantOK)
 		}

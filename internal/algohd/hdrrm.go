@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
@@ -89,7 +90,7 @@ func (o Options) SampleSize(n, d, r int) int { return o.sampleSize(n, d, r) }
 // uses: the dual problem has no output budget, so the formula is evaluated
 // at the budget n/k + d a threshold-k solution plausibly needs.
 func (o Options) SampleSizeRRR(n, d, k int) int {
-	return o.sampleSize(n, d, n/maxInt(k, 1)+d)
+	return o.sampleSize(n, d, n/max(k, 1)+d)
 }
 
 // EffectiveGamma returns the polar-grid resolution the solve will use: the
@@ -123,7 +124,10 @@ func uniqueInts(ids []int) []int {
 // top-K build, the basis scan, and the greedy set-cover rounds all check
 // ctx and abort with ctx.Err().
 func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *VecSet) ([]int, error) {
-	return newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis).probe(ctx, k)
+	x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis)
+	q, err := x.probe(ctx, k)
+	x.release()
+	return q, err
 }
 
 // noBasisPos marks a vector whose scanned top list holds no basis tuple.
@@ -134,6 +138,42 @@ const noBasisPos = math.MaxInt32
 // scanned depth).
 type openVec struct{ v, pos int32 }
 
+// probeScratch is the memory an ASMS search or a hitting-set search reuses
+// from probe to probe: an asmsIndex's basis marks, open vectors and
+// universe rows, and the flat cover sets. It comes from scratchPool, so a
+// solve after the first starts with buffers already grown, and goes back
+// when the search ends.
+type probeScratch struct {
+	marks []bool // per tuple id; false everywhere between searches
+	open  []openVec
+	rows  [][]int
+	cover coverSets
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+func getScratch() *probeScratch { return scratchPool.Get().(*probeScratch) }
+
+// dropRows clears the rows' references to top lists. Rows only ever hold
+// open vectors' lists, so only the first len(open) slots can be set; a
+// pooled scratch keeps every slot nil.
+func (s *probeScratch) dropRows() {
+	clear(s.rows[:min(len(s.open), cap(s.rows))])
+	s.rows = s.rows[:0]
+}
+
+// release returns s to scratchPool. It drops the rows first: pooled
+// scratch must not keep a top list alive, or the collection after a deep
+// scoring pass (see bigPassIDs) could not free the lists it replaced.
+// Callers release on their normal and error returns but never defer it: a
+// panic inside a build leaves the cover counts nonzero, and that scratch
+// must not be reused.
+func (s *probeScratch) release() {
+	s.dropRows()
+	s.open = s.open[:0]
+	scratchPool.Put(s)
+}
+
 // asmsIndex is ASMS's set system for one HDRRM search: the universe Dk of
 // vectors the basis leaves uncovered at threshold k, and the cover set of
 // every candidate tuple. Algorithm 2 is monotone in k (a tuple within a
@@ -141,30 +181,41 @@ type openVec struct{ v, pos int32 }
 // first basis position is found once, scanning only as deep as the deepest
 // k probed so far; a probe then takes Dk = {v : pos >= k} without
 // rescanning any list. The scratch of the flat cover sets is reused by
-// every probe. Committed top lists at any depth agree on their common
-// prefix, so a probe may read lists deepened since the last scan.
+// every probe, and by later searches through scratchPool. Committed top
+// lists at any depth agree on their common prefix, so a probe may read
+// lists deepened since the last scan.
 type asmsIndex struct {
 	n, nv   int
 	tops    func(context.Context, int) ([][]int, error)
 	basis   []int
-	inBasis []bool // nil when the basis is empty
-	open    []openVec
-	depth   int // basis positions are exact below this depth; 0 before the first scan
-	rows    [][]int
-	cover   coverSets
+	inBasis []bool // the scratch's marks; nil when the basis is empty
+	depth   int    // basis positions are exact below this depth; 0 before the first scan
+	*probeScratch
 }
 
 // newASMSIndex returns an empty index over nv vectors whose top lists tops
-// returns, for n tuples and the given basis.
+// returns, for n tuples and the given basis. Its scratch comes from
+// scratchPool; release returns it.
 func newASMSIndex(n, nv int, tops func(context.Context, int) ([][]int, error), basis []int) *asmsIndex {
-	x := &asmsIndex{n: n, nv: nv, tops: tops, basis: basis}
+	x := &asmsIndex{n: n, nv: nv, tops: tops, basis: basis, probeScratch: getScratch()}
 	if len(basis) > 0 {
-		x.inBasis = make([]bool, n)
+		if len(x.marks) < n {
+			x.marks = make([]bool, n)
+		}
+		x.inBasis = x.marks
 		for _, b := range basis {
 			x.inBasis[b] = true
 		}
 	}
 	return x
+}
+
+// release unmarks the basis and returns the index's scratch to scratchPool.
+func (x *asmsIndex) release() {
+	for _, b := range x.basis {
+		x.inBasis[b] = false
+	}
+	x.probeScratch.release()
 }
 
 // firstBasis returns the position of the first basis tuple in
@@ -221,7 +272,7 @@ func (x *asmsIndex) build(ctx context.Context, k int) error {
 		// Only a probe deeper than any before can deepen the top-K cache,
 		// which replaces every list; drop the rows' references to the old
 		// ones so the pass's collection (see bigPassIDs) can free them.
-		clear(x.rows[:cap(x.rows)])
+		x.dropRows()
 	}
 	tops, err := x.tops(ctx, k)
 	if err != nil {
@@ -232,18 +283,14 @@ func (x *asmsIndex) build(ctx context.Context, k int) error {
 			return err
 		}
 	}
-	if x.rows == nil {
-		x.rows = make([][]int, 0, len(x.open)) // Dk is a subset of open
-	}
-	x.rows = x.rows[:0]
+	x.rows = slices.Grow(x.rows[:0], len(x.open)) // Dk is a subset of open
 	for _, o := range x.open {
 		if int(o.pos) >= k {
 			top := tops[o.v]
 			x.rows = append(x.rows, top[:min(k, len(top))])
 		}
 	}
-	x.cover.build(x.n, x.rows)
-	return nil
+	return x.cover.build(x.n, x.rows)
 }
 
 // probe runs ASMS at threshold k.
@@ -265,31 +312,39 @@ func (x *asmsIndex) probe(ctx context.Context, k int) ([]int, error) {
 // coverSets is the flat set system of a greedy set cover in which tuples
 // cover rows: element u of the universe {0, ..., len(rows)-1} is in tuple
 // t's set when rows[u] holds t. It is built by a counting sort in two
-// passes, and every set is a full-slice-expression window of one arena.
-// The scratch is reused by every build.
+// passes, and every set is a full-slice-expression window of one int32
+// arena; count holds arena offsets, so both are int32 and a build refuses a
+// system whose universe or entry total int32 cannot index. The scratch is
+// reused by every build.
 type coverSets struct {
-	count    []int // per tuple id: set size, then write cursor; zero between builds
+	count    []int32 // per tuple id: set size, then write cursor; zero between builds
 	universe int
 	touched  []int // tuple ids with a non-empty set, ascending
-	sets     [][]int
-	arena    []int
+	sets     [][]int32
+	arena    []int32
 }
 
 // build lays out the dual sets of rows, whose tuple ids lie in [0, n): set
 // i belongs to tuple touched[i], tuples come in ascending id, and each set
 // lists its elements in ascending order. The sets stay valid until the
 // next build.
-func (cs *coverSets) build(n int, rows [][]int) {
+func (cs *coverSets) build(n int, rows [][]int) error {
 	cs.universe = len(rows)
 	cs.touched = cs.touched[:0]
 	cs.sets = cs.sets[:0]
 	if len(rows) == 0 {
-		return
-	}
-	if len(cs.count) < n {
-		cs.count = make([]int, n)
+		return nil
 	}
 	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	if len(rows) > math.MaxInt32 || total > math.MaxInt32 {
+		return fmt.Errorf("algohd: internal error: set cover of %d elements and %d entries overflows int32", len(rows), total)
+	}
+	if len(cs.count) < n {
+		cs.count = make([]int32, n)
+	}
 	for _, row := range rows {
 		for _, t := range row {
 			if cs.count[t] == 0 {
@@ -297,11 +352,13 @@ func (cs *coverSets) build(n int, rows [][]int) {
 			}
 			cs.count[t]++
 		}
-		total += len(row)
 	}
 	slices.Sort(cs.touched)
-	cs.arena = slices.Grow(cs.arena[:0], total)[:total]
-	off := 0
+	if cap(cs.arena) < total {
+		cs.arena = make([]int32, 0, max(total, 2*cap(cs.arena)))
+	}
+	cs.arena = cs.arena[:total]
+	off := int32(0)
 	for _, t := range cs.touched {
 		end := off + cs.count[t]
 		cs.sets = append(cs.sets, cs.arena[off:end:end])
@@ -310,13 +367,14 @@ func (cs *coverSets) build(n int, rows [][]int) {
 	}
 	for u, row := range rows {
 		for _, t := range row {
-			cs.arena[cs.count[t]] = u
+			cs.arena[cs.count[t]] = int32(u)
 			cs.count[t]++
 		}
 	}
 	for _, t := range cs.touched {
 		cs.count[t] = 0
 	}
+	return nil
 }
 
 // greedy covers the built universe with setcover.GreedyCtx and returns the
@@ -385,11 +443,4 @@ func HDRRRWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, k int, opts Op
 		return Result{}, err
 	}
 	return Result{IDs: q, K: k, VecCount: vs.Len()}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

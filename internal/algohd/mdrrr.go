@@ -65,13 +65,16 @@ func kSetSearch(ctx context.Context, n, r int, ksets func(k int) ([][]int, error
 	}
 	// The hitting set is greedy set cover on the dual instance: tuple t
 	// covers the k-sets that contain it.
-	var cs coverSets
+	s := getScratch()
+	cs := &s.cover
 	fit, k, err := ksearch.Smallest(n, func(k int) (probe, bool, error) {
 		sets, err := ksets(k)
 		if err != nil {
 			return probe{}, false, err
 		}
-		cs.build(n, sets)
+		if err := cs.build(n, sets); err != nil {
+			return probe{}, false, err
+		}
 		hs, err := cs.greedy(ctx)
 		if err != nil {
 			return probe{}, false, err
@@ -79,6 +82,7 @@ func kSetSearch(ctx context.Context, n, r int, ksets func(k int) ([][]int, error
 		hs = uniqueInts(hs)
 		return probe{hs, len(sets)}, len(hs) <= r, nil
 	})
+	s.release()
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,6 +2,7 @@ package algohd
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
@@ -61,4 +62,62 @@ func TestParallelismBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPooledScratchConcurrentSolves runs HDRRM solves concurrently over one
+// SharedVecSet, budgets cycling over base..base+4, so searches take ASMS
+// scratch from the pool while others return it and the top-K cache deepens
+// under them. Every solve must equal its serial result. Run with -race it
+// also checks that no two searches share scratch.
+func TestPooledScratchConcurrentSolves(t *testing.T) {
+	const (
+		base    = 10
+		steps   = 5
+		solvers = 8
+		rounds  = 3
+	)
+	ds := dataset.SimWeather(xrand.New(1), 800)
+	o := DefaultOptions()
+	o.MaxM = 2000
+	acquire := func(shared *SharedVecSet, r int) *VecSet {
+		vs, _, err := shared.Acquire(t.Context(), o.SampleSize(ds.N(), ds.Dim(), r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vs
+	}
+	serial := make([]Result, steps)
+	shared := NewSharedVecSet(ds, nil, o.EffectiveGamma(), o.Seed, nil)
+	for i := range serial {
+		res, err := HDRRMWithVecSetCtx(t.Context(), ds, base+i, o, acquire(shared, base+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = res
+	}
+
+	shared = NewSharedVecSet(ds, nil, o.EffectiveGamma(), o.Seed, nil)
+	views := make([]*VecSet, steps)
+	for i := range views {
+		views[i] = acquire(shared, base+i)
+	}
+	var wg sync.WaitGroup
+	for g := range solvers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range rounds {
+				i := (g + round) % steps
+				res, err := HDRRMWithVecSetCtx(t.Context(), ds, base+i, o, views[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res, serial[i]) {
+					t.Errorf("solver %d round %d, r=%d: got %+v, serial %+v", g, round, base+i, res, serial[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

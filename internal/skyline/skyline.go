@@ -190,15 +190,3 @@ func ComputeRestricted(ds *dataset.Dataset, space funcspace.Space) ([]int, error
 	}
 	return out, nil
 }
-
-// IsDominated reports whether tuple i is Pareto-dominated by any tuple in ds.
-// Exposed for tests and examples.
-func IsDominated(ds *dataset.Dataset, i int) bool {
-	row := ds.Row(i)
-	for j := 0; j < ds.N(); j++ {
-		if j != i && dominates(ds.Row(j), row) {
-			return true
-		}
-	}
-	return false
-}

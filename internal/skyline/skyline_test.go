@@ -201,3 +201,14 @@ func TestComputeRestrictedAgainstBrute(t *testing.T) {
 		t.Error("restricted skyline must be sorted")
 	}
 }
+
+// IsDominated reports whether tuple i is Pareto-dominated by any tuple in ds.
+func IsDominated(ds *dataset.Dataset, i int) bool {
+	row := ds.Row(i)
+	for j := 0; j < ds.N(); j++ {
+		if j != i && dominates(ds.Row(j), row) {
+			return true
+		}
+	}
+	return false
+}

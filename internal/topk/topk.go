@@ -153,8 +153,3 @@ func RankOfSet(ds *dataset.Dataset, u []float64, ids []int, scores []float64) in
 	}
 	return rank
 }
-
-// FullRanking returns all tuple indices ordered best-first under u.
-func FullRanking(ds *dataset.Dataset, u []float64, scores []float64) []int {
-	return TopK(ds, u, ds.N(), scores)
-}

@@ -180,3 +180,8 @@ func TestScratchReuse(t *testing.T) {
 		t.Error("scratch buffer changed the result")
 	}
 }
+
+// FullRanking returns all tuple indices ordered best-first under u.
+func FullRanking(ds *dataset.Dataset, u []float64, scores []float64) []int {
+	return TopK(ds, u, ds.N(), scores)
+}
