@@ -47,8 +47,9 @@ func (v Variant) Name() string {
 // HDRRMVariantWithVecSetCtx runs an ablation's search phase against a
 // caller-provided vector set (see HDRRMWithVecSetCtx); the zero Variant is
 // the full algorithm. The search owns one ASMS cover index (asmsIndex),
-// shared by every probe: each vector's basis position is scanned once per
-// depth, and the flat cover sets reuse one pooled scratch. For the NoGrid
+// shared by every probe: it starts from the basis positions vs's top-K
+// cache holds (see searchIndex), scans further only past them, and the
+// flat cover sets reuse one pooled scratch. For the NoGrid
 // ablation vs must have been acquired with gamma 1 and is stripped of its
 // grid here; the stripped set cannot share a top-K cache, so the engine
 // gives NoGrid a one-off set. For NoSamples, vs must have been acquired
@@ -80,12 +81,12 @@ func HDRRMVariantWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, 
 	}
 	// The improved binary search of Section V.B.2 over ASMS thresholds,
 	// every probe sharing one cover index.
-	x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis)
+	x := searchIndex(ds, vs, basis)
 	ids, bestK, err := ksearch.Smallest(ds.N(), func(k int) ([]int, bool, error) {
 		q, err := x.probe(ctx, k)
 		return q, len(q) <= r, err
 	})
-	x.release()
+	x.end(err)
 	if err != nil {
 		return Result{}, err
 	}

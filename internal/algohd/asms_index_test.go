@@ -3,12 +3,14 @@ package algohd
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/ksearch"
 	"github.com/rankregret/rankregret/internal/setcover"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
@@ -263,4 +265,175 @@ func FuzzCoverSets(f *testing.F) {
 			t.Fatalf("probe gives %v, want %v", q, wantQ)
 		}
 	})
+}
+
+// privateHDRRM is HDRRMWithVecSetCtx's search with the given basis over a
+// fresh private index, which neither reads nor publishes vs's cache index.
+func privateHDRRM(t *testing.T, ds *dataset.Dataset, r int, basis []int, vs *VecSet) Result {
+	t.Helper()
+	x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis)
+	ids, k, err := ksearch.Smallest(ds.N(), func(k int) ([]int, bool, error) {
+		q, err := x.probe(t.Context(), k)
+		return q, len(q) <= r, err
+	})
+	x.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Result{IDs: ids, K: k, VecCount: vs.Len()}
+}
+
+// privateASMS is one ASMS pass at k over a fresh private index.
+func privateASMS(t *testing.T, ds *dataset.Dataset, k int, basis []int, vs *VecSet) []int {
+	t.Helper()
+	x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis)
+	q, err := x.probe(t.Context(), k)
+	x.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// requireExactIndex checks a published basis index against a fresh scan
+// of the same vectors to the same depth over another set's lists.
+func requireExactIndex(t *testing.T, bx *basisIndex, ds *dataset.Dataset, basis []int, twin *VecSet) {
+	t.Helper()
+	if bx == nil {
+		t.Fatal("no basis index published")
+	}
+	x := newASMSIndex(ds.N(), bx.nv, twin.TopsCtx, basis)
+	defer x.release()
+	if err := x.build(t.Context(), bx.depth); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(x.open, bx.open) {
+		t.Fatalf("published index over %d vectors at depth %d differs from a fresh scan", bx.nv, bx.depth)
+	}
+}
+
+// TestSharedBasisIndexMatchesPrivate runs every kind of search that uses a
+// top-K cache's basis index against the same search with a fresh private
+// index on a twin set, and checks each published index against a fresh
+// scan: repeated budget sweeps, a view shorter than the index, a longer
+// view after a sample-tail extension, fixed-k HDRRR passes below and past
+// the index's depth, searches whose basis is not the forced one (which
+// must leave the index alone), and a repaired set (which starts with none).
+func TestSharedBasisIndexMatchesPrivate(t *testing.T) {
+	const gamma, seed, m = 3, 7, 300
+	ctx := t.Context()
+	ds := dataset.Anticorrelated(xrand.New(21), 300, 4)
+	basis := uniqueInts(ds.Basis())
+	o := DefaultOptions()
+	shared := NewSharedVecSet(ds, nil, gamma, seed, nil)
+	twin := NewSharedVecSet(ds, nil, gamma, seed, nil)
+	acquire := func(s *SharedVecSet, m int) *VecSet {
+		t.Helper()
+		vs, _, err := s.Acquire(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vs
+	}
+	published := func() *basisIndex { return acquire(shared, 0).tc.basis.Load() }
+	sweep := func(name string, m, r int) {
+		t.Helper()
+		got, err := HDRRMWithVecSetCtx(ctx, ds, r, o, acquire(shared, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := privateHDRRM(t, ds, r, basis, acquire(twin, m)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s m=%d r=%d: shared index gives %+v, private %+v", name, m, r, got, want)
+		}
+		requireExactIndex(t, published(), ds, basis, acquire(twin, m))
+	}
+
+	if published() != nil {
+		t.Fatal("a fresh cache holds a basis index")
+	}
+	for r := 6; r <= 10; r++ {
+		sweep("first sweep", m, r)
+	}
+	after := published()
+	for r := 6; r <= 10; r++ {
+		sweep("repeated sweep", m, r)
+	}
+	if published() != after {
+		t.Fatal("a repeated sweep republished an index it had nothing to add to")
+	}
+	grid := acquire(shared, 0).Len()
+
+	sweep("shorter view", m/2, 8)
+	if bx := published(); bx.nv != grid+m {
+		t.Fatalf("after a shorter view the index covers %d vectors, want %d", bx.nv, grid+m)
+	}
+	sweep("longer view", m+200, 8)
+	if bx := published(); bx.nv != grid+m+200 {
+		t.Fatalf("after a longer view the index covers %d vectors, want %d", bx.nv, grid+m+200)
+	}
+
+	for _, k := range []int{2, 4*published().depth + 1} {
+		deeper := k > published().depth
+		if deeper != (k > 2) || k > ds.N() {
+			t.Fatalf("HDRRR k=%d against an index at depth %d tests nothing", k, published().depth)
+		}
+		got, err := HDRRRWithVecSetCtx(ctx, ds, k, o, acquire(shared, m+200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := privateASMS(t, ds, k, basis, acquire(twin, m+200)); !slices.Equal(got.IDs, want) {
+			t.Fatalf("HDRRR k=%d: shared index gives %v, private %v", k, got.IDs, want)
+		}
+		if bx := published(); bx.depth < k {
+			t.Fatalf("HDRRR k=%d left the index at depth %d", k, bx.depth)
+		}
+		requireExactIndex(t, published(), ds, basis, acquire(twin, m+200))
+	}
+
+	before := published()
+	got, err := HDRRMVariantWithVecSetCtx(ctx, ds, 8, o, Variant{NoBasis: true}, acquire(shared, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := privateHDRRM(t, ds, 8, nil, acquire(twin, m)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NoBasis: %+v, private %+v", got, want)
+	}
+	own := basis[1:]
+	for _, k := range []int{3, ds.N()} {
+		q, err := ASMSCtx(ctx, ds, k, own, acquire(shared, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := privateASMS(t, ds, k, own, acquire(twin, m)); !slices.Equal(q, want) {
+			t.Fatalf("ASMS k=%d with basis %v: %v, private %v", k, own, q, want)
+		}
+	}
+	if published() != before {
+		t.Fatal("a search with another basis changed the cache's index")
+	}
+
+	next := ds.Snapshot()
+	appendRows(6)(t, xrand.New(3), next, nil)
+	deltas, ok := next.Deltas(ds.Version())
+	if !ok {
+		t.Fatal("delta history truncated")
+	}
+	rep := NewRepairedVecSet(shared, next, deltas)
+	repView, outcome, err := rep.Acquire(ctx, m)
+	if err != nil || outcome != VecSetRepaired {
+		t.Fatalf("repair: outcome %v, err %v", outcome, err)
+	}
+	if repView.tc.basis.Load() != nil {
+		t.Fatal("a repaired cache starts with its source's basis index")
+	}
+	cold := acquire(NewSharedVecSet(next, nil, gamma, seed, nil), m)
+	repBasis := uniqueInts(next.Basis())
+	got, err = HDRRMWithVecSetCtx(ctx, next, 8, o, repView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := privateHDRRM(t, next, 8, repBasis, cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("repaired set: %+v, private on a cold set %+v", got, want)
+	}
+	requireExactIndex(t, repView.tc.basis.Load(), next, repBasis, cold)
 }

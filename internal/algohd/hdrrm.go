@@ -119,14 +119,15 @@ func uniqueInts(ids []int) []int {
 // ASMSCtx is the paper's Algorithm 2: the approximate solver for the MS
 // problem. Given the threshold k it returns a superset Q of the basis B
 // whose rank-regret with respect to the discrete vector set D is at most k,
-// with |Q| <= (1 + ln|D|)·r* + d (Theorem 9). It is a one-probe use of the
-// cover index an HDRRM search shares across its probes (see asmsIndex). The
-// top-K build, the basis scan, and the greedy set-cover rounds all check
-// ctx and abort with ctx.Err().
+// with |Q| <= (1 + ln|D|)·r* + d (Theorem 9). It is a one-probe search
+// with the cover index an HDRRM search shares across its probes (see
+// searchIndex), so with the forced basis it starts from the basis positions
+// vs's top-K cache holds. The top-K build, the basis scan, and the greedy
+// set-cover rounds all check ctx and abort with ctx.Err().
 func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *VecSet) ([]int, error) {
-	x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis)
+	x := searchIndex(ds, vs, basis)
 	q, err := x.probe(ctx, k)
-	x.release()
+	x.end(err)
 	return q, err
 }
 
@@ -180,17 +181,81 @@ func (s *probeScratch) release() {
 // vector's top k is within its top k' for every k' > k), so each vector's
 // first basis position is found once, scanning only as deep as the deepest
 // k probed so far; a probe then takes Dk = {v : pos >= k} without
-// rescanning any list. The scratch of the flat cover sets is reused by
-// every probe, and by later searches through scratchPool. Committed top
-// lists at any depth agree on their common prefix, so a probe may read
-// lists deepened since the last scan.
+// rescanning any list. Those positions depend only on the top lists and
+// the basis, so with the forced basis they are found once per top-K cache,
+// not once per search: a search starts from the cache's basisIndex and
+// publishes what it adds (see searchIndex). The scratch of the flat cover
+// sets is reused by every probe, and by later searches through
+// scratchPool. Committed top lists at any depth agree on their common
+// prefix, so a probe may read lists deepened since the last scan.
 type asmsIndex struct {
 	n, nv   int
 	tops    func(context.Context, int) ([][]int, error)
 	basis   []int
-	inBasis []bool // the scratch's marks; nil when the basis is empty
-	depth   int    // basis positions are exact below this depth; 0 before the first scan
+	inBasis []bool     // the scratch's marks; nil when the basis is empty
+	depth   int        // basis positions are exact below this depth; 0 before the first scan
+	covered int        // vectors [0, covered) have positions; the rest are unscanned
+	tc      *topsCache // where the positions are published; nil for a private index
 	*probeScratch
+}
+
+// basisIndex is the part of an asmsIndex that depends only on a top-K
+// cache and its dataset's forced basis: among the first nv vectors, the
+// open ones in ascending order, each with its first basis position, exact
+// below depth. A topsCache holds at most one, published by a search and
+// never written again.
+type basisIndex struct {
+	nv, depth int
+	open      []openVec
+}
+
+// searchIndex returns the cover index of one search over vs with the given
+// basis. When the basis is the forced basis of vs's cache's dataset, the
+// index starts from the positions the cache has published: a shorter view
+// takes the prefix of vectors below Len(), a longer one scans only the
+// tail, and a deeper probe extends the positions as a private index would.
+// Any other basis (the NoBasis ablation, a caller's own) gets a private
+// index. end publishes and releases it.
+func searchIndex(ds *dataset.Dataset, vs *VecSet, basis []int) *asmsIndex {
+	x := newASMSIndex(ds.N(), vs.Len(), vs.TopsCtx, basis)
+	if len(basis) == 0 || !slices.Equal(basis, uniqueInts(vs.tc.ds.Basis())) {
+		return x
+	}
+	x.tc = vs.tc
+	if bx := vs.tc.basis.Load(); bx != nil {
+		cut := len(bx.open)
+		if x.nv < bx.nv {
+			cut = sort.Search(cut, func(i int) bool { return int(bx.open[i].v) >= x.nv })
+		}
+		x.open = append(x.open, bx.open[:cut]...)
+		x.covered = min(x.nv, bx.nv)
+		x.depth = bx.depth
+	}
+	return x
+}
+
+// end finishes a search that err ended: a successful one publishes its
+// positions to its cache when they cover at least as many vectors and reach
+// at least as deep as the published ones, and add to either; then the
+// index is released. A failed search may have scanned part of a tail, so
+// it publishes nothing.
+func (x *asmsIndex) end(err error) {
+	if err == nil && x.tc != nil && x.depth > 0 {
+		var fresh *basisIndex
+		for {
+			old := x.tc.basis.Load()
+			if old != nil && (x.covered < old.nv || x.depth < old.depth || x.covered == old.nv && x.depth == old.depth) {
+				break
+			}
+			if fresh == nil {
+				fresh = &basisIndex{nv: x.covered, depth: x.depth, open: slices.Clone(x.open)}
+			}
+			if x.tc.basis.CompareAndSwap(old, fresh) {
+				break
+			}
+		}
+	}
+	x.release()
 }
 
 // newASMSIndex returns an empty index over nv vectors whose top lists tops
@@ -232,22 +297,14 @@ func (x *asmsIndex) firstBasis(top []int, from, k int) int32 {
 	return noBasisPos
 }
 
-// scan extends the basis positions to depth k > x.depth. The first scan
-// visits every vector and keeps those its top-1 tuple does not cover; later
-// ones revisit only the vectors with no basis tuple found yet.
+// scan brings the basis positions of all nv vectors to depth
+// max(k, x.depth). The open vectors with no basis tuple found yet are
+// revisited past x.depth; the vectors not covered yet (all of them at a
+// private index's first scan) are visited from position 0, and those their
+// top-1 tuple does not cover are kept.
 func (x *asmsIndex) scan(ctx context.Context, tops [][]int, k int) error {
-	if x.depth == 0 {
-		for v := 0; v < x.nv; v++ {
-			if v%4096 == 0 {
-				if err := ctxutil.Cancelled(ctx); err != nil {
-					return err
-				}
-			}
-			if p := x.firstBasis(tops[v], 0, k); p != 0 {
-				x.open = append(x.open, openVec{int32(v), p})
-			}
-		}
-	} else {
+	k = max(k, x.depth)
+	if k > x.depth {
 		for i, o := range x.open {
 			if i%4096 == 0 {
 				if err := ctxutil.Cancelled(ctx); err != nil {
@@ -259,7 +316,17 @@ func (x *asmsIndex) scan(ctx context.Context, tops [][]int, k int) error {
 			}
 		}
 	}
-	x.depth = k
+	for v := x.covered; v < x.nv; v++ {
+		if v%4096 == 0 {
+			if err := ctxutil.Cancelled(ctx); err != nil {
+				return err
+			}
+		}
+		if p := x.firstBasis(tops[v], 0, k); p != 0 {
+			x.open = append(x.open, openVec{int32(v), p})
+		}
+	}
+	x.covered, x.depth = x.nv, k
 	return nil
 }
 
@@ -278,7 +345,7 @@ func (x *asmsIndex) build(ctx context.Context, k int) error {
 	if err != nil {
 		return err
 	}
-	if k > x.depth {
+	if k > x.depth || x.covered < x.nv {
 		if err := x.scan(ctx, tops, k); err != nil {
 			return err
 		}

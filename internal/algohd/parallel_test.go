@@ -65,56 +65,58 @@ func TestParallelismBitIdentical(t *testing.T) {
 }
 
 // TestPooledScratchConcurrentSolves runs HDRRM solves concurrently over one
-// SharedVecSet, budgets cycling over base..base+4, so searches take ASMS
-// scratch from the pool while others return it and the top-K cache deepens
-// under them. Every solve must equal its serial result. Run with -race it
-// also checks that no two searches share scratch.
+// SharedVecSet, budgets cycling over base..base+4 and sample counts mixed
+// between them, so searches take ASMS scratch from the pool while others
+// return it, the sample stream extends and the top-K cache deepens under
+// them, and each search starts from whatever basis index the cache holds
+// and publishes its own. Every solve must equal its serial result. Run
+// with -race it also checks that no two searches share scratch and that
+// published indexes are never written.
 func TestPooledScratchConcurrentSolves(t *testing.T) {
 	const (
 		base    = 10
-		steps   = 5
 		solvers = 8
 		rounds  = 3
 	)
+	samples := []int{600, 2000, 300, 1400, 1000}
 	ds := dataset.SimWeather(xrand.New(1), 800)
 	o := DefaultOptions()
-	o.MaxM = 2000
-	acquire := func(shared *SharedVecSet, r int) *VecSet {
-		vs, _, err := shared.Acquire(t.Context(), o.SampleSize(ds.N(), ds.Dim(), r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return vs
+	acquire := func(shared *SharedVecSet, m int) (*VecSet, error) {
+		vs, _, err := shared.Acquire(t.Context(), m)
+		return vs, err
 	}
-	serial := make([]Result, steps)
+	serial := make([]Result, len(samples))
 	shared := NewSharedVecSet(ds, nil, o.EffectiveGamma(), o.Seed, nil)
-	for i := range serial {
-		res, err := HDRRMWithVecSetCtx(t.Context(), ds, base+i, o, acquire(shared, base+i))
+	for i, m := range samples {
+		vs, err := acquire(shared, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial[i] = res
+		if serial[i], err = HDRRMWithVecSetCtx(t.Context(), ds, base+i, o, vs); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	shared = NewSharedVecSet(ds, nil, o.EffectiveGamma(), o.Seed, nil)
-	views := make([]*VecSet, steps)
-	for i := range views {
-		views[i] = acquire(shared, base+i)
-	}
 	var wg sync.WaitGroup
 	for g := range solvers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for round := range rounds {
-				i := (g + round) % steps
-				res, err := HDRRMWithVecSetCtx(t.Context(), ds, base+i, o, views[i])
+				i := (g + round) % len(samples)
+				vs, err := acquire(shared, samples[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := HDRRMWithVecSetCtx(t.Context(), ds, base+i, o, vs)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if !reflect.DeepEqual(res, serial[i]) {
-					t.Errorf("solver %d round %d, r=%d: got %+v, serial %+v", g, round, base+i, res, serial[i])
+					t.Errorf("solver %d round %d, m=%d r=%d: got %+v, serial %+v", g, round, samples[i], base+i, res, serial[i])
 				}
 			}
 		}()

@@ -105,6 +105,11 @@ type topsCache struct {
 	vecs []geom.Vector // canonical vector list; replaced on growth, never edited
 	topK int           // depth of the committed lists
 	tops [][]int       // len == len(vecs) once built; per vector: ids, best first
+
+	// basis holds the forced basis's positions in the committed lists,
+	// published by HDRRM searches (nil until the first; see searchIndex).
+	// A repaired cache starts without one: its lists changed.
+	basis atomic.Pointer[basisIndex]
 }
 
 // newTopsCache returns an empty cache over vecs, whose first grid vectors

@@ -8,6 +8,7 @@ import (
 	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/par"
 	"github.com/rankregret/rankregret/internal/topk"
+	"github.com/rankregret/rankregret/internal/xrand"
 )
 
 // Incremental repair of a SharedVecSet across dataset mutations. The
@@ -48,9 +49,11 @@ const repairMaxNewFrac = 0.5
 // and committed top-K lists across the recorded deltas (which must span
 // old.Dataset().Version() .. newDS.Version() of the same lineage). The
 // repair is lazy, runs under the new set's lock (so concurrent first
-// acquirers coalesce on it, exactly like cold builds), and never mutates
-// old: views already handed out by old keep serving the pre-mutation
-// dataset, which is what version-pinned solves rely on. When the repair
+// acquirers coalesce on it, exactly like cold builds), and never changes
+// what old serves: views already handed out by old keep serving the
+// pre-mutation dataset, which is what version-pinned solves rely on. It
+// only takes over old's sample generator when that is clean (old resyncs
+// its own if it is ever extended again). When the repair
 // declines — a rewrite delta, excessive delete churn, an inconsistent
 // history — the set silently falls back to a cold build, so callers need no
 // fallback path of their own.
@@ -86,6 +89,13 @@ func (s *SharedVecSet) repairFrom(ctx context.Context, src *repairSource) (bool,
 	// backing array.
 	vecs := old.vecs[:len(old.vecs):len(old.vecs)]
 	space, gridCount, samples, rngSteps, oldTC := old.space, old.gridCount, old.samples, old.rngSteps, old.tc
+	// A clean source rng sits exactly at the end of the committed stream,
+	// which is where this set's next extension continues: take it over,
+	// and leave the source to resync if it is ever extended again.
+	var rng *xrand.Rand
+	if !old.rngDirty {
+		rng, old.rng, old.rngDirty = old.rng, nil, true
+	}
 	old.mu.Unlock()
 	// Adopt the source's resolved space immediately: even a declined
 	// repair's cold-build fallback must discretize the same (possibly
@@ -99,11 +109,10 @@ func (s *SharedVecSet) repairFrom(ctx context.Context, src *repairSource) (bool,
 	s.vecs = vecs
 	s.gridCount = gridCount
 	s.samples = samples
-	// The sample stream is deterministic from the seed; rather than sharing
-	// the source's rng, resync lazily (a skip to rngSteps) if an extension
-	// ever needs it.
-	s.rng = nil
-	s.rngDirty = true
+	// Without the source's rng, resync lazily (a skip to rngSteps) if an
+	// extension ever needs it: the stream is deterministic from the seed.
+	s.rng = rng
+	s.rngDirty = rng == nil
 	s.rngSteps = rngSteps
 	s.tc = tc
 	s.built = true

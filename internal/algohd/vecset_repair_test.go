@@ -297,6 +297,69 @@ func TestRepairChain(t *testing.T) {
 	requireIdenticalTops(t, view2, cold, k)
 }
 
+// TestRepairHandsOverRNG checks the sample stream across a repair: the
+// repaired set takes over its source's clean rng, which leaves the source
+// to resync, and each set's next extension still draws exactly the samples
+// of a fresh build over its own dataset. A second repair from the re-synced
+// and extended source takes over its rng at the new end of the stream.
+func TestRepairHandsOverRNG(t *testing.T) {
+	const (
+		gamma = 3
+		seed  = 5
+		m     = 80
+		k     = 6
+	)
+	ctx := t.Context()
+	base := dataset.Anticorrelated(xrand.New(12), 120, 3)
+	old := NewSharedVecSet(base, nil, gamma, seed, nil)
+	view, _, err := old.Acquire(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ensureTopK(t, view, k)
+	repair := func(src *SharedVecSet, mut mutateFn) (*SharedVecSet, *dataset.Dataset) {
+		t.Helper()
+		next := src.Dataset().Snapshot()
+		mut(t, xrand.New(2), next, nil)
+		deltas, ok := next.Deltas(src.Dataset().Version())
+		if !ok {
+			t.Fatal("delta history truncated")
+		}
+		rep := NewRepairedVecSet(src, next, deltas)
+		if _, outcome, err := rep.Acquire(ctx, m); err != nil || outcome != VecSetRepaired {
+			t.Fatalf("repair: outcome %v, err %v", outcome, err)
+		}
+		if rep.rngDirty || rep.rng == nil || !src.rngDirty || src.rng != nil {
+			t.Fatalf("after the repair: repaired rng %v dirty %v, source rng %v dirty %v; want the repaired set to own the clean rng",
+				rep.rng != nil, rep.rngDirty, src.rng != nil, src.rngDirty)
+		}
+		return rep, next
+	}
+	requireFresh := func(s *SharedVecSet, ds *dataset.Dataset, m int) {
+		t.Helper()
+		vs, outcome, err := s.Acquire(ctx, m)
+		if err != nil || outcome != VecSetExtended {
+			t.Fatalf("extension to m=%d: outcome %v, err %v", m, outcome, err)
+		}
+		want, err := BuildVecSetCtx(ctx, ds, nil, gamma, m, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(vs.Vecs, want.Vecs, slices.Equal) {
+			t.Fatalf("extension to m=%d draws other samples than a fresh build", m)
+		}
+	}
+
+	rep, repDS := repair(old, appendRows(5))
+	requireFresh(rep, repDS, m+40)
+	requireFresh(old, base, m+25)
+	rep2, rep2DS := repair(old, appendRows(3))
+	if rep2.samples != m+25 {
+		t.Fatalf("second repair starts at %d samples, want %d", rep2.samples, m+25)
+	}
+	requireFresh(rep2, rep2DS, m+60)
+}
+
 // TestRepairRestrictedSpace repairs a set built over a restricted utility
 // space and requires both the repair and (via a churn-forced decline) the
 // cold-build fallback to keep discretizing that space, matching standalone

@@ -69,7 +69,7 @@ type SharedVecSet struct {
 
 	mu        sync.Mutex
 	rng       *xrand.Rand
-	rngDirty  bool          // rng advanced past uncommitted draws; resync before use
+	rngDirty  bool          // rng advanced past uncommitted draws or handed to a repair; resync before use
 	rngSteps  uint64        // generator steps the committed samples consumed
 	vecs      []geom.Vector // grid + samples drawn so far; grows, never edited
 	gridCount int

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -46,6 +47,11 @@ type Dataset struct {
 	// instead of a strided re-transpose. The atomic makes concurrent
 	// readers of a settled dataset race-free.
 	cols atomic.Pointer[colMirror]
+
+	// basis memoizes Basis (nil = not yet computed). Every mutator resets
+	// it, Append included; the memoized slice is never handed out, so
+	// callers may sort their copy.
+	basis atomic.Pointer[[]int]
 }
 
 // colMirror is a column-major copy of the value matrix together with the row
@@ -150,6 +156,7 @@ func (ds *Dataset) Append(row []float64) {
 	ds.vals = append(ds.vals, row...)
 	ds.record(Delta{Kind: DeltaAppend, From: ds.version, To: ds.version + 1, Start: ds.N() - 1, Count: 1})
 	ds.fp.Store(0) // the mirror stays: ColumnMajor repairs it in place
+	ds.basis.Store(nil)
 }
 
 // Delete removes the rows at the given indices, compacting the ids above
@@ -511,8 +518,12 @@ func (ds *Dataset) Negate(j int) {
 // maximum value on that attribute (ties broken by lower index). After
 // Normalize these are the paper's basis B (tuples with t[i] = 1). Duplicate
 // indices are possible when one tuple dominates several attributes; the
-// returned slice always has length Dim.
+// returned slice always has length Dim and is the caller's own. The basis
+// is memoized, so repeated calls on a settled dataset cost one copy.
 func (ds *Dataset) Basis() []int {
+	if b := ds.basis.Load(); b != nil {
+		return slices.Clone(*b)
+	}
 	n := ds.N()
 	out := make([]int, ds.d)
 	for j := 0; j < ds.d; j++ {
@@ -524,7 +535,8 @@ func (ds *Dataset) Basis() []int {
 		}
 		out[j] = best
 	}
-	_ = n
+	memo := slices.Clone(out)
+	ds.basis.Store(&memo)
 	return out
 }
 
@@ -561,11 +573,12 @@ func (ds *Dataset) Fingerprint() uint64 {
 	return fp
 }
 
-// dirty invalidates the memoized fingerprint and column-major mirror.
-// Append does not use it — an append-stale mirror is repairable — but every
-// other mutator does.
+// dirty invalidates the memoized fingerprint, basis and column-major
+// mirror. Append does not use it — an append-stale mirror is repairable —
+// but every other mutator does.
 func (ds *Dataset) dirty() {
 	ds.fp.Store(0)
+	ds.basis.Store(nil)
 	ds.cols.Store(nil)
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -118,6 +119,76 @@ func TestBasis(t *testing.T) {
 	// Max A1 is t7 (index 6), max A2 is t1 (index 0).
 	if b[0] != 6 || b[1] != 0 {
 		t.Errorf("Basis = %v, want [6 0]", b)
+	}
+}
+
+// scanBasis is Basis without the memo: per attribute, the first tuple
+// holding the column's maximum.
+func scanBasis(ds *Dataset) []int {
+	out := make([]int, ds.Dim())
+	for j := range out {
+		for i := 1; i < ds.N(); i++ {
+			if ds.Value(i, j) > ds.Value(out[j], j) {
+				out[j] = i
+			}
+		}
+	}
+	return out
+}
+
+// requireBasis checks ds.Basis against a fresh column scan. The first call
+// may fill the memo and the later ones read it; sorting each returned
+// slice must leave the memo as it was.
+func requireBasis(t *testing.T, ds *Dataset, step string) {
+	t.Helper()
+	want := scanBasis(ds)
+	for range 3 {
+		got := ds.Basis()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: Basis = %v, column scan %v", step, got, want)
+		}
+		slices.Sort(got)
+	}
+}
+
+// TestBasisMemoInvalidation memoizes the basis before every mutator and
+// requires the next Basis to equal a fresh column scan. The steps marked
+// moves change some attribute's boundary tuple, so a stale memo shows; a
+// shift or a min-max scaling never can.
+func TestBasisMemoInvalidation(t *testing.T) {
+	ds := TableI() // basis [6 0]: not ascending, so sorting a copy shows
+	requireBasis(t, ds, "initial")
+	steps := []struct {
+		name  string
+		moves bool
+		run   func(*Dataset) error
+	}{
+		{"Append", true, func(ds *Dataset) error { ds.Append([]float64{2, 0}); return nil }},
+		{"Delete", true, func(ds *Dataset) error { return ds.Delete([]int{0}) }},
+		{"Negate", true, func(ds *Dataset) error { ds.Negate(1); return nil }},
+		{"Shift", false, func(ds *Dataset) error { ds.Shift([]float64{1, -1}); return nil }},
+		{"Normalize", false, func(ds *Dataset) error { ds.Normalize(); return nil }},
+		{"SetAttrs", false, func(ds *Dataset) error { return ds.SetAttrs([]string{"x", "y"}) }},
+		{"Append again", true, func(ds *Dataset) error { ds.Append([]float64{0, 5}); return nil }},
+		{"Negate again", true, func(ds *Dataset) error { ds.Negate(0); return nil }},
+	}
+	for _, st := range steps {
+		before := ds.Basis()
+		if err := st.run(ds); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		requireBasis(t, ds, st.name)
+		if st.moves && slices.Equal(before, ds.Basis()) {
+			t.Fatalf("%s left the basis at %v: the step tests no invalidation", st.name, before)
+		}
+	}
+	// A snapshot carries the memo; mutating it leaves the source's alone.
+	snap := ds.Snapshot()
+	want := ds.Basis()
+	snap.Negate(1)
+	requireBasis(t, snap, "snapshot Negate")
+	if got := ds.Basis(); !slices.Equal(got, want) {
+		t.Fatalf("source Basis after mutating its snapshot = %v, want %v", got, want)
 	}
 }
 

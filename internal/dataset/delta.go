@@ -145,9 +145,9 @@ func (ds *Dataset) record(d Delta) {
 // lineage, version, and delta history — the substrate of version pinning:
 // serving layers mutate a snapshot of the current version and publish it as
 // the new current, so in-flight solves over older versions keep consistent
-// data. The memoized fingerprint and column mirror carry over (both are
-// read-only), making a snapshot cheap to take relative to a cold rebuild of
-// either.
+// data. The memoized fingerprint, basis and column mirror carry over (all
+// are read-only), making a snapshot cheap to take relative to a cold
+// rebuild of any of them.
 //
 // Versions within a lineage must stay linear: mutate only the newest
 // snapshot. Divergent mutation of two snapshots of the same lineage yields
@@ -166,6 +166,7 @@ func (ds *Dataset) Snapshot() *Dataset {
 		log:     append([]Delta(nil), ds.log...),
 	}
 	out.fp.Store(ds.fp.Load())
+	out.basis.Store(ds.basis.Load())
 	out.cols.Store(ds.cols.Load())
 	return out
 }

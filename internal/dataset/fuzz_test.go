@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -14,7 +15,8 @@ import (
 // strictly monotone, the fingerprint equals that of a fresh dataset built
 // from the same content (no mutation-path dependence), and the delta log
 // composes back to an exact old-row -> new-row mapping from any mid-program
-// checkpoint.
+// checkpoint. Basis is read after every step and must equal a fresh
+// column scan, so a mutation that leaves the memo stale fails.
 func FuzzDatasetMutate(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x80, 0x03})
 	f.Add([]byte{0xff, 0xfe, 0x80, 0x80, 0x11, 0x22, 0x33})
@@ -66,6 +68,7 @@ func FuzzDatasetMutate(f *testing.F) {
 					ckptRows = append([][]float64(nil), shadow...)
 				}
 			}
+			requireBasis(t, ds, fmt.Sprintf("op %d (%#x)", i, op))
 			if v := ds.Version(); v < prevV {
 				t.Fatalf("op %d: version went backwards: %d -> %d", i, prevV, v)
 			} else {

@@ -104,13 +104,6 @@ func (in *Injector) Clear() {
 	in.rules = nil
 }
 
-// Injected reports how many operations have had a fault injected.
-func (in *Injector) Injected() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.injected
-}
-
 // decide consults the script for one operation. It returns the rule's
 // injected error (nil = proceed), a sleep to apply first, and for torn
 // writes the byte count to pass through.

@@ -9,6 +9,13 @@ import (
 	"time"
 )
 
+// Injected reports how many operations have had a fault injected.
+func (in *Injector) Injected() uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.injected
+}
+
 func openWrite(t *testing.T, fs FS, path string, data []byte) (int, error) {
 	t.Helper()
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -195,13 +195,6 @@ func (r *Recorder) Len() int {
 	return r.n
 }
 
-// Dropped reports how many captures the per-trigger rate limit suppressed.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.drops
-}
-
 // goroutineProfile renders the textual goroutine profile (debug=1: one stack
 // per unique goroutine state with counts) — compact enough for a JSON bundle
 // and exactly what a deadlock or leak post-mortem reads first.

@@ -9,6 +9,13 @@ import (
 	"time"
 )
 
+// Dropped reports how many captures the per-trigger rate limit suppressed.
+func (r *Recorder) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.drops
+}
+
 func TestRecorderCaptureBundle(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("fr_test_ops_total", "Ops.").Add(3)

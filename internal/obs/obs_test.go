@@ -10,6 +10,9 @@ import (
 	"time"
 )
 
+// Inc adds one.
+func (c *Counter) Inc() { c.v.Add(1) }
+
 func TestHistogramBuckets(t *testing.T) {
 	h := newHistogram([]float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 2} {
