@@ -48,11 +48,11 @@ func (s *Server) instrument() error {
 		func() float64 { return float64(s.eng.CacheStats().Len) })
 	reg.GaugeFunc("rrmd_cache_capacity", "Solution-cache capacity.",
 		func() float64 { return float64(s.eng.CacheStats().Cap) })
-	reg.CounterFunc("rrmd_vecset_builds_total", "VecSet-tier cold builds.",
+	reg.CounterFunc("rrmd_vecset_builds_total", "VecSet-tier cold builds: vector sets and 2D sweep plans.",
 		func() float64 { return float64(s.eng.VecSetStats().Builds) })
 	reg.CounterFunc("rrmd_vecset_extensions_total", "VecSet-tier sample-stream extensions.",
 		func() float64 { return float64(s.eng.VecSetStats().Extensions) })
-	reg.CounterFunc("rrmd_vecset_reuses_total", "VecSet-tier pure reuses.",
+	reg.CounterFunc("rrmd_vecset_reuses_total", "VecSet-tier pure reuses of a vector set or 2D sweep plan.",
 		func() float64 { return float64(s.eng.VecSetStats().Reuses) })
 	reg.CounterFunc("rrmd_vecset_repairs_total", "VecSet-tier incremental delta repairs.",
 		func() float64 { return float64(s.eng.VecSetStats().Repairs) })

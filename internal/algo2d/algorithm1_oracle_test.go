@@ -34,7 +34,7 @@ func TwoDRRMAlgorithm1(ds *dataset.Dataset, r int) (Result, error) {
 
 	// Line 1-2: compute the skyline and the dual lines.
 	cand := skyline.Compute(ds)
-	lines := Lines(ds)
+	lines := dualLines(ds)
 	s := len(cand)
 	if r > s {
 		r = s
@@ -106,5 +106,5 @@ func TwoDRRMAlgorithm1(ds *dataset.Dataset, r int) (Result, error) {
 			best = m[p][r]
 		}
 	}
-	return Result{IDs: uniqueSorted(best.chain.collect()), RankRegret: best.rank}, nil
+	return result(best.chain, best.rank), nil
 }

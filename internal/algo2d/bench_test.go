@@ -62,3 +62,23 @@ func BenchmarkExactRankRegret(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTwoDRRMSweepCI is the shape of the benchmark's sweep workload
+// for its 2D dataset at CI scale (SimIsland 10k): one prebuilt Plan and
+// budgets cycling over 10..14, so each op is the DP over chain budgets
+// alone, with no skyline, event sweep or sort.
+func BenchmarkTwoDRRMSweepCI(b *testing.B) {
+	const base, steps = 10, 5
+	ctx := b.Context()
+	pl, err := NewPlanCtx(ctx, dataset.SimIsland(xrand.New(1), 10000), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.RRM(ctx, base+i%steps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package algo2d
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -27,22 +28,15 @@ func KSets2D(ds *dataset.Dataset, k int) ([][]int, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("algo2d: k=%d out of range [1, %d]", k, n)
 	}
-	lines := Lines(ds)
+	lines := dualLines(ds)
 
-	// Initial order at x = 0 (ties broken by slope: the line rising
-	// faster is above immediately after 0).
+	// The mirror starts in the sweep's own strict order at x = 0 (equal
+	// value: larger slope first; equal line: smaller index first), so its
+	// swaps track NeighborSweep's exactly, tied rows included.
 	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	for id, rank := range sweep.InitialRanks(lines, 0) {
+		order[rank-1] = id
 	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := lines[order[a]], lines[order[b]]
-		ya, yb := la.Eval(0), lb.Eval(0)
-		if ya != yb {
-			return ya > yb
-		}
-		return la.Slope > lb.Slope
-	})
 	pos := make([]int, n)
 	for p, id := range order {
 		pos[id] = p
@@ -62,11 +56,14 @@ func KSets2D(ds *dataset.Dataset, k int) ([][]int, error) {
 	}
 	record()
 
+	synced := true
 	sweep.NeighborSweep(lines, 0, 1, func(x float64, up, down int) {
 		pu, pd := pos[up], pos[down]
-		if pu+1 != pd {
-			// NeighborSweep guarantees adjacency; the mirror should agree.
-			panic("algo2d: k-set sweep mirror out of sync")
+		if !synced || pu+1 != pd {
+			// NeighborSweep visits only adjacent pairs; the mirror must
+			// agree, or nothing it records can be trusted.
+			synced = false
+			return
 		}
 		order[pu], order[pd] = down, up
 		pos[up], pos[down] = pd, pu
@@ -75,6 +72,9 @@ func KSets2D(ds *dataset.Dataset, k int) ([][]int, error) {
 			record()
 		}
 	})
+	if !synced {
+		return nil, errors.New("algo2d: internal: k-set sweep mirror out of sync")
+	}
 	return out, nil
 }
 

@@ -1,11 +1,13 @@
 package algo2d
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/geom"
+	"github.com/rankregret/rankregret/internal/topk"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
@@ -153,7 +155,7 @@ func TestKSetCount2DGrowsWithN(t *testing.T) {
 // Lines2DAbove reports, for validation, the ids ranked in the top k at a
 // specific x in dual space (the top-k set of the utility vector (x, 1-x)).
 func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {
-	lines := Lines(ds)
+	lines := dualLines(ds)
 	ids := make([]int, len(lines))
 	for i := range ids {
 		ids[i] = i
@@ -168,4 +170,132 @@ func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {
 	top := ids[:k]
 	sort.Ints(top)
 	return top
+}
+
+// checkKSets2D checks KSets2D(ds, k) against a topk.TopK oracle on the
+// utility (x, 1-x). Between two consecutive distinct crossings of any two
+// dual lines no two lines swap, so the top-k set at the midpoint is the one
+// that holds on the whole open interval: every such set must be enumerated,
+// and so must the set at x = 0 when no tie straddles rank k there.
+// Conversely, every enumerated set must be the oracle's set at some
+// midpoint, or a top-k set (under some tie order) at x = 0, at x = 1 or at a
+// crossing, where a sweep that swaps tied lines one pair at a time records
+// the orders in between.
+func checkKSets2D(t testing.TB, ds *dataset.Dataset, k int) {
+	t.Helper()
+	sets, err := KSets2D(ds, k)
+	if err != nil {
+		t.Fatalf("k=%d: %v", k, err)
+	}
+	enumerated := map[string]bool{}
+	for _, s := range sets {
+		enumerated[intsKey(s)] = true
+	}
+	lines := dualLines(ds)
+	xs := []float64{0, 1}
+	for i := range lines {
+		for j := i + 1; j < len(lines); j++ {
+			if x, ok := geom.IntersectX(lines[i], lines[j]); ok && x > 0 && x < 1 {
+				xs = append(xs, x)
+			}
+		}
+	}
+	slices.Sort(xs)
+	xs = slices.Compact(xs)
+	oracle := func(x float64) []int {
+		top := topk.TopK(ds, []float64{x, 1 - x}, k, nil)
+		sort.Ints(top)
+		return top
+	}
+	// isTopK reports whether set is a top-k set at x under some order of
+	// tied lines, up to rounding in the crossing's x.
+	isTopK := func(set []int, x float64) bool {
+		in := make([]bool, len(lines))
+		for _, id := range set {
+			in[id] = true
+		}
+		lo, hi := 0.0, 0.0
+		first := [2]bool{true, true}
+		for id, l := range lines {
+			v := l.Eval(x)
+			if in[id] && (first[0] || v < lo) {
+				lo, first[0] = v, false
+			}
+			if !in[id] && (first[1] || v > hi) {
+				hi, first[1] = v, false
+			}
+		}
+		return first[1] || lo >= hi-1e-9
+	}
+	witnessed := map[string]bool{}
+	for i := 0; i+1 < len(xs); i++ {
+		top := oracle((xs[i] + xs[i+1]) / 2)
+		witnessed[intsKey(top)] = true
+		if !enumerated[intsKey(top)] {
+			t.Fatalf("k=%d: top-k set %v on (%v, %v) missing from %v", k, top, xs[i], xs[i+1], sets)
+		}
+	}
+	if scores := ds.Utilities([]float64{0, 1}, nil); k == len(lines) || kthGap(scores, k) {
+		if top := oracle(0); !enumerated[intsKey(top)] {
+			t.Fatalf("k=%d: top-k set %v at x=0 missing from %v", k, top, sets)
+		}
+	}
+	for _, s := range sets {
+		if witnessed[intsKey(s)] {
+			continue
+		}
+		if !slices.ContainsFunc(xs, func(x float64) bool { return isTopK(s, x) }) {
+			t.Fatalf("k=%d: enumerated set %v is not a top-k set anywhere in [0, 1]", k, s)
+		}
+	}
+}
+
+// kthGap reports whether the k-th and (k+1)-th largest scores differ.
+func kthGap(scores []float64, k int) bool {
+	sorted := slices.Clone(scores)
+	slices.Sort(sorted)
+	slices.Reverse(sorted)
+	return sorted[k-1] != sorted[k]
+}
+
+// tiedRows returns n rows whose values lie on a half-step grid in [0, 2],
+// so rows tie on an attribute, on both, or at a crossing.
+func tiedRows(rng *xrand.Rand, n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []float64{float64(rng.Intn(5)) / 2, float64(rng.Intn(5)) / 2}
+	}
+	return rows
+}
+
+// TestKSets2DTiedRows runs the oracle check over 300 seeded tiny datasets
+// on a half-step grid, every k. A mirror that orders tied lines unlike the
+// sweep fell out of sync on about a quarter of them.
+func TestKSets2DTiedRows(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := xrand.New(seed)
+		ds := dataset.MustFromRows(tiedRows(rng, 4+rng.Intn(12)))
+		for k := 1; k <= ds.N(); k++ {
+			checkKSets2D(t, ds, k)
+		}
+	}
+}
+
+// FuzzKSets2D feeds KSets2D tiny datasets on a half-step grid: the first
+// byte picks k, and each following pair of bytes is a row.
+func FuzzKSets2D(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 0, 0, 1, 1, 2, 2})
+	f.Add([]byte{1, 4, 0, 0, 4, 2, 2, 2, 2, 1, 3})
+	f.Add([]byte{3, 1, 1, 1, 1, 1, 1, 3, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 5 {
+			return
+		}
+		rows := make([][]float64, 0, 15)
+		for i := 1; i+1 < len(b) && len(rows) < 15; i += 2 {
+			rows = append(rows, []float64{float64(b[i]%5) / 2, float64(b[i+1]%5) / 2})
+		}
+		ds := dataset.MustFromRows(rows)
+		checkKSets2D(t, ds, 1+int(b[0])%ds.N())
+	})
 }

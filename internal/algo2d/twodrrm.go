@@ -5,7 +5,9 @@
 //     (skyline) line and chain-length budget, the best convex chain seen so
 //     far. Extended to RRRM by restricting the sweep to the rendered segment
 //     [c0, c1] and to the U-skyline candidates, and to exact RRR by reading
-//     the full DP row.
+//     the full DP row. The sweep does not depend on the budget, so it is
+//     built once into a Plan (NewPlanCtx) that serves every r (Plan.RRM)
+//     and every k (Plan.RRR).
 //   - TwoDRRR: the earlier approximation baseline of Asudeh et al. (size at
 //     most r_k with rank-regret at most 2k), adapted to RRM by the improved
 //     doubling binary search of Section V.B.2.
@@ -16,8 +18,10 @@ package algo2d
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
@@ -62,57 +66,109 @@ type cell struct {
 	chain *chainNode
 }
 
-// Lines converts every tuple to its dual line.
-func Lines(ds *dataset.Dataset) []geom.Line {
-	if ds.Dim() != 2 {
-		panic(fmt.Sprintf("algo2d: dataset dimension %d, need 2", ds.Dim()))
-	}
+// dualLines converts every tuple of a 2D dataset to its dual line; callers
+// check the dimension.
+func dualLines(ds *dataset.Dataset) []geom.Line {
 	lines := make([]geom.Line, ds.N())
-	for i := 0; i < ds.N(); i++ {
+	for i := range lines {
 		lines[i] = geom.DualLine(ds.Value(i, 0), ds.Value(i, 1))
 	}
 	return lines
 }
 
-// sweepPlan is the budget-independent half of the 2DRRM dynamic program
-// over one segment [c0, c1]: the candidates' start ranks and the ordered
-// crossing events. Built once, it serves every budget r.
-type sweepPlan struct {
-	cand    []int
-	isCand  []bool
-	candPos []int // line index -> position in cand
-	start   []int // start[p] = rank of cand[p] at c0
-	events  []sweep.Event
+// Plan is the budget-independent half of an exact 2D solve over one
+// dataset and utility space: the U-skyline candidates, their ranks at the
+// start of the rendered segment [c0, c1], and the sweep's crossing events
+// folded into dynamic-program steps. Only the DP over chain budgets depends
+// on r, so one Plan serves every RRM budget (RRM) and every RRR threshold
+// (RRR). A Plan is never written after NewPlanCtx returns, so concurrent
+// solves may share it.
+type Plan struct {
+	cand  []int // candidate tuple ids, ascending
+	start []int // start[p] = rank of cand[p] at c0
+	steps []step
 }
 
-// planDP prepares the DP sweep over [c0, c1] for the given candidate tuple
-// ids. Tuple ranks count every line; only candidates' ranks are ever read.
-func planDP(lines []geom.Line, cand []int, c0, c1 float64) *sweepPlan {
-	pl := &sweepPlan{
-		cand:    cand,
-		isCand:  make([]bool, len(lines)),
-		candPos: make([]int, len(lines)),
-		start:   sweep.RanksAt(lines, cand, c0),
+// step is one crossing in which candidate p drops a rank: rank is p's rank
+// after it, and q is the candidate position of the line that overtakes p,
+// or -1 for a non-candidate. A crossing in which only the rising line is a
+// candidate changes no DP cell, so it has no step; the plan applies its
+// rank change when it computes the steps' ranks.
+type step struct{ p, q, rank int32 }
+
+// NewPlanCtx builds the sweep plan of ds over the rendered segment of space
+// (nil = the full space): the U-skyline candidates, their start ranks, and
+// every crossing of a candidate line with any line in sweep order. Tuple
+// ranks count every line; only candidates' ranks are ever read. It checks
+// ctx before and after the event sweep.
+func NewPlanCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space) (*Plan, error) {
+	if ds.Dim() != 2 {
+		return nil, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())
+	}
+	if ds.N() == 0 {
+		return nil, errors.New("algo2d: empty dataset")
+	}
+	if space == nil {
+		space = funcspace.NewFull(2)
+	}
+	c0, c1, err := funcspace.Render2D(space)
+	if err != nil {
+		return nil, err
+	}
+	cand, err := skyline.ComputeRestricted(ds, space)
+	if err != nil {
+		return nil, err
+	}
+	if len(cand) == 0 {
+		return nil, errors.New("algo2d: no candidate tuples (empty U-skyline)")
+	}
+	if err := ctxutil.Cancelled(ctx); err != nil {
+		return nil, err
+	}
+	lines := dualLines(ds)
+	isCand := make([]bool, len(lines))
+	candPos := make([]int32, len(lines)) // line id -> position in cand, -1 if none
+	for i := range candPos {
+		candPos[i] = -1
 	}
 	for p, c := range cand {
-		pl.isCand[c] = true
-		pl.candPos[c] = p
+		isCand[c] = true
+		candPos[c] = int32(p)
 	}
-	pl.events = sweep.BuildEvents(lines, pl.isCand, c0, c1)
-	return pl
+	pl := &Plan{cand: cand, start: sweep.RanksAt(lines, cand, c0)}
+	events := sweep.BuildEvents(lines, isCand, c0, c1)
+	if err := ctxutil.Cancelled(ctx); err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, e := range events {
+		if isCand[e.Up] {
+			n++
+		}
+	}
+	pl.steps = make([]step, 0, n)
+	cur := slices.Clone(pl.start) // cur[p] = current rank of cand[p]
+	for _, e := range events {
+		p, q := candPos[e.Up], candPos[e.Down]
+		if p >= 0 {
+			cur[p]++
+			pl.steps = append(pl.steps, step{p: p, q: q, rank: int32(cur[p])})
+		}
+		if q >= 0 {
+			cur[q]--
+		}
+	}
+	return pl, nil
 }
 
 // run executes the dynamic program with chain budget r. It returns, for
 // every budget h in 1..min(r, s), the best achievable maximum rank and the
 // corresponding chain (bestRank[h], bestChain[h]; index 0 unused).
-func (pl *sweepPlan) run(ctx context.Context, r int) (bestRank []int, bestChain []*chainNode, err error) {
+func (pl *Plan) run(ctx context.Context, r int) (bestRank []int, bestChain []*chainNode, err error) {
 	s := len(pl.cand)
-	if r > s {
-		r = s
-	}
-	isCand, candPos := pl.isCand, pl.candPos
+	r = min(r, s)
 
-	// M[p][h] for candidate position p, budget h in 1..r.
+	// m[p][h] for candidate position p, budget h in 1..r.
 	m := make([][]cell, s)
 	for p, c := range pl.cand {
 		row := make([]cell, r+1)
@@ -123,44 +179,35 @@ func (pl *sweepPlan) run(ctx context.Context, r int) (bestRank []int, bestChain 
 		m[p] = row
 	}
 
-	cur := append([]int(nil), pl.start...) // cur[p] = current rank of cand[p]
-	for ei, e := range pl.events {
-		if ei%8192 == 0 {
+	for i, st := range pl.steps {
+		if i%8192 == 0 {
 			if err := ctxutil.Cancelled(ctx); err != nil {
 				return nil, nil, err
 			}
 		}
-		up, down := int(e.Up), int(e.Down)
-		if isCand[up] {
-			p := candPos[up]
-			cur[p]++
-			newRank := cur[p]
-			if isCand[down] {
-				q := candPos[down]
-				// Descending h: the extension at h reads m[p][h-1] before
-				// its own max-update at h-1, i.e. the chain's max rank up to
-				// just before this crossing, exactly as Theorem 4 requires.
-				for h := r; h >= 1; h-- {
-					if m[p][h].rank < newRank {
-						m[p][h].rank = newRank
-					}
-					if h >= 2 && m[q][h].rank > m[p][h-1].rank {
-						m[q][h] = cell{
-							rank:  m[p][h-1].rank,
-							chain: &chainNode{line: down, prev: m[p][h-1].chain},
-						}
-					}
-				}
-			} else {
-				for h := r; h >= 1; h-- {
-					if m[p][h].rank < newRank {
-						m[p][h].rank = newRank
-					}
+		mp, rank := m[st.p], int(st.rank)
+		if st.q < 0 {
+			for h := r; h >= 1; h-- {
+				if mp[h].rank < rank {
+					mp[h].rank = rank
 				}
 			}
+			continue
 		}
-		if isCand[down] {
-			cur[candPos[down]]--
+		mq, down := m[st.q], pl.cand[st.q]
+		// Descending h: the extension at h reads mp[h-1] before its own
+		// max-update at h-1, i.e. the chain's max rank up to just before
+		// this crossing, exactly as Theorem 4 requires.
+		for h := r; h >= 1; h-- {
+			if mp[h].rank < rank {
+				mp[h].rank = rank
+			}
+			if h >= 2 && mq[h].rank > mp[h-1].rank {
+				mq[h] = cell{
+					rank:  mp[h-1].rank,
+					chain: &chainNode{line: down, prev: mp[h-1].chain},
+				}
+			}
 		}
 	}
 
@@ -178,22 +225,54 @@ func (pl *sweepPlan) run(ctx context.Context, r int) (bestRank []int, bestChain 
 	return bestRank, bestChain, nil
 }
 
-// uniqueSorted deduplicates and sorts chain line ids into tuple ids.
-func uniqueSorted(ids []int) []int {
-	seen := map[int]bool{}
-	out := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+// result turns a DP chain into a Result: its tuple ids, sorted and
+// deduplicated, and its rank.
+func result(chain *chainNode, rank int) Result {
+	ids := chain.collect()
+	slices.Sort(ids)
+	return Result{IDs: slices.Compact(ids), RankRegret: rank}
+}
+
+// RRM solves RRM exactly over the plan's segment (Theorem 4): a set of at
+// most r tuples minimizing the maximum rank, with that optimal rank. The DP
+// checks ctx every few thousand steps and aborts with ctx.Err().
+func (pl *Plan) RRM(ctx context.Context, r int) (Result, error) {
+	if r < 1 {
+		return Result{}, fmt.Errorf("algo2d: output size %d, need >= 1", r)
+	}
+	bestRank, bestChain, err := pl.run(ctx, r)
+	if err != nil {
+		return Result{}, err
+	}
+	h := len(bestRank) - 1 // min(r, s)
+	return result(bestChain[h], bestRank[h]), nil
+}
+
+// RRR solves the dual RRR problem exactly over the plan's segment: the
+// minimum-size set whose rank-regret is at most k. It grows the chain budget
+// geometrically and reads the DP row to find the smallest budget achieving
+// rank <= k. ok is false when even the full U-skyline cannot achieve k (k <
+// the dataset's intrinsic minimum). The DP checks ctx.
+func (pl *Plan) RRR(ctx context.Context, k int) (res Result, ok bool, err error) {
+	if k < 1 {
+		return Result{}, false, fmt.Errorf("algo2d: rank threshold %d, need >= 1", k)
+	}
+	s := len(pl.cand)
+	for r := 4; ; r *= 2 {
+		r = min(r, s)
+		bestRank, bestChain, err := pl.run(ctx, r)
+		if err != nil {
+			return Result{}, false, err
+		}
+		for h := 1; h < len(bestRank); h++ {
+			if bestRank[h] <= k {
+				return result(bestChain[h], bestRank[h]), true, nil
+			}
+		}
+		if r == s {
+			return Result{}, false, nil
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // TwoDRRMCtx solves RRM exactly in 2D (Theorem 4): it returns a set of at
@@ -201,49 +280,23 @@ func uniqueSorted(ids []int) []int {
 // functions, along with that exact optimal rank-regret. It is
 // TwoDRRMRestrictedCtx over the full space.
 func TwoDRRMCtx(ctx context.Context, ds *dataset.Dataset, r int) (Result, error) {
-	return TwoDRRMRestrictedCtx(ctx, ds, r, funcspace.NewFull(2))
+	return TwoDRRMRestrictedCtx(ctx, ds, r, nil)
 }
 
 // TwoDRRMRestrictedCtx solves RRRM exactly in 2D: the same dynamic program
 // run over the rendered segment of the restricted space (Section IV.C), with
-// U-skyline candidates. Every few thousand crossing events the sweep checks
-// ctx and aborts with ctx.Err().
+// U-skyline candidates, on a plan built for this one solve.
 func TwoDRRMRestrictedCtx(ctx context.Context, ds *dataset.Dataset, r int, space funcspace.Space) (Result, error) {
-	if ds.Dim() != 2 {
-		return Result{}, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())
-	}
-	if r < 1 {
-		return Result{}, fmt.Errorf("algo2d: output size %d, need >= 1", r)
-	}
-	if ds.N() == 0 {
-		return Result{}, fmt.Errorf("algo2d: empty dataset")
-	}
-	c0, c1, err := funcspace.Render2D(space)
+	pl, err := NewPlanCtx(ctx, ds, space)
 	if err != nil {
 		return Result{}, err
 	}
-	cand, err := skyline.ComputeRestricted(ds, space)
-	if err != nil {
-		return Result{}, err
-	}
-	if len(cand) == 0 {
-		return Result{}, fmt.Errorf("algo2d: no candidate tuples (empty U-skyline)")
-	}
-	bestRank, bestChain, err := planDP(Lines(ds), cand, c0, c1).run(ctx, r)
-	if err != nil {
-		return Result{}, err
-	}
-	h := r
-	if h > len(bestRank)-1 {
-		h = len(bestRank) - 1
-	}
-	chain := bestChain[h].collect()
-	return Result{IDs: uniqueSorted(chain), RankRegret: bestRank[h]}, nil
+	return pl.RRM(ctx, r)
 }
 
 // TwoDRRRExactCtx solves the dual RRR problem exactly: the minimum-size set
 // with rank-regret at most k over the full space. It is
 // TwoDRRRExactRestrictedCtx over the full space.
 func TwoDRRRExactCtx(ctx context.Context, ds *dataset.Dataset, k int) (res Result, ok bool, err error) {
-	return TwoDRRRExactRestrictedCtx(ctx, ds, k, funcspace.NewFull(2))
+	return TwoDRRRExactRestrictedCtx(ctx, ds, k, nil)
 }

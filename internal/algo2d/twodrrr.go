@@ -11,7 +11,6 @@ import (
 	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/ksearch"
-	"github.com/rankregret/rankregret/internal/skyline"
 	"github.com/rankregret/rankregret/internal/sweep"
 )
 
@@ -27,7 +26,7 @@ func ExactRankRegret(ds *dataset.Dataset, ids []int, c0, c1 float64) (int, error
 	if len(ids) == 0 {
 		return 0, fmt.Errorf("algo2d: empty set has no rank-regret")
 	}
-	lines := Lines(ds)
+	lines := dualLines(ds)
 	isMember := make([]bool, len(lines))
 	for _, id := range ids {
 		if id < 0 || id >= len(lines) {
@@ -77,7 +76,7 @@ func TwoDRRRBaselineCtx(ctx context.Context, ds *dataset.Dataset, k int) (Result
 	if k < 1 {
 		return Result{}, fmt.Errorf("algo2d: rank threshold %d, need >= 1", k)
 	}
-	lines := Lines(ds)
+	lines := dualLines(ds)
 	n := len(lines)
 	if n == 0 {
 		return Result{}, fmt.Errorf("algo2d: empty dataset")
@@ -175,45 +174,13 @@ func TwoDRRRBaselineForRRMCtx(ctx context.Context, ds *dataset.Dataset, r int) (
 
 // TwoDRRRExactRestrictedCtx solves the dual RRR problem exactly under a
 // restricted utility space: the minimum-size set whose rank-regret over the
-// rendered segment of the space is at most k. It grows the chain budget
-// geometrically and reads the DP row to find the smallest budget achieving
-// rank <= k. ok is false when even the full U-skyline cannot achieve k (k <
-// the dataset's intrinsic minimum). The DP sweep checks ctx.
+// rendered segment of the space is at most k (see Plan.RRR), on a plan
+// built for this one solve. ok is false when even the full U-skyline cannot
+// achieve k.
 func TwoDRRRExactRestrictedCtx(ctx context.Context, ds *dataset.Dataset, k int, space funcspace.Space) (res Result, ok bool, err error) {
-	if ds.Dim() != 2 {
-		return Result{}, false, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())
-	}
-	if k < 1 {
-		return Result{}, false, fmt.Errorf("algo2d: rank threshold %d, need >= 1", k)
-	}
-	c0, c1, err := funcspace.Render2D(space)
+	pl, err := NewPlanCtx(ctx, ds, space)
 	if err != nil {
 		return Result{}, false, err
 	}
-	cand, err := skyline.ComputeRestricted(ds, space)
-	if err != nil {
-		return Result{}, false, err
-	}
-	if len(cand) == 0 {
-		return Result{}, false, fmt.Errorf("algo2d: no candidate tuples (empty U-skyline)")
-	}
-	plan := planDP(Lines(ds), cand, c0, c1)
-	for r := 4; ; r *= 2 {
-		if r > len(cand) {
-			r = len(cand)
-		}
-		bestRank, bestChain, err := plan.run(ctx, r)
-		if err != nil {
-			return Result{}, false, err
-		}
-		for h := 1; h < len(bestRank); h++ {
-			if bestRank[h] <= k {
-				chain := bestChain[h].collect()
-				return Result{IDs: uniqueSorted(chain), RankRegret: bestRank[h]}, true, nil
-			}
-		}
-		if r == len(cand) {
-			return Result{}, false, nil
-		}
-	}
+	return pl.RRR(ctx, k)
 }

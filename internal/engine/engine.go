@@ -53,10 +53,11 @@ type Options struct {
 	// identity to key on.
 	Sampler algohd.Sampler
 	// VecSets is the first-tier cache HDRRM-family solvers draw their
-	// shared vector sets from; it is not part of any cache key. Engine
-	// methods fill a nil value with the engine's own tier (nil only when
-	// the engine's caching is disabled). A Solver called directly with nil
-	// builds a one-off vector set for the solve.
+	// shared vector sets from, and 2drrm its sweep plans; it is not part
+	// of any cache key. Engine methods fill a nil value with the engine's
+	// own tier (nil only when the engine's caching is disabled). A Solver
+	// called directly with nil builds a one-off vector set or plan for the
+	// solve.
 	VecSets *VecSetCache
 	// Parallelism bounds the worker goroutines of the HDRRM-family top-K
 	// scoring passes (0 = GOMAXPROCS). Results are bit-identical at every
@@ -361,10 +362,11 @@ const DefaultWarmBudget = 5
 // empty, so a serving layer that calls Warm in the background for every
 // recovered dataset pays the cold-solve cliff proactively — the first
 // client solve then finds the VecSet tier populated and takes the reuse
-// (or cheap extension) path instead of a cold build. Results are identical
-// either way; only latency moves. Callers must pass the same CacheSalt,
-// seed, and parallelism their live solves use, or the warmed entries will
-// not be the ones those solves look up.
+// (or cheap extension) path instead of a cold build: a vector set for an
+// HDRRM dataset, the sweep plan for a 2D one, whose auto-resolved solver is
+// 2drrm. Results are identical either way; only latency moves. Callers must
+// pass the same CacheSalt, seed, and parallelism their live solves use, or
+// the warmed entries will not be the ones those solves look up.
 func (e *Engine) Warm(ctx context.Context, ds *dataset.Dataset, r int, opts Options) error {
 	if r <= 0 {
 		r = DefaultWarmBudget

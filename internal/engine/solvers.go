@@ -9,7 +9,6 @@ import (
 	"github.com/rankregret/rankregret/internal/algohd"
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/skyline"
 )
 
@@ -40,16 +39,18 @@ func init() {
 }
 
 // twoDRRMSolver is the paper's exact 2D dynamic program (Algorithm 1),
-// restricted-space aware, and an exact DualSolver.
+// restricted-space aware, and an exact DualSolver. Both modes run on one
+// sweep plan per dataset, space and tier entry (see plan2D).
 type twoDRRMSolver struct{}
 
 func (twoDRRMSolver) Name() string { return AlgoTwoDRRM }
 
 func (twoDRRMSolver) Solve(ctx context.Context, ds *dataset.Dataset, r int, opts Options) (*Solution, error) {
-	if ds.Dim() != 2 {
-		return nil, ErrDimension
+	pl, err := plan2D(ctx, ds, opts)
+	if err != nil {
+		return nil, err
 	}
-	res, err := algo2d.TwoDRRMRestrictedCtx(ctx, ds, r, space2D(opts.Space))
+	res, err := pl.RRM(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -57,10 +58,11 @@ func (twoDRRMSolver) Solve(ctx context.Context, ds *dataset.Dataset, r int, opts
 }
 
 func (twoDRRMSolver) SolveRRR(ctx context.Context, ds *dataset.Dataset, k int, opts Options) (*Solution, error) {
-	if ds.Dim() != 2 {
-		return nil, ErrDimension
+	pl, err := plan2D(ctx, ds, opts)
+	if err != nil {
+		return nil, err
 	}
-	res, ok, err := algo2d.TwoDRRRExactRestrictedCtx(ctx, ds, k, space2D(opts.Space))
+	res, ok, err := pl.RRR(ctx, k)
 	if err != nil {
 		return nil, err
 	}
@@ -70,12 +72,17 @@ func (twoDRRMSolver) SolveRRR(ctx context.Context, ds *dataset.Dataset, k int, o
 	return &Solution{IDs: res.IDs, RankRegret: res.RankRegret, Exact: true, Algorithm: AlgoTwoDRRM}, nil
 }
 
-// space2D defaults a nil space to the full 2D orthant (plain RRM).
-func space2D(sp funcspace.Space) funcspace.Space {
-	if sp == nil {
-		return funcspace.NewFull(2)
+// plan2D returns the budget-independent sweep plan a 2DRRM solve runs its
+// DP on: the VecSet tier's when one is wired in and no Sampler is set,
+// otherwise a one-off plan. Results are identical either way.
+func plan2D(ctx context.Context, ds *dataset.Dataset, opts Options) (*algo2d.Plan, error) {
+	if ds.Dim() != 2 {
+		return nil, ErrDimension
 	}
-	return sp
+	if opts.VecSets != nil && opts.Sampler == nil {
+		return opts.VecSets.Plan(ctx, ds, opts)
+	}
+	return algo2d.NewPlanCtx(ctx, ds, opts.Space)
 }
 
 // vecSet returns the vector set an HDRRM-family solve runs against, with m

@@ -8,23 +8,36 @@ import (
 	"sync"
 	"time"
 
+	"github.com/rankregret/rankregret/internal/algo2d"
 	"github.com/rankregret/rankregret/internal/algohd"
 	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/obs"
 )
 
-// VecSetCache is the first tier of the engine's two-tier cache: shared
-// vector sets (polar grid + sample stream + per-vector top-K lists, the
-// expensive precomputation behind every HDRRM-family solve) keyed by
-// dataset fingerprint, space, gamma, and seed. The sample count m is
-// deliberately NOT part of the key: all samples come from one seeded
-// stream, so a single entry serves every m as a prefix view and a
-// parameter sweep over r or k pays the build cost once.
+// VecSetCache is the first tier of the engine's two-tier cache: the work
+// of a solve that does not depend on the budget r or threshold k, keyed by
+// dataset fingerprint, space, gamma, and seed. An entry holds up to two
+// such precomputations, each made by the first solve that needs it:
+//
+//   - a shared vector set (polar grid + sample stream + per-vector top-K
+//     lists, the expensive precomputation behind every HDRRM-family
+//     solve). The sample count m is deliberately NOT part of the key: all
+//     samples come from one seeded stream, so a single entry serves every
+//     m as a prefix view;
+//   - for a 2D dataset, the exact 2D solver's sweep plan (algo2d.Plan:
+//     U-skyline, start ranks, crossing events), which serves every RRM
+//     budget and RRR threshold.
+//
+// So a parameter sweep over r or k pays the build cost once, and hdrrm and
+// 2drrm solves on one 2D dataset share an entry. Both count in the builds
+// and reuses of VecSetStats and run under the "build" span.
 //
 // Builds are coalesced per entry (SharedVecSet serializes its own build and
-// extension work), so a dogpile of identical cold solves performs exactly
-// one build. Sampler-backed solves have no cacheable identity and must not
-// be routed here — the engine wiring enforces that.
+// extension work, the plan slot its build), so a dogpile of identical cold
+// solves performs exactly one build; a failed build is not kept.
+// Sampler-backed solves have no cacheable identity and must not be routed
+// here — the engine wiring enforces that.
 //
 // The tier is delta-aware: alongside the exact fingerprint-keyed lookup it
 // maintains an identity index keyed by dataset lineage. When a solve arrives
@@ -33,7 +46,8 @@ import (
 // is seeded as an incremental repair of the old one (appended rows merged
 // into the per-vector top-K lists, tombstoned rows remapped or re-selected)
 // instead of a cold rebuild. The old entry is never modified, so solves
-// pinned to the old version keep hitting it.
+// pinned to the old version keep hitting it. Plans are not repaired: each
+// dataset version builds its own.
 type VecSetCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -60,7 +74,33 @@ type vecsetEntry struct {
 	ident   string // identity key: salt|lineage|space|gamma|seed
 	fp      uint64 // dataset fingerprint at entry creation
 	version uint64 // dataset version at entry creation
-	shared  *algohd.SharedVecSet
+	// shared is created by the entry's first HDRRM-family acquire, under
+	// the cache lock; nil while only 2D solves have used the entry.
+	shared *algohd.SharedVecSet
+	plan   planSlot
+}
+
+// planSlot holds an entry's 2D sweep plan, built by the first 2DRRM solve.
+// The build runs under mu, so concurrent first solves build once; a failed
+// build leaves the slot empty for the next solve to retry.
+type planSlot struct {
+	mu   sync.Mutex
+	plan *algo2d.Plan
+}
+
+// get returns the slot's plan, building it from ds and space if it has none.
+func (s *planSlot) get(ctx context.Context, ds *dataset.Dataset, space funcspace.Space) (*algo2d.Plan, algohd.AcquireOutcome, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.plan != nil {
+		return s.plan, algohd.VecSetReused, nil
+	}
+	pl, err := algo2d.NewPlanCtx(ctx, ds, space)
+	if err != nil {
+		return nil, algohd.VecSetReused, err
+	}
+	s.plan = pl
+	return pl, algohd.VecSetBuilt, nil
 }
 
 // VecSetStats is a snapshot of the VecSet-tier counters. Reuses counts
@@ -101,44 +141,30 @@ func NewVecSetCache(capacity int) *VecSetCache {
 // shared set as needed. Evicting an entry never invalidates views already
 // handed out.
 func (c *VecSetCache) Acquire(ctx context.Context, ds *dataset.Dataset, opts Options, m int) (*algohd.VecSet, error) {
-	ho := opts.hd()
 	key := vecsetKey(ds, opts)
-	var ib strings.Builder
-	fmt.Fprintf(&ib, "%s|%d|%s|%d|%d", opts.CacheSalt, ds.Lineage(), opts.spaceKey(), ho.EffectiveGamma(), opts.Seed)
-	ident := ib.String()
-
 	c.mu.Lock()
-	var shared *algohd.SharedVecSet
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		shared = el.Value.(*vecsetEntry).shared
-	} else {
-		if prev := c.repairSource(ident, ds); prev != nil {
+	e := c.entry(key, ds, opts)
+	if e.shared == nil {
+		ho := opts.hd()
+		if prev := c.repairSource(e.ident, ds); prev != nil {
 			if deltas, ok := ds.Deltas(prev.version); ok && repairable(deltas) {
 				// Lazy: the actual repair (or its fallback cold build) runs
 				// on first Acquire of the new shared set, outside this lock.
-				shared = algohd.NewRepairedVecSet(prev.shared, ds, deltas)
+				e.shared = algohd.NewRepairedVecSet(prev.shared, ds, deltas)
 			}
 		}
-		if shared == nil {
-			shared = algohd.NewSharedVecSet(ds, ho.Space, ho.EffectiveGamma(), opts.Seed, ho.Sampler)
+		if e.shared == nil {
+			e.shared = algohd.NewSharedVecSet(ds, ho.Space, ho.EffectiveGamma(), opts.Seed, ho.Sampler)
 		}
-		e := &vecsetEntry{key: key, ident: ident, fp: ds.Fingerprint(), version: ds.Version(), shared: shared}
-		el := c.ll.PushFront(e)
-		c.items[key] = el
-		if cur, ok := c.byIdent[ident]; !ok || cur.Value.(*vecsetEntry).version <= e.version {
-			c.byIdent[ident] = el
-		}
-		if c.ll.Len() > c.cap {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			old := oldest.Value.(*vecsetEntry)
-			delete(c.items, old.key)
-			if c.byIdent[old.ident] == oldest {
-				delete(c.byIdent, old.ident)
-			}
+		el := c.items[e.key]
+		if cur, ok := c.byIdent[e.ident]; !ok || cur.Value.(*vecsetEntry).version <= e.version {
+			c.byIdent[e.ident] = el
 		}
 	}
+	// Evict only now: the least recently used entry may be the repair
+	// source just taken.
+	c.evict()
+	shared := e.shared
 	// The build itself runs outside the cache lock; SharedVecSet coalesces
 	// concurrent builders on its own lock.
 	c.mu.Unlock()
@@ -150,6 +176,65 @@ func (c *VecSetCache) Acquire(ctx context.Context, ds *dataset.Dataset, opts Opt
 	if err != nil {
 		return nil, err
 	}
+	c.count(outcome, start)
+	return vs, nil
+}
+
+// Plan returns the 2D sweep plan for ds over opts.Space (nil = the full
+// space), kept in the same entry an HDRRM-family solve on ds would use, so
+// an r or k sweep over a 2D dataset builds it once. Each dataset version
+// builds its own plan: plans are not repaired across mutations. The
+// caller checks that ds is 2-dimensional.
+func (c *VecSetCache) Plan(ctx context.Context, ds *dataset.Dataset, opts Options) (*algo2d.Plan, error) {
+	key := vecsetKey(ds, opts)
+	c.mu.Lock()
+	e := c.entry(key, ds, opts)
+	c.evict()
+	c.mu.Unlock()
+
+	start := time.Now()
+	endSpan := obs.StartSpan(ctx, "build")
+	pl, outcome, err := e.plan.get(ctx, ds, opts.Space)
+	endSpan()
+	if err != nil {
+		return nil, err
+	}
+	c.count(outcome, start)
+	return pl, nil
+}
+
+// entry returns the entry under key, ds's vecsetKey under opts, creating
+// an empty one at the front when there is none; the caller then calls
+// evict. Called with c.mu held.
+func (c *VecSetCache) entry(key string, ds *dataset.Dataset, opts Options) *vecsetEntry {
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		return el.Value.(*vecsetEntry)
+	}
+	var ib strings.Builder
+	fmt.Fprintf(&ib, "%s|%d|%s|%d|%d", opts.CacheSalt, ds.Lineage(), opts.spaceKey(), opts.hd().EffectiveGamma(), opts.Seed)
+	e := &vecsetEntry{key: key, ident: ib.String(), fp: ds.Fingerprint(), version: ds.Version()}
+	c.items[key] = c.ll.PushFront(e)
+	return e
+}
+
+// evict drops the least recently used entry while the tier is over
+// capacity. Called with c.mu held.
+func (c *VecSetCache) evict() {
+	for c.ll.Len() > c.cap {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		old := oldest.Value.(*vecsetEntry)
+		delete(c.items, old.key)
+		if c.byIdent[old.ident] == oldest {
+			delete(c.byIdent, old.ident)
+		}
+	}
+}
+
+// count records one acquire's outcome, and the latency of one that did
+// real work.
+func (c *VecSetCache) count(outcome algohd.AcquireOutcome, start time.Time) {
 	c.mu.Lock()
 	switch outcome {
 	case algohd.VecSetBuilt:
@@ -166,7 +251,6 @@ func (c *VecSetCache) Acquire(ctx context.Context, ds *dataset.Dataset, opts Opt
 	if h != nil && outcome != algohd.VecSetReused {
 		h.ObserveSince(start)
 	}
-	return vs, nil
 }
 
 // instrument wires the build-latency histogram; called by Engine.Instrument

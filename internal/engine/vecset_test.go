@@ -191,3 +191,28 @@ func TestSamplerBypassesVecSetTier(t *testing.T) {
 		t.Errorf("sampler-backed solve touched the VecSet tier: %+v", st)
 	}
 }
+
+// TestVecSetCacheRepairsFromLRUSource: when a full tier's least recently
+// used entry is the previous version of the dataset being solved, the new
+// version still repairs from it; the entry is evicted only after the
+// repair source has been taken.
+func TestVecSetCacheRepairsFromLRUSource(t *testing.T) {
+	c := NewVecSetCache(2)
+	ctx := context.Background()
+	opts := Options{Seed: 1, Samples: 100, Gamma: 3}
+	v0 := dataset.Independent(xrand.New(20), 80, 3)
+	other := dataset.Independent(xrand.New(21), 80, 3)
+	for _, ds := range []*dataset.Dataset{v0, other} {
+		if _, err := c.Acquire(ctx, ds, opts, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1 := v0.Snapshot()
+	appendRandomRows(v1, xrand.New(22), 3)
+	if _, err := c.Acquire(ctx, v1, opts, 100); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Builds != 2 || st.Repairs != 1 || st.Len != 2 {
+		t.Fatalf("stats after solving v1 with v0 least recently used = %+v, want 2 builds / 1 repair at len 2", st)
+	}
+}

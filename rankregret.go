@@ -309,10 +309,13 @@ func Solve(ctx context.Context, ds *Dataset, r int, opts *Options) (*Solution, e
 
 // SolveSweep solves the same dataset for several output budgets rs in one
 // call and returns one solution per budget, in order. Sweeps are cheap: the
-// engine's VecSet cache tier shares the expensive function-space
-// discretization (polar grid, sample stream, per-vector top-K lists) across
-// every budget, so each point after the first costs only its set-cover
-// search — orders of magnitude less than a cold solve. Each solution is
+// engine's VecSet cache tier keeps the budget-independent work of a solve
+// and shares it across every budget. For HDRRM that is the function-space
+// discretization (polar grid, sample stream, per-vector top-K lists), so
+// each point after the first costs only its set-cover search; for the exact
+// 2D solver it is the sweep plan (U-skyline, start ranks, crossing events),
+// so each point after the first costs only the DP over chain budgets. Both
+// are orders of magnitude less than a cold solve. Each solution is
 // identical to the corresponding Solve(ctx, ds, r, opts) call. Cancelling
 // ctx aborts the sweep from inside the current solve's hot loops.
 func SolveSweep(ctx context.Context, ds *Dataset, rs []int, opts *Options) ([]*Solution, error) {
