@@ -6,14 +6,13 @@ import (
 
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/skyline"
-	"github.com/rankregret/rankregret/internal/sweep"
 )
 
 // TwoDRRMAlgorithm1 is a literal transcription of the paper's Algorithm 1:
 // the full neighbor sweep over every one of the O(n^2) line crossings, with
-// the sorted list L and min-heap H maintained exactly as described (via
-// sweep.NeighborSweep), and the DP matrix M updated at each crossing
-// according to the three cases of Section IV.B.
+// the sorted list L and min-heap H maintained exactly as described (by
+// neighborSweep, the same sweep KSets2D runs), and the DP matrix M updated
+// at each crossing according to the three cases of Section IV.B.
 //
 // The production solver TwoDRRMCtx computes the identical matrix from the
 // skyline-involving crossings only (crossings between two non-skyline lines
@@ -47,7 +46,7 @@ func TwoDRRMAlgorithm1(ds *dataset.Dataset, r int) (Result, error) {
 	}
 
 	// Line 7-8: initialize M[i][j] = {l_g(i)} with its rank at x = 0.
-	ranks := sweep.InitialRanks(lines, 0)
+	ranks := initialRanks(lines, 0)
 	m := make([][]cell, s)
 	for p, c := range cand {
 		row := make([]cell, r+1)
@@ -58,12 +57,13 @@ func TwoDRRMAlgorithm1(ds *dataset.Dataset, r int) (Result, error) {
 		m[p] = row
 	}
 
-	// Line 9-19: pop every crossing off H in x order. NeighborSweep owns L
+	// Line 9-19: pop every crossing off H in x order. neighborSweep owns L
 	// and H; this callback owns the rank bookkeeping and the M updates.
 	cur := make([]int, len(lines))
 	copy(cur, ranks)
-	sweep.NeighborSweep(lines, 0, 1, func(x float64, up, down int) {
+	neighborSweep(lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
 		// After the crossing, `up` is below `down`.
+		up, down := int(e.up), int(e.down)
 		cur[up]++
 		cur[down]--
 		switch {

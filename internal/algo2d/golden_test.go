@@ -54,7 +54,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	var cases []goldenCase
 	rrm := func(name string, ds *dataset.Dataset, r int, space funcspace.Space) {
 		cases = append(cases, goldenCase{name, func() (Result, bool, error) {
-			res, err := TwoDRRMRestrictedCtx(t.Context(), ds, r, space)
+			res, err := freshRRM(t.Context(), ds, r, space)
 			return res, true, err
 		}})
 	}
@@ -72,13 +72,13 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	for _, k := range []int{1, 3, 10, 25, 40} {
 		cases = append(cases, goldenCase{fmt.Sprintf("grid/rrr/k=%d", k), func() (Result, bool, error) {
-			return TwoDRRRExactCtx(t.Context(), grid, k)
+			return freshRRR(t.Context(), grid, k, nil)
 		}})
 		cases = append(cases, goldenCase{fmt.Sprintf("grid/rrr-cone/k=%d", k), func() (Result, bool, error) {
-			return TwoDRRRExactRestrictedCtx(t.Context(), grid, k, cone)
+			return freshRRR(t.Context(), grid, k, cone)
 		}})
 		cases = append(cases, goldenCase{fmt.Sprintf("grid6/rrr/k=%d", k), func() (Result, bool, error) {
-			return TwoDRRRExactCtx(t.Context(), grid6, k)
+			return freshRRR(t.Context(), grid6, k, nil)
 		}})
 	}
 	return cases

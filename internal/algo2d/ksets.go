@@ -1,12 +1,11 @@
 package algo2d
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/sweep"
 )
 
 // KSets2D enumerates, exactly, every distinct top-k set ("k-set" in the
@@ -29,25 +28,13 @@ func KSets2D(ds *dataset.Dataset, k int) ([][]int, error) {
 		return nil, fmt.Errorf("algo2d: k=%d out of range [1, %d]", k, n)
 	}
 	lines := dualLines(ds)
-
-	// The mirror starts in the sweep's own strict order at x = 0 (equal
-	// value: larger slope first; equal line: smaller index first), so its
-	// swaps track NeighborSweep's exactly, tied rows included.
-	order := make([]int, n)
-	for id, rank := range sweep.InitialRanks(lines, 0) {
-		order[rank-1] = id
-	}
-	pos := make([]int, n)
-	for p, id := range order {
-		pos[id] = p
-	}
+	order := initialOrder(lines, 0) // L, which the sweep swaps in place
 
 	seen := map[string]bool{}
 	var out [][]int
 	record := func() {
-		top := make([]int, k)
-		copy(top, order[:k])
-		sort.Ints(top)
+		top := slices.Clone(order[:k])
+		slices.Sort(top)
 		key := intsKey(top)
 		if !seen[key] {
 			seen[key] = true
@@ -55,34 +42,20 @@ func KSets2D(ds *dataset.Dataset, k int) ([][]int, error) {
 		}
 	}
 	record()
-
-	synced := true
-	sweep.NeighborSweep(lines, 0, 1, func(x float64, up, down int) {
-		pu, pd := pos[up], pos[down]
-		if !synced || pu+1 != pd {
-			// NeighborSweep visits only adjacent pairs; the mirror must
-			// agree, or nothing it records can be trusted.
-			synced = false
-			return
-		}
-		order[pu], order[pd] = down, up
-		pos[up], pos[down] = pd, pu
-		if pu == k-1 {
+	neighborSweep(lines, order, 0, 1, func(_ event, p int) {
+		if p == k-1 {
 			// The crossing moved a new line into the top k.
 			record()
 		}
 	})
-	if !synced {
-		return nil, errors.New("algo2d: internal: k-set sweep mirror out of sync")
-	}
 	return out, nil
 }
 
-// intsKey fingerprints a sorted id list.
+// intsKey fingerprints a sorted id list, each id in full as a uvarint.
 func intsKey(ids []int) string {
 	buf := make([]byte, 0, len(ids)*3)
 	for _, id := range ids {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16))
+		buf = binary.AppendUvarint(buf, uint64(id))
 	}
 	return string(buf)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/topk"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
@@ -152,6 +151,25 @@ func TestKSetCount2DGrowsWithN(t *testing.T) {
 	}
 }
 
+// intsKey keeps every bit of each id: sorted lists that differ only above
+// bit 23 get different keys.
+func TestIntsKeyFullWidth(t *testing.T) {
+	for _, tc := range []struct {
+		a, b []int
+		same bool
+	}{
+		{[]int{1}, []int{1 + 1<<24}, false},
+		{[]int{0, 5}, []int{0, 5 + 1<<30}, false},
+		{[]int{7, 1 << 24}, []int{7, 1 << 25}, false},
+		{[]int{3, 1<<40 + 3}, []int{3, 1<<41 + 3}, false},
+		{[]int{2, 1 << 24}, []int{2, 1 << 24}, true},
+	} {
+		if same := intsKey(tc.a) == intsKey(tc.b); same != tc.same {
+			t.Errorf("intsKey(%v) == intsKey(%v) is %v, want %v", tc.a, tc.b, same, tc.same)
+		}
+	}
+}
+
 // Lines2DAbove reports, for validation, the ids ranked in the top k at a
 // specific x in dual space (the top-k set of the utility vector (x, 1-x)).
 func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {
@@ -161,11 +179,11 @@ func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {
 		ids[i] = i
 	}
 	sort.Slice(ids, func(a, b int) bool {
-		ya, yb := lines[ids[a]].Eval(x), lines[ids[b]].Eval(x)
+		ya, yb := lines[ids[a]].eval(x), lines[ids[b]].eval(x)
 		if ya != yb {
 			return ya > yb
 		}
-		return geom.Above(lines[ids[a]], lines[ids[b]], x+1e-9)
+		return lines[ids[a]].eval(x+1e-9) > lines[ids[b]].eval(x+1e-9)
 	})
 	top := ids[:k]
 	sort.Ints(top)
@@ -195,7 +213,7 @@ func checkKSets2D(t testing.TB, ds *dataset.Dataset, k int) {
 	xs := []float64{0, 1}
 	for i := range lines {
 		for j := i + 1; j < len(lines); j++ {
-			if x, ok := geom.IntersectX(lines[i], lines[j]); ok && x > 0 && x < 1 {
+			if x, ok := intersectX(lines[i], lines[j]); ok && x > 0 && x < 1 {
 				xs = append(xs, x)
 			}
 		}
@@ -217,7 +235,7 @@ func checkKSets2D(t testing.TB, ds *dataset.Dataset, k int) {
 		lo, hi := 0.0, 0.0
 		first := [2]bool{true, true}
 		for id, l := range lines {
-			v := l.Eval(x)
+			v := l.eval(x)
 			if in[id] && (first[0] || v < lo) {
 				lo, first[0] = v, false
 			}

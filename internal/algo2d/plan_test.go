@@ -1,6 +1,7 @@
 package algo2d
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,11 +17,28 @@ func clonePlan(pl *Plan) *Plan {
 	return &Plan{cand: slices.Clone(pl.cand), start: slices.Clone(pl.start), steps: slices.Clone(pl.steps)}
 }
 
+// freshRRM and freshRRR solve on a plan built for the one call.
+func freshRRM(ctx context.Context, ds *dataset.Dataset, r int, space funcspace.Space) (Result, error) {
+	pl, err := NewPlanCtx(ctx, ds, space)
+	if err != nil {
+		return Result{}, err
+	}
+	return pl.RRM(ctx, r)
+}
+
+func freshRRR(ctx context.Context, ds *dataset.Dataset, k int, space funcspace.Space) (Result, bool, error) {
+	pl, err := NewPlanCtx(ctx, ds, space)
+	if err != nil {
+		return Result{}, false, err
+	}
+	return pl.RRR(ctx, k)
+}
+
 // TestSharedPlanMatchesFreshPlans is the plan's differential test: on the
 // full space, a restricted space and a narrow cone, every RRM budget
 // r = 1..s+1 and every RRR threshold k in [1, n], solved through one shared
-// plan in an order that interleaves the two modes, equals the one-off
-// wrappers, each of which builds a fresh plan. The shared plan must come
+// plan in an order that interleaves the two modes, equals the same solve on
+// a fresh plan. The shared plan must come
 // out of all of it unchanged.
 func TestSharedPlanMatchesFreshPlans(t *testing.T) {
 	ctx := t.Context()
@@ -58,7 +76,7 @@ func TestSharedPlanMatchesFreshPlans(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := TwoDRRMRestrictedCtx(ctx, ds, r, space)
+					want, err := freshRRM(ctx, ds, r, space)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -71,7 +89,7 @@ func TestSharedPlanMatchesFreshPlans(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, wantOK, err := TwoDRRRExactRestrictedCtx(ctx, ds, k, space)
+					want, wantOK, err := freshRRR(ctx, ds, k, space)
 					if err != nil {
 						t.Fatal(err)
 					}

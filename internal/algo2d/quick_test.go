@@ -70,7 +70,7 @@ func TestQuickPrimalDualExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dual, ok, err := TwoDRRRExactCtx(t.Context(), ds, primal.RankRegret)
+		dual, ok, err := freshRRR(t.Context(), ds, primal.RankRegret, nil)
 		if err != nil || !ok {
 			return false
 		}

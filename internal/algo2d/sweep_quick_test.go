@@ -1,33 +1,32 @@
-package sweep
+package algo2d
 
 import (
 	"testing"
 	"testing/quick"
 
-	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
-func randomLines(seed int64, nn int) []geom.Line {
+func randomLines(seed int64, nn int) []line {
 	n := nn
 	if n < 0 {
 		n = -n
 	}
 	n = n%30 + 2
 	rng := xrand.New(seed)
-	lines := make([]geom.Line, n)
+	lines := make([]line, n)
 	for i := range lines {
-		lines[i] = geom.DualLine(rng.Float64(), rng.Float64())
+		lines[i] = dualLine(rng.Float64(), rng.Float64())
 	}
 	return lines
 }
 
-// Property: InitialRanks is a permutation of 1..n consistent with the
+// Property: initialRanks is a permutation of 1..n consistent with the
 // y-order at c0 (strictly higher line = strictly better rank).
 func TestQuickInitialRanksPermutation(t *testing.T) {
 	f := func(seed int64, nn int) bool {
 		lines := randomLines(seed, nn)
-		ranks := InitialRanks(lines, 0)
+		ranks := initialRanks(lines, 0)
 		seen := make([]bool, len(lines)+1)
 		for _, r := range ranks {
 			if r < 1 || r > len(lines) || seen[r] {
@@ -37,7 +36,7 @@ func TestQuickInitialRanksPermutation(t *testing.T) {
 		}
 		for i := range lines {
 			for j := range lines {
-				if lines[i].Eval(0) > lines[j].Eval(0) && ranks[i] > ranks[j] {
+				if lines[i].eval(0) > lines[j].eval(0) && ranks[i] > ranks[j] {
 					return false
 				}
 			}
@@ -49,7 +48,7 @@ func TestQuickInitialRanksPermutation(t *testing.T) {
 	}
 }
 
-// Property: NeighborSweep visits every crossing pair in (0,1] exactly once
+// Property: neighborSweep visits every crossing pair in (0,1] exactly once
 // and in non-decreasing x order.
 func TestQuickNeighborSweepCompleteOrdered(t *testing.T) {
 	f := func(seed int64, nn int) bool {
@@ -57,7 +56,7 @@ func TestQuickNeighborSweepCompleteOrdered(t *testing.T) {
 		want := map[[2]int]bool{}
 		for i := range lines {
 			for j := i + 1; j < len(lines); j++ {
-				if x, ok := geom.IntersectX(lines[i], lines[j]); ok && x > 0 && x <= 1 {
+				if x, ok := intersectX(lines[i], lines[j]); ok && x > 0 && x <= 1 {
 					want[[2]int{i, j}] = true
 				}
 			}
@@ -65,7 +64,8 @@ func TestQuickNeighborSweepCompleteOrdered(t *testing.T) {
 		got := map[[2]int]bool{}
 		lastX := 0.0
 		okOrder := true
-		NeighborSweep(lines, 0, 1, func(x float64, up, down int) {
+		neighborSweep(lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
+			x, up, down := e.x, int(e.up), int(e.down)
 			if x < lastX {
 				okOrder = false
 			}
@@ -94,33 +94,27 @@ func TestQuickNeighborSweepCompleteOrdered(t *testing.T) {
 	}
 }
 
-// Property: replaying NeighborSweep's swaps on the initial order yields the
-// exact reverse-sorted order at x = 1 (the arrangement is fully inverted
-// pair-by-pair as crossings demand).
+// Property: the list L that neighborSweep swaps in place holds each
+// crossing's pair at the visited position, swapped, and ends in the exact
+// sorted order at x = 1 (the arrangement is fully inverted pair-by-pair as
+// crossings demand).
 func TestQuickNeighborSweepFinalOrder(t *testing.T) {
 	f := func(seed int64, nn int) bool {
 		lines := randomLines(seed, nn)
-		ranks := InitialRanks(lines, 0)
 		n := len(lines)
-		order := make([]int, n)
-		for id, r := range ranks {
-			order[r-1] = id
-		}
-		pos := make([]int, n)
-		for p, id := range order {
-			pos[id] = p
-		}
-		NeighborSweep(lines, 0, 1, func(x float64, up, down int) {
-			pu, pd := pos[up], pos[down]
-			if pu+1 != pd {
-				return
+		order := initialOrder(lines, 0)
+		swapped := true
+		neighborSweep(lines, order, 0, 1, func(e event, p int) {
+			if order[p] != int(e.down) || order[p+1] != int(e.up) {
+				swapped = false
 			}
-			order[pu], order[pd] = down, up
-			pos[up], pos[down] = pd, pu
 		})
-		// At x=1 the list must be sorted by Eval(1) descending.
+		if !swapped {
+			return false
+		}
+		// At x=1 the list must be sorted by eval(1) descending.
 		for p := 1; p < n; p++ {
-			if lines[order[p-1]].Eval(1) < lines[order[p]].Eval(1) {
+			if lines[order[p-1]].eval(1) < lines[order[p]].eval(1) {
 				return false
 			}
 		}

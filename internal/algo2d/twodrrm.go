@@ -11,9 +11,29 @@
 //   - TwoDRRR: the earlier approximation baseline of Asudeh et al. (size at
 //     most r_k with rank-regret at most 2k), adapted to RRM by the improved
 //     doubling binary search of Section V.B.2.
+//   - KSets2D: every distinct top-k set over the full space, the input of
+//     the k-set baselines (TopKSets2D and mdrrr on 2D data).
 //
 // Tuple ranks are always counted against the full dataset; only the chain's
 // vertices are restricted to candidates (Theorem 3 justifies this).
+//
+// The sweep itself (sweep.go) moves a vertical line from x = c0 to x = c1
+// across the tuples' dual lines, stopping at line crossings, where tuple
+// ranks change by exactly one. Lines are ranked in one strict order
+// (lineAbove: larger value first, then larger slope, then smaller index).
+// It comes in two forms:
+//
+//   - buildEvents enumerates only the crossings that involve a candidate
+//     line, the events that can change a DP cell or a member's rank, in
+//     O(s·n) time and space, and orders them with a linear-time radix sort.
+//     ranksAt gives the candidates' start ranks in O(s·n) without sorting
+//     all n lines. Plans and ExactRankRegret run these.
+//   - neighborSweep is the paper's literal event loop: the sorted list L
+//     plus a deduplicating min-heap H of neighbor intersections (Algorithm
+//     1, lines 4-13). It visits every crossing in x order, swapping the
+//     caller's L in place before each visit, so KSets2D reads each new
+//     top-k set straight off L; the tests also use it to follow the paper
+//     step by step.
 package algo2d
 
 import (
@@ -26,9 +46,7 @@ import (
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/funcspace"
-	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/skyline"
-	"github.com/rankregret/rankregret/internal/sweep"
 )
 
 // Result is the output of a 2D solve.
@@ -64,16 +82,6 @@ func (c *chainNode) collect() []int {
 type cell struct {
 	rank  int
 	chain *chainNode
-}
-
-// dualLines converts every tuple of a 2D dataset to its dual line; callers
-// check the dimension.
-func dualLines(ds *dataset.Dataset) []geom.Line {
-	lines := make([]geom.Line, ds.N())
-	for i := range lines {
-		lines[i] = geom.DualLine(ds.Value(i, 0), ds.Value(i, 1))
-	}
-	return lines
 }
 
 // Plan is the budget-independent half of an exact 2D solve over one
@@ -135,21 +143,21 @@ func NewPlanCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space)
 		isCand[c] = true
 		candPos[c] = int32(p)
 	}
-	pl := &Plan{cand: cand, start: sweep.RanksAt(lines, cand, c0)}
-	events := sweep.BuildEvents(lines, isCand, c0, c1)
+	pl := &Plan{cand: cand, start: ranksAt(lines, cand, c0)}
+	events := buildEvents(lines, isCand, c0, c1)
 	if err := ctxutil.Cancelled(ctx); err != nil {
 		return nil, err
 	}
 	n := 0
 	for _, e := range events {
-		if isCand[e.Up] {
+		if isCand[e.up] {
 			n++
 		}
 	}
 	pl.steps = make([]step, 0, n)
 	cur := slices.Clone(pl.start) // cur[p] = current rank of cand[p]
 	for _, e := range events {
-		p, q := candPos[e.Up], candPos[e.Down]
+		p, q := candPos[e.up], candPos[e.down]
 		if p >= 0 {
 			cur[p]++
 			pl.steps = append(pl.steps, step{p: p, q: q, rank: int32(cur[p])})
@@ -275,28 +283,16 @@ func (pl *Plan) RRR(ctx context.Context, k int) (res Result, ok bool, err error)
 	}
 }
 
-// TwoDRRMCtx solves RRM exactly in 2D (Theorem 4): it returns a set of at
-// most r tuples minimizing the maximum rank over all linear utility
-// functions, along with that exact optimal rank-regret. It is
-// TwoDRRMRestrictedCtx over the full space.
+// TwoDRRMCtx solves RRM exactly in 2D over the full space (Theorem 4): a
+// set of at most r tuples minimizing the maximum rank over all linear
+// utility functions, with that exact optimal rank-regret, on a plan built
+// for this one solve. Every other exact 2D solve goes through NewPlanCtx;
+// this one-shot form stays because the benchmark ladder (cmd/rrmladder)
+// times it.
 func TwoDRRMCtx(ctx context.Context, ds *dataset.Dataset, r int) (Result, error) {
-	return TwoDRRMRestrictedCtx(ctx, ds, r, nil)
-}
-
-// TwoDRRMRestrictedCtx solves RRRM exactly in 2D: the same dynamic program
-// run over the rendered segment of the restricted space (Section IV.C), with
-// U-skyline candidates, on a plan built for this one solve.
-func TwoDRRMRestrictedCtx(ctx context.Context, ds *dataset.Dataset, r int, space funcspace.Space) (Result, error) {
-	pl, err := NewPlanCtx(ctx, ds, space)
+	pl, err := NewPlanCtx(ctx, ds, nil)
 	if err != nil {
 		return Result{}, err
 	}
 	return pl.RRM(ctx, r)
-}
-
-// TwoDRRRExactCtx solves the dual RRR problem exactly: the minimum-size set
-// with rank-regret at most k over the full space. It is
-// TwoDRRRExactRestrictedCtx over the full space.
-func TwoDRRRExactCtx(ctx context.Context, ds *dataset.Dataset, k int) (res Result, ok bool, err error) {
-	return TwoDRRRExactRestrictedCtx(ctx, ds, k, nil)
 }

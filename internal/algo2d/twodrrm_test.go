@@ -251,7 +251,7 @@ func TestTwoDRRMRestrictedCone(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds := dataset.Anticorrelated(rng, 40, 2)
 		r := 1 + trial%2
-		res, err := TwoDRRMRestrictedCtx(t.Context(), ds, r, cone)
+		res, err := freshRRM(t.Context(), ds, r, cone)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestTwoDRRMRestrictedBall(t *testing.T) {
 	}
 	rng := xrand.New(7)
 	ds := dataset.Independent(rng, 80, 2)
-	res, err := TwoDRRMRestrictedCtx(t.Context(), ds, 2, ball)
+	res, err := freshRRM(t.Context(), ds, 2, ball)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestTwoDRRRExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := floor + 2
-		res, ok, err := TwoDRRRExactCtx(t.Context(), ds, k)
+		res, ok, err := freshRRR(t.Context(), ds, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestTwoDRRRExact(t *testing.T) {
 		}
 		// Unachievable threshold: below the intrinsic floor.
 		if floor > 1 {
-			_, ok, err := TwoDRRRExactCtx(t.Context(), ds, floor-1)
+			_, ok, err := freshRRR(t.Context(), ds, floor-1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

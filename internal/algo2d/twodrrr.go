@@ -8,10 +8,7 @@ import (
 
 	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
-	"github.com/rankregret/rankregret/internal/funcspace"
-	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/ksearch"
-	"github.com/rankregret/rankregret/internal/sweep"
 )
 
 // ExactRankRegret computes the exact maximum rank of the tuple set ids over
@@ -35,7 +32,7 @@ func ExactRankRegret(ds *dataset.Dataset, ids []int, c0, c1 float64) (int, error
 		isMember[id] = true
 	}
 	cur := make([]int, len(lines)) // only members' entries are read
-	for p, rank := range sweep.RanksAt(lines, ids, c0) {
+	for p, rank := range ranksAt(lines, ids, c0) {
 		cur[ids[p]] = rank
 	}
 	minRank := func() int {
@@ -48,13 +45,13 @@ func ExactRankRegret(ds *dataset.Dataset, ids []int, c0, c1 float64) (int, error
 		return m
 	}
 	worst := minRank()
-	events := sweep.BuildEvents(lines, isMember, c0, c1)
+	events := buildEvents(lines, isMember, c0, c1)
 	for _, e := range events {
-		if isMember[e.Up] {
-			cur[e.Up]++
+		if isMember[e.up] {
+			cur[e.up]++
 		}
-		if isMember[e.Down] {
-			cur[e.Down]--
+		if isMember[e.down] {
+			cur[e.down]--
 		}
 		if m := minRank(); m > worst {
 			worst = m
@@ -94,11 +91,11 @@ func TwoDRRRBaselineCtx(ctx context.Context, ds *dataset.Dataset, k int) (Result
 			if j == t {
 				continue
 			}
-			x, ok := geom.IntersectX(lines[t], lines[j])
+			x, ok := intersectX(lines[t], lines[j])
 			if !ok || x <= x0 || x > 1 {
 				continue
 			}
-			evs = append(evs, ev{x: x, up: lines[t].Slope < lines[j].Slope})
+			evs = append(evs, ev{x: x, up: lines[t].slope < lines[j].slope})
 		}
 		sort.Slice(evs, func(a, b int) bool { return evs[a].x < evs[b].x })
 		r := rankAtX0
@@ -122,7 +119,7 @@ func TwoDRRRBaselineCtx(ctx context.Context, ds *dataset.Dataset, k int) (Result
 		if err := ctxutil.Cancelled(ctx); err != nil {
 			return Result{}, err
 		}
-		ranks := sweep.InitialRanks(lines, x0)
+		ranks := initialRanks(lines, x0)
 		bestT, bestReach := -1, -1.0
 		for t := 0; t < n; t++ {
 			if ranks[t] > k {
@@ -170,17 +167,4 @@ func TwoDRRRBaselineForRRMCtx(ctx context.Context, ds *dataset.Dataset, r int) (
 		return res, len(res.IDs) <= r, err
 	})
 	return fit, err
-}
-
-// TwoDRRRExactRestrictedCtx solves the dual RRR problem exactly under a
-// restricted utility space: the minimum-size set whose rank-regret over the
-// rendered segment of the space is at most k (see Plan.RRR), on a plan
-// built for this one solve. ok is false when even the full U-skyline cannot
-// achieve k.
-func TwoDRRRExactRestrictedCtx(ctx context.Context, ds *dataset.Dataset, k int, space funcspace.Space) (res Result, ok bool, err error) {
-	pl, err := NewPlanCtx(ctx, ds, space)
-	if err != nil {
-		return Result{}, false, err
-	}
-	return pl.RRR(ctx, k)
 }

@@ -101,7 +101,7 @@ func TestTwoDRRRBaselineGuarantees(t *testing.T) {
 			t.Fatalf("trial %d: baseline regret %d > 2k = %d", trial, res.RankRegret, 2*k)
 		}
 		// Guarantee 2: size at most r_k (the optimal size for threshold k).
-		exact, ok, err := TwoDRRRExactCtx(t.Context(), ds, k)
+		exact, ok, err := freshRRR(t.Context(), ds, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestTwoDRRRExactRestricted(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 3
-	res, ok, err := TwoDRRRExactRestrictedCtx(t.Context(), ds, k, cone)
+	res, ok, err := freshRRR(t.Context(), ds, k, cone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTwoDRRRExactRestricted(t *testing.T) {
 	}
 	// Minimality: the restricted RRM optimum at size |S|-1 must exceed k.
 	if len(res.IDs) > 1 {
-		smaller, err := TwoDRRMRestrictedCtx(t.Context(), ds, len(res.IDs)-1, cone)
+		smaller, err := freshRRM(t.Context(), ds, len(res.IDs)-1, cone)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestTwoDRRRExactRestricted(t *testing.T) {
 		}
 	}
 	// The restricted answer never needs more tuples than the full-space one.
-	full, okFull, err := TwoDRRRExactCtx(t.Context(), ds, k)
+	full, okFull, err := freshRRR(t.Context(), ds, k, nil)
 	if err != nil || !okFull {
 		t.Fatalf("full-space RRR failed: %v", err)
 	}
@@ -225,11 +225,11 @@ func TestTwoDRRRExactRestrictedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := TwoDRRRExactRestrictedCtx(t.Context(), ds, 0, cone); err == nil {
+	if _, _, err := freshRRR(t.Context(), ds, 0, cone); err == nil {
 		t.Error("k=0 should fail")
 	}
 	d3 := dataset.Independent(xrand.New(1), 50, 3)
-	if _, _, err := TwoDRRRExactRestrictedCtx(t.Context(), d3, 2, cone); err == nil {
+	if _, _, err := freshRRR(t.Context(), d3, 2, cone); err == nil {
 		t.Error("d=3 should fail")
 	}
 }

@@ -282,3 +282,22 @@ func TestMDRRRExact2DGuarantee(t *testing.T) {
 		t.Errorf("MDRRR guarantee %d far above the optimum %d", res.K, opt.RankRegret)
 	}
 }
+
+// kSetKey keeps every bit of each id: sets that differ only above bit 23
+// get different keys, and the key ignores order.
+func TestKSetKeyFullWidth(t *testing.T) {
+	for _, tc := range []struct {
+		a, b []int
+		same bool
+	}{
+		{[]int{1}, []int{1 + 1<<24}, false},
+		{[]int{0, 5}, []int{0, 5 + 1<<30}, false},
+		{[]int{7, 1 << 24}, []int{7, 1 << 25}, false},
+		{[]int{3, 1<<40 + 3}, []int{3, 1<<41 + 3}, false},
+		{[]int{1 << 24, 2}, []int{2, 1 << 24}, true},
+	} {
+		if same := kSetKey(tc.a) == kSetKey(tc.b); same != tc.same {
+			t.Errorf("kSetKey(%v) == kSetKey(%v) is %v, want %v", tc.a, tc.b, same, tc.same)
+		}
+	}
+}

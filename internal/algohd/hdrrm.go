@@ -102,18 +102,10 @@ func (o Options) EffectiveGamma() int {
 	return o.Gamma
 }
 
-// uniqueInts sorts and deduplicates.
+// uniqueInts sorts and deduplicates ids in place.
 func uniqueInts(ids []int) []int {
-	sort.Ints(ids)
-	out := ids[:0]
-	prev := -1
-	for _, id := range ids {
-		if id != prev {
-			out = append(out, id)
-			prev = id
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // ASMSCtx is the paper's Algorithm 2: the approximate solver for the MS

@@ -2,8 +2,9 @@ package algohd
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/rankregret/rankregret/internal/algo2d"
 	"github.com/rankregret/rankregret/internal/ctxutil"
@@ -12,13 +13,14 @@ import (
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
-// kSetKey fingerprints a top-k set (order-insensitive) for deduplication.
+// kSetKey fingerprints a top-k set (order-insensitive) for deduplication:
+// the sorted ids, each in full as a uvarint.
 func kSetKey(ids []int) string {
-	s := append([]int(nil), ids...)
-	sort.Ints(s)
+	s := slices.Clone(ids)
+	slices.Sort(s)
 	buf := make([]byte, 0, len(s)*3)
 	for _, id := range s {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16))
+		buf = binary.AppendUvarint(buf, uint64(id))
 	}
 	return string(buf)
 }

@@ -45,13 +45,11 @@ func goldenSolve(ctx context.Context, ds *dataset.Dataset, r int, algo string, o
 	ho := opts.hd()
 	switch algo {
 	case "2drrm":
-		var res algo2d.Result
-		var err error
-		if opts.Space != nil {
-			res, err = algo2d.TwoDRRMRestrictedCtx(ctx, ds, r, opts.Space)
-		} else {
-			res, err = algo2d.TwoDRRMCtx(ctx, ds, r)
+		pl, err := algo2d.NewPlanCtx(ctx, ds, opts.Space)
+		if err != nil {
+			return nil, err
 		}
+		res, err := pl.RRM(ctx, r)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +138,11 @@ func TestSolveRRRGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok, err := algo2d.TwoDRRRExactCtx(t.Context(), island, 3)
+	pl, err := algo2d.NewPlanCtx(t.Context(), island, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok, err := pl.RRR(t.Context(), 3)
 	if err != nil || !ok {
 		t.Fatalf("golden dual: %v ok=%v", err, ok)
 	}

@@ -65,20 +65,19 @@ func RankRegretCtx(ctx context.Context, ds *dataset.Dataset, ids []int, space fu
 }
 
 // RankRegret2DExact computes the exact rank-regret in 2D over the rendered
-// segment of the space (the full [0,1] for nil/Full).
+// segment of the space (nil = the full space, whose segment is [0, 1]). It
+// renders every space as algo2d.NewPlanCtx does, so both reject the same
+// spaces.
 func RankRegret2DExact(ds *dataset.Dataset, ids []int, space funcspace.Space) (int, error) {
 	if ds.Dim() != 2 {
 		return 0, fmt.Errorf("eval: exact evaluation needs d=2, got %d", ds.Dim())
 	}
-	c0, c1 := 0.0, 1.0
-	if space != nil {
-		if _, ok := space.(funcspace.Full); !ok {
-			var err error
-			c0, c1, err = funcspace.Render2D(space)
-			if err != nil {
-				return 0, err
-			}
-		}
+	if space == nil {
+		space = funcspace.NewFull(2)
+	}
+	c0, c1, err := funcspace.Render2D(space)
+	if err != nil {
+		return 0, err
 	}
 	return algo2d.ExactRankRegret(ds, ids, c0, c1)
 }

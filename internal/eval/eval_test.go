@@ -236,3 +236,42 @@ func TestRatKCurve(t *testing.T) {
 		t.Error("k=0 should fail")
 	}
 }
+
+// The exact evaluator renders every space as the 2D solver does: both
+// reject a full space of the wrong dimension, and on the 2D full space, nil
+// or explicit, both answer over exactly [0, 1].
+func TestFullSpaceRenderedLikePlan(t *testing.T) {
+	ds := dataset.Anticorrelated(xrand.New(5), 200, 2)
+	wrong := funcspace.NewFull(3)
+	if _, err := RankRegret2DExact(ds, []int{0}, wrong); err == nil {
+		t.Error("exact evaluator accepted a 3D full space on 2D data")
+	}
+	if _, err := algo2d.NewPlanCtx(t.Context(), ds, wrong); err == nil {
+		t.Error("NewPlanCtx accepted a 3D full space on 2D data")
+	}
+	if c0, c1, err := funcspace.Render2D(funcspace.NewFull(2)); err != nil || c0 != 0 || c1 != 1 {
+		t.Fatalf("Render2D(full) = %v, %v, %v; want 0, 1, nil", c0, c1, err)
+	}
+	pl, err := algo2d.NewPlanCtx(t.Context(), ds, funcspace.NewFull(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= 4; r++ {
+		res, err := pl.RRM(t.Context(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := algo2d.ExactRankRegret(ds, res.IDs, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != res.RankRegret {
+			t.Fatalf("r=%d: plan reports %d, exact sweep %d", r, res.RankRegret, want)
+		}
+		for _, space := range []funcspace.Space{nil, funcspace.NewFull(2)} {
+			if got, err := RankRegret2DExact(ds, res.IDs, space); err != nil || got != want {
+				t.Errorf("r=%d space=%v: exact evaluator %d, %v; want %d", r, space, got, err, want)
+			}
+		}
+	}
+}

@@ -2,45 +2,6 @@ package geom
 
 import "math"
 
-// Line is the dual representation of a 2D tuple t = (t1, t2): the utility of
-// t under the normalized weight vector u = (x, 1-x) plotted as a function of
-// x in [0, 1]:
-//
-//	y(x) = t1*x + t2*(1-x) = (t1-t2)*x + t2.
-//
-// Slope is t1-t2 and the intercept at x=0 is t2. Tuple t ranks above tuple
-// t' for the weight (x, 1-x) exactly when t's line is above t”s line at x.
-type Line struct {
-	Slope     float64 // t1 - t2
-	Intercept float64 // t2
-}
-
-// DualLine maps the 2D tuple (t1, t2) to its dual line.
-func DualLine(t1, t2 float64) Line {
-	return Line{Slope: t1 - t2, Intercept: t2}
-}
-
-// Eval returns the line's y value at x.
-func (l Line) Eval(x float64) float64 {
-	return l.Slope*x + l.Intercept
-}
-
-// IntersectX returns the x coordinate at which lines a and b cross, and
-// whether they cross at a single point (parallel lines do not).
-func IntersectX(a, b Line) (x float64, ok bool) {
-	ds := a.Slope - b.Slope
-	if ds == 0 {
-		return 0, false
-	}
-	return (b.Intercept - a.Intercept) / ds, true
-}
-
-// Above reports whether line a is strictly above line b at x. Ties are not
-// "above": the caller is responsible for tie-breaking at crossing points.
-func Above(a, b Line, x float64) bool {
-	return a.Eval(x) > b.Eval(x)
-}
-
 // PolarToCartesian converts a (d-1)-dimensional angle vector (each angle in
 // [0, pi/2]) to a unit vector in the non-negative orthant of R^d, following
 // the paper's convention (Section V.A):

@@ -6,55 +6,6 @@ import (
 	"testing"
 )
 
-func TestDualLineBasics(t *testing.T) {
-	// Tuple t3 = (0.57, 0.75) from the paper's Table I.
-	l := DualLine(0.57, 0.75)
-	if !almostEq(l.Eval(0), 0.75, 1e-12) {
-		t.Errorf("Eval(0) = %v, want intercept 0.75", l.Eval(0))
-	}
-	if !almostEq(l.Eval(1), 0.57, 1e-12) {
-		t.Errorf("Eval(1) = %v, want t1 0.57", l.Eval(1))
-	}
-	// Midpoint is the average utility under u=(0.5, 0.5).
-	if !almostEq(l.Eval(0.5), (0.57+0.75)/2, 1e-12) {
-		t.Errorf("Eval(0.5) = %v", l.Eval(0.5))
-	}
-}
-
-func TestDualOrderMatchesUtilityOrder(t *testing.T) {
-	// For any weight u=(x, 1-x), tuple a outranks tuple b iff a's dual line
-	// is above b's dual line at x.
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 500; trial++ {
-		a1, a2 := rng.Float64(), rng.Float64()
-		b1, b2 := rng.Float64(), rng.Float64()
-		x := rng.Float64()
-		ua := a1*x + a2*(1-x)
-		ub := b1*x + b2*(1-x)
-		la, lb := DualLine(a1, a2), DualLine(b1, b2)
-		if (ua > ub) != Above(la, lb, x) {
-			t.Fatalf("dual order mismatch: tuples (%v,%v) (%v,%v) at x=%v", a1, a2, b1, b2, x)
-		}
-	}
-}
-
-func TestIntersectX(t *testing.T) {
-	a := Line{Slope: 1, Intercept: 0}
-	b := Line{Slope: -1, Intercept: 1}
-	x, ok := IntersectX(a, b)
-	if !ok || !almostEq(x, 0.5, 1e-12) {
-		t.Errorf("IntersectX = %v, %v; want 0.5, true", x, ok)
-	}
-	_, ok = IntersectX(a, Line{Slope: 1, Intercept: 5})
-	if ok {
-		t.Error("parallel lines reported as intersecting")
-	}
-	// At the crossing the two lines agree.
-	if !almostEq(a.Eval(x), b.Eval(x), 1e-12) {
-		t.Error("lines disagree at their own intersection")
-	}
-}
-
 func TestPolarToCartesian2D(t *testing.T) {
 	// d=2: theta in [0, pi/2]; u = (sin theta, cos theta).
 	for _, th := range []float64{0, math.Pi / 6, math.Pi / 4, math.Pi / 3, math.Pi / 2} {

@@ -1,7 +1,7 @@
 // Package geom provides the small amount of computational geometry the
-// rank-regret algorithms need: d-dimensional vectors, the 2D dual transform
-// from tuples to lines, line intersections, polar coordinates on the unit
-// sphere, and convex chains.
+// rank-regret algorithms need: d-dimensional vectors and polar coordinates
+// on the unit sphere, with the paper's polar angle grid. The 2D dual lines
+// live with the exact 2D sweep in algo2d.
 //
 // Everything works on []float64 slices; no external linear-algebra library is
 // used. Functions that take vectors never retain or mutate their arguments
