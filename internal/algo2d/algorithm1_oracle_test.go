@@ -1,6 +1,7 @@
 package algo2d
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -61,7 +62,7 @@ func TwoDRRMAlgorithm1(ds *dataset.Dataset, r int) (Result, error) {
 	// and H; this callback owns the rank bookkeeping and the M updates.
 	cur := make([]int, len(lines))
 	copy(cur, ranks)
-	neighborSweep(lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
+	neighborSweep(context.Background(), lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
 		// After the crossing, `up` is below `down`.
 		up, down := int(e.up), int(e.down)
 		cur[up]++

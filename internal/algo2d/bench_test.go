@@ -34,6 +34,31 @@ func BenchmarkTwoDRRM(b *testing.B) {
 	})
 }
 
+// BenchmarkNewPlan measures the budget-independent half of an exact 2D
+// solve, the banded plan build, on the benchmark workloads' 2D data and on
+// independent and anticorrelated data. On anticorrelated data the band is
+// every line, so that case guards the build without a band.
+func BenchmarkNewPlan(b *testing.B) {
+	sets := []struct {
+		name string
+		ds   *dataset.Dataset
+	}{
+		{"island/n=10000", dataset.SimIsland(xrand.New(1), 10000)},
+		{"indep/n=5000", dataset.Independent(xrand.New(1), 5000, 2)},
+		{"anti/n=5000", dataset.Anticorrelated(xrand.New(1), 5000, 2)},
+	}
+	for _, set := range sets {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewPlanCtx(b.Context(), set.ds, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkTwoDRRRBaseline(b *testing.B) {
 	for _, wl := range []string{"indep", "anti"} {
 		ds, _ := dataset.Synthetic(wl, xrand.New(1), 5000, 2)

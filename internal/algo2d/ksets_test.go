@@ -12,14 +12,14 @@ import (
 
 func TestKSets2DValidation(t *testing.T) {
 	ds := dataset.Independent(xrand.New(1), 20, 2)
-	if _, err := KSets2D(ds, 0); err == nil {
+	if _, err := KSets2D(t.Context(), ds, 0); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := KSets2D(ds, 21); err == nil {
+	if _, err := KSets2D(t.Context(), ds, 21); err == nil {
 		t.Error("k>n should fail")
 	}
 	d3 := dataset.Independent(xrand.New(1), 20, 3)
-	if _, err := KSets2D(d3, 2); err == nil {
+	if _, err := KSets2D(t.Context(), d3, 2); err == nil {
 		t.Error("d=3 should fail")
 	}
 }
@@ -29,7 +29,7 @@ func TestKSets2DTableITop1(t *testing.T) {
 	// tuples that are best for some utility vector: t1, t3 sometimes?
 	// From the dual plot, the envelope consists of l1, l2, l3, l4, l7.
 	ds := dataset.TableI()
-	sets, err := KSets2D(ds, 1)
+	sets, err := KSets2D(t.Context(), ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestKSets2DMatchesDenseSampling(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		ds := dataset.Independent(xrand.New(seed), 40, 2)
 		for _, k := range []int{1, 2, 5} {
-			sets, err := KSets2D(ds, k)
+			sets, err := KSets2D(t.Context(), ds, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestKSets2DMatchesDenseSampling(t *testing.T) {
 func TestKSetHittingSetIsRankRegretSet(t *testing.T) {
 	ds := dataset.Anticorrelated(xrand.New(5), 100, 2)
 	const k = 4
-	sets, err := KSets2D(ds, k)
+	sets, err := KSets2D(t.Context(), ds, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestKSetHittingSetIsRankRegretSet(t *testing.T) {
 func TestKSetCount2DGrowsWithN(t *testing.T) {
 	small := dataset.Anticorrelated(xrand.New(7), 50, 2)
 	large := dataset.Anticorrelated(xrand.New(7), 400, 2)
-	smallSets, err := KSets2D(small, 3)
+	smallSets, err := KSets2D(t.Context(), small, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	largeSets, err := KSets2D(large, 3)
+	largeSets, err := KSets2D(t.Context(), large, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {
 	return top
 }
 
-// checkKSets2D checks KSets2D(ds, k) against a topk.TopK oracle on the
+// checkKSets2D checks KSets2D(t.Context(), ds, k) against a topk.TopK oracle on the
 // utility (x, 1-x). Between two consecutive distinct crossings of any two
 // dual lines no two lines swap, so the top-k set at the midpoint is the one
 // that holds on the whole open interval: every such set must be enumerated,
@@ -201,7 +201,7 @@ func Lines2DAbove(ds *dataset.Dataset, x float64, k int) []int {
 // the orders in between.
 func checkKSets2D(t testing.TB, ds *dataset.Dataset, k int) {
 	t.Helper()
-	sets, err := KSets2D(ds, k)
+	sets, err := KSets2D(t.Context(), ds, k)
 	if err != nil {
 		t.Fatalf("k=%d: %v", k, err)
 	}

@@ -3,10 +3,12 @@ package algo2d
 import (
 	"cmp"
 	"container/heap"
+	"context"
 	"math"
 	"slices"
 	"sort"
 
+	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
 )
 
@@ -104,19 +106,180 @@ func initialRanks(lines []line, c0 float64) []int {
 // number of lines above it in lineAbove's order, written inline. That is
 // initialRanks(lines, c0)[id], in O(len(ids)·n) work and without sorting
 // all n lines.
-func ranksAt(lines []line, ids []int, c0 float64) []int {
-	ranks := make([]int, len(ids))
+//
+// The same pass returns bound, the least over ids of rank + the number of
+// lines whose crossing with it overtakes it in (c0, c1]: the events with
+// up = id that buildEvents would list, counted with the same intersectX. A
+// sweep's event-counted rank of a line never exceeds its start rank plus
+// those events, so bound caps every rank-regret a sweep tracking ids can
+// report (see sweepBand). Only a line that starts below id or within
+// rounding of it at c0, and ends above it or within rounding at c1, can
+// overtake it, so only those pay for the division (on finite lines).
+func ranksAt(lines []line, ids []int, c0, c1 float64) (ranks []int, bound int) {
+	margin := roundingMargin(lines, c0, c1)
+	ranks = make([]int, len(ids))
+	bound = math.MaxInt
 	for p, i := range ids {
-		vi, si := lines[i].eval(c0), lines[i].slope
-		rank := 1
+		li := lines[i]
+		vi, si := li.eval(c0), li.slope
+		below0, above1 := vi+margin, li.eval(c1)-margin
+		rank, over := 1, 0
 		for j, l := range lines {
-			if vj := l.eval(c0); vj > vi || vj == vi && (l.slope > si || l.slope == si && j < i) {
-				rank++
+			// Branch-free counts: whether a line is above or near line i
+			// follows the data, so a branch on it mispredicts.
+			vj := l.eval(c0)
+			above := vj > vi
+			if vj == vi {
+				above = l.slope > si || l.slope == si && j < i
+			}
+			rank += b2i(above)
+			if b2i(vj < below0)&b2i(l.eval(c1) >= above1) != 0 && l.slope > si {
+				// Written so a NaN crossing fails the window test.
+				if x, _ := intersectX(li, l); x > c0 && x <= c1 {
+					over++
+				}
 			}
 		}
 		ranks[p] = rank
+		bound = min(bound, rank+over)
 	}
-	return ranks
+	return ranks, bound
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag move, not
+// a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// roundingMargin bounds the rounding in evaluating the lines on [c0, c1]
+// and in placing their crossings there, with room to spare: 1e-9 times the
+// largest |slope|·|x| + |intercept| on the segment, plus 1e-9. It is +Inf
+// when a line's terms overflow.
+func roundingMargin(lines []line, c0, c1 float64) float64 {
+	reach := max(1, math.Abs(c0), math.Abs(c1))
+	scale := 0.0
+	for _, l := range lines {
+		if v := math.Abs(l.slope)*reach + math.Abs(l.intercept); v > scale {
+			scale = v
+		}
+	}
+	return 1e-9 * (scale + 1)
+}
+
+// bandIDs returns, ascending, the ids of a superset of the lines that rank
+// in the top m anywhere in [c0, c1], together with every id in must
+// (ascending, distinct); nil means every line. It is an O(n) witness
+// filter: the m lines with the largest smaller endpoint value lie at or
+// above w, the least of those values, on all of [c0, c1], so a line whose
+// larger endpoint value is below w ranks below all m of them everywhere.
+// roundingMargin keeps a line within rounding of w, so the test holds in
+// the sweep's own floating-point arithmetic too.
+func bandIDs(lines []line, m int, must []int, c0, c1 float64) []int {
+	n := len(lines)
+	margin := roundingMargin(lines, c0, c1)
+	if m >= n || math.IsInf(margin, 1) {
+		return nil
+	}
+	top := make([]float64, 0, m) // min-heap of the m largest smaller endpoints
+	for _, l := range lines {
+		v := min(l.eval(c0), l.eval(c1))
+		switch {
+		case len(top) < m:
+			top = append(top, v)
+			siftUp(top, len(top)-1)
+		case v > top[0]:
+			top[0] = v
+			siftDown(top)
+		}
+	}
+	w := top[0] - margin
+	ids := make([]int, 0, m+len(must))
+	for i, l := range lines {
+		if len(must) > 0 && must[0] == i {
+			must = must[1:]
+			ids = append(ids, i)
+		} else if max(l.eval(c0), l.eval(c1)) >= w {
+			ids = append(ids, i)
+		}
+	}
+	if len(ids) == n {
+		return nil
+	}
+	return ids
+}
+
+// siftUp and siftDown keep h a binary min-heap after h[i] was appended or
+// h[0] replaced.
+func siftUp(h []float64, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func siftDown(h []float64) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// sweepBand restricts a sweep over (c0, c1] that tracks the lines ids to
+// the lines that can shape its answer. Take the cap C = the bound ranksAt
+// returns: the tracked line that attains it never ranks worse than C in the
+// sweep, so every exact answer (a plan's RRM optimum or RRR hit,
+// ExactRankRegret's maximum) is at most C, and a rank above C is dead. The
+// band is bandIDs' top C+1 plus the tracked lines. A line above one that
+// ranks at most C+1 ranks at most C, so it is in the band; a line below
+// one outside the band is also below the C+1 band lines above that one. So
+// a rank counted within the band equals the rank counted over every line
+// whenever either is at most C+1. The band keeps the lines' order, so its
+// events come out in the same (x, up, down) order and ties break as
+// before. When C+1 reaches n the band is every line.
+//
+// It returns the band's lines, the band position of each ids[p], and the
+// tracked lines' start ranks at c0 within the band.
+func sweepBand(lines []line, ids []int, c0, c1 float64) (band []line, local, start []int) {
+	start, bound := ranksAt(lines, ids, c0, c1)
+	must := slices.Compact(slices.Sorted(slices.Values(ids)))
+	keep := bandIDs(lines, bound+1, must, c0, c1)
+	if keep == nil {
+		return lines, ids, start
+	}
+	band = gather(lines, keep)
+	local = make([]int, len(ids))
+	for p, i := range ids {
+		local[p], _ = slices.BinarySearch(keep, i)
+	}
+	start, _ = ranksAt(band, local, c0, c1)
+	return band, local, start
+}
+
+// gather returns lines[ids[0]], lines[ids[1]], ...
+func gather(lines []line, ids []int) []line {
+	out := make([]line, len(ids))
+	for b, i := range ids {
+		out[b] = lines[i]
+	}
+	return out
 }
 
 // buildEvents returns every crossing between a candidate line and any other
@@ -276,8 +439,9 @@ func (h *eventHeap) Pop() any     { o := *h; n := len(o) - 1; e := o[n]; *h = o[
 // swaps it in place. visit is called after every swap, in x order, with the
 // crossing e (e.up was directly above e.down just before it) and the
 // position p that e.up held, so that order[p] = e.down and order[p+1] = e.up
-// when visit reads it. It visits all O(n^2) crossings.
-func neighborSweep(lines []line, order []int, c0, c1 float64, visit func(e event, p int)) {
+// when visit reads it. It visits all O(n^2) crossings of lines, checking
+// ctx every few thousand heap pops and returning ctx.Err() if it is done.
+func neighborSweep(ctx context.Context, lines []line, order []int, c0, c1 float64, visit func(e event, p int)) error {
 	n := len(lines)
 	pos := make([]int, n) // pos[line] = index in order
 	for p, id := range order {
@@ -305,7 +469,12 @@ func neighborSweep(lines []line, order []int, c0, c1 float64, visit func(e event
 	for p := 0; p+1 < n; p++ {
 		tryPush(order[p], order[p+1])
 	}
-	for h.Len() > 0 {
+	for pops := 0; h.Len() > 0; pops++ {
+		if pops%4096 == 0 {
+			if err := ctxutil.Cancelled(ctx); err != nil {
+				return err
+			}
+		}
 		e := heap.Pop(h).(event)
 		up, down := int(e.up), int(e.down)
 		// Guard against stale events (lines no longer adjacent in the
@@ -331,4 +500,5 @@ func neighborSweep(lines []line, order []int, c0, c1 float64, visit func(e event
 			tryPush(order[pd], order[pd+1])
 		}
 	}
+	return nil
 }

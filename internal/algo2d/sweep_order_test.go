@@ -163,7 +163,7 @@ func TestRanksAtMatchesInitialRanks(t *testing.T) {
 		for _, c0 := range []float64{0, 0.25, 0.5, 0.75, 1, -0.5} {
 			full := initialRanks(lines, c0)
 			for _, set := range [][]int{ids, all} {
-				got := ranksAt(lines, set, c0)
+				got, _ := ranksAt(lines, set, c0, c0)
 				for p, id := range set {
 					if got[p] != full[id] {
 						t.Fatalf("c0=%v line %d: ranksAt %d, initialRanks %d", c0, id, got[p], full[id])
@@ -175,13 +175,14 @@ func TestRanksAtMatchesInitialRanks(t *testing.T) {
 }
 
 // BenchmarkBuildEvents measures the candidate crossing enumeration and its
-// ordering at the SimIsland 10k workload shape (skyline candidates).
+// ordering at the SimIsland 10k workload shape, on the input NewPlanCtx
+// gives it: the skyline candidates within their band.
 func BenchmarkBuildEvents(b *testing.B) {
 	ds := dataset.SimIsland(xrand.New(1), 10000)
-	lines := dualLines(ds)
+	lines, local, _ := sweepBand(dualLines(ds), skyline.Compute(ds), 0, 1)
 	isCand := make([]bool, len(lines))
-	for _, c := range skyline.Compute(ds) {
-		isCand[c] = true
+	for _, i := range local {
+		isCand[i] = true
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -64,7 +64,7 @@ func TestQuickNeighborSweepCompleteOrdered(t *testing.T) {
 		got := map[[2]int]bool{}
 		lastX := 0.0
 		okOrder := true
-		neighborSweep(lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
+		neighborSweep(t.Context(), lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
 			x, up, down := e.x, int(e.up), int(e.down)
 			if x < lastX {
 				okOrder = false
@@ -104,7 +104,7 @@ func TestQuickNeighborSweepFinalOrder(t *testing.T) {
 		n := len(lines)
 		order := initialOrder(lines, 0)
 		swapped := true
-		neighborSweep(lines, order, 0, 1, func(e event, p int) {
+		neighborSweep(t.Context(), lines, order, 0, 1, func(e event, p int) {
 			if order[p] != int(e.down) || order[p+1] != int(e.up) {
 				swapped = false
 			}

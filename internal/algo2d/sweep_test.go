@@ -214,7 +214,7 @@ func TestNeighborSweepVisitsAllCrossings(t *testing.T) {
 	ds := dataset.Independent(rng, 25, 2)
 	lines := dualLines(ds)
 	var visited []event
-	neighborSweep(lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
+	neighborSweep(t.Context(), lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
 		visited = append(visited, e)
 	})
 	// Compare with the full crossing set from buildEvents with all lines as
@@ -258,7 +258,7 @@ func TestNeighborSweepRankEvolution(t *testing.T) {
 	ds := dataset.Correlated(rng, 30, 2)
 	lines := dualLines(ds)
 	ranks := initialRanks(lines, 0)
-	neighborSweep(lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
+	neighborSweep(t.Context(), lines, initialOrder(lines, 0), 0, 1, func(e event, _ int) {
 		ranks[e.up]++
 		ranks[e.down]--
 	})
@@ -284,7 +284,7 @@ func TestParallelLinesNoEvents(t *testing.T) {
 		}
 	}
 	n := 0
-	neighborSweep(lines, initialOrder(lines, 0), 0, 1, func(event, int) { n++ })
+	neighborSweep(t.Context(), lines, initialOrder(lines, 0), 0, 1, func(event, int) { n++ })
 	if n != len(events) {
 		t.Errorf("neighbor sweep found %d events, buildEvents %d", n, len(events))
 	}
@@ -312,7 +312,7 @@ func TestDegenerateConcurrentCrossings(t *testing.T) {
 		}
 	}
 	count := 0
-	neighborSweep(lines, initialOrder(lines, 0), 0, 1, func(event, int) { count++ })
+	neighborSweep(t.Context(), lines, initialOrder(lines, 0), 0, 1, func(event, int) { count++ })
 	if count != len(events) {
 		t.Errorf("neighbor sweep %d events, buildEvents %d", count, len(events))
 	}

@@ -24,16 +24,21 @@
 // It comes in two forms:
 //
 //   - buildEvents enumerates only the crossings that involve a candidate
-//     line, the events that can change a DP cell or a member's rank, in
-//     O(s·n) time and space, and orders them with a linear-time radix sort.
-//     ranksAt gives the candidates' start ranks in O(s·n) without sorting
-//     all n lines. Plans and ExactRankRegret run these.
+//     line, the events that can change a DP cell or a member's rank, and
+//     orders them with a linear-time radix sort. Plans and ExactRankRegret
+//     run it over a band of lines (sweepBand): ranksAt gives the candidates'
+//     start ranks and a bound C on any answer's rank in one O(s·n) pass
+//     without sorting all n lines, an O(n) witness filter keeps the lines
+//     that can rank in the top C+1 anywhere in the segment, and ranks are
+//     counted and events enumerated within that band B in O(s·|B|). B is
+//     every line only when C+1 reaches n (anticorrelated data).
 //   - neighborSweep is the paper's literal event loop: the sorted list L
 //     plus a deduplicating min-heap H of neighbor intersections (Algorithm
 //     1, lines 4-13). It visits every crossing in x order, swapping the
 //     caller's L in place before each visit, so KSets2D reads each new
-//     top-k set straight off L; the tests also use it to follow the paper
-//     step by step.
+//     top-k set straight off L (over its own band, the lines that can rank
+//     in the top k+1); the tests also use it to follow the paper step by
+//     step.
 package algo2d
 
 import (
@@ -106,9 +111,13 @@ type step struct{ p, q, rank int32 }
 
 // NewPlanCtx builds the sweep plan of ds over the rendered segment of space
 // (nil = the full space): the U-skyline candidates, their start ranks, and
-// every crossing of a candidate line with any line in sweep order. Tuple
-// ranks count every line; only candidates' ranks are ever read. It checks
-// ctx before and after the event sweep.
+// every crossing of a candidate line with a line of the band in sweep order.
+// The band (sweepBand) holds the lines that can rank in the top C+1
+// somewhere in the segment, where C bounds every RRM optimum and RRR hit;
+// counted within it, every rank at most C+1 is the rank over all tuples,
+// so each answer is the one a sweep over every line gives. Only
+// candidates' ranks are ever read. It checks ctx before and after the
+// event sweep.
 func NewPlanCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space) (*Plan, error) {
 	if ds.Dim() != 2 {
 		return nil, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())
@@ -133,17 +142,17 @@ func NewPlanCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space)
 	if err := ctxutil.Cancelled(ctx); err != nil {
 		return nil, err
 	}
-	lines := dualLines(ds)
+	lines, local, start := sweepBand(dualLines(ds), cand, c0, c1)
 	isCand := make([]bool, len(lines))
-	candPos := make([]int32, len(lines)) // line id -> position in cand, -1 if none
+	candPos := make([]int32, len(lines)) // band line -> position in cand, -1 if none
 	for i := range candPos {
 		candPos[i] = -1
 	}
-	for p, c := range cand {
-		isCand[c] = true
-		candPos[c] = int32(p)
+	for p, i := range local {
+		isCand[i] = true
+		candPos[i] = int32(p)
 	}
-	pl := &Plan{cand: cand, start: ranksAt(lines, cand, c0)}
+	pl := &Plan{cand: cand, start: start}
 	events := buildEvents(lines, isCand, c0, c1)
 	if err := ctxutil.Cancelled(ctx); err != nil {
 		return nil, err

@@ -13,9 +13,11 @@ import (
 
 // ExactRankRegret computes the exact maximum rank of the tuple set ids over
 // the utility segment [c0, c1] by sweeping the crossings of the members'
-// dual lines against all lines: between crossings ranks are constant, so the
-// maximum of (min over members' ranks) is attained at the segment start or
-// immediately after a crossing.
+// dual lines against the lines of their band (sweepBand): between crossings
+// ranks are constant, so the maximum of (min over members' ranks) is
+// attained at the segment start or immediately after a crossing, and it
+// never exceeds the band's cap, up to which ranks within the band are the
+// ranks over all tuples.
 func ExactRankRegret(ds *dataset.Dataset, ids []int, c0, c1 float64) (int, error) {
 	if ds.Dim() != 2 {
 		return 0, fmt.Errorf("algo2d: dataset dimension %d, need 2", ds.Dim())
@@ -24,22 +26,23 @@ func ExactRankRegret(ds *dataset.Dataset, ids []int, c0, c1 float64) (int, error
 		return 0, fmt.Errorf("algo2d: empty set has no rank-regret")
 	}
 	lines := dualLines(ds)
-	isMember := make([]bool, len(lines))
 	for _, id := range ids {
 		if id < 0 || id >= len(lines) {
 			return 0, fmt.Errorf("algo2d: tuple id %d out of range", id)
 		}
-		isMember[id] = true
 	}
+	lines, local, start := sweepBand(lines, ids, c0, c1)
+	isMember := make([]bool, len(lines))
 	cur := make([]int, len(lines)) // only members' entries are read
-	for p, rank := range ranksAt(lines, ids, c0) {
-		cur[ids[p]] = rank
+	for p, i := range local {
+		isMember[i] = true
+		cur[i] = start[p]
 	}
 	minRank := func() int {
 		m := math.MaxInt
-		for _, id := range ids {
-			if cur[id] < m {
-				m = cur[id]
+		for _, i := range local {
+			if cur[i] < m {
+				m = cur[i]
 			}
 		}
 		return m

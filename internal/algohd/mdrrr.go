@@ -161,7 +161,7 @@ func MDRRRCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Options, max
 			if err := ctxutil.Cancelled(ctx); err != nil {
 				return nil, err
 			}
-			return algo2d.KSets2D(ds, k)
+			return algo2d.KSets2D(ctx, ds, k)
 		})
 	}
 	// Dense deterministic grid: gamma chosen so the grid alone has at least

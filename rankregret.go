@@ -435,7 +435,9 @@ func RatK(ds *Dataset, ids []int, space Space, k, samples int, seed int64) (floa
 // its rank-regret is at most k. The count grows super-linearly with n,
 // which is why the k-set based solvers do not scale — this primitive exists
 // for analysis and validation.
-func TopKSets2D(ds *Dataset, k int) ([][]int, error) { return algo2d.KSets2D(ds, k) }
+func TopKSets2D(ds *Dataset, k int) ([][]int, error) {
+	return algo2d.KSets2D(context.Background(), ds, k)
+}
 
 // RankRegretPercent normalizes a rank-regret to the paper's percentage
 // form: a rank of k in a dataset of n tuples is the top 100*k/n percent
