@@ -170,6 +170,56 @@ func BenchmarkRepairAppendCI(b *testing.B) {
 	}
 }
 
+// BenchmarkRepairAppendNBA is the shape of a serve-mixed simnba write-read
+// unit at CI scale: a SharedVecSet left at the depth an r = 8 solve needs,
+// then, per op, a repair across an append of 8 rows near existing ones and
+// the HDRRM solve on the repaired view. Such rows are usually beaten on
+// every attribute by enough skyband rows that no list can admit them.
+func BenchmarkRepairAppendNBA(b *testing.B) {
+	const r, rows = 8, 8
+	ctx := b.Context()
+	o := DefaultOptions()
+	o.MaxM = 12000
+	base := dataset.SimNBA(xrand.New(1), 2000)
+	m := o.SampleSize(base.N(), base.Dim(), r)
+	old := NewSharedVecSet(base, nil, o.EffectiveGamma(), o.Seed, nil)
+	view, _, err := old.Acquire(ctx, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := HDRRMWithVecSetCtx(ctx, base, r, o, view); err != nil {
+		b.Fatal(err)
+	}
+	next := base.Snapshot()
+	rng := xrand.New(4)
+	for range rows {
+		// A random row with each value moved by up to 1% and clamped to
+		// [0, 1], as the serving benchmark's appends are drawn.
+		src := base.Row(rng.Intn(base.N()))
+		row := make([]float64, len(src))
+		for j, v := range src {
+			row[j] = min(max(v+0.02*(rng.Float64()-0.5), 0), 1)
+		}
+		next.Append(row)
+	}
+	deltas, ok := next.Deltas(base.Version())
+	if !ok {
+		b.Fatal("history truncated")
+	}
+	m1 := o.SampleSize(next.N(), next.Dim(), r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vs, outcome, err := NewRepairedVecSet(old, next, deltas).Acquire(ctx, m1)
+		if err != nil || outcome != VecSetRepaired {
+			b.Fatal(outcome, err)
+		}
+		if _, err := HDRRMWithVecSetCtx(ctx, next, r, o, vs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHDRRMSweepCI is the shape of the benchmark's sweep workload at
 // CI scale on one worker: a prebuilt SharedVecSet per dataset and budgets
 // cycling over base..base+4, so each op is HDRRM's k-search (ASMS probes,

@@ -108,7 +108,8 @@ type topsCache struct {
 
 	// basis holds the forced basis's positions in the committed lists,
 	// published by HDRRM searches (nil until the first; see searchIndex).
-	// A repaired cache starts without one: its lists changed.
+	// A repaired cache starts without one when its lists changed, and
+	// shares its source's when none did.
 	basis atomic.Pointer[basisIndex]
 }
 

@@ -7,6 +7,7 @@ import (
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/geom"
 	"github.com/rankregret/rankregret/internal/par"
+	"github.com/rankregret/rankregret/internal/skyline"
 	"github.com/rankregret/rankregret/internal/topk"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
@@ -17,16 +18,25 @@ import (
 // dataset can reuse it outright. What does depend on the data is the
 // expensive part: the per-vector top-K lists. Repair reuses those too:
 //
-//   - appended rows are batch-scored with dataset.UtilitiesBatch and
-//     merge-repaired into each committed list under the exact selection
-//     comparator (topk.Beats), instead of re-scoring the whole dataset;
+//   - appended rows are first filtered against the source's cached
+//     skyband: a row that at least K surviving skyband rows always-beat
+//     (skyline.AlwaysBeats) ranks below K tuples under every utility, so no
+//     depth-K list can admit it (Theorem 3's candidate argument);
+//   - the rows that survive the filter are batch-scored with
+//     dataset.UtilitiesBatch and merge-repaired into each committed list
+//     under the exact selection comparator (topk.Beats), instead of
+//     re-scoring the whole dataset;
+//   - an append with no delete whose rows all fail the filter changes no
+//     list and no basis tuple, so the repaired cache shares the source's
+//     lists, skyband, and published basis index and does no per-vector
+//     work;
 //   - deleted rows remap the ids of untouched lists for free, and only the
 //     lists whose top-K intersects the tombstones are re-selected from
 //     scratch, falling back to a full rebuild when the churn exceeds
 //     repairChurnFrac;
 //   - the cached k-skyband candidate set extends in place on pure appends
-//     (a superset of the true skyband is always a sound pruning universe)
-//     and resets on deletes.
+//     with the rows that survived the filter (a superset of the true
+//     skyband is always a sound pruning universe) and resets on deletes.
 //
 // Repaired lists are bit-identical to a cold build on the mutated dataset:
 // scores accumulate attribute terms in the same ascending-j order on both
@@ -38,6 +48,12 @@ import (
 // re-selection would approach the cost of a fresh scoring pass and repair
 // declines in favor of a cold rebuild.
 const repairChurnFrac = 0.25
+
+// repairFilterBudget caps the pairwise comparisons one repair's entrant
+// filter may spend, as kSkybandBudget caps KSkyband's scan. The filter only
+// saves merge work, so once the budget runs out every remaining appended
+// row counts as an entrant, which is always sound.
+const repairFilterBudget = 1 << 22
 
 // repairMaxNewFrac bounds how large the appended-row set may be relative to
 // the repaired dataset before a cold rebuild is preferred: merging a
@@ -195,17 +211,41 @@ func (tc *topsCache) repaired(ctx context.Context, newDS *dataset.Dataset, delta
 		}
 	}
 
+	entrants := tc.entrants(newDS, newIDs, oldToNew, hasDelete, target)
+	// The band at skyDepth may only drop rows with at least skyDepth
+	// beaters. skyDepth exceeds target only after a cancelled deepening;
+	// the band then takes every appended row. Either way bandRows holds
+	// every entrant.
+	bandRows := entrants
+	if tc.skyDepth > target {
+		bandRows = newIDs
+	}
+	if !hasDelete && len(bandRows) == 0 {
+		// No list can change, and no dropped row is the first maximum of an
+		// attribute (a lower id is at least as large on every attribute),
+		// so Basis() is unchanged and the published basis index stays
+		// exact; searchIndex still checks the basis. Full slice
+		// expressions cap capacity as repairFrom does for vecs.
+		out.tops = tops[:len(tops):len(tops)]
+		out.topK = target
+		out.skyAbandoned = tc.skyAbandoned
+		out.skyDepth, out.skySub = tc.skyDepth, tc.skySub
+		out.skyIDs = tc.skyIDs[:len(tc.skyIDs):len(tc.skyIDs)]
+		out.basis.Store(tc.basis.Load())
+		return out, true, nil
+	}
+
 	repTops := make([][]int, len(tops))
 	var newSub *dataset.Dataset
-	if len(newIDs) > 0 {
-		newSub = newDS.Subset(newIDs)
+	if len(entrants) > 0 {
+		newSub = newDS.Subset(entrants)
 		newSub.ColumnMajor() // materialize before the fan-out
 	}
 	isAffected := make([]bool, len(tops))
 	for _, v := range affected {
 		isAffected[v] = true
 	}
-	if err := tc.repairMergePass(ctx, vecs[:len(tops)], newDS, newSub, newIDs, oldToNew, hasDelete, isAffected, target, repTops, tops); err != nil {
+	if err := tc.repairMergePass(ctx, vecs[:len(tops)], newDS, newSub, entrants, oldToNew, hasDelete, isAffected, target, repTops, tops); err != nil {
 		return nil, false, err
 	}
 	if err := tc.repairReselectPass(ctx, vecs, newDS, affected, target, repTops); err != nil {
@@ -214,17 +254,18 @@ func (tc *topsCache) repaired(ctx context.Context, newDS *dataset.Dataset, delta
 	out.tops = repTops
 	out.topK = target
 
-	// Skyband candidate universe: on pure appends the old band plus the new
-	// rows is a superset of the true band (a row beaten by depth others
-	// before the append is still beaten by them), and a superset prunes
-	// soundly. Deletes can re-admit rows, so the band resets and the next
-	// depth probe recomputes it. Abandonment carries over: it only ever
+	// Skyband candidate universe: on pure appends the old band plus the
+	// appended rows the filter kept is a superset of the true band (a row
+	// beaten by depth others before the append is still beaten by them, and
+	// a dropped row is beaten by depth surviving rows), and a superset
+	// prunes soundly. Deletes can re-admit rows, so the band resets and the
+	// next depth probe recomputes it. Abandonment carries over: it only ever
 	// means "no pruning", which is always sound.
 	out.skyAbandoned = tc.skyAbandoned
 	if !hasDelete && tc.skySub != nil && !tc.skyAbandoned {
-		ids := make([]int, 0, len(tc.skyIDs)+len(newIDs))
+		ids := make([]int, 0, len(tc.skyIDs)+len(bandRows))
 		ids = append(ids, tc.skyIDs...)
-		ids = append(ids, newIDs...) // appended ids exceed every old id: still ascending
+		ids = append(ids, bandRows...) // appended ids exceed every old id: still ascending
 		out.skyDepth = tc.skyDepth
 		out.skyIDs = ids
 		out.skySub = newDS.Subset(ids)
@@ -232,12 +273,54 @@ func (tc *topsCache) repaired(ctx context.Context, newDS *dataset.Dataset, delta
 	return out, true, nil
 }
 
+// entrants returns the appended rows, ascending, that fewer than target
+// surviving rows of tc's cached skyband always-beat. Every other appended
+// row ranks below target tuples under every non-negative utility, so no
+// depth-target list can admit it. Any surviving rows would do as beaters;
+// the skyband is where they are most likely to be found. Surviving rows
+// precede every appended row in the new ids, so the id tie-break always
+// favors the beater. Without a band that could hold target beaters (none
+// cached, abandoned, or target beyond its size) every row is an entrant,
+// and so is every row still unchecked when repairFilterBudget runs out.
+// Called with tc.buildMu held.
+func (tc *topsCache) entrants(newDS *dataset.Dataset, newIDs, oldToNew []int, hasDelete bool, target int) []int {
+	if len(newIDs) == 0 || tc.skySub == nil || tc.skyAbandoned || len(tc.skyIDs) < target {
+		return newIDs
+	}
+	budget := repairFilterBudget
+	out := make([]int, 0, len(newIDs))
+	for i, id := range newIDs {
+		row := newDS.Row(id)
+		beaters := 0
+		for p, s := range tc.skyIDs {
+			if hasDelete {
+				if s = oldToNew[s]; s < 0 {
+					continue
+				}
+			}
+			if budget--; budget < 0 {
+				return append(out, newIDs[i:]...)
+			}
+			if skyline.AlwaysBeats(tc.skySub.Row(p), row, s, id) {
+				if beaters++; beaters >= target {
+					break
+				}
+			}
+		}
+		if beaters < target {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // repairMergePass fills repTops[v] for every non-affected vector: the old
 // list remapped through the deletion and merged with the batch-scored
-// appended rows, truncated to target. Affected vectors are skipped (the
-// re-select pass owns them). A tile's changed lists are merged into one
-// scratch buffer and then copied into a single exactly-sized backing array,
-// so a tile costs one allocation however many of its lists change.
+// entrants newIDs (the rows of newSub), truncated to target. Affected
+// vectors are skipped (the re-select pass owns them). A tile's changed
+// lists are merged into one scratch buffer and then copied into a single
+// exactly-sized backing array, so a tile costs one allocation however many
+// of its lists change.
 func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, newDS, newSub *dataset.Dataset, newIDs []int, oldToNew []int, hasDelete bool, isAffected []bool, target int, repTops, tops [][]int) error {
 	// A merge tile is several scoring tiles wide: its changed lists share one
 	// allocation, and fewer, larger allocations are markedly cheaper. Sizing
@@ -292,8 +375,8 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 // relative ids are unchanged by append/delete), so the merge walks the two
 // sorted sequences with the builders' comparator. The result is exactly the
 // cold-built list: an old row absent from the incumbent list was beaten by
-// >= topK surviving rows and can never enter, and every appended row is a
-// candidate.
+// >= topK surviving rows and can never enter, and every appended row that
+// survived the entrant filter is a candidate (newIDs holds those alone).
 //
 // When nothing changes, the committed slice itself is returned as shared
 // (lists are immutable, so sharing across caches is safe). Otherwise the

@@ -2,13 +2,16 @@ package algohd
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/funcspace"
 	"github.com/rankregret/rankregret/internal/geom"
+	"github.com/rankregret/rankregret/internal/skyline"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
@@ -459,5 +462,347 @@ func TestRepairParallelismIndependence(t *testing.T) {
 			continue
 		}
 		requireIdenticalTops(t, view, want, k)
+	}
+}
+
+// bandOf returns the source set's cached skyband ids (nil when it has none).
+func bandOf(s *SharedVecSet) []int {
+	s.tc.buildMu.Lock()
+	defer s.tc.buildMu.Unlock()
+	return slices.Clone(s.tc.skyIDs)
+}
+
+// bandBeaters counts the rows of band that always-beat row, were it
+// appended as row id.
+func bandBeaters(ds *dataset.Dataset, band []int, row []float64, id int) int {
+	c := 0
+	for _, b := range band {
+		if skyline.AlwaysBeats(ds.Row(b), row, b, id) {
+			c++
+		}
+	}
+	return c
+}
+
+// appendCopies appends a copy of each listed row, every value lowered by up
+// to 1% of the unit range (clamped at 0) when lower is set, else exact.
+func appendCopies(ds *dataset.Dataset, rng *xrand.Rand, ids []int, lower bool) {
+	for _, id := range ids {
+		row := slices.Clone(ds.Row(id))
+		if lower {
+			for j := range row {
+				row[j] = max(row[j]-0.01*rng.Float64(), 0)
+			}
+		}
+		ds.Append(row)
+	}
+}
+
+// interiorRows picks count distinct rows outside band: each has at least
+// depth always-beaters inside it, and so does any copy no larger on every
+// attribute appended after it.
+func interiorRows(rng *xrand.Rand, ds *dataset.Dataset, band []int, count int) []int {
+	var out []int
+	for _, i := range rng.Perm(ds.N()) {
+		if len(out) == count {
+			break
+		}
+		if _, in := slices.BinarySearch(band, i); !in {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// simplexRows returns n rows on the plane x+y+z = 1: no two are comparable,
+// so every row is in every skyband and the cache abandons pruning.
+func simplexRows(n int) *dataset.Dataset {
+	rng := xrand.New(6)
+	ds := dataset.New(3)
+	for range n {
+		a, b := rng.Float64(), rng.Float64()
+		if a+b > 1 {
+			a, b = 1-a, 1-b
+		}
+		ds.Append([]float64{a, b, 1 - a - b})
+	}
+	return ds
+}
+
+// TestRepairEntrantFilterBitIdentical repairs across appends the entrant
+// filter prunes in different ways and requires every repaired list, and the
+// HDRRM answer at several budgets, to equal a cold build's on the mutated
+// data. Where the case expects no row to get through the filter, the
+// repaired cache must share its source's lists and basis index.
+func TestRepairEntrantFilterBitIdentical(t *testing.T) {
+	const (
+		gamma = 3
+		m     = 120
+		seed  = 42
+	)
+	ctx := t.Context()
+	indep := func() *dataset.Dataset { return dataset.Independent(xrand.New(3), 150, 3) }
+	ball, err := funcspace.NewBall(geom.Vector{0.6, 0.5, 0.6}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jitterInterior := func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset) {
+		rng := xrand.New(9)
+		appendCopies(ds, rng, interiorRows(rng, ds, bandOf(src), 8), true)
+	}
+	cases := []struct {
+		name  string
+		base  func() *dataset.Dataset
+		space funcspace.Space
+		depth int  // the source's list depth, committed by an HDRRR pass
+		chain bool // the source is itself repaired across a random append
+		// mutate edits the snapshot of the source's dataset.
+		mutate   func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset)
+		shortcut bool // no row gets through: lists and basis index shared
+	}{
+		{"jittered-interior", indep, nil, 8, false, jitterInterior, true},
+		{"duplicate-of-unbeaten", indep, nil, 2, false, func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset) {
+			// The first maximum of an attribute: nothing beats it, so its
+			// copy has one beater and survives at depth 2.
+			appendCopies(ds, nil, ds.Basis()[:1], false)
+		}, false},
+		{"duplicate-of-once-beaten", indep, nil, 2, false, func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset) {
+			// A band row whose copy has exactly depth band beaters: the
+			// filter must drop it.
+			band := bandOf(src)
+			for _, id := range band {
+				if bandBeaters(ds, band, ds.Row(id), ds.N()) == 2 {
+					appendCopies(ds, nil, []int{id}, false)
+					return
+				}
+			}
+			t.Fatal("no band row whose copy has exactly 2 band beaters")
+		}, true},
+		{"dominate-front", indep, nil, 8, false, func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset) {
+			top := make([]float64, ds.Dim())
+			for i := range ds.N() {
+				for j, v := range ds.Row(i) {
+					top[j] = max(top[j], v)
+				}
+			}
+			for i := range 3 {
+				row := slices.Clone(top)
+				for j := range row {
+					row[j] += 0.01 * float64(i+1)
+				}
+				ds.Append(row)
+			}
+		}, false},
+		{"tied-with-lower-id", indep, nil, 8, false, func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset) {
+			band := bandOf(src)
+			appendCopies(ds, nil, []int{band[0], band[len(band)/2], band[len(band)-1]}, false)
+		}, false},
+		{"append-and-delete", indep, nil, 8, false, func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset) {
+			jitterInterior(t, src, ds)
+			vs, _, err := src.Acquire(t.Context(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Delete(leastPopular(t, vs, src.Dataset().N(), 8, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"chain", indep, nil, 8, true, jitterInterior, true},
+		{"cancelled-deepening", indep, nil, 8, false, func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset) {
+			// A deepening cancelled before its first tile leaves the band
+			// at depth 32 over depth-8 lists. Copies of band rows with 8
+			// to 31 band beaters cannot enter a list, but belong in the
+			// extended band.
+			vs, _, err := src.Acquire(t.Context(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancelled, cancel := context.WithCancel(t.Context())
+			cancel()
+			if vs.EnsureTopKCtx(cancelled, 32) == nil {
+				t.Fatal("a cancelled deepening succeeded")
+			}
+			band := bandOf(src)
+			var ids []int
+			for _, id := range band {
+				if b := bandBeaters(ds, band, ds.Row(id), ds.N()); b >= 8 && b < 32 && len(ids) < 4 {
+					ids = append(ids, id)
+				}
+			}
+			if len(ids) == 0 {
+				t.Fatal("no band row whose copy has 8 to 31 band beaters")
+			}
+			appendCopies(ds, nil, ids, false)
+		}, false},
+		{"abandoned-band", func() *dataset.Dataset { return simplexRows(150) }, nil, 8, false, jitterInterior, false},
+		{"depth-at-n", func() *dataset.Dataset { return dataset.Independent(xrand.New(3), 12, 3) }, nil, 12, false, func(t *testing.T, src *SharedVecSet, ds *dataset.Dataset) {
+			appendCopies(ds, xrand.New(9), []int{3, 7}, true)
+		}, false},
+		{"restricted-space", indep, ball, 8, false, jitterInterior, true},
+	}
+	o := DefaultOptions()
+	o.Gamma, o.Seed = gamma, seed
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := c.base()
+			src := NewSharedVecSet(base, c.space, gamma, seed, nil)
+			commit := func(s *SharedVecSet, ds *dataset.Dataset) {
+				t.Helper()
+				vs, _, err := s.Acquire(ctx, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := HDRRRWithVecSetCtx(ctx, ds, c.depth, o, vs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			commit(src, base)
+			if c.chain {
+				next := base.Snapshot()
+				appendRows(6)(t, xrand.New(5), next, nil)
+				deltas, _ := next.Deltas(base.Version())
+				bandBefore := bandOf(src)
+				src = NewRepairedVecSet(src, next, deltas)
+				commit(src, next)
+				if len(bandOf(src)) <= len(bandBefore) {
+					t.Fatalf("the chained source's band did not grow: %d rows, %d before", len(bandOf(src)), len(bandBefore))
+				}
+				base = next
+			}
+			switch c.name {
+			case "abandoned-band":
+				if !src.tc.skyAbandoned {
+					t.Fatal("the source did not abandon its skyband")
+				}
+			case "depth-at-n":
+				if src.tc.skySub != nil {
+					t.Fatal("the source has a skyband at depth n")
+				}
+			}
+
+			cur := base.Snapshot()
+			c.mutate(t, src, cur)
+			deltas, ok := cur.Deltas(base.Version())
+			if !ok {
+				t.Fatal("delta history truncated")
+			}
+			rep := NewRepairedVecSet(src, cur, deltas)
+			repView, outcome, err := rep.Acquire(ctx, m)
+			if err != nil || outcome != VecSetRepaired {
+				t.Fatalf("repair: outcome %v, err %v", outcome, err)
+			}
+			// Read before the solves below can deepen either cache.
+			shared := &rep.tc.tops[0] == &src.tc.tops[0]
+			carried := rep.tc.basis.Load() != nil && rep.tc.basis.Load() == src.tc.basis.Load()
+
+			cold, err := BuildVecSetCtx(ctx, cur, c.space, gamma, m, xrand.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			depth := rep.tc.topK
+			ensureTopK(t, cold, depth)
+			requireIdenticalTops(t, repView, cold, depth)
+			if carried {
+				requireExactIndex(t, rep.tc.basis.Load(), cur, uniqueInts(cur.Basis()), cold)
+			}
+			for _, r := range []int{4, 6, 9} {
+				got, err := HDRRMWithVecSetCtx(ctx, cur, r, o, repView)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := HDRRMWithVecSetCtx(ctx, cur, r, o, cold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("HDRRM r=%d: repaired %+v, cold %+v", r, got, want)
+				}
+			}
+			// Deepening prunes with the band the repair extended.
+			ensureTopK(t, repView, 4*depth)
+			ensureTopK(t, cold, 4*depth)
+			requireIdenticalTops(t, repView, cold, 4*depth)
+			if shared != c.shortcut || carried != c.shortcut {
+				t.Fatalf("lists shared with the source: %v, basis index carried: %v; want %v", shared, carried, c.shortcut)
+			}
+		})
+	}
+}
+
+// TestRepairShortcutConcurrentExtend extends and deepens a source set and
+// the set repaired from it without a list changing, at the same time: the
+// two caches share the source's committed lists, skyband, and basis index,
+// so under -race this catches any write into what they share (an outer
+// list slice without a capped capacity, say). Each must still match a cold
+// build over its own dataset.
+func TestRepairShortcutConcurrentExtend(t *testing.T) {
+	const (
+		gamma = 3
+		m     = 120
+		seed  = 42
+		depth = 8
+	)
+	ctx := t.Context()
+	o := DefaultOptions()
+	o.Gamma, o.Seed = gamma, seed
+	base := dataset.Independent(xrand.New(3), 150, 3)
+	src := NewSharedVecSet(base, nil, gamma, seed, nil)
+	vs, _, err := src.Acquire(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Staged to depth as a solve is, so the deepening's seeded pass leaves
+	// grid cells for the repair to copy.
+	ensureTopK(t, vs, minBuildDepth)
+	if _, err := HDRRRWithVecSetCtx(ctx, base, depth, o, vs); err != nil {
+		t.Fatal(err)
+	}
+	next := base.Snapshot()
+	rng := xrand.New(9)
+	appendCopies(next, rng, interiorRows(rng, next, bandOf(src), 8), true)
+	deltas, _ := next.Deltas(base.Version())
+	rep := NewRepairedVecSet(src, next, deltas)
+	if _, outcome, err := rep.Acquire(ctx, m); err != nil || outcome != VecSetRepaired {
+		t.Fatalf("repair: outcome %v, err %v", outcome, err)
+	}
+	if &rep.tc.tops[0] != &src.tc.tops[0] {
+		t.Fatal("the repair did not share the source's lists")
+	}
+
+	sets := []struct {
+		s  *SharedVecSet
+		ds *dataset.Dataset
+		m  int
+	}{{src, base, m + 60}, {rep, next, m + 90}}
+	got := make([]*VecSet, len(sets))
+	var wg sync.WaitGroup
+	for i, c := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vs, _, err := c.s.Acquire(ctx, c.m)
+			if err == nil {
+				err = vs.EnsureTopKCtx(ctx, 4*depth)
+			}
+			if err == nil {
+				_, err = HDRRMWithVecSetCtx(ctx, c.ds, 6, o, vs)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = vs
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, c := range sets {
+		cold, err := BuildVecSetCtx(ctx, c.ds, nil, gamma, c.m, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ensureTopK(t, cold, 4*depth)
+		requireIdenticalTops(t, got[i], cold, 4*depth)
 	}
 }

@@ -176,6 +176,8 @@ func (c *VecSetCache) Acquire(ctx context.Context, ds *dataset.Dataset, opts Opt
 	if err != nil {
 		return nil, err
 	}
+	// The trace tells a repair from a rebuild or a reuse.
+	obs.TraceFrom(ctx).Annotate("vecset", outcome.String())
 	c.count(outcome, start)
 	return vs, nil
 }
@@ -199,6 +201,7 @@ func (c *VecSetCache) Plan(ctx context.Context, ds *dataset.Dataset, opts Option
 	if err != nil {
 		return nil, err
 	}
+	obs.TraceFrom(ctx).Annotate("plan", outcome.String())
 	c.count(outcome, start)
 	return pl, nil
 }

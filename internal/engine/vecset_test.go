@@ -9,6 +9,7 @@ import (
 
 	"github.com/rankregret/rankregret/internal/algohd"
 	"github.com/rankregret/rankregret/internal/dataset"
+	"github.com/rankregret/rankregret/internal/obs"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
@@ -214,5 +215,37 @@ func TestVecSetCacheRepairsFromLRUSource(t *testing.T) {
 	}
 	if st := c.Stats(); st.Builds != 2 || st.Repairs != 1 || st.Len != 2 {
 		t.Fatalf("stats after solving v1 with v0 least recently used = %+v, want 2 builds / 1 repair at len 2", st)
+	}
+}
+
+// TestTraceAnnotatesVecSetOutcome checks that a traced solve records what
+// the VecSet tier did: a solve after an append carries vecset=repaired, and
+// 2D solves carry the plan slot's outcome.
+func TestTraceAnnotatesVecSetOutcome(t *testing.T) {
+	e := New(0)
+	opts := Options{Seed: 1, Samples: 200, Gamma: 3}
+	traced := func(ds *dataset.Dataset, r int, algo string) *obs.Trace {
+		t.Helper()
+		tr := obs.NewTrace("t")
+		if _, err := e.Solve(obs.WithTrace(t.Context(), tr), ds, r, algo, opts); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	base := dataset.Independent(xrand.New(4), 120, 3)
+	if got := traced(base, 5, AlgoHDRRM).Annotation("vecset"); got != "built" {
+		t.Fatalf("cold solve: vecset=%q, want built", got)
+	}
+	next := base.Snapshot()
+	appendRandomRows(next, xrand.New(5), 4)
+	if got := traced(next, 5, AlgoHDRRM).Annotation("vecset"); got != "repaired" {
+		t.Fatalf("solve after an append: vecset=%q, want repaired", got)
+	}
+	flat := dataset.Independent(xrand.New(6), 120, 2)
+	if got := traced(flat, 5, AlgoTwoDRRM).Annotation("plan"); got != "built" {
+		t.Fatalf("2D solve: plan=%q, want built", got)
+	}
+	if got := traced(flat, 6, AlgoTwoDRRM).Annotation("plan"); got != "reused" {
+		t.Fatalf("2D solve at another budget: plan=%q, want reused", got)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"github.com/rankregret/rankregret/internal/dataset"
 )
 
-// alwaysBeats reports whether tuple a outranks tuple b under EVERY non-zero
+// AlwaysBeats reports whether tuple a outranks tuple b under EVERY non-zero
 // non-negative utility vector, given the repository's deterministic
 // tie-break (higher score wins; equal scores go to the lower index). That
 // holds in exactly two cases:
@@ -20,7 +20,10 @@ import (
 // Classical Pareto dominance is NOT sufficient here: a tuple can dominate a
 // lower-indexed one yet lose the tie on a utility vector with zero weight on
 // every differing attribute.
-func alwaysBeats(a, b []float64, ida, idb int) bool {
+//
+// KSkyband's scan and the VecSet repair's entrant filter both decide
+// membership with this one comparison.
+func AlwaysBeats(a, b []float64, ida, idb int) bool {
 	strictAll := true
 	for j := range a {
 		if a[j] < b[j] {
@@ -41,7 +44,7 @@ func alwaysBeats(a, b []float64, ida, idb int) bool {
 const kSkybandBudget = 1 << 26
 
 // KSkyband returns, in ascending order, the ids of every tuple that fewer
-// than k other tuples always-beat (see alwaysBeats) — the only tuples that
+// than k other tuples always-beat (see AlwaysBeats) — the only tuples that
 // can appear in ANY top-k result Phi_k(u, D) over the non-negative orthant,
 // for this repository's deterministic tie-break. Restricting a top-k
 // selection universe or a rank-k cover-candidate set to the k-skyband is
@@ -92,7 +95,7 @@ func KSkyband(ds *dataset.Dataset, k int) []int {
 			if budget--; budget < 0 {
 				return nil
 			}
-			if alwaysBeats(ds.Row(s), row, s, r.id) {
+			if AlwaysBeats(ds.Row(s), row, s, r.id) {
 				if beaters++; beaters >= k {
 					break
 				}

@@ -28,7 +28,7 @@ func bruteSkyband(ds *dataset.Dataset, k int) []int {
 	for i := 0; i < n; i++ {
 		beaters := 0
 		for j := 0; j < n; j++ {
-			if j != i && alwaysBeats(ds.Row(j), ds.Row(i), j, i) {
+			if j != i && AlwaysBeats(ds.Row(j), ds.Row(i), j, i) {
 				beaters++
 			}
 		}
