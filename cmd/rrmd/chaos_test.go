@@ -13,7 +13,6 @@ import (
 
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/faultfs"
-	"github.com/rankregret/rankregret/internal/loadgen"
 	"github.com/rankregret/rankregret/internal/obs/obstest"
 	"github.com/rankregret/rankregret/internal/store"
 	"github.com/rankregret/rankregret/internal/xrand"
@@ -100,12 +99,12 @@ func TestChaosMidLoadFaultServesAndHeals(t *testing.T) {
 	inj := faultfs.New(faultfs.Disk, 1)
 	srv, ts, st := newChaosServer(t, dir, inj)
 
-	tr := servingTrace(t, loadgen.Config{
-		Scenario: loadgen.ScenarioSteady,
+	tr := servingTrace(t, loadConfig{
+		Scenario: scenarioSteady,
 		Seed:     23,
 		Duration: 2 * time.Second,
 		Rate:     50,
-		Mix:      loadgen.Mix{Solve: 0.5, Mutate: 0.4, Pinned: 0.1},
+		Mix:      loadMix{Solve: 0.5, Mutate: 0.4, Pinned: 0.1},
 	})
 
 	// Every WAL fsync fails until the fault "clears" mid-load. The healer
@@ -120,7 +119,7 @@ func TestChaosMidLoadFaultServesAndHeals(t *testing.T) {
 		inj.Clear()
 	}()
 
-	rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
+	rep, err := runLoad(context.Background(), tr, loadRunConfig{
 		BaseURL: ts.URL,
 		Logf:    t.Logf,
 	})
@@ -134,7 +133,7 @@ func TestChaosMidLoadFaultServesAndHeals(t *testing.T) {
 	if rep.OK == 0 {
 		t.Fatalf("chaos run completed nothing: %+v", rep)
 	}
-	for _, kind := range []string{string(loadgen.KindSolve), string(loadgen.KindPinned)} {
+	for _, kind := range []reqKind{kindSolve, kindPinned} {
 		kr := rep.PerKind[kind]
 		if kr.Errors != 0 || kr.Rejected != 0 {
 			t.Fatalf("%s traffic suffered during degradation (errors=%d rejected=%d); reads must keep serving", kind, kr.Errors, kr.Rejected)
@@ -146,10 +145,10 @@ func TestChaosMidLoadFaultServesAndHeals(t *testing.T) {
 	if rep.RejectedDegraded == 0 {
 		t.Fatalf("no mutation was refused as degraded during a 600ms fault window: %+v", rep)
 	}
-	if got := rep.PerKind[string(loadgen.KindMutate)]; got.RejectedDegraded != rep.RejectedDegraded {
+	if got := rep.PerKind[kindMutate]; got.RejectedDegraded != rep.RejectedDegraded {
 		t.Fatalf("degraded rejections leaked outside the mutate kind: %+v", rep.PerKind)
 	}
-	if rep.PerKind[string(loadgen.KindMutate)].OK == 0 {
+	if rep.PerKind[kindMutate].OK == 0 {
 		t.Fatalf("no mutation succeeded after the fault cleared: %+v", rep.PerKind)
 	}
 

@@ -1,4 +1,4 @@
-package loadgen
+package main
 
 import (
 	"bytes"
@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -14,8 +16,9 @@ import (
 	"github.com/rankregret/rankregret/internal/xrand"
 )
 
-// RunConfig parameterizes one open-loop run of a trace against a live rrmd.
-type RunConfig struct {
+// loadRunConfig parameterizes one open-loop run of a trace against a live
+// rrmd.
+type loadRunConfig struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
 	// RequestTimeout is the client-side guard on each request (0 = 30s).
@@ -23,7 +26,7 @@ type RunConfig struct {
 	RequestTimeout time.Duration
 	// MaxSamples, when positive, is attached to every solve request as the
 	// max_samples bound, capping the per-solve sampling cost. Use it to size
-	// the workload to the machine: the smoke scripts bound it so the run
+	// the workload to the machine: the serving smoke bounds it so the run
 	// measures the serving path, not individual solve weight.
 	MaxSamples int
 	// OnResult, when set, receives every successful solve result (point
@@ -31,15 +34,15 @@ type RunConfig struct {
 	// the firing goroutines concurrently; the callback must synchronize.
 	// Equivalence tests use it to check that two servers given one trace
 	// return identical solutions.
-	OnResult func(SolveOutcome)
+	OnResult func(solveOutcome)
 	// Logf, when set, receives occasional progress lines.
 	Logf func(format string, args ...any)
 }
 
-// SolveOutcome is one captured solve result: which trace event (and, for
+// solveOutcome is one captured solve result: which trace event (and, for
 // sweep items, which batch index) produced which tuple set.
-type SolveOutcome struct {
-	Event      int // index into Trace.Events
+type solveOutcome struct {
+	Event      int // index into loadTrace.Events
 	Item       int // batch item index; -1 for point solves
 	Dataset    string
 	IDs        []int
@@ -49,37 +52,22 @@ type SolveOutcome struct {
 
 // outcome is one fired event's result.
 type outcome struct {
-	kind     Kind
+	kind     reqKind
 	status   int
 	latMS    float64
 	rejected bool
-	// reason classifies a rejection: "queue" (429 admission), "degraded"
-	// (503 from the degraded store), or "drain" (other 503s).
-	reason  string
-	errText string
+	// degraded marks a 503 whose body carries reason "degraded": the store
+	// refusing a mutation, as opposed to a full queue (429) or a draining
+	// server (other 503s).
+	degraded bool
+	errText  string
 	// batch item counts (sweep events only)
 	itemsOK, itemsRejected, itemsFailed int
 }
 
-// classifyReject names what refused a shed request. The server tags its
-// 503 bodies with a machine-readable reason field; absent one (old servers,
-// proxies), a 503 is attributed to draining.
-func classifyReject(status int, errText string) string {
-	switch {
-	case status == http.StatusTooManyRequests:
-		return "queue"
-	case status != http.StatusServiceUnavailable:
-		return ""
-	case strings.Contains(errText, `"reason":"degraded"`):
-		return "degraded"
-	default:
-		return "drain"
-	}
-}
-
-// runner carries the shared state of one Run.
-type runner struct {
-	cfg    RunConfig
+// loadRunner carries the shared state of one runLoad.
+type loadRunner struct {
+	cfg    loadRunConfig
 	client *http.Client
 	base   string
 	dims   map[string]int // dataset -> dimensionality, for mutate rows
@@ -88,17 +76,18 @@ type runner struct {
 	outcomes []outcome
 }
 
-// Run fires the trace at the server open-loop — each event at its scheduled
-// offset, never waiting for earlier events to complete — and reduces the
-// outcomes to a Report. It returns once every in-flight request has finished
-// (client-side timeouts bound the wait), leaving no goroutines behind.
-// Cancelling ctx stops dispatching and cancels in-flight requests.
-func Run(ctx context.Context, trace *Trace, cfg RunConfig) (*Report, error) {
+// runLoad fires the trace at the server open-loop — each event at its
+// scheduled offset, never waiting for earlier events to complete — and
+// reduces the outcomes to a loadReport. It returns once every in-flight
+// request has finished (client-side timeouts bound the wait), leaving no
+// goroutines behind. Cancelling ctx stops dispatching and cancels in-flight
+// requests.
+func runLoad(ctx context.Context, trace *loadTrace, cfg loadRunConfig) (*loadReport, error) {
 	if trace == nil || len(trace.Events) == 0 {
 		return nil, fmt.Errorf("loadgen: empty trace")
 	}
 	if cfg.BaseURL == "" {
-		return nil, fmt.Errorf("loadgen: RunConfig.BaseURL is required")
+		return nil, fmt.Errorf("loadgen: loadRunConfig.BaseURL is required")
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
@@ -112,7 +101,7 @@ func Run(ctx context.Context, trace *Trace, cfg RunConfig) (*Report, error) {
 	// Drop the pool's idle connections (and their reader goroutines) when
 	// the run ends instead of leaking them.
 	defer tr.CloseIdleConnections()
-	r := &runner{cfg: cfg, client: &http.Client{Transport: tr}, base: cfg.BaseURL}
+	r := &loadRunner{cfg: cfg, client: &http.Client{Transport: tr}, base: cfg.BaseURL}
 
 	if err := r.fetchDatasets(ctx, trace.Datasets); err != nil {
 		return nil, err
@@ -141,57 +130,26 @@ func Run(ctx context.Context, trace *Trace, cfg RunConfig) (*Report, error) {
 		}()
 	}
 	wg.Wait()
-	return r.report(trace, time.Since(start)), nil
+	return r.report(time.Since(start)), nil
 }
 
-// wire shapes, mirrored locally so loadgen stays a pure HTTP client.
-type wireDatasets struct {
-	Datasets []struct {
-		Name string `json:"name"`
-		D    int    `json:"d"`
-	} `json:"datasets"`
-}
-
-type wireVersions struct {
-	Versions []struct {
-		Version uint64 `json:"version"`
-	} `json:"versions"`
-}
-
-type wireBatch struct {
-	Results []struct {
-		Index      int    `json:"index"`
-		IDs        []int  `json:"ids"`
-		RankRegret int    `json:"rank_regret"`
-		Exact      bool   `json:"exact"`
-		Error      string `json:"error,omitempty"`
-		Rejected   bool   `json:"rejected,omitempty"`
-	} `json:"results"`
-}
-
-// wireSolve is the subset of a solve response a result capture needs.
-type wireSolve struct {
-	IDs        []int `json:"ids"`
-	RankRegret int   `json:"rank_regret"`
-	Exact      bool  `json:"exact"`
-}
-
-// DiscoverDatasets returns the name -> dimensionality map of every dataset
-// the server at baseURL currently serves: the discovery step behind "target
-// every dataset" CLI defaults, and the source of the r >= d floor a
+// listDatasets returns the name -> dimensionality map of every dataset the
+// server at baseURL currently serves: the source of the r >= d floor a
 // generated trace must respect.
-func DiscoverDatasets(ctx context.Context, baseURL string) (map[string]int, error) {
-	r := &runner{client: http.DefaultClient, base: baseURL}
-	var wd wireDatasets
-	status, err := r.getJSON(ctx, "/v1/datasets", &wd)
+func listDatasets(ctx context.Context, baseURL string) (map[string]int, error) {
+	r := &loadRunner{client: http.DefaultClient, base: baseURL}
+	var list struct {
+		Datasets []datasetInfo `json:"datasets"`
+	}
+	status, err := r.getJSON(ctx, "/v1/datasets", &list)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: listing datasets at %s: %w", baseURL, err)
 	}
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("loadgen: listing datasets: HTTP %d", status)
 	}
-	dims := make(map[string]int, len(wd.Datasets))
-	for _, d := range wd.Datasets {
+	dims := make(map[string]int, len(list.Datasets))
+	for _, d := range list.Datasets {
 		dims[d.Name] = d.D
 	}
 	return dims, nil
@@ -199,8 +157,8 @@ func DiscoverDatasets(ctx context.Context, baseURL string) (map[string]int, erro
 
 // fetchDatasets records the dimensionality of every dataset the trace
 // targets, failing when the server lacks one.
-func (r *runner) fetchDatasets(ctx context.Context, want []string) error {
-	dims, err := DiscoverDatasets(ctx, r.base)
+func (r *loadRunner) fetchDatasets(ctx context.Context, want []string) error {
+	dims, err := listDatasets(ctx, r.base)
 	if err != nil {
 		return err
 	}
@@ -214,21 +172,21 @@ func (r *runner) fetchDatasets(ctx context.Context, want []string) error {
 }
 
 // fire executes one event and records its outcome.
-func (r *runner) fire(ctx context.Context, idx int, ev *Event) {
+func (r *loadRunner) fire(ctx context.Context, idx int, ev *traceEvent) {
 	rctx, cancel := context.WithTimeout(ctx, r.cfg.RequestTimeout)
 	defer cancel()
 	o := outcome{kind: ev.Kind}
 	start := time.Now()
 	switch ev.Kind {
-	case KindSolve:
-		var ws wireSolve
-		o.status, o.errText = r.postJSON(rctx, "/v1/solve", r.solveBody(ev.Dataset, ev.R, 0), &ws)
-		r.capture(idx, -1, ev, &ws, o)
-	case KindPinned:
+	case kindSolve:
+		var res solveResult
+		o.status, o.errText = r.postJSON(rctx, "/v1/solve", r.solveBody(ev.Dataset, ev.R, 0), &res)
+		r.capture(idx, -1, ev, &res, o)
+	case kindPinned:
 		o.status, o.errText = r.firePinned(rctx, idx, ev)
-	case KindSweep:
+	case kindSweep:
 		o = r.fireSweep(rctx, idx, ev)
-	case KindMutate:
+	case kindMutate:
 		o.status, o.errText = r.postJSON(rctx, "/v1/datasets/"+ev.Dataset+"/rows", map[string]any{
 			"rows": mutationRows(ev.Seed, ev.Rows, r.dims[ev.Dataset]),
 		}, nil)
@@ -237,9 +195,7 @@ func (r *runner) fire(ctx context.Context, idx int, ev *Event) {
 	}
 	o.latMS = float64(time.Since(start).Microseconds()) / 1000
 	o.rejected = o.status == http.StatusTooManyRequests || o.status == http.StatusServiceUnavailable
-	if o.rejected {
-		o.reason = classifyReject(o.status, o.errText)
-	}
+	o.degraded = o.status == http.StatusServiceUnavailable && strings.Contains(o.errText, `"reason":"degraded"`)
 	if o.errText != "" && !o.rejected && r.cfg.Logf != nil {
 		r.cfg.Logf("event %d (%s %s): %s", idx, ev.Kind, ev.Dataset, o.errText)
 	}
@@ -249,17 +205,17 @@ func (r *runner) fire(ctx context.Context, idx int, ev *Event) {
 }
 
 // capture forwards a successful solve result to the OnResult hook.
-func (r *runner) capture(idx, item int, ev *Event, ws *wireSolve, o outcome) {
+func (r *loadRunner) capture(idx, item int, ev *traceEvent, res *solveResult, o outcome) {
 	if r.cfg.OnResult == nil || o.errText != "" || o.status < 200 || o.status > 299 {
 		return
 	}
-	r.cfg.OnResult(SolveOutcome{
+	r.cfg.OnResult(solveOutcome{
 		Event:      idx,
 		Item:       item,
 		Dataset:    ev.Dataset,
-		IDs:        ws.IDs,
-		RankRegret: ws.RankRegret,
-		Exact:      ws.Exact,
+		IDs:        res.IDs,
+		RankRegret: res.RankRegret,
+		Exact:      res.Exact,
 	})
 }
 
@@ -269,34 +225,43 @@ func (r *runner) capture(idx, item int, ev *Event, ws *wireSolve, o outcome) {
 // the second-newest retained version when there is one (a genuinely old
 // snapshot that still cannot age out between the lookup and the solve), the
 // current version otherwise.
-func (r *runner) firePinned(ctx context.Context, idx int, ev *Event) (int, string) {
-	var wv wireVersions
-	status, err := r.getJSON(ctx, "/v1/datasets/"+ev.Dataset+"/versions", &wv)
+func (r *loadRunner) firePinned(ctx context.Context, idx int, ev *traceEvent) (int, string) {
+	var vl versionsResponse
+	status, err := r.getJSON(ctx, "/v1/datasets/"+ev.Dataset+"/versions", &vl)
 	if err != nil {
 		return 0, err.Error()
 	}
-	if status != http.StatusOK || len(wv.Versions) == 0 {
+	if status != http.StatusOK || len(vl.Versions) == 0 {
 		return status, fmt.Sprintf("versions lookup: HTTP %d", status)
 	}
-	pin := wv.Versions[0].Version
-	if n := len(wv.Versions); n > 1 {
-		pin = wv.Versions[n-2].Version
+	pin := vl.Versions[0].Version
+	if n := len(vl.Versions); n > 1 {
+		pin = vl.Versions[n-2].Version
 	}
-	var ws wireSolve
-	st, errText := r.postJSON(ctx, "/v1/solve", r.solveBody(ev.Dataset, ev.R, pin), &ws)
-	r.capture(idx, -1, ev, &ws, outcome{status: st, errText: errText})
+	var res solveResult
+	st, errText := r.postJSON(ctx, "/v1/solve", r.solveBody(ev.Dataset, ev.R, pin), &res)
+	r.capture(idx, -1, ev, &res, outcome{status: st, errText: errText})
 	return st, errText
 }
 
-func (r *runner) fireSweep(ctx context.Context, idx int, ev *Event) outcome {
+func (r *loadRunner) fireSweep(ctx context.Context, idx int, ev *traceEvent) outcome {
 	o := outcome{kind: ev.Kind}
 	reqs := make([]map[string]any, 0, ev.Width)
 	for i := 0; i < ev.Width; i++ {
 		reqs = append(reqs, r.solveBody(ev.Dataset, ev.R+i, 0))
 	}
-	var wb wireBatch
-	o.status, o.errText = r.postJSON(ctx, "/v1/solve/batch", map[string]any{"requests": reqs}, &wb)
-	for _, it := range wb.Results {
+	// batchItem's result is an embedded pointer to an unexported type,
+	// which encoding/json cannot allocate, so items decode into a value.
+	var batch struct {
+		Results []struct {
+			Index int `json:"index"`
+			solveResult
+			Error    string `json:"error"`
+			Rejected bool   `json:"rejected"`
+		} `json:"results"`
+	}
+	o.status, o.errText = r.postJSON(ctx, "/v1/solve/batch", map[string]any{"requests": reqs}, &batch)
+	for _, it := range batch.Results {
 		switch {
 		case it.Rejected:
 			o.itemsRejected++
@@ -304,7 +269,7 @@ func (r *runner) fireSweep(ctx context.Context, idx int, ev *Event) outcome {
 			o.itemsFailed++
 		case len(it.IDs) > 0:
 			o.itemsOK++
-			r.capture(idx, it.Index, ev, &wireSolve{IDs: it.IDs, RankRegret: it.RankRegret, Exact: it.Exact}, o)
+			r.capture(idx, it.Index, ev, &it.solveResult, o)
 		}
 	}
 	return o
@@ -312,7 +277,7 @@ func (r *runner) fireSweep(ctx context.Context, idx int, ev *Event) outcome {
 
 // solveBody assembles one solve request, honoring the run-wide MaxSamples
 // bound and an optional version pin (0 = current).
-func (r *runner) solveBody(ds string, rk int, version uint64) map[string]any {
+func (r *loadRunner) solveBody(ds string, rk int, version uint64) map[string]any {
 	body := map[string]any{"dataset": ds, "r": rk}
 	if version != 0 {
 		body["version"] = version
@@ -324,8 +289,8 @@ func (r *runner) solveBody(ds string, rk int, version uint64) map[string]any {
 }
 
 // mutationRows derives deterministic row content from the event seed, so
-// every run of a trace appends byte-identical data. Values are uniform in [0,1] —
-// the units of a normalized dataset.
+// every run of a trace appends byte-identical data. Values are uniform in
+// [0,1] — the units of a normalized dataset.
 func mutationRows(seed int64, rows, dim int) [][]float64 {
 	rng := xrand.New(seed)
 	out := make([][]float64, rows)
@@ -343,7 +308,7 @@ func mutationRows(seed int64, rows, dim int) [][]float64 {
 // The returned string is an error description for transport failures or
 // non-2xx statuses ("" on success); the int is the HTTP status (0 when the
 // request never completed).
-func (r *runner) postJSON(ctx context.Context, path string, body any, out any) (int, string) {
+func (r *loadRunner) postJSON(ctx context.Context, path string, body any, out any) (int, string) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return 0, err.Error()
@@ -372,7 +337,7 @@ func (r *runner) postJSON(ctx context.Context, path string, body any, out any) (
 	return resp.StatusCode, ""
 }
 
-func (r *runner) getJSON(ctx context.Context, path string, out any) (int, error) {
+func (r *loadRunner) getJSON(ctx context.Context, path string, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+path, nil)
 	if err != nil {
 		return 0, err
@@ -392,37 +357,76 @@ func (r *runner) getJSON(ctx context.Context, path string, out any) (int, error)
 	return resp.StatusCode, nil
 }
 
-// report reduces the collected outcomes to the Report shape.
-func (r *runner) report(trace *Trace, wall time.Duration) *Report {
+// kindReport breaks the outcome counts down by request kind.
+type kindReport struct {
+	Offered          int `json:"offered"`
+	OK               int `json:"ok"`
+	Rejected         int `json:"rejected"`
+	RejectedDegraded int `json:"rejected_degraded,omitempty"`
+	Errors           int `json:"errors"`
+}
+
+// loadReport is one load run reduced to the serving numbers the tests and
+// the serving smoke check. Rejected counts 429/503 sheds (the server
+// protecting itself, by design), and RejectedDegraded the subset refused by
+// a degraded store; Errors counts everything else non-2xx; Unexpected5xx is
+// the subset of errors with a 5xx status other than 503 — the count that
+// should be zero on a healthy server.
+type loadReport struct {
+	Offered          int     `json:"offered"`
+	OK               int     `json:"ok"`
+	Rejected         int     `json:"rejected"`
+	RejectedDegraded int     `json:"rejected_degraded"`
+	Errors           int     `json:"errors"`
+	Unexpected5xx    int     `json:"unexpected_5xx"`
+	ThroughputRPS    float64 `json:"throughput_rps"`
+	ErrorRate        float64 `json:"error_rate"`
+
+	// LatencyP99MS is the p99 time from send to reply of completed
+	// requests; RejectLatencyP99MS is the same for sheds, and should stay
+	// small — an overloaded server must say no quickly. Both are bounds for
+	// overload tests, not benchmark figures: the clock starts at send, so
+	// a late generator is not counted.
+	LatencyP99MS       float64 `json:"latency_p99_ms"`
+	RejectLatencyP99MS float64 `json:"reject_latency_p99_ms"`
+
+	// BatchItems* count individual sweep items inside HTTP-200 batch
+	// responses (per-item outcomes are invisible to the HTTP status).
+	// Failed items carry an error without being shed: invalid requests, or
+	// jobs that failed or were cancelled mid-flight.
+	BatchItemsAccepted int `json:"batch_items_accepted"`
+	BatchItemsRejected int `json:"batch_items_rejected"`
+	BatchItemsFailed   int `json:"batch_items_failed"`
+
+	PerKind map[reqKind]kindReport `json:"per_kind"`
+}
+
+// save writes the report as indented JSON to path.
+func (r *loadReport) save(path string) error {
+	b, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// report reduces the collected outcomes to the loadReport shape.
+func (r *loadRunner) report(wall time.Duration) *loadReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rep := &Report{
-		Schema:     ReportSchema,
-		Scenario:   trace.Scenario,
-		Seed:       trace.Seed,
-		BaseURL:    r.base,
-		DurationMS: float64(wall.Microseconds()) / 1000,
-		PerKind:    map[string]KindReport{},
-	}
+	rep := &loadReport{PerKind: map[reqKind]kindReport{}}
 	var okLat, rejLat []float64
 	for _, o := range r.outcomes {
 		rep.Offered++
-		kr := rep.PerKind[string(o.kind)]
+		kr := rep.PerKind[o.kind]
 		kr.Offered++
 		switch {
 		case o.rejected:
 			rep.Rejected++
 			kr.Rejected++
-			switch o.reason {
-			case "queue":
-				rep.RejectedQueue++
-				kr.RejectedQueue++
-			case "degraded":
+			if o.degraded {
 				rep.RejectedDegraded++
 				kr.RejectedDegraded++
-			default:
-				rep.RejectedDrain++
-				kr.RejectedDrain++
 			}
 			rejLat = append(rejLat, o.latMS)
 		case o.errText != "":
@@ -439,7 +443,7 @@ func (r *runner) report(trace *Trace, wall time.Duration) *Report {
 		rep.BatchItemsAccepted += o.itemsOK
 		rep.BatchItemsRejected += o.itemsRejected
 		rep.BatchItemsFailed += o.itemsFailed
-		rep.PerKind[string(o.kind)] = kr
+		rep.PerKind[o.kind] = kr
 	}
 	rep.LatencyP99MS = p99(okLat)
 	rep.RejectLatencyP99MS = p99(rejLat)
@@ -447,8 +451,18 @@ func (r *runner) report(trace *Trace, wall time.Duration) *Report {
 		rep.ThroughputRPS = float64(rep.OK) / secs
 	}
 	if rep.Offered > 0 {
-		rep.RejectRate = float64(rep.Rejected) / float64(rep.Offered)
 		rep.ErrorRate = float64(rep.Errors) / float64(rep.Offered)
 	}
 	return rep
+}
+
+// p99 returns the nearest-rank 99th percentile of ms: the smallest sample
+// with at least 99% of the samples at or below it, or 0 for none. It sorts
+// ms in place.
+func p99(ms []float64) float64 {
+	if len(ms) == 0 {
+		return 0
+	}
+	sort.Float64s(ms)
+	return ms[(99*len(ms)+99)/100-1]
 }

@@ -1,4 +1,4 @@
-package loadgen
+package main
 
 import (
 	"context"
@@ -14,18 +14,18 @@ import (
 )
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := Config{
-		Scenario: ScenarioSteady,
+	cfg := loadConfig{
+		Scenario: scenarioSteady,
 		Seed:     42,
 		Duration: 5 * time.Second,
 		Rate:     80,
 		Datasets: []string{"a", "b", "c"},
 	}
-	t1, err := Generate(cfg)
+	t1, err := generateTrace(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := Generate(cfg)
+	t2, err := generateTrace(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("same config generated different traces")
 	}
 	cfg.Seed = 43
-	t3, err := Generate(cfg)
+	t3, err := generateTrace(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateShape(t *testing.T) {
-	tr, err := Generate(Config{
-		Scenario: ScenarioSteady,
+	tr, err := generateTrace(loadConfig{
+		Scenario: scenarioSteady,
 		Seed:     7,
 		Duration: 10 * time.Second,
 		Rate:     100,
@@ -58,7 +58,7 @@ func TestGenerateShape(t *testing.T) {
 	if n := len(tr.Events); n < 800 || n > 1200 {
 		t.Fatalf("steady 100rps x 10s generated %d events, want ~1000", n)
 	}
-	kinds := map[Kind]int{}
+	kinds := map[reqKind]int{}
 	last := -1.0
 	for _, ev := range tr.Events {
 		if ev.AtMS < last {
@@ -73,15 +73,15 @@ func TestGenerateShape(t *testing.T) {
 		}
 		kinds[ev.Kind]++
 		switch ev.Kind {
-		case KindSolve, KindPinned:
+		case kindSolve, kindPinned:
 			if ev.R < 2 || ev.R > 5 {
 				t.Fatalf("%s event has r=%d outside [2, 5]", ev.Kind, ev.R)
 			}
-		case KindSweep:
+		case kindSweep:
 			if ev.Width < 1 {
 				t.Fatalf("sweep event has width %d", ev.Width)
 			}
-		case KindMutate:
+		case kindMutate:
 			if ev.Rows < 1 || ev.Seed == 0 {
 				t.Fatalf("mutate event malformed: %+v", ev)
 			}
@@ -89,7 +89,7 @@ func TestGenerateShape(t *testing.T) {
 	}
 	// The default mix includes all four kinds; at ~1000 events each should
 	// appear (P(missing a 10% kind) ~ 1e-46).
-	for _, k := range []Kind{KindSolve, KindSweep, KindMutate, KindPinned} {
+	for _, k := range []reqKind{kindSolve, kindSweep, kindMutate, kindPinned} {
 		if kinds[k] == 0 {
 			t.Fatalf("kind %s absent from %d events: %v", k, len(tr.Events), kinds)
 		}
@@ -97,13 +97,13 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(Config{Scenario: "nope", Datasets: []string{"a"}}); err == nil {
+	if _, err := generateTrace(loadConfig{Scenario: "nope", Datasets: []string{"a"}}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if _, err := Generate(Config{Scenario: ScenarioSteady}); err == nil {
+	if _, err := generateTrace(loadConfig{Scenario: scenarioSteady}); err == nil {
 		t.Fatal("empty dataset list accepted")
 	}
-	if _, err := Generate(Config{Scenario: ScenarioSteady, Datasets: []string{"a"}, Mix: Mix{Solve: -1}}); err == nil {
+	if _, err := generateTrace(loadConfig{Scenario: scenarioSteady, Datasets: []string{"a"}, Mix: loadMix{Solve: -1}}); err == nil {
 		t.Fatal("negative mix weight accepted")
 	}
 }
@@ -187,14 +187,14 @@ func TestSweepItemOutcomes(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	tr := &Trace{
+	tr := &loadTrace{
 		Datasets: []string{"d"},
-		Events:   []Event{{Kind: KindSweep, Dataset: "d", R: 2, Width: 3}},
+		Events:   []traceEvent{{Kind: kindSweep, Dataset: "d", R: 2, Width: 3}},
 	}
-	var got []SolveOutcome
-	rep, err := Run(context.Background(), tr, RunConfig{
+	var got []solveOutcome
+	rep, err := runLoad(context.Background(), tr, loadRunConfig{
 		BaseURL:  ts.URL,
-		OnResult: func(o SolveOutcome) { got = append(got, o) },
+		OnResult: func(o solveOutcome) { got = append(got, o) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestSweepItemOutcomes(t *testing.T) {
 		t.Fatalf("batch items accepted/rejected/failed = %d/%d/%d, want 1/1/1",
 			rep.BatchItemsAccepted, rep.BatchItemsRejected, rep.BatchItemsFailed)
 	}
-	want := []SolveOutcome{{Event: 0, Item: 0, Dataset: "d", IDs: []int{1, 4}, RankRegret: 3}}
+	want := []solveOutcome{{Event: 0, Item: 0, Dataset: "d", IDs: []int{1, 4}, RankRegret: 3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("OnResult got %+v, want %+v", got, want)
 	}

@@ -324,6 +324,74 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// requireJSONError fails unless body is a JSON object with a non-empty
+// "error" field: every 4xx rrmd sends tells the client what was wrong.
+func requireJSONError(t *testing.T, resp *http.Response, body []byte) {
+	t.Helper()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("error response Content-Type %q, want application/json (%s)", ct, body)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Errorf("error response is not a JSON error body (%v): %s", err, body)
+	}
+}
+
+// TestEndpointNegativePaths sends each endpoint a request it must refuse —
+// unknown ids and names, empty and oversize batches, an unparsable CSV —
+// and checks the 4xx status and the JSON error body. Cases other tests
+// already check (malformed and oversize JSON bodies, solve and mutation
+// validation, unknown traces) are left to them.
+func TestEndpointNegativePaths(t *testing.T) {
+	_, ts := newTestServer(t)
+	item := `{"dataset":"island","r":3}`
+	overBatch := `{"requests":[` + strings.Repeat(item+",", maxBatchSize) + item + `]}`
+	cases := []struct {
+		name, method, path, contentType, body string
+		status                                int
+	}{
+		{"batch-empty", http.MethodPost, "/v1/solve/batch", "application/json", `{"requests":[]}`, http.StatusBadRequest},
+		{"batch-over-limit", http.MethodPost, "/v1/solve/batch", "application/json", overBatch, http.StatusBadRequest},
+		{"job-get-unknown", http.MethodGet, "/v1/jobs/nope", "", "", http.StatusNotFound},
+		{"job-cancel-unknown", http.MethodDelete, "/v1/jobs/nope", "", "", http.StatusNotFound},
+		{"incident-unknown", http.MethodGet, "/v1/incidents/nope", "", "", http.StatusNotFound},
+		{"evaluate-unknown-dataset", http.MethodPost, "/v1/evaluate", "application/json", `{"dataset":"nope","ids":[0]}`, http.StatusNotFound},
+		{"dataset-get-unknown", http.MethodGet, "/v1/datasets/nope", "", "", http.StatusNotFound},
+		{"dataset-drop-unknown", http.MethodDelete, "/v1/datasets/nope", "", "", http.StatusNotFound},
+		{"upload-non-numeric", http.MethodPost, "/v1/datasets?name=words&header=1", "text/csv", "a,b\n1,2\nthree,4\n", http.StatusBadRequest},
+		{"upload-no-name", http.MethodPost, "/v1/datasets", "text/csv", "a,b\n1,2\n", http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.contentType != "" {
+				req.Header.Set("Content-Type", tc.contentType)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body bytes.Buffer
+			body.ReadFrom(resp.Body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.status, body.Bytes())
+			}
+			requireJSONError(t, resp, body.Bytes())
+		})
+	}
+	// None of the refused uploads registered a dataset.
+	resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil)
+	if resp.StatusCode != http.StatusOK || strings.Count(string(body), `"name"`) != 2 {
+		t.Fatalf("refused uploads changed the registry: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestJSONBodyLimits sends every JSON endpoint an oversize body and a
 // malformed one: the first must be cut off at MaxUploadBytes with 413, the
 // second rejected with 400, and neither may reach the handler's logic.
@@ -365,6 +433,7 @@ func TestJSONBodyLimits(t *testing.T) {
 				if resp.StatusCode != b.status {
 					t.Errorf("status %d, want %d (%s)", resp.StatusCode, b.status, out.Bytes())
 				}
+				requireJSONError(t, resp, out.Bytes())
 			})
 		}
 	}

@@ -11,7 +11,6 @@ import (
 
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/engine"
-	"github.com/rankregret/rankregret/internal/loadgen"
 	"github.com/rankregret/rankregret/internal/obs/obstest"
 	"github.com/rankregret/rankregret/internal/store"
 	"github.com/rankregret/rankregret/internal/xrand"
@@ -42,14 +41,14 @@ func newServingServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // servingTrace generates a short deterministic trace across both datasets.
 // RMin 5 covers SimNBA's dimensionality (the hdrrm family needs r >= the
 // dataset's basis size, which can reach d = 5).
-func servingTrace(t *testing.T, cfg loadgen.Config) *loadgen.Trace {
+func servingTrace(t *testing.T, cfg loadConfig) *loadTrace {
 	t.Helper()
 	cfg.Datasets = []string{"island", "nba"}
 	cfg.RMin = 5
 	if cfg.RMax == 0 {
 		cfg.RMax = 7
 	}
-	tr, err := loadgen.Generate(cfg)
+	tr, err := generateTrace(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +61,13 @@ func servingTrace(t *testing.T, cfg loadgen.Config) *loadgen.Trace {
 // down to the individual sweep items.
 func TestServingSteadySmoke(t *testing.T) {
 	_, ts := newServingServer(t, Config{})
-	tr := servingTrace(t, loadgen.Config{
-		Scenario: loadgen.ScenarioSteady,
+	tr := servingTrace(t, loadConfig{
+		Scenario: scenarioSteady,
 		Seed:     11,
 		Duration: 2 * time.Second,
 		Rate:     40,
 	})
-	rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
+	rep, err := runLoad(context.Background(), tr, loadRunConfig{
 		BaseURL: ts.URL,
 		Logf:    t.Logf,
 	})
@@ -87,7 +86,7 @@ func TestServingSteadySmoke(t *testing.T) {
 	if rep.BatchItemsFailed != 0 {
 		t.Fatalf("steady run at low rate had %d failed sweep items", rep.BatchItemsFailed)
 	}
-	if rep.PerKind[string(loadgen.KindMutate)].OK == 0 || rep.PerKind[string(loadgen.KindPinned)].OK == 0 {
+	if rep.PerKind[kindMutate].OK == 0 || rep.PerKind[kindPinned].OK == 0 {
 		t.Fatalf("mix did not exercise mutate/pinned paths: %+v", rep.PerKind)
 	}
 }
@@ -101,16 +100,16 @@ func TestServingOverloadBurst(t *testing.T) {
 	obstest.ExpectNoGoroutineLeak(t, 3)
 	srv, ts := newServingServer(t, Config{CacheSize: -1, Workers: 1, QueueCap: 2, QueueWait: 250 * time.Millisecond})
 
-	tr := servingTrace(t, loadgen.Config{
-		Scenario:  loadgen.ScenarioBurst,
+	tr := servingTrace(t, loadConfig{
+		Scenario:  scenarioBurst,
 		Seed:      13,
 		Duration:  2 * time.Second,
 		Rate:      30,
 		BurstRate: 300, // far beyond what 1 uncached worker can absorb
 		// Solve-only pressure: every event competes for the same queue.
-		Mix: loadgen.Mix{Solve: 1},
+		Mix: loadMix{Solve: 1},
 	})
-	rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
+	rep, err := runLoad(context.Background(), tr, loadRunConfig{
 		BaseURL:        ts.URL,
 		RequestTimeout: 10 * time.Second,
 	})
@@ -155,24 +154,24 @@ func TestServingOverloadBurst(t *testing.T) {
 // dequeues in arrival order and solves every request cold. Every request
 // must return the identical solution on both.
 func TestServingPolicyEquivalence(t *testing.T) {
-	tr := servingTrace(t, loadgen.Config{
-		Scenario: loadgen.ScenarioSteady,
+	tr := servingTrace(t, loadConfig{
+		Scenario: scenarioSteady,
 		Seed:     17,
 		Duration: 1500 * time.Millisecond,
 		Rate:     40,
-		Mix:      loadgen.Mix{Solve: 0.6, Sweep: 0.2, Pinned: 0.2},
+		Mix:      loadMix{Solve: 0.6, Sweep: 0.2, Pinned: 0.2},
 	})
 	type key struct {
 		Event, Item int
 	}
-	collect := func(cacheSize int) map[key]loadgen.SolveOutcome {
+	collect := func(cacheSize int) map[key]solveOutcome {
 		var mu sync.Mutex
-		got := map[key]loadgen.SolveOutcome{}
+		got := map[key]solveOutcome{}
 		_, ts := newServingServer(t, Config{CacheSize: cacheSize, Workers: 2, QueueCap: 64})
-		rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
+		rep, err := runLoad(context.Background(), tr, loadRunConfig{
 			BaseURL: ts.URL,
 			Logf:    t.Logf,
-			OnResult: func(o loadgen.SolveOutcome) {
+			OnResult: func(o solveOutcome) {
 				mu.Lock()
 				got[key{o.Event, o.Item}] = o
 				mu.Unlock()

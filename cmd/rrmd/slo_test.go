@@ -15,7 +15,6 @@ import (
 
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/engine"
-	"github.com/rankregret/rankregret/internal/loadgen"
 	"github.com/rankregret/rankregret/internal/obs"
 	"github.com/rankregret/rankregret/internal/obs/slo"
 )
@@ -243,7 +242,7 @@ func (b *syncBuf) String() string {
 }
 
 // TestSlowRequestLogsCarryRequestID is the regression test for the anomaly
-// correlation bugfix: under a seeded loadgen burst with a zero slow-trace
+// correlation bugfix: under a seeded load burst with a zero slow-trace
 // threshold, every "slow request" record in the structured JSON log stream
 // must carry a non-empty request_id.
 func TestSlowRequestLogsCarryRequestID(t *testing.T) {
@@ -255,15 +254,15 @@ func TestSlowRequestLogsCarryRequestID(t *testing.T) {
 		LogRing:   ring,
 	})
 
-	tr := servingTrace(t, loadgen.Config{
-		Scenario:  loadgen.ScenarioBurst,
+	tr := servingTrace(t, loadConfig{
+		Scenario:  scenarioBurst,
 		Seed:      7,
 		Duration:  time.Second,
 		Rate:      40,
 		BurstRate: 120,
-		Mix:       loadgen.Mix{Solve: 1},
+		Mix:       loadMix{Solve: 1},
 	})
-	rep, err := loadgen.Run(context.Background(), tr, loadgen.RunConfig{
+	rep, err := runLoad(context.Background(), tr, loadRunConfig{
 		BaseURL:        ts.URL,
 		RequestTimeout: 10 * time.Second,
 	})

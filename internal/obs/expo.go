@@ -70,8 +70,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeHistogram(bw, f.name, lbl, s.hist.Snapshot())
 			case s.histFn != nil:
 				writeHistogram(bw, f.name, lbl, s.histFn())
-			case s.counter != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, braced(lbl), s.counter.Value())
 			case s.gauge != nil:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, braced(lbl), fmtFloat(s.gauge.Value()))
 			case s.fn != nil:

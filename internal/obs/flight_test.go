@@ -18,7 +18,7 @@ func (r *Recorder) Dropped() uint64 {
 
 func TestRecorderCaptureBundle(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("fr_test_ops_total", "Ops.").Add(3)
+	reg.CounterFunc("fr_test_ops_total", "Ops.", func() float64 { return 3 })
 	ring := NewLogRing(8)
 	ring.Append(LogRecord{Msg: "context line"})
 	dir := t.TempDir()

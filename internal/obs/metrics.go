@@ -1,15 +1,16 @@
 // Package obs is the observability core of the serving stack: a
-// dependency-free metrics registry (atomic counters, gauges, and fixed-bucket
-// latency histograms) with a Prometheus text-exposition writer, plus
-// lightweight per-request tracing (request ids, per-stage span timelines, and
-// a bounded recent-traces ring).
+// dependency-free metrics registry (read-time counters and gauges, settable
+// gauges, and fixed-bucket latency histograms) with a Prometheus
+// text-exposition writer, plus lightweight per-request tracing (request ids,
+// per-stage span timelines, and a bounded recent-traces ring).
 //
 // The package deliberately depends on nothing but the standard library, so
 // every layer of the stack — engine, scheduler, store, daemon — can record
 // into one registry without import cycles. Instruments are cheap enough for
-// hot paths: counters are a single atomic add, histograms one short mutex
-// hold (the mutex is what makes a scrape's bucket/sum/count triple exactly
-// coherent, which the exposition promises).
+// hot paths: counters are read at scrape time from the counts a subsystem
+// already keeps, and a histogram observation is one short mutex hold (the
+// mutex is what makes a scrape's bucket/sum/count triple exactly coherent,
+// which the exposition promises).
 package obs
 
 import (
@@ -29,22 +30,10 @@ var DefBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Counter is a monotonically increasing counter. The zero value is unusable;
-// create counters through a Registry so they are exported.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 // Gauge is a settable instantaneous value (float64 behind an atomic). Use
-// GaugeFunc when a subsystem already owns the value; use Gauge when the
-// metric is computed on a schedule (e.g. SLO evaluations) and must read the
-// same between scrapes.
+// GaugeFunc when a subsystem already owns the value; use a GaugeVec series
+// when the metric is computed on a schedule (e.g. SLO evaluations) and must
+// read the same between scrapes.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -127,7 +116,6 @@ const (
 // callback, with at most one label pair.
 type series struct {
 	labelValue string // "" when the family is unlabeled
-	counter    *Counter
 	hist       *Histogram
 	gauge      *Gauge
 	fn         func() float64           // counterFunc / gaugeFunc callback
@@ -228,12 +216,6 @@ func (f *family) with(value string, mk func() series) *series {
 	return &f.series[len(f.series)-1]
 }
 
-// Counter registers (or fetches) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, typeCounter, "", nil)
-	return f.one(func() series { return series{counter: &Counter{}} }).counter
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — the bridge for subsystems that already keep their own counters
 // (cache hits, scheduler totals, WAL records), so the exposition and the
@@ -248,12 +230,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, typeGauge, "", nil)
 	f.one(func() series { return series{fn: fn} })
-}
-
-// Gauge registers (or fetches) an unlabeled settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, typeGauge, "", nil)
-	return f.one(func() series { return series{gauge: &Gauge{}} }).gauge
 }
 
 // GaugeVec registers a settable gauge family with one label dimension.
@@ -304,17 +280,4 @@ type HistogramVec struct{ f *family }
 // With returns the histogram for one label value, creating it on first use.
 func (v *HistogramVec) With(value string) *Histogram {
 	return v.f.with(value, func() series { return series{hist: newHistogram(v.f.bounds)} }).hist
-}
-
-// CounterVec registers a counter family with one label dimension.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{f: r.register(name, help, typeCounter, label, nil)}
-}
-
-// CounterVec is a labeled counter family.
-type CounterVec struct{ f *family }
-
-// With returns the counter for one label value, creating it on first use.
-func (v *CounterVec) With(value string) *Counter {
-	return v.f.with(value, func() series { return series{counter: &Counter{}} }).counter
 }

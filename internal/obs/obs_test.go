@@ -6,12 +6,10 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 func TestHistogramBuckets(t *testing.T) {
 	h := newHistogram([]float64{0.01, 0.1, 1})
@@ -35,8 +33,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestExpositionRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_ops_total", "Operations.")
-	c.Add(7)
+	reg.CounterFunc("test_ops_total", "Operations.", func() float64 { return 7 })
 	reg.GaugeFunc("test_depth", "Depth.", func() float64 { return 3 })
 	reg.CounterFunc("test_seen_total", "Seen.", func() float64 { return 41 })
 	h := reg.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1})
@@ -46,10 +43,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	hv := reg.HistogramVec("test_stage_seconds", "Stage latency.", "stage", []float64{0.5})
 	hv.With("solve").Observe(0.1)
 	hv.With("cache").Observe(2)
-	cv := reg.CounterVec("test_kind_total", "By kind.", "kind")
-	cv.With("a").Inc()
-	cv.With("a").Inc()
-	cv.With("b").Inc()
+	gv := reg.GaugeVec("test_kind", "By kind.", "kind")
+	gv.With("a").Set(2)
+	gv.With("b").Set(1)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -66,7 +62,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 		`test_latency_seconds_bucket{le="+Inf"} 3`,
 		"test_latency_seconds_count 3",
 		`test_stage_seconds_bucket{stage="solve",le="0.5"} 1`,
-		`test_kind_total{kind="a"} 2`,
+		`test_kind{kind="a"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -90,8 +86,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 
 func TestGaugeAndHistogramFuncRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.Gauge("test_level", "Level.")
-	g.Set(2.5)
+	reg.GaugeFunc("test_level", "Level.", func() float64 { return 2.5 })
 	gv := reg.GaugeVec("test_ratio", "Ratio.", "objective")
 	gv.With("solve_p99").Set(0.999)
 	gv.With("mutate_p99").Set(-0.25) // gauges may go negative
@@ -169,7 +164,9 @@ func TestParseExpositionAcceptsValidEdgeCases(t *testing.T) {
 
 func TestRegistryConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("ops_total", "Ops.")
+	var ops atomic.Uint64
+	reg.CounterFunc("ops_total", "Ops.", func() float64 { return float64(ops.Load()) })
+	gv := reg.GaugeVec("level", "Level.", "worker")
 	h := reg.Histogram("lat_seconds", "Lat.", nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -177,12 +174,13 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			g := gv.With(string(rune('a' + i)))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					c.Inc()
+					g.Set(float64(ops.Add(1)))
 					h.Observe(0.01)
 				}
 			}

@@ -1,23 +1,29 @@
 #!/usr/bin/env bash
 # Serving smoke: boot rrmd over two small deterministic datasets, drive it
-# with the seeded open-loop traffic generator — a steady scenario and a burst
-# scenario — and require both runs healthy: nonzero completed throughput,
-# zero unexpected 5xx responses, and a near-zero error rate. Rejections
-# (429/503) are fine; they are the overload design working. The reports are
-# written to BENCH_serving_steady.json / BENCH_serving_burst.json for CI
-# upload.
+# with the seeded open-loop traffic generator of cmd/rrmd's tests — the
+# TestLiveSteady and TestLiveBurst entry points, whose scenarios are fixed —
+# and require both runs healthy: nonzero completed throughput, zero
+# unexpected 5xx responses, and a near-zero error rate. Rejections (429/503)
+# are fine; they are the overload design working. The reports are written to
+# BENCH_serving_steady.json / BENCH_serving_burst.json for CI upload.
 set -euo pipefail
 
 ADDR="127.0.0.1:18081"
 BASE="http://$ADDR"
 WORK="$(mktemp -d)"
-STEADY_SECS="${STEADY_SECS:-15}"
-BURST_SECS="${BURST_SECS:-10}"
 trap 'kill -9 $PID ${SCRAPER:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/rrmd" ./cmd/rrmd
-go build -o "$WORK/rrmload" ./cmd/rrmload
 go build -o "$WORK/promcheck" ./cmd/promcheck
+# The load driver is test code: compile it once, and run it from here so the
+# report paths are relative to the repository root.
+go test -c -o "$WORK/rrmd.test" ./cmd/rrmd
+
+# drive runs one live entry point against the daemon and writes its report.
+drive() {
+  RRMD_LOAD_URL="$BASE" RRMD_LOAD_REPORT="$2" \
+    "$WORK/rrmd.test" -test.run "^$1\$" -test.v
+}
 
 # Two small deterministic CSV datasets (2 and 5 attributes) so individual
 # solves stay cheap: the smoke measures the serving path under load, not
@@ -58,12 +64,11 @@ curl -sf "$BASE/healthz" >/dev/null
 ( while sleep 0.5; do curl -sf "$BASE/metrics" -o /dev/null || true; done ) &
 SCRAPER=$!
 
-# max_samples bounds the per-solve cost so the smoke measures the serving
-# path on any runner; rates are sized for small CI machines.
+# Seed 7, 15 req/s for 15 s, max_samples 400 (which bounds the per-solve
+# cost so the smoke measures the serving path on any runner), 15 s client
+# timeout: rates are sized for small CI machines.
 echo "== steady scenario =="
-"$WORK/rrmload" -url "$BASE" -scenario steady -seed 7 \
-  -rate 15 -duration "${STEADY_SECS}s" -timeout 15s -max-samples 400 \
-  -out BENCH_serving_steady.json
+drive TestLiveSteady BENCH_serving_steady.json
 
 # Scrape the Prometheus surface mid-run (the daemon has just served a full
 # steady scenario, so the histograms are populated) and validate it with the
@@ -81,11 +86,9 @@ if [ "$SOLVES" -eq 0 ]; then
   exit 1
 fi
 
+# Seed 7, 8 req/s calm with 1 s bursts at 120 req/s every 3 s, for 10 s.
 echo "== burst scenario =="
-"$WORK/rrmload" -url "$BASE" -scenario burst -seed 7 \
-  -rate 8 -burst-rate 120 -burst-period 3s -burst-len 1s \
-  -duration "${BURST_SECS}s" -timeout 15s -max-samples 400 \
-  -out BENCH_serving_burst.json
+drive TestLiveBurst BENCH_serving_burst.json
 kill "$SCRAPER" 2>/dev/null
 wait "$SCRAPER" 2>/dev/null || true
 
