@@ -54,7 +54,7 @@ func (s *Server) instrument() error {
 		func() float64 { return float64(s.eng.VecSetStats().Extensions) })
 	reg.CounterFunc("rrmd_vecset_reuses_total", "VecSet-tier pure reuses of a vector set or 2D sweep plan.",
 		func() float64 { return float64(s.eng.VecSetStats().Reuses) })
-	reg.CounterFunc("rrmd_vecset_repairs_total", "VecSet-tier incremental delta repairs.",
+	reg.CounterFunc("rrmd_vecset_repairs_total", "VecSet-tier incremental delta repairs: vector sets across appends and deletes, 2D sweep plans across appends.",
 		func() float64 { return float64(s.eng.VecSetStats().Repairs) })
 	reg.GaugeFunc("rrmd_vecset_entries", "VecSet-tier occupancy.",
 		func() float64 { return float64(s.eng.VecSetStats().Len) })

@@ -354,7 +354,7 @@ func TestBandedPlanMatchesUncapped(t *testing.T) {
 func TestBandedPlanIsland10k(t *testing.T) {
 	ds := dataset.SimIsland(xrand.New(1), 10000)
 	lines, cand, capC, _, c0, c1 := planBand(t, ds, nil)
-	band, _, _ := sweepBand(lines, cand, c0, c1)
+	band := sweepBand(lines, cand, c0, c1).lines
 	if len(band)*5 > len(lines) {
 		t.Fatalf("band keeps %d of %d lines at cap %d", len(band), len(lines), capC)
 	}
@@ -427,7 +427,7 @@ func TestBandIDsKeepsTopM(t *testing.T) {
 			xs = append(xs, (xs[i-1]+xs[i])/2)
 		}
 		for _, m := range []int{1, 2, 3, len(lines) / 2} {
-			ids := bandIDs(lines, m, nil, c0, c1)
+			ids, _ := bandIDs(lines, m, nil, c0, c1, roundingMargin(marginScale(lines, c0, c1)))
 			if ids == nil {
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/rankregret/rankregret/internal/ctxutil"
 	"github.com/rankregret/rankregret/internal/dataset"
 )
 
@@ -20,8 +21,9 @@ import (
 // swap, so the sweep runs over bandIDs' witness-filtered band for the top
 // k+1, whose order agrees with the full order on the first k+1 places.
 // Runtime is O(b^2 log b) for a band of b lines: b = n only when every line
-// reaches the top k+1 (anticorrelated data). It checks ctx every few
-// thousand crossings and returns ctx.Err() if it is done.
+// reaches the top k+1 (anticorrelated data). It checks ctx before the
+// sweep and every few thousand crossings, and returns ctx.Err() if it is
+// done.
 //
 // The collection is what the paper's MDRRR consumes: a hitting set of all
 // k-sets is exactly a set with rank-regret at most k for every linear
@@ -35,8 +37,11 @@ func KSets2D(ctx context.Context, ds *dataset.Dataset, k int) ([][]int, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("algo2d: k=%d out of range [1, %d]", k, n)
 	}
+	if err := ctxutil.Cancelled(ctx); err != nil {
+		return nil, err
+	}
 	lines := dualLines(ds)
-	ids := bandIDs(lines, k+1, nil, 0, 1) // band line -> tuple id; nil = every line
+	ids, _ := bandIDs(lines, k+1, nil, 0, 1, roundingMargin(marginScale(lines, 0, 1))) // band line -> tuple id; nil = every line
 	if ids != nil {
 		lines = gather(lines, ids)
 	}

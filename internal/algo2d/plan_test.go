@@ -14,7 +14,10 @@ import (
 // clonePlan deep-copies a plan, so a test can check that solves leave it
 // untouched.
 func clonePlan(pl *Plan) *Plan {
-	return &Plan{cand: slices.Clone(pl.cand), start: slices.Clone(pl.start), steps: slices.Clone(pl.steps)}
+	c := *pl
+	c.cand, c.start, c.steps = slices.Clone(pl.cand), slices.Clone(pl.start), slices.Clone(pl.steps)
+	c.band, c.local, c.terms, c.events = slices.Clone(pl.band), slices.Clone(pl.local), slices.Clone(pl.terms), slices.Clone(pl.events)
+	return &c
 }
 
 // freshRRM and freshRRR solve on a plan built for the one call.

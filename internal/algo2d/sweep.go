@@ -112,38 +112,52 @@ func initialRanks(lines []line, c0 float64) []int {
 // up = id that buildEvents would list, counted with the same intersectX. A
 // sweep's event-counted rank of a line never exceeds its start rank plus
 // those events, so bound caps every rank-regret a sweep tracking ids can
-// report (see sweepBand). Only a line that starts below id or within
-// rounding of it at c0, and ends above it or within rounding at c1, can
-// overtake it, so only those pay for the division (on finite lines).
+// report (see sweepBand).
 func ranksAt(lines []line, ids []int, c0, c1 float64) (ranks []int, bound int) {
-	margin := roundingMargin(lines, c0, c1)
-	ranks = make([]int, len(ids))
+	ranks, terms := rankTerms(lines, ids, c0, c1, roundingMargin(marginScale(lines, c0, c1)))
 	bound = math.MaxInt
-	for p, i := range ids {
-		li := lines[i]
-		vi, si := li.eval(c0), li.slope
-		below0, above1 := vi+margin, li.eval(c1)-margin
-		rank, over := 1, 0
-		for j, l := range lines {
-			// Branch-free counts: whether a line is above or near line i
-			// follows the data, so a branch on it mispredicts.
-			vj := l.eval(c0)
-			above := vj > vi
-			if vj == vi {
-				above = l.slope > si || l.slope == si && j < i
-			}
-			rank += b2i(above)
-			if b2i(vj < below0)&b2i(l.eval(c1) >= above1) != 0 && l.slope > si {
-				// Written so a NaN crossing fails the window test.
-				if x, _ := intersectX(li, l); x > c0 && x <= c1 {
-					over++
-				}
-			}
-		}
-		ranks[p] = rank
-		bound = min(bound, rank+over)
+	for _, t := range terms {
+		bound = min(bound, t)
 	}
 	return ranks, bound
+}
+
+// rankTerms returns ranksAt's ranks and, per id, the term rank + overtakes
+// whose least is ranksAt's bound, with the rounding margin given.
+func rankTerms(lines []line, ids []int, c0, c1, margin float64) (ranks, terms []int) {
+	ranks, terms = make([]int, len(ids)), make([]int, len(ids))
+	for p, i := range ids {
+		above, over := standing(lines[i], i, lines, 0, c0, c1, margin)
+		ranks[p], terms[p] = 1+above, 1+above+over
+	}
+	return ranks, terms
+}
+
+// standing counts, among the lines others (ids off, off+1, ...), those
+// above line li (id i) at c0 in lineAbove's order, and those that overtake
+// it in (c0, c1]. Only a line that starts below li or within rounding of it
+// at c0, and ends above it or within rounding at c1, can overtake it, so
+// only those pay for the division (on finite lines).
+func standing(li line, i int, others []line, off int, c0, c1, margin float64) (above, over int) {
+	vi, si := li.eval(c0), li.slope
+	below0, above1 := vi+margin, li.eval(c1)-margin
+	for j, l := range others {
+		// Branch-free counts: whether a line is above or near line i
+		// follows the data, so a branch on it mispredicts.
+		vj := l.eval(c0)
+		up := vj > vi
+		if vj == vi {
+			up = l.slope > si || l.slope == si && off+j < i
+		}
+		above += b2i(up)
+		if b2i(vj < below0)&b2i(l.eval(c1) >= above1) != 0 && l.slope > si {
+			// Written so a NaN crossing fails the window test.
+			if x, _ := intersectX(li, l); x > c0 && x <= c1 {
+				over++
+			}
+		}
+	}
+	return above, over
 }
 
 // b2i is 1 for true and 0 for false; the compiler makes it a flag move, not
@@ -155,11 +169,10 @@ func b2i(b bool) int {
 	return 0
 }
 
-// roundingMargin bounds the rounding in evaluating the lines on [c0, c1]
-// and in placing their crossings there, with room to spare: 1e-9 times the
-// largest |slope|·|x| + |intercept| on the segment, plus 1e-9. It is +Inf
-// when a line's terms overflow.
-func roundingMargin(lines []line, c0, c1 float64) float64 {
+// marginScale is the largest |slope|·max(1, |c0|, |c1|) + |intercept| over
+// lines: the magnitude of their values and crossings on [c0, c1]. It is
+// +Inf when a line's terms overflow.
+func marginScale(lines []line, c0, c1 float64) float64 {
 	reach := max(1, math.Abs(c0), math.Abs(c1))
 	scale := 0.0
 	for _, l := range lines {
@@ -167,6 +180,13 @@ func roundingMargin(lines []line, c0, c1 float64) float64 {
 			scale = v
 		}
 	}
+	return scale
+}
+
+// roundingMargin bounds the rounding in evaluating lines of the given
+// marginScale and in placing their crossings, with room to spare: 1e-9
+// times the scale, plus 1e-9.
+func roundingMargin(scale float64) float64 {
 	return 1e-9 * (scale + 1)
 }
 
@@ -174,30 +194,31 @@ func roundingMargin(lines []line, c0, c1 float64) float64 {
 // in the top m anywhere in [c0, c1], together with every id in must
 // (ascending, distinct); nil means every line. It is an O(n) witness
 // filter: the m lines with the largest smaller endpoint value lie at or
-// above w, the least of those values, on all of [c0, c1], so a line whose
-// larger endpoint value is below w ranks below all m of them everywhere.
-// roundingMargin keeps a line within rounding of w, so the test holds in
-// the sweep's own floating-point arithmetic too.
-func bandIDs(lines []line, m int, must []int, c0, c1 float64) []int {
+// above top, the least of those values, on all of [c0, c1], so a line
+// whose larger endpoint value is below top ranks below all m of them
+// everywhere. The line's test is against w = top - margin, with margin the
+// lines' roundingMargin on [c0, c1], so it holds in the sweep's own
+// floating-point arithmetic too. top is returned with the ids.
+func bandIDs(lines []line, m int, must []int, c0, c1, margin float64) (ids []int, top float64) {
 	n := len(lines)
-	margin := roundingMargin(lines, c0, c1)
 	if m >= n || math.IsInf(margin, 1) {
-		return nil
+		return nil, 0
 	}
-	top := make([]float64, 0, m) // min-heap of the m largest smaller endpoints
+	lows := make([]float64, 0, m) // min-heap of the m largest smaller endpoints
 	for _, l := range lines {
 		v := min(l.eval(c0), l.eval(c1))
 		switch {
-		case len(top) < m:
-			top = append(top, v)
-			siftUp(top, len(top)-1)
-		case v > top[0]:
-			top[0] = v
-			siftDown(top)
+		case len(lows) < m:
+			lows = append(lows, v)
+			siftUp(lows, len(lows)-1)
+		case v > lows[0]:
+			lows[0] = v
+			siftDown(lows)
 		}
 	}
-	w := top[0] - margin
-	ids := make([]int, 0, m+len(must))
+	top = lows[0]
+	w := top - margin
+	ids = make([]int, 0, m+len(must))
 	for i, l := range lines {
 		if len(must) > 0 && must[0] == i {
 			must = must[1:]
@@ -207,9 +228,9 @@ func bandIDs(lines []line, m int, must []int, c0, c1 float64) []int {
 		}
 	}
 	if len(ids) == n {
-		return nil
+		return nil, 0
 	}
-	return ids
+	return ids, top
 }
 
 // siftUp and siftDown keep h a binary min-heap after h[i] was appended or
@@ -242,6 +263,18 @@ func siftDown(h []float64) {
 	}
 }
 
+// band is a sweep restricted by sweepBand, with what a plan needs to
+// extend it to appended lines (Plan.Appended).
+type band struct {
+	lines []line  // the band's lines, in ascending id order
+	ids   []int   // their ids; nil = every line
+	local []int   // band position of each tracked line
+	start []int   // tracked lines' start ranks at c0, counted within the band
+	terms []int   // rankTerms' terms over every line; the cap C is their least
+	scale float64 // marginScale of every line
+	top   float64 // bandIDs' witness level for the top C+1; 0 when ids is nil
+}
+
 // sweepBand restricts a sweep over (c0, c1] that tracks the lines ids to
 // the lines that can shape its answer. Take the cap C = the bound ranksAt
 // returns: the tracked line that attains it never ranks worse than C in the
@@ -254,23 +287,21 @@ func siftDown(h []float64) {
 // whenever either is at most C+1. The band keeps the lines' order, so its
 // events come out in the same (x, up, down) order and ties break as
 // before. When C+1 reaches n the band is every line.
-//
-// It returns the band's lines, the band position of each ids[p], and the
-// tracked lines' start ranks at c0 within the band.
-func sweepBand(lines []line, ids []int, c0, c1 float64) (band []line, local, start []int) {
-	start, bound := ranksAt(lines, ids, c0, c1)
+func sweepBand(lines []line, ids []int, c0, c1 float64) band {
+	scale := marginScale(lines, c0, c1)
+	margin := roundingMargin(scale)
+	start, terms := rankTerms(lines, ids, c0, c1, margin)
 	must := slices.Compact(slices.Sorted(slices.Values(ids)))
-	keep := bandIDs(lines, bound+1, must, c0, c1)
+	keep, top := bandIDs(lines, slices.Min(terms)+1, must, c0, c1, margin)
 	if keep == nil {
-		return lines, ids, start
+		return band{lines: lines, local: ids, start: start, terms: terms, scale: scale}
 	}
-	band = gather(lines, keep)
-	local = make([]int, len(ids))
+	b := band{lines: gather(lines, keep), ids: keep, local: make([]int, len(ids)), terms: terms, scale: scale, top: top}
 	for p, i := range ids {
-		local[p], _ = slices.BinarySearch(keep, i)
+		b.local[p], _ = slices.BinarySearch(keep, i)
 	}
-	start, _ = ranksAt(band, local, c0, c1)
-	return band, local, start
+	b.start, _ = ranksAt(b.lines, b.local, c0, c1)
+	return b
 }
 
 // gather returns lines[ids[0]], lines[ids[1]], ...
@@ -322,22 +353,49 @@ func buildEvents(lines []line, isCand []bool, c0, c1 float64) []event {
 			if isCand[j] && j < i {
 				continue // pair already handled from j's side
 			}
-			x, ok := intersectX(lines[i], lines[j])
-			// Written so a NaN crossing fails the window test.
-			if !ok || !(x > c0 && x <= c1) {
-				continue
+			if e, ok := crossing(lines[i], lines[j], i, j, c0, c1); ok {
+				events = append(events, e)
 			}
-			var e event
-			if lines[i].slope < lines[j].slope {
-				e = event{x: x, up: int32(i), down: int32(j)}
-			} else {
-				e = event{x: x, up: int32(j), down: int32(i)}
-			}
-			events = append(events, e)
 		}
 	}
 	sortEvents(events)
 	return events
+}
+
+// crossing returns the event in which candidate line a (id i) and line b
+// (id j) cross, and whether they cross in (c0, c1] at all.
+func crossing(a, b line, i, j int, c0, c1 float64) (event, bool) {
+	x, ok := intersectX(a, b)
+	// Written so a NaN crossing fails the window test.
+	if !ok || !(x > c0 && x <= c1) {
+		return event{}, false
+	}
+	if a.slope < b.slope {
+		return event{x: x, up: int32(i), down: int32(j)}, true
+	}
+	return event{x: x, up: int32(j), down: int32(i)}, true
+}
+
+// mergeEvents merges two event lists sorted by (x, up, down) with no pair
+// in both into one sorted list: the order sortEvents gives their union.
+func mergeEvents(a, b []event) []event {
+	out := make([]event, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if eventLess(b[0], a[0]) {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// eventLess orders events by (x, up, down).
+func eventLess(a, b event) bool {
+	if a.x != b.x {
+		return a.x < b.x
+	}
+	return comparePairs(a, b) < 0
 }
 
 // floatKey maps x to a uint64 whose unsigned order is x's numeric order
@@ -417,19 +475,11 @@ func pairKey(i, j int32) int64 {
 // by (x, up, down).
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(a, b int) bool {
-	if h[a].x != h[b].x {
-		return h[a].x < h[b].x
-	}
-	if h[a].up != h[b].up {
-		return h[a].up < h[b].up
-	}
-	return h[a].down < h[b].down
-}
-func (h eventHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { o := *h; n := len(o) - 1; e := o[n]; *h = o[:n]; return e }
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(a, b int) bool { return eventLess(h[a], h[b]) }
+func (h eventHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
+func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any          { o := *h; n := len(o) - 1; e := o[n]; *h = o[:n]; return e }
 
 // neighborSweep runs the paper's Algorithm 1 sweep structure over (c0, c1]:
 // the sorted list L of lines ordered by their intersection with the sweep

@@ -179,9 +179,10 @@ func TestRanksAtMatchesInitialRanks(t *testing.T) {
 // gives it: the skyline candidates within their band.
 func BenchmarkBuildEvents(b *testing.B) {
 	ds := dataset.SimIsland(xrand.New(1), 10000)
-	lines, local, _ := sweepBand(dualLines(ds), skyline.Compute(ds), 0, 1)
+	bd := sweepBand(dualLines(ds), skyline.Compute(ds), 0, 1)
+	lines := bd.lines
 	isCand := make([]bool, len(lines))
-	for _, i := range local {
+	for _, i := range bd.local {
 		isCand[i] = true
 	}
 	b.ReportAllocs()

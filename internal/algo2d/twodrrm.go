@@ -7,7 +7,8 @@
 //     [c0, c1] and to the U-skyline candidates, and to exact RRR by reading
 //     the full DP row. The sweep does not depend on the budget, so it is
 //     built once into a Plan (NewPlanCtx) that serves every r (Plan.RRM)
-//     and every k (Plan.RRR).
+//     and every k (Plan.RRR), and a plan is extended to appended rows by
+//     Plan.Appended, reading only the new rows and the candidates.
 //   - TwoDRRR: the earlier approximation baseline of Asudeh et al. (size at
 //     most r_k with rank-regret at most 2k), adapted to RRM by the improved
 //     doubling binary search of Section V.B.2.
@@ -94,12 +95,23 @@ type cell struct {
 // start of the rendered segment [c0, c1], and the sweep's crossing events
 // folded into dynamic-program steps. Only the DP over chain budgets depends
 // on r, so one Plan serves every RRM budget (RRM) and every RRR threshold
-// (RRR). A Plan is never written after NewPlanCtx returns, so concurrent
-// solves may share it.
+// (RRR). It also keeps what the sweep learned on the way, so that Appended
+// can extend it to rows appended to the dataset. A Plan is never written
+// after NewPlanCtx or Appended returns it, so concurrent solves may share
+// it.
 type Plan struct {
 	cand  []int // candidate tuple ids, ascending
 	start []int // start[p] = rank of cand[p] at c0
 	steps []step
+
+	n      int     // rows of the dataset the plan covers
+	c0, c1 float64 // the rendered segment
+	band   []int   // ids of the band's lines, ascending; nil = every line
+	local  []int   // local[p] = band position of cand[p]
+	terms  []int   // cand[p]'s rank + overtakes over every row; C = the least
+	scale  float64 // marginScale of every row
+	top    float64 // the band's witness level (see bandIDs)
+	events []event // crossings of a candidate with a band line, in band positions
 }
 
 // step is one crossing in which candidate p drops a rank: rank is p's rank
@@ -142,30 +154,43 @@ func NewPlanCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space)
 	if err := ctxutil.Cancelled(ctx); err != nil {
 		return nil, err
 	}
-	lines, local, start := sweepBand(dualLines(ds), cand, c0, c1)
-	isCand := make([]bool, len(lines))
-	candPos := make([]int32, len(lines)) // band line -> position in cand, -1 if none
-	for i := range candPos {
-		candPos[i] = -1
-	}
-	for p, i := range local {
+	b := sweepBand(dualLines(ds), cand, c0, c1)
+	isCand := make([]bool, len(b.lines))
+	for _, i := range b.local {
 		isCand[i] = true
-		candPos[i] = int32(p)
 	}
-	pl := &Plan{cand: cand, start: start}
-	events := buildEvents(lines, isCand, c0, c1)
+	events := buildEvents(b.lines, isCand, c0, c1)
 	if err := ctxutil.Cancelled(ctx); err != nil {
 		return nil, err
 	}
+	pl := &Plan{
+		cand: cand, start: b.start, n: ds.N(), c0: c0, c1: c1,
+		band: b.ids, local: b.local, terms: b.terms, scale: b.scale, top: b.top, events: events,
+	}
+	pl.fold(len(b.lines))
+	return pl, nil
+}
+
+// fold derives the plan's DP steps from its start ranks and events over a
+// band of nband lines. NewPlanCtx and Appended both end with it, so their
+// steps cannot differ.
+func (pl *Plan) fold(nband int) {
+	candPos := make([]int32, nband) // band line -> position in cand, -1 if none
+	for i := range candPos {
+		candPos[i] = -1
+	}
+	for p, i := range pl.local {
+		candPos[i] = int32(p)
+	}
 	n := 0
-	for _, e := range events {
-		if isCand[e.up] {
+	for _, e := range pl.events {
+		if candPos[e.up] >= 0 {
 			n++
 		}
 	}
 	pl.steps = make([]step, 0, n)
 	cur := slices.Clone(pl.start) // cur[p] = current rank of cand[p]
-	for _, e := range events {
+	for _, e := range pl.events {
 		p, q := candPos[e.up], candPos[e.down]
 		if p >= 0 {
 			cur[p]++
@@ -175,7 +200,6 @@ func NewPlanCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space)
 			cur[q]--
 		}
 	}
-	return pl, nil
 }
 
 // run executes the dynamic program with chain budget r. It returns, for

@@ -31,12 +31,13 @@ func ExactRankRegret(ds *dataset.Dataset, ids []int, c0, c1 float64) (int, error
 			return 0, fmt.Errorf("algo2d: tuple id %d out of range", id)
 		}
 	}
-	lines, local, start := sweepBand(lines, ids, c0, c1)
+	b := sweepBand(lines, ids, c0, c1)
+	lines, local := b.lines, b.local
 	isMember := make([]bool, len(lines))
 	cur := make([]int, len(lines)) // only members' entries are read
 	for p, i := range local {
 		isMember[i] = true
-		cur[i] = start[p]
+		cur[i] = b.start[p]
 	}
 	minRank := func() int {
 		m := math.MaxInt

@@ -40,20 +40,26 @@ import (
 // here — the engine wiring enforces that.
 //
 // The tier is delta-aware: alongside the exact fingerprint-keyed lookup it
-// maintains an identity index keyed by dataset lineage. When a solve arrives
-// for a new version of a dataset whose previous version has a cached entry,
-// and the dataset's delta log spans the gap without a rewrite, the new entry
-// is seeded as an incremental repair of the old one (appended rows merged
-// into the per-vector top-K lists, tombstoned rows remapped or re-selected)
-// instead of a cold rebuild. The old entry is never modified, so solves
-// pinned to the old version keep hitting it. Plans are not repaired: each
-// dataset version builds its own.
+// maintains an identity index keyed by dataset lineage, pointing at the
+// newest version's entry that holds each precomputation. When a solve
+// arrives for a new version of a dataset whose previous version has a
+// cached entry with that precomputation, the new entry's is repaired from
+// the old one's instead of built cold:
+//
+//   - a vector set when the dataset's delta log spans the gap without a
+//     rewrite: appended rows merged into the per-vector top-K lists,
+//     tombstoned rows remapped or re-selected;
+//   - a sweep plan when the gap holds appends only (algo2d.Plan.Appended),
+//     unless the appended rows could change the plan's candidates or band.
+//
+// A repair that declines falls back to a cold build. The old entry is never
+// modified, so solves pinned to the old version keep hitting it.
 type VecSetCache struct {
 	mu      sync.Mutex
 	cap     int
 	ll      *list.List // front = most recent
 	items   map[string]*list.Element
-	byIdent map[string]*list.Element // newest entry per dataset identity
+	byIdent map[identKey]*list.Element // newest entry per dataset identity and precomputation
 
 	// Outcome counters, guarded by mu (not atomics) so Stats reads them
 	// together with the occupancy as one coherent snapshot.
@@ -69,6 +75,16 @@ type VecSetCache struct {
 	buildDur *obs.Histogram
 }
 
+// identKey names one precomputation of one dataset identity in the
+// identity index: the vector set, or the 2D sweep plan when plan is set.
+// Each has its own newest entry, so a version that only 2D solves have
+// used does not hide an older version's vector set from a repair, nor a
+// version that only HDRRM-family solves have used an older plan.
+type identKey struct {
+	ident string
+	plan  bool
+}
+
 type vecsetEntry struct {
 	key     string
 	ident   string // identity key: salt|lineage|space|gamma|seed
@@ -80,20 +96,40 @@ type vecsetEntry struct {
 	plan   planSlot
 }
 
-// planSlot holds an entry's 2D sweep plan, built by the first 2DRRM solve.
-// The build runs under mu, so concurrent first solves build once; a failed
+// planSlot holds an entry's 2D sweep plan, made by the first 2DRRM solve.
+// It is made under mu, so concurrent first solves make it once; a failed
 // build leaves the slot empty for the next solve to retry.
 type planSlot struct {
 	mu   sync.Mutex
 	plan *algo2d.Plan
 }
 
-// get returns the slot's plan, building it from ds and space if it has none.
-func (s *planSlot) get(ctx context.Context, ds *dataset.Dataset, space funcspace.Space) (*algo2d.Plan, algohd.AcquireOutcome, error) {
+// get returns the slot's plan. A slot without one repairs it from src, an
+// older version's entry, when ds's delta log since that version holds
+// appends only and src's plan is built; otherwise, or when the repair
+// declines, it builds it from ds and space. The repair locks src's slot
+// while holding this one: a slot only ever locks an older version's, so
+// the locks cannot cycle.
+func (s *planSlot) get(ctx context.Context, ds *dataset.Dataset, space funcspace.Space, src *vecsetEntry) (*algo2d.Plan, algohd.AcquireOutcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.plan != nil {
 		return s.plan, algohd.VecSetReused, nil
+	}
+	if src != nil && appendsOnly(ds, src.version) {
+		src.plan.mu.Lock()
+		old := src.plan.plan
+		src.plan.mu.Unlock()
+		if old != nil {
+			pl, ok, err := old.Appended(ctx, ds)
+			if err != nil {
+				return nil, algohd.VecSetReused, err
+			}
+			if ok {
+				s.plan = pl
+				return pl, algohd.VecSetRepaired, nil
+			}
+		}
 	}
 	pl, err := algo2d.NewPlanCtx(ctx, ds, space)
 	if err != nil {
@@ -101,6 +137,21 @@ func (s *planSlot) get(ctx context.Context, ds *dataset.Dataset, space funcspace
 	}
 	s.plan = pl
 	return pl, algohd.VecSetBuilt, nil
+}
+
+// appendsOnly reports whether ds's delta log reaches back to version since
+// and holds nothing but appends after it.
+func appendsOnly(ds *dataset.Dataset, since uint64) bool {
+	deltas, ok := ds.Deltas(since)
+	if !ok {
+		return false
+	}
+	for _, d := range deltas {
+		if d.Kind != dataset.DeltaAppend {
+			return false
+		}
+	}
+	return true
 }
 
 // VecSetStats is a snapshot of the VecSet-tier counters. Reuses counts
@@ -132,7 +183,7 @@ func NewVecSetCache(capacity int) *VecSetCache {
 		cap:     capacity,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element),
-		byIdent: make(map[string]*list.Element),
+		byIdent: make(map[identKey]*list.Element),
 	}
 }
 
@@ -146,7 +197,7 @@ func (c *VecSetCache) Acquire(ctx context.Context, ds *dataset.Dataset, opts Opt
 	e := c.entry(key, ds, opts)
 	if e.shared == nil {
 		ho := opts.hd()
-		if prev := c.repairSource(e.ident, ds); prev != nil {
+		if prev := c.repairSource(identKey{ident: e.ident}, ds); prev != nil {
 			if deltas, ok := ds.Deltas(prev.version); ok && repairable(deltas) {
 				// Lazy: the actual repair (or its fallback cold build) runs
 				// on first Acquire of the new shared set, outside this lock.
@@ -156,10 +207,7 @@ func (c *VecSetCache) Acquire(ctx context.Context, ds *dataset.Dataset, opts Opt
 		if e.shared == nil {
 			e.shared = algohd.NewSharedVecSet(ds, ho.Space, ho.EffectiveGamma(), opts.Seed, ho.Sampler)
 		}
-		el := c.items[e.key]
-		if cur, ok := c.byIdent[e.ident]; !ok || cur.Value.(*vecsetEntry).version <= e.version {
-			c.byIdent[e.ident] = el
-		}
+		c.register(identKey{ident: e.ident}, e)
 	}
 	// Evict only now: the least recently used entry may be the repair
 	// source just taken.
@@ -184,19 +232,23 @@ func (c *VecSetCache) Acquire(ctx context.Context, ds *dataset.Dataset, opts Opt
 
 // Plan returns the 2D sweep plan for ds over opts.Space (nil = the full
 // space), kept in the same entry an HDRRM-family solve on ds would use, so
-// an r or k sweep over a 2D dataset builds it once. Each dataset version
-// builds its own plan: plans are not repaired across mutations. The
-// caller checks that ds is 2-dimensional.
+// an r or k sweep over a 2D dataset makes it once. A new version of a
+// dataset repairs its plan from the newest older version's entry when only
+// appends lie between them (counted as a repair), and builds it otherwise.
+// The caller checks that ds is 2-dimensional.
 func (c *VecSetCache) Plan(ctx context.Context, ds *dataset.Dataset, opts Options) (*algo2d.Plan, error) {
 	key := vecsetKey(ds, opts)
 	c.mu.Lock()
 	e := c.entry(key, ds, opts)
+	ik := identKey{ident: e.ident, plan: true}
+	src := c.repairSource(ik, ds)
+	c.register(ik, e)
 	c.evict()
 	c.mu.Unlock()
 
 	start := time.Now()
 	endSpan := obs.StartSpan(ctx, "build")
-	pl, outcome, err := e.plan.get(ctx, ds, opts.Space)
+	pl, outcome, err := e.plan.get(ctx, ds, opts.Space, src)
 	endSpan()
 	if err != nil {
 		return nil, err
@@ -221,6 +273,14 @@ func (c *VecSetCache) entry(key string, ds *dataset.Dataset, opts Options) *vecs
 	return e
 }
 
+// register makes e the newest entry under ik unless a newer version's
+// entry holds that place. Called with c.mu held.
+func (c *VecSetCache) register(ik identKey, e *vecsetEntry) {
+	if cur, ok := c.byIdent[ik]; !ok || cur.Value.(*vecsetEntry).version <= e.version {
+		c.byIdent[ik] = c.items[e.key]
+	}
+}
+
 // evict drops the least recently used entry while the tier is over
 // capacity. Called with c.mu held.
 func (c *VecSetCache) evict() {
@@ -229,8 +289,10 @@ func (c *VecSetCache) evict() {
 		c.ll.Remove(oldest)
 		old := oldest.Value.(*vecsetEntry)
 		delete(c.items, old.key)
-		if c.byIdent[old.ident] == oldest {
-			delete(c.byIdent, old.ident)
+		for _, ik := range []identKey{{ident: old.ident}, {ident: old.ident, plan: true}} {
+			if c.byIdent[ik] == oldest {
+				delete(c.byIdent, ik)
+			}
 		}
 	}
 }
@@ -285,13 +347,14 @@ func (c *VecSetCache) Contains(key string) bool {
 	return ok
 }
 
-// repairSource returns the identity index's entry for ds's lineage when it
-// is a usable repair source: a strictly older version whose shared set still
-// holds the data it was keyed with (a fingerprint mismatch means the old
-// snapshot was mutated in place — the snapshot discipline was broken — and
-// repairing from it would poison results). Called with c.mu held.
-func (c *VecSetCache) repairSource(ident string, ds *dataset.Dataset) *vecsetEntry {
-	el, ok := c.byIdent[ident]
+// repairSource returns the identity index's entry under ik, for ds's
+// lineage, when it is a usable repair source: a strictly older version
+// whose shared set, if it has one, still holds the data it was keyed with
+// (a fingerprint mismatch means the old snapshot was mutated in place —
+// the snapshot discipline was broken — and repairing from it would poison
+// results). Called with c.mu held.
+func (c *VecSetCache) repairSource(ik identKey, ds *dataset.Dataset) *vecsetEntry {
+	el, ok := c.byIdent[ik]
 	if !ok {
 		return nil
 	}
@@ -299,7 +362,7 @@ func (c *VecSetCache) repairSource(ident string, ds *dataset.Dataset) *vecsetEnt
 	if prev.version >= ds.Version() {
 		return nil
 	}
-	if prev.shared.Dataset().Fingerprint() != prev.fp {
+	if prev.shared != nil && prev.shared.Dataset().Fingerprint() != prev.fp {
 		return nil
 	}
 	return prev

@@ -434,9 +434,10 @@ func RatK(ds *Dataset, ids []int, space Space, k, samples int, seed int64) (floa
 // combinatorial geometry). A set of tuples hits every k-set if and only if
 // its rank-regret is at most k. The count grows super-linearly with n,
 // which is why the k-set based solvers do not scale — this primitive exists
-// for analysis and validation.
-func TopKSets2D(ds *Dataset, k int) ([][]int, error) {
-	return algo2d.KSets2D(context.Background(), ds, k)
+// for analysis and validation. Cancelling ctx aborts the enumeration and
+// returns ctx.Err().
+func TopKSets2D(ctx context.Context, ds *Dataset, k int) ([][]int, error) {
+	return algo2d.KSets2D(ctx, ds, k)
 }
 
 // RankRegretPercent normalizes a rank-regret to the paper's percentage

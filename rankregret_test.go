@@ -2,6 +2,8 @@ package rankregret_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -374,7 +376,7 @@ func TestHDRRMBeatsBaselinesOnAnticorrelated(t *testing.T) {
 
 func TestTopKSets2DPublicAPI(t *testing.T) {
 	ds := tableI(t)
-	sets, err := rankregret.TopKSets2D(ds, 1)
+	sets, err := rankregret.TopKSets2D(t.Context(), ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +403,13 @@ func TestTopKSets2DPublicAPI(t *testing.T) {
 	if got != 1 {
 		t.Errorf("union of top-1 winners has rank-regret %d, want 1", got)
 	}
-	if _, err := rankregret.TopKSets2D(ds, 0); err == nil {
+	if _, err := rankregret.TopKSets2D(t.Context(), ds, 0); err == nil {
 		t.Error("k=0 should fail")
+	}
+	cancelled, cancel := context.WithCancel(t.Context())
+	cancel()
+	if _, err := rankregret.TopKSets2D(cancelled, ds, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
