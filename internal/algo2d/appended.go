@@ -38,7 +38,7 @@ func (pl *Plan) Appended(ctx context.Context, ds *dataset.Dataset) (*Plan, bool,
 	if err := ctxutil.Cancelled(ctx); err != nil {
 		return nil, false, err
 	}
-	if pl.band == nil || ds.Dim() != 2 || ds.N() < pl.n {
+	if pl.nband == 0 || ds.Dim() != 2 || ds.N() < pl.n {
 		return nil, false, nil
 	}
 	c0, c1 := pl.c0, pl.c1
@@ -67,12 +67,10 @@ func (pl *Plan) Appended(ctx context.Context, ds *dataset.Dataset) (*Plan, bool,
 		return nil, false, nil
 	}
 
-	w, nb := pl.top-margin, len(pl.band)
-	band := slices.Clone(pl.band)
+	w, nb := pl.top-margin, pl.nband
 	var joined []line // the band's new lines, at positions nb, nb+1, ...
-	for k, l := range rows {
+	for _, l := range rows {
 		if max(l.eval(c0), l.eval(c1)) >= w {
-			band = append(band, pl.n+k)
 			joined = append(joined, l)
 		}
 	}
@@ -90,10 +88,10 @@ func (pl *Plan) Appended(ctx context.Context, ds *dataset.Dataset) (*Plan, bool,
 	sortEvents(events)
 	out := &Plan{
 		cand: pl.cand, start: start, n: ds.N(), c0: c0, c1: c1,
-		band: band, local: pl.local, terms: terms, scale: pl.scale, top: pl.top,
+		nband: nb + len(joined), local: pl.local, terms: terms, scale: pl.scale, top: pl.top,
 		events: mergeEvents(pl.events, events),
 	}
-	out.fold(nb + len(joined))
+	out.fold(out.nband)
 	return out, true, nil
 }
 

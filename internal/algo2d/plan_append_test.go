@@ -98,7 +98,7 @@ func appendChain(t testing.TB, ds *dataset.Dataset, space funcspace.Space, steps
 		next, ok := checkAppended(t, pl, ds, space)
 		if ok {
 			repaired++
-			if len(next.band) > len(pl.band) {
+			if next.nband > pl.nband {
 				grew++
 			}
 		}
@@ -178,7 +178,7 @@ func TestPlanAppendDeclines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.band == nil {
+	if pl.nband == 0 {
 		t.Fatal("SimIsland's band is every line")
 	}
 	fresh := func(rows [][]float64) *Plan {
@@ -268,7 +268,7 @@ func TestPlanAppendDeclines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pl.band != nil {
+		if pl.nband != 0 {
 			t.Fatal("anticorrelated band is not every line")
 		}
 		// Below every line, so only the every-line band declines it.
@@ -303,7 +303,7 @@ func TestPlanAppendFilterEdge(t *testing.T) {
 		if !ok {
 			t.Fatalf("row %v: the repair declined", row)
 		}
-		if joined := len(got.band) > len(pl.band); joined != (max(row[0], row[1]) >= w) {
+		if joined := got.nband > pl.nband; joined != (max(row[0], row[1]) >= w) {
 			t.Fatalf("row %v: joined the band = %v", row, joined)
 		}
 	}

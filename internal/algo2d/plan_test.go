@@ -16,7 +16,7 @@ import (
 func clonePlan(pl *Plan) *Plan {
 	c := *pl
 	c.cand, c.start, c.steps = slices.Clone(pl.cand), slices.Clone(pl.start), slices.Clone(pl.steps)
-	c.band, c.local, c.terms, c.events = slices.Clone(pl.band), slices.Clone(pl.local), slices.Clone(pl.terms), slices.Clone(pl.events)
+	c.local, c.terms, c.events = slices.Clone(pl.local), slices.Clone(pl.terms), slices.Clone(pl.events)
 	return &c
 }
 

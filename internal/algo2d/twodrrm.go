@@ -106,7 +106,7 @@ type Plan struct {
 
 	n      int     // rows of the dataset the plan covers
 	c0, c1 float64 // the rendered segment
-	band   []int   // ids of the band's lines, ascending; nil = every line
+	nband  int     // lines in the band; 0 = every line
 	local  []int   // local[p] = band position of cand[p]
 	terms  []int   // cand[p]'s rank + overtakes over every row; C = the least
 	scale  float64 // marginScale of every row
@@ -165,7 +165,7 @@ func NewPlanCtx(ctx context.Context, ds *dataset.Dataset, space funcspace.Space)
 	}
 	pl := &Plan{
 		cand: cand, start: b.start, n: ds.N(), c0: c0, c1: c1,
-		band: b.ids, local: b.local, terms: b.terms, scale: b.scale, top: b.top, events: events,
+		nband: len(b.ids), local: b.local, terms: b.terms, scale: b.scale, top: b.top, events: events,
 	}
 	pl.fold(len(b.lines))
 	return pl, nil

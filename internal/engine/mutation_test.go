@@ -217,6 +217,47 @@ func TestDivergentSnapshotsDoNotPoisonRepair(t *testing.T) {
 	if !reflect.DeepEqual(solB, want) {
 		t.Fatalf("divergent-branch solution poisoned: %+v != cold %+v", solB, want)
 	}
+
+	// The 2D sweep plan's repair: branch A's repaired plan is the identity
+	// head, and branch B's delta window since it holds appends only, so
+	// only the row comparison can tell that B's first appended row, just
+	// below the top row, is not A's, which lies below every row.
+	t.Run("2d", func(t *testing.T) {
+		base := dataset.SimIsland(xrand.New(3), 800)
+		e := New(0)
+		if _, err := e.Solve(ctx, base, r, AlgoTwoDRRM, opts); err != nil {
+			t.Fatal(err)
+		}
+		brA := base.Snapshot()
+		brA.Append([]float64{0, 0})
+		if _, err := e.Solve(ctx, brA, r, AlgoTwoDRRM, opts); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.VecSetStats(); st.Repairs != 1 {
+			t.Fatalf("branch A was not repaired: %+v", st)
+		}
+		top := base.Row(0)
+		for i := range base.N() {
+			if row := base.Row(i); row[1] > top[1] {
+				top = row
+			}
+		}
+		brB := base.Snapshot()
+		brB.Append([]float64{top[0] - 0.001, top[1] - 0.001})
+		brB.Append([]float64{0, 0})
+		for r := 1; r <= 8; r++ {
+			got, err := e.Solve(ctx, brB, r, AlgoTwoDRRM, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := solve2D(t, brB, r); !reflect.DeepEqual(got, want) {
+				t.Fatalf("divergent-branch 2drrm r=%d poisoned: %+v != standalone %+v", r, got, want)
+			}
+		}
+		if st := e.VecSetStats(); st.Repairs != 1 || st.Builds != 2 {
+			t.Fatalf("divergent branch's plan: %+v, want 2 builds / 1 repair", st)
+		}
+	})
 }
 
 // TestSchedulerEdgeCases is the table-driven sweep over scheduler edge

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -49,8 +50,9 @@ import (
 //   - a vector set when the dataset's delta log spans the gap without a
 //     rewrite: appended rows merged into the per-vector top-K lists,
 //     tombstoned rows remapped or re-selected;
-//   - a sweep plan when the gap holds appends only (algo2d.Plan.Appended),
-//     unless the appended rows could change the plan's candidates or band.
+//   - a sweep plan when the gap holds appends only and the rows before
+//     them are bit for bit the old plan's (algo2d.Plan.Appended), unless
+//     the appended rows could change the plan's candidates or band.
 //
 // A repair that declines falls back to a cold build. The old entry is never
 // modified, so solves pinned to the old version keep hitting it.
@@ -96,37 +98,48 @@ type vecsetEntry struct {
 	plan   planSlot
 }
 
-// planSlot holds an entry's 2D sweep plan, made by the first 2DRRM solve.
-// It is made under mu, so concurrent first solves make it once; a failed
-// build leaves the slot empty for the next solve to retry.
+// planSlot holds an entry's 2D sweep plan, made by the first 2DRRM solve,
+// and the dataset snapshot it was made from, which a newer version's
+// repair compares its rows against. It is made under mu, so concurrent
+// first solves make it once; a failed build leaves the slot empty for the
+// next solve to retry.
 type planSlot struct {
 	mu   sync.Mutex
 	plan *algo2d.Plan
+	ds   *dataset.Dataset
 }
 
-// get returns the slot's plan. A slot without one repairs it from src, an
-// older version's entry, when ds's delta log since that version holds
-// appends only and src's plan is built; otherwise, or when the repair
-// declines, it builds it from ds and space. The repair locks src's slot
-// while holding this one: a slot only ever locks an older version's, so
-// the locks cannot cycle.
-func (s *planSlot) get(ctx context.Context, ds *dataset.Dataset, space funcspace.Space, src *vecsetEntry) (*algo2d.Plan, algohd.AcquireOutcome, error) {
+// plan returns e's sweep plan for ds over space. A slot without one
+// registers e in the identity index and repairs the plan from the index's
+// previous newest entry when ds's delta log since that version holds
+// appends only, that entry's plan is built, and ds's first rows are bit
+// for bit the rows it was built from; otherwise, or when the repair
+// declines, it builds it from ds and space. Locks are taken in the order
+// e's slot, c.mu, the source's slot, and a slot only ever locks an older
+// version's, so they cannot cycle.
+func (c *VecSetCache) plan(ctx context.Context, e *vecsetEntry, ds *dataset.Dataset, space funcspace.Space) (*algo2d.Plan, algohd.AcquireOutcome, error) {
+	s := &e.plan
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.plan != nil {
 		return s.plan, algohd.VecSetReused, nil
 	}
+	ik := identKey{ident: e.ident, plan: true}
+	c.mu.Lock()
+	src := c.repairSource(ik, ds)
+	c.register(ik, e)
+	c.mu.Unlock()
 	if src != nil && appendsOnly(ds, src.version) {
 		src.plan.mu.Lock()
-		old := src.plan.plan
+		old, oldDS := src.plan.plan, src.plan.ds
 		src.plan.mu.Unlock()
-		if old != nil {
+		if old != nil && oldDS.Fingerprint() == src.fp && samePrefix(oldDS, ds) {
 			pl, ok, err := old.Appended(ctx, ds)
 			if err != nil {
 				return nil, algohd.VecSetReused, err
 			}
 			if ok {
-				s.plan = pl
+				s.plan, s.ds = pl, ds
 				return pl, algohd.VecSetRepaired, nil
 			}
 		}
@@ -135,8 +148,27 @@ func (s *planSlot) get(ctx context.Context, ds *dataset.Dataset, space funcspace
 	if err != nil {
 		return nil, algohd.VecSetReused, err
 	}
-	s.plan = pl
+	s.plan, s.ds = pl, ds
 	return pl, algohd.VecSetBuilt, nil
+}
+
+// samePrefix reports whether ds's first old.N() rows hold old's values bit
+// for bit. Two snapshots of one version appended to separately share a
+// (lineage, version) pair, so a delta log of appends does not prove that
+// the rows before them are the old version's; this comparison does.
+func samePrefix(old, ds *dataset.Dataset) bool {
+	if ds.N() < old.N() || ds.Dim() != old.Dim() {
+		return false
+	}
+	for i := range old.N() {
+		a, b := old.Row(i), ds.Row(i)
+		for j := range a {
+			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // appendsOnly reports whether ds's delta log reaches back to version since
@@ -240,15 +272,12 @@ func (c *VecSetCache) Plan(ctx context.Context, ds *dataset.Dataset, opts Option
 	key := vecsetKey(ds, opts)
 	c.mu.Lock()
 	e := c.entry(key, ds, opts)
-	ik := identKey{ident: e.ident, plan: true}
-	src := c.repairSource(ik, ds)
-	c.register(ik, e)
 	c.evict()
 	c.mu.Unlock()
 
 	start := time.Now()
 	endSpan := obs.StartSpan(ctx, "build")
-	pl, outcome, err := e.plan.get(ctx, ds, opts.Space, src)
+	pl, outcome, err := c.plan(ctx, e, ds, opts.Space)
 	endSpan()
 	if err != nil {
 		return nil, err
@@ -274,10 +303,14 @@ func (c *VecSetCache) entry(key string, ds *dataset.Dataset, opts Options) *vecs
 }
 
 // register makes e the newest entry under ik unless a newer version's
-// entry holds that place. Called with c.mu held.
+// entry holds that place, or e has been evicted. Called with c.mu held.
 func (c *VecSetCache) register(ik identKey, e *vecsetEntry) {
+	el, ok := c.items[e.key]
+	if !ok || el.Value.(*vecsetEntry) != e {
+		return
+	}
 	if cur, ok := c.byIdent[ik]; !ok || cur.Value.(*vecsetEntry).version <= e.version {
-		c.byIdent[ik] = c.items[e.key]
+		c.byIdent[ik] = el
 	}
 }
 
